@@ -72,36 +72,41 @@ std::unique_ptr<exec::Dataflow> BuildVariant(const plan::Catalog& catalog,
     if (!plan::Optimizer::Optimize(&*plan).ok()) std::abort();
     if (variant == Variant::kNoPurge) StripPurges(plan->root.get());
   }
-  auto flow = exec::Dataflow::Build(std::move(*plan));
+  auto flow = exec::Dataflow::Build(std::move(*plan), /*shards=*/1);
   if (!flow.ok()) std::abort();
   return std::move(*flow);
 }
 
 struct Feed {
-  std::vector<Change> bids;                 // ptime-stamped inserts
-  std::vector<std::pair<Timestamp, Timestamp>> watermarks;  // (ptime, wm)
+  size_t num_bids = 0;
+  /// Bids and watermarks (ptime-ordered) chunked once, outside the timed
+  /// region, in the form the runtime ingests.
+  std::vector<exec::InputChunk> chunks;
+  std::vector<const exec::InputChunk*> refs;
 };
 
 Feed MakeFeed(int n) {
   std::mt19937 rng(3);
   Feed feed;
+  exec::ChunkBuilder builder(&feed.chunks, 0);
   int64_t event_time = T(8, 0).millis();
   Timestamp ptime = T(8, 0);
   for (int i = 0; i < n; ++i) {
     event_time += 1 + static_cast<int64_t>(rng() % 4000);
     ptime = ptime + Interval::Millis(10);
-    feed.bids.push_back(
-        Change{ChangeKind::kInsert,
-               {Value::Time(Timestamp(event_time)),
-                Value::Int64(1 + static_cast<int64_t>(rng() % 500)),
-                Value::String("x")},
-               ptime});
+    builder.AddElement("Bid",
+                       {Value::Time(Timestamp(event_time)),
+                        Value::Int64(1 + static_cast<int64_t>(rng() % 500)),
+                        Value::String("x")},
+                       +1, ptime);
     if (i % 20 == 19) {
-      feed.watermarks.emplace_back(
-          ptime + Interval::Millis(1),
-          Timestamp(event_time) - Interval::Seconds(5));
+      builder.AddWatermark("Bid", Timestamp(event_time) - Interval::Seconds(5),
+                           ptime + Interval::Millis(1));
     }
   }
+  builder.CloseAll();
+  feed.num_bids = static_cast<size_t>(n);
+  for (const exec::InputChunk& chunk : feed.chunks) feed.refs.push_back(&chunk);
   return feed;
 }
 
@@ -115,24 +120,12 @@ RunResult Run(Variant variant, const Feed& feed,
               const plan::Catalog& catalog) {
   auto flow = BuildVariant(catalog, variant);
   const auto start = std::chrono::steady_clock::now();
-  size_t wm_next = 0;
-  for (const Change& bid : feed.bids) {
-    if (!flow->PushRow("Bid", bid.ptime, bid.row).ok()) std::abort();
-    while (wm_next < feed.watermarks.size() &&
-           feed.watermarks[wm_next].first <= bid.ptime) {
-      if (!flow->PushWatermark("Bid", feed.watermarks[wm_next].first,
-                               feed.watermarks[wm_next].second)
-               .ok()) {
-        std::abort();
-      }
-      ++wm_next;
-    }
-  }
+  if (!flow->PushChunks(feed.refs).ok()) std::abort();
   const double secs = std::chrono::duration<double>(
                           std::chrono::steady_clock::now() - start)
                           .count();
   RunResult out;
-  out.events_per_sec = static_cast<double>(feed.bids.size()) / secs;
+  out.events_per_sec = static_cast<double>(feed.num_bids) / secs;
   for (const auto* join : flow->joins()) {
     out.join_rows += join->left_rows() + join->right_rows();
   }

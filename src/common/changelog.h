@@ -1,6 +1,7 @@
 #ifndef ONESQL_COMMON_CHANGELOG_H_
 #define ONESQL_COMMON_CHANGELOG_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -37,6 +38,21 @@ struct Change {
 
 /// A changelog: the stream encoding of a TVR.
 using Changelog = std::vector<Change>;
+
+/// One event of a processing-time-ordered feed: exactly the shape of the
+/// paper's Section 4 example dataset — INSERTs, DELETEs and watermark
+/// advances, each tagged with the processing time at which the system became
+/// aware of them. The engine's feed API, the write-ahead log and the
+/// checkpoint history all carry this one struct; the kind values are the
+/// on-disk tags (see state::Writer::PutFeedEvent).
+struct FeedEvent {
+  enum class Kind : uint8_t { kInsert = 0, kDelete = 1, kWatermark = 2 };
+  Kind kind = Kind::kInsert;
+  std::string source;
+  Timestamp ptime;
+  Row row;              // kInsert / kDelete
+  Timestamp watermark;  // kWatermark
+};
 
 /// Applies a changelog prefix (entries with ptime <= `as_of`) to an initially
 /// empty bag and returns the resulting multiset of rows — the snapshot

@@ -5,7 +5,6 @@
 #include <unordered_map>
 
 #include "exec/expr_eval.h"
-#include "exec/sharded_dataflow.h"
 #include "plan/binder.h"
 #include "plan/optimizer.h"
 #include "sql/parser.h"
@@ -111,26 +110,6 @@ Result<std::vector<Row>> ContinuousQuery::CurrentSnapshot() {
 
 namespace {
 
-exec::InputEvent ToInputEvent(const FeedEvent& event) {
-  exec::InputEvent out;
-  switch (event.kind) {
-    case FeedEvent::Kind::kInsert:
-      out.kind = exec::InputEvent::Kind::kInsert;
-      break;
-    case FeedEvent::Kind::kDelete:
-      out.kind = exec::InputEvent::Kind::kDelete;
-      break;
-    case FeedEvent::Kind::kWatermark:
-      out.kind = exec::InputEvent::Kind::kWatermark;
-      break;
-  }
-  out.source = event.source;
-  out.ptime = event.ptime;
-  out.row = event.row;
-  out.watermark = event.watermark;
-  return out;
-}
-
 /// Wall-clock source for durability latencies (checkpoint save/restore).
 /// Event-time metrics never use this — they run on the logical feed clock.
 uint64_t MonotonicMicros() {
@@ -145,76 +124,6 @@ uint64_t MonotonicMicros() {
 constexpr const char kCheckpointFile[] = "/checkpoint.osql";
 constexpr const char kWalFile[] = "/feed.wal";
 
-state::WalRecord ToWalRecord(uint64_t seq, const FeedEvent& event) {
-  state::WalRecord rec;
-  rec.seq = seq;
-  switch (event.kind) {
-    case FeedEvent::Kind::kInsert:
-      rec.kind = state::WalRecord::Kind::kInsert;
-      break;
-    case FeedEvent::Kind::kDelete:
-      rec.kind = state::WalRecord::Kind::kDelete;
-      break;
-    case FeedEvent::Kind::kWatermark:
-      rec.kind = state::WalRecord::Kind::kWatermark;
-      break;
-  }
-  rec.source = event.source;
-  rec.ptime = event.ptime;
-  rec.row = event.row;
-  rec.watermark = event.watermark;
-  return rec;
-}
-
-FeedEvent FromWalRecord(const state::WalRecord& rec) {
-  FeedEvent event;
-  switch (rec.kind) {
-    case state::WalRecord::Kind::kInsert:
-      event.kind = FeedEvent::Kind::kInsert;
-      break;
-    case state::WalRecord::Kind::kDelete:
-      event.kind = FeedEvent::Kind::kDelete;
-      break;
-    case state::WalRecord::Kind::kWatermark:
-      event.kind = FeedEvent::Kind::kWatermark;
-      break;
-  }
-  event.source = rec.source;
-  event.ptime = rec.ptime;
-  event.row = rec.row;
-  event.watermark = rec.watermark;
-  return event;
-}
-
-void EncodeFeedEvent(state::Writer* w, const FeedEvent& event) {
-  w->PutU8(static_cast<uint8_t>(event.kind));
-  w->PutString(event.source);
-  w->PutTimestamp(event.ptime);
-  if (event.kind == FeedEvent::Kind::kWatermark) {
-    w->PutTimestamp(event.watermark);
-  } else {
-    w->PutRow(event.row);
-  }
-}
-
-Result<FeedEvent> DecodeFeedEvent(state::Reader* r) {
-  FeedEvent event;
-  ONESQL_ASSIGN_OR_RETURN(uint8_t kind, r->ReadU8());
-  if (kind > static_cast<uint8_t>(FeedEvent::Kind::kWatermark)) {
-    return Status::DataLoss("unknown feed event kind " + std::to_string(kind) +
-                            " in checkpoint");
-  }
-  event.kind = static_cast<FeedEvent::Kind>(kind);
-  ONESQL_ASSIGN_OR_RETURN(event.source, r->ReadString());
-  ONESQL_ASSIGN_OR_RETURN(event.ptime, r->ReadTimestamp());
-  if (event.kind == FeedEvent::Kind::kWatermark) {
-    ONESQL_ASSIGN_OR_RETURN(event.watermark, r->ReadTimestamp());
-  } else {
-    ONESQL_ASSIGN_OR_RETURN(event.row, r->ReadRow());
-  }
-  return event;
-}
-
 /// Sorted (deterministic) view of an unordered name-keyed map.
 template <typename Map>
 std::vector<typename Map::const_iterator> SortedByName(const Map& map) {
@@ -224,6 +133,66 @@ std::vector<typename Map::const_iterator> SortedByName(const Map& map) {
   std::sort(its.begin(), its.end(),
             [](const auto& a, const auto& b) { return a->first < b->first; });
   return its;
+}
+
+/// Pointers to `chunks[begin, end)`, the shape Dataflow::PushChunks takes.
+std::vector<const exec::InputChunk*> ChunkRefs(
+    const std::vector<exec::InputChunk>& chunks, size_t begin, size_t end) {
+  std::vector<const exec::InputChunk*> refs;
+  refs.reserve(end - begin);
+  for (size_t i = begin; i < end; ++i) refs.push_back(&chunks[i]);
+  return refs;
+}
+
+/// The feed event at `row` of `chunk` (see exec::ForEachEventInSeqOrder).
+FeedEvent EventAt(const exec::InputChunk& chunk, size_t row) {
+  FeedEvent event;
+  event.source = chunk.source;
+  switch (chunk.kind) {
+    case exec::InputChunk::Kind::kRows:
+      event.kind = chunk.batch.weights[row] < 0 ? FeedEvent::Kind::kDelete
+                                                : FeedEvent::Kind::kInsert;
+      event.ptime = chunk.batch.ptimes[row];
+      event.row = chunk.batch.RowAt(row);
+      break;
+    case exec::InputChunk::Kind::kWatermark:
+      event.kind = FeedEvent::Kind::kWatermark;
+      event.ptime = chunk.ptime;
+      event.watermark = chunk.watermark;
+      break;
+    case exec::InputChunk::Kind::kSingle:
+      event.kind = chunk.event_kind == ChangeKind::kDelete
+                       ? FeedEvent::Kind::kDelete
+                       : FeedEvent::Kind::kInsert;
+      event.ptime = chunk.ptime;
+      event.row = chunk.row;
+      break;
+  }
+  return event;
+}
+
+/// The sequence number of the event at `row` of `chunk`.
+uint64_t SeqAt(const exec::InputChunk& chunk, size_t row) {
+  return chunk.kind == exec::InputChunk::Kind::kRows ? chunk.batch.seqs[row]
+                                                     : chunk.seq;
+}
+
+/// Appends `event` to `builder` at its own sequence number `seq`.
+void AddEventAt(exec::ChunkBuilder* builder, uint64_t seq,
+                const FeedEvent& event) {
+  switch (event.kind) {
+    case FeedEvent::Kind::kInsert:
+      builder->AddElementAt(seq, event.source, nullptr, event.row, +1,
+                            event.ptime);
+      break;
+    case FeedEvent::Kind::kDelete:
+      builder->AddElementAt(seq, event.source, nullptr, event.row, -1,
+                            event.ptime);
+      break;
+    case FeedEvent::Kind::kWatermark:
+      builder->AddWatermarkAt(seq, event.source, event.watermark, event.ptime);
+      break;
+  }
 }
 
 }  // namespace
@@ -267,6 +236,10 @@ Result<ContinuousQuery*> Engine::Execute(const std::string& sql,
   if (options.allowed_lateness.millis() < 0) {
     return Status::InvalidArgument("allowed lateness must be non-negative");
   }
+  if (options.shards < 1) {
+    return Status::InvalidArgument("shard count must be at least 1, got " +
+                                   std::to_string(options.shards));
+  }
   plan.allowed_lateness = options.allowed_lateness;
   plan::PlanFingerprint fingerprint = plan::FingerprintPlan(plan);
   if (options.share && FindQuery(fingerprint) != nullptr) {
@@ -277,9 +250,9 @@ Result<ContinuousQuery*> Engine::Execute(const std::string& sql,
         "an identical standing query is already running (fingerprint " +
         fingerprint.ToHex() + ")");
   }
-  ONESQL_ASSIGN_OR_RETURN(
-      std::unique_ptr<exec::DataflowRuntime> flow,
-      exec::BuildDataflowRuntime(std::move(plan), options.shards));
+  ONESQL_ASSIGN_OR_RETURN(std::unique_ptr<exec::Dataflow> flow,
+                          exec::Dataflow::Build(std::move(plan),
+                                                options.shards));
 
   auto query = std::unique_ptr<ContinuousQuery>(
       new ContinuousQuery(std::move(flow)));
@@ -289,46 +262,29 @@ Result<ContinuousQuery*> Engine::Execute(const std::string& sql,
   // reflect everything its operators ever processed.
   if (obs_ != nullptr) AttachQueryObs(query.get());
 
-  // Replay into the new query as one batch (a single fork-join barrier on
-  // the sharded runtime): static tables first — contents at the beginning
-  // of time, then a +inf watermark, since a bounded relation is a TVR that
-  // never changes again — followed by the recorded history so the result
-  // reflects all data so far.
-  // Tables iterate in sorted order: replay bytes must not depend on hash-map
-  // iteration order, or two engines with identical registrations could
-  // interleave multi-table replays differently (observable through join
-  // emission order).
-  std::vector<exec::InputEvent> replay;
-  replay.reserve(history_events_);
+  // Replay into the new query: static tables first — contents at the
+  // beginning of time, then a +inf watermark, since a bounded relation is a
+  // TVR that never changes again — followed by the retained history chunks
+  // as they are, so the result reflects all data so far. Tables iterate in
+  // sorted order: replay bytes must not depend on hash-map iteration order,
+  // or two engines with identical registrations could interleave multi-table
+  // replays differently (observable through join emission order).
+  std::vector<exec::InputChunk> tables;
+  exec::ChunkBuilder builder(&tables, 0);
   for (const auto& it : SortedByName(table_rows_)) {
     const std::string& name = it->first;
-    const std::vector<Row>& rows = it->second;
     if (!query->flow_->ReadsSource(name)) continue;
-    for (const Row& row : rows) {
-      exec::InputEvent event;
-      event.kind = exec::InputEvent::Kind::kInsert;
-      event.source = name;
-      event.ptime = Timestamp::Min();
-      event.row = row;
-      replay.push_back(std::move(event));
+    for (const Row& row : it->second) {
+      builder.AddElement(name, row, +1, Timestamp::Min());
     }
-    exec::InputEvent mark;
-    mark.kind = exec::InputEvent::Kind::kWatermark;
-    mark.source = name;
-    mark.ptime = Timestamp::Min();
-    mark.watermark = Timestamp::Max();
-    replay.push_back(std::move(mark));
+    builder.AddWatermark(name, Timestamp::Max(), Timestamp::Min());
   }
-  std::vector<HistoryEvent> hist;
-  MaterializeHistory(&hist);
-  for (const HistoryEvent& h : hist) {
-    replay.push_back(ToInputEvent(h.event));
-  }
-  ONESQL_RETURN_NOT_OK(query->flow_->PushBatch(replay));
+  builder.CloseAll();
+  ONESQL_RETURN_NOT_OK(
+      query->flow_->PushChunks(ChunkRefs(tables, 0, tables.size())));
+  ONESQL_RETURN_NOT_OK(query->flow_->PushChunks(HistoryChunks()));
   query->last_ptime_ = last_ptime_;
   query->sql_ = sql;
-  query->allowed_lateness_ = options.allowed_lateness;
-  query->resolved_shards_ = query->flow_->shard_count();
 
   ContinuousQuery* out = query.get();
   queries_.push_back(std::move(query));
@@ -388,17 +344,8 @@ Result<std::unique_ptr<Engine>> Engine::CloneRegistrations() const {
 }
 
 Status Engine::AppendWal(const FeedEvent& event) {
-  if (replaying_wal_) return Status::OK();
-  if (gc_wal_ != nullptr) return gc_wal_->Append(ToWalRecord(feed_seq_, event));
-  if (wal_ != nullptr) return wal_->Append(ToWalRecord(feed_seq_, event));
-  return Status::OK();
-}
-
-Status Engine::SyncWal() {
-  if (replaying_wal_) return Status::OK();
-  if (gc_wal_ != nullptr) return gc_wal_->Sync();
-  if (wal_ != nullptr) return wal_->Sync();
-  return Status::OK();
+  if (replaying_wal_ || wal_ == nullptr) return Status::OK();
+  return wal_->Append(state::WalRecord{feed_seq_, event});
 }
 
 Status Engine::Insert(const std::string& stream, Timestamp ptime, Row row) {
@@ -438,8 +385,8 @@ Status Engine::AdvanceWatermark(const std::string& stream, Timestamp ptime,
 Status Engine::Feed(const std::vector<FeedEvent>& events) {
   obs::Span span(obs_ != nullptr ? obs_->trace() : nullptr, "feed", "engine");
   span.set_aux(events.size());
-  // Feed calls serialize on feed_mu_. Under group commit the lock is dropped
-  // for the durability wait (below), so N feeder threads interleave
+  // Feed calls serialize on feed_mu_. When durable the lock is dropped for
+  // the durability wait (below), so N feeder threads interleave
   // validate/enqueue and share fsyncs; otherwise the lock is held end to end
   // and concurrent Feed degenerates to strict turn-taking.
   FeedSync& sync = *feed_sync_;
@@ -476,9 +423,8 @@ Status Engine::Feed(const std::vector<FeedEvent>& events) {
   // Backpressure attribution (profiling only): total time this Feed call
   // spent blocked on the feed log — every append plus the sync barrier —
   // recorded as one sample so the histogram is per-feed-call stall time.
-  const bool profile_wal = engine_profile_ != nullptr &&
-                           (wal_ != nullptr || gc_wal_ != nullptr) &&
-                           !replaying_wal_;
+  const bool durable_feed = wal_ != nullptr && !replaying_wal_;
+  const bool profile_wal = engine_profile_ != nullptr && durable_feed;
   uint64_t wal_stall_us = 0;
   for (const FeedEvent& event : events) {
     Status status = Status::OK();
@@ -616,20 +562,18 @@ Status Engine::Feed(const std::vector<FeedEvent>& events) {
   // disk before any query observes any of them.
   Status durable_status;
   const uint64_t sync_t0 = profile_wal ? obs::TraceRecorder::NowMicros() : 0;
-  if (gc_wal_ != nullptr && !replaying_wal_) {
+  if (durable_feed) {
     // Drop the engine lock for the wait: feeders arriving while this group's
     // fsync is in flight validate and enqueue into the *next* group, which
     // is exactly how group commit amortizes the sync cost.
     lock.unlock();
-    durable_status = gc_wal_->WaitDurable(end_seq);
+    durable_status = wal_->WaitDurable(end_seq);
     lock.lock();
     // Dispatch turnstile: a shared group fsync wakes every member at once,
     // but queries must observe feeds in seq order — park until every earlier
     // feed has dispatched.
     sync.dispatch_cv.wait(lock,
                           [&] { return sync.dispatch_next_seq == base_seq; });
-  } else {
-    durable_status = SyncWal();
   }
   if (profile_wal) {
     wal_stall_us += obs::TraceRecorder::NowMicros() - sync_t0;
@@ -641,11 +585,8 @@ Status Engine::Feed(const std::vector<FeedEvent>& events) {
     // wait was in flight other feeders may have grown (and reallocated)
     // history_. The [first_chunk, chunk_end) index range stays valid; raw
     // pointers taken before the wait would not.
-    std::vector<const exec::InputChunk*> chunks;
-    chunks.reserve(chunk_end - first_chunk);
-    for (size_t i = first_chunk; i < chunk_end; ++i) {
-      chunks.push_back(&history_[i]);
-    }
+    const std::vector<const exec::InputChunk*> chunks =
+        ChunkRefs(history_, first_chunk, chunk_end);
     const uint64_t dispatch_t0 =
         engine_profile_ != nullptr ? obs::TraceRecorder::NowMicros() : 0;
     for (auto& query : queries_) {
@@ -670,77 +611,8 @@ Status Engine::Feed(const std::vector<FeedEvent>& events) {
   return deferred;
 }
 
-void Engine::MaterializeHistory(std::vector<HistoryEvent>* out) const {
-  out->clear();
-  out->reserve(history_events_);
-  // Active-cursor sweep: chunks are ordered by first seq, but open element
-  // runs interleave with other sources' chunks, so merge on per-event seqs.
-  struct Cursor {
-    const exec::InputChunk* chunk;
-    size_t row = 0;
-  };
-  std::vector<Cursor> active;
-  size_t next = 0;
-  while (true) {
-    size_t best = active.size();
-    uint64_t best_seq = 0;
-    for (size_t i = 0; i < active.size(); ++i) {
-      const Cursor& cursor = active[i];
-      const uint64_t seq =
-          cursor.chunk->kind == exec::InputChunk::Kind::kRows
-              ? cursor.chunk->batch.seqs[cursor.row]
-              : cursor.chunk->seq;
-      if (best == active.size() || seq < best_seq) {
-        best = i;
-        best_seq = seq;
-      }
-    }
-    if (next < history_.size() &&
-        (best == active.size() || history_[next].FirstSeq() < best_seq)) {
-      const exec::InputChunk* chunk = &history_[next++];
-      if (chunk->NumEvents() > 0) active.push_back(Cursor{chunk, 0});
-      continue;
-    }
-    if (best == active.size()) break;
-    Cursor& cursor = active[best];
-    const exec::InputChunk* chunk = cursor.chunk;
-    HistoryEvent out_event;
-    switch (chunk->kind) {
-      case exec::InputChunk::Kind::kRows:
-        out_event.seq = chunk->batch.seqs[cursor.row];
-        out_event.event.kind = chunk->batch.weights[cursor.row] < 0
-                                   ? FeedEvent::Kind::kDelete
-                                   : FeedEvent::Kind::kInsert;
-        out_event.event.source = chunk->source;
-        out_event.event.ptime = chunk->batch.ptimes[cursor.row];
-        out_event.event.row = chunk->batch.RowAt(cursor.row);
-        break;
-      case exec::InputChunk::Kind::kWatermark:
-        out_event.seq = chunk->seq;
-        out_event.event.kind = FeedEvent::Kind::kWatermark;
-        out_event.event.source = chunk->source;
-        out_event.event.ptime = chunk->ptime;
-        out_event.event.watermark = chunk->watermark;
-        break;
-      case exec::InputChunk::Kind::kSingle:
-        out_event.seq = chunk->seq;
-        out_event.event.kind = chunk->event_kind == ChangeKind::kDelete
-                                   ? FeedEvent::Kind::kDelete
-                                   : FeedEvent::Kind::kInsert;
-        out_event.event.source = chunk->source;
-        out_event.event.ptime = chunk->ptime;
-        out_event.event.row = chunk->row;
-        break;
-    }
-    out->push_back(std::move(out_event));
-    ++cursor.row;
-    const bool done = chunk->kind != exec::InputChunk::Kind::kRows ||
-                      cursor.row >= chunk->batch.num_rows;
-    if (done) {
-      active[best] = active.back();
-      active.pop_back();
-    }
-  }
+std::vector<const exec::InputChunk*> Engine::HistoryChunks() const {
+  return ChunkRefs(history_, 0, history_.size());
 }
 
 void Engine::MaybeCompactHistory() {
@@ -768,57 +640,80 @@ void Engine::CompactHistory() {
   }
   if (floor == Timestamp::Min()) return;  // a query has seen no watermark yet
 
-  std::vector<HistoryEvent> hist;
-  MaterializeHistory(&hist);
-
   // Keep the last dominated watermark event per source so a replay still
   // re-establishes the watermark position the running queries reached.
-  std::unordered_map<std::string, size_t> last_dominated;
-  for (size_t i = 0; i < hist.size(); ++i) {
-    const FeedEvent& event = hist[i].event;
-    if (event.kind == FeedEvent::Kind::kWatermark &&
-        event.watermark <= floor) {
-      last_dominated[ToLower(event.source)] = i;
-    }
-  }
+  // Retractions kept past the floor may target inserts dropped below it;
+  // collect their rows so the second pass can drop such orphans too, or a
+  // replay would retract rows it never inserted.
+  const std::vector<const exec::InputChunk*> chunks = HistoryChunks();
+  auto ptime_at = [](const exec::InputChunk& chunk, size_t row) {
+    return chunk.kind == exec::InputChunk::Kind::kRows ? chunk.batch.ptimes[row]
+                                                       : chunk.ptime;
+  };
+  std::unordered_map<std::string, uint64_t> last_dominated;  // source -> seq
+  // source -> row -> dropped inserts not yet matched by a retraction.
+  std::unordered_map<std::string,
+                     std::unordered_map<Row, int64_t, RowHash, RowEq>>
+      dropped_inserts;
+  (void)exec::ForEachEventInSeqOrder(
+      chunks, [&](size_t i, size_t row) {
+        const exec::InputChunk& chunk = *chunks[i];
+        if (chunk.kind == exec::InputChunk::Kind::kWatermark) {
+          if (chunk.watermark <= floor) {
+            last_dominated[chunk.source_lower] = chunk.seq;
+          }
+        } else if (ptime_at(chunk, row) > floor) {
+          const FeedEvent event = EventAt(chunk, row);
+          if (event.kind == FeedEvent::Kind::kDelete) {
+            dropped_inserts[chunk.source_lower][event.row] = 0;
+          }
+        }
+        return Status::OK();
+      });
 
   // Rebuild the chunk list from the kept events, preserving their original
   // sequence numbers so cross-source merge order is unchanged.
   std::vector<exec::InputChunk> kept;
   exec::ChunkBuilder builder(&kept, 0);
   size_t kept_events = 0;
-  for (size_t i = 0; i < hist.size(); ++i) {
-    const FeedEvent& event = hist[i].event;
-    bool keep = true;
-    switch (event.kind) {
-      case FeedEvent::Kind::kInsert:
-      case FeedEvent::Kind::kDelete:
-        keep = event.ptime > floor;
-        break;
-      case FeedEvent::Kind::kWatermark: {
-        auto it = last_dominated.find(ToLower(event.source));
-        keep = event.watermark > floor ||
-               (it != last_dominated.end() && it->second == i);
-        break;
-      }
-    }
-    if (!keep) continue;
-    ++kept_events;
-    switch (event.kind) {
-      case FeedEvent::Kind::kInsert:
-        builder.AddElementAt(hist[i].seq, event.source, nullptr, event.row, +1,
-                             event.ptime);
-        break;
-      case FeedEvent::Kind::kDelete:
-        builder.AddElementAt(hist[i].seq, event.source, nullptr, event.row, -1,
-                             event.ptime);
-        break;
-      case FeedEvent::Kind::kWatermark:
-        builder.AddWatermarkAt(hist[i].seq, event.source, event.watermark,
-                               event.ptime);
-        break;
-    }
-  }
+  (void)exec::ForEachEventInSeqOrder(
+      chunks, [&](size_t i, size_t row) {
+        const exec::InputChunk& chunk = *chunks[i];
+        const uint64_t seq = SeqAt(chunk, row);
+        if (chunk.kind == exec::InputChunk::Kind::kWatermark) {
+          auto it = last_dominated.find(chunk.source_lower);
+          if (chunk.watermark > floor ||
+              (it != last_dominated.end() && it->second == seq)) {
+            AddEventAt(&builder, seq, EventAt(chunk, row));
+            ++kept_events;
+          }
+          return Status::OK();
+        }
+        const bool below = ptime_at(chunk, row) <= floor;
+        auto source = dropped_inserts.find(chunk.source_lower);
+        if (below && source == dropped_inserts.end()) return Status::OK();
+        const FeedEvent event = EventAt(chunk, row);
+        int64_t* dropped = nullptr;
+        if (source != dropped_inserts.end()) {
+          auto it = source->second.find(event.row);
+          if (it != source->second.end()) dropped = &it->second;
+        }
+        const bool retraction = event.kind == FeedEvent::Kind::kDelete;
+        if (below) {
+          if (dropped != nullptr) {
+            if (!retraction) ++*dropped;
+            if (retraction && *dropped > 0) --*dropped;
+          }
+          return Status::OK();
+        }
+        if (retraction && dropped != nullptr && *dropped > 0) {
+          --*dropped;  // an orphan: its insert was dropped
+          return Status::OK();
+        }
+        AddEventAt(&builder, seq, event);
+        ++kept_events;
+        return Status::OK();
+      });
   builder.CloseAll();
   history_ = std::move(kept);
   history_events_ = kept_events;
@@ -829,45 +724,23 @@ void Engine::CompactHistory() {
 // ---------------------------------------------------------------------------
 
 Status Engine::EnableDurability(const std::string& dir) {
-  return EnableDurability(dir, DurabilityOptions{});
-}
-
-Status Engine::EnableDurability(const std::string& dir,
-                                const DurabilityOptions& options) {
   if (durable()) {
-    return Status::InvalidArgument(
-        "durability is already enabled (log at '" +
-        (gc_wal_ != nullptr ? gc_wal_->path() : wal_->path()) + "')");
+    return Status::InvalidArgument("durability is already enabled (log at '" +
+                                   wal_->path() + "')");
   }
   ONESQL_RETURN_NOT_OK(state::EnsureDirectory(dir));
-  if (options.group_commit) {
-    ONESQL_ASSIGN_OR_RETURN(std::unique_ptr<state::GroupCommitLog> log,
-                            state::GroupCommitLog::Open(dir + kWalFile));
-    if (log->next_seq() != feed_seq_) {
-      const Status mismatch = Status::InvalidArgument(
-          "feed log at '" + log->path() + "' holds " +
-          std::to_string(log->next_seq()) + " events but the engine has fed " +
-          std::to_string(feed_seq_) +
-          " — Restore() from this directory first (or start a fresh one)");
-      (void)log->Close();
-      return mismatch;
-    }
-    gc_wal_ = std::move(log);
-    if (obs_ != nullptr && obs_->registry() != nullptr) {
-      gc_wal_->AttachMetrics(obs_->ForWal());
-    }
-    return Status::OK();
-  }
-  ONESQL_ASSIGN_OR_RETURN(state::FeedLog log,
-                          state::FeedLog::Open(dir + kWalFile));
-  if (log.next_seq() != feed_seq_) {
-    return Status::InvalidArgument(
-        "feed log at '" + log.path() + "' holds " +
-        std::to_string(log.next_seq()) + " events but the engine has fed " +
+  ONESQL_ASSIGN_OR_RETURN(std::unique_ptr<state::GroupCommitLog> log,
+                          state::GroupCommitLog::Open(dir + kWalFile));
+  if (log->next_seq() != feed_seq_) {
+    const Status mismatch = Status::InvalidArgument(
+        "feed log at '" + log->path() + "' holds " +
+        std::to_string(log->next_seq()) + " events but the engine has fed " +
         std::to_string(feed_seq_) +
         " — Restore() from this directory first (or start a fresh one)");
+    (void)log->Close();
+    return mismatch;
   }
-  wal_ = std::make_unique<state::FeedLog>(std::move(log));
+  wal_ = std::move(log);
   if (obs_ != nullptr && obs_->registry() != nullptr) {
     wal_->AttachMetrics(obs_->ForWal());
   }
@@ -905,12 +778,14 @@ void Engine::SaveEngineSection(state::Writer* w, uint64_t* num_queries) const {
   }
 
   // Retained (possibly compacted) history, replayed into queries executed
-  // after the restore. Serialized as the scalar event stream (byte-identical
-  // to the pre-columnar format) in global sequence order.
-  std::vector<HistoryEvent> hist;
-  MaterializeHistory(&hist);
-  w->PutVarint(hist.size());
-  for (const HistoryEvent& h : hist) EncodeFeedEvent(w, h.event);
+  // after the restore. Serialized as the scalar event stream, in global
+  // sequence order, with the feed-event codec the WAL records share.
+  w->PutVarint(history_events_);
+  const std::vector<const exec::InputChunk*> chunks = HistoryChunks();
+  (void)exec::ForEachEventInSeqOrder(chunks, [&](size_t i, size_t row) {
+    w->PutFeedEvent(EventAt(*chunks[i], row));
+    return Status::OK();
+  });
 
   *num_queries = queries_.size();
   w->PutVarint(queries_.size());
@@ -922,7 +797,7 @@ Status Engine::Checkpoint(const std::string& dir) {
   const uint64_t start_us = engine_metrics_ != nullptr ? MonotonicMicros() : 0;
   // Never let a checkpoint run ahead of the feed log: everything the
   // checkpoint captures must be re-derivable from log replay too.
-  ONESQL_RETURN_NOT_OK(SyncWal());
+  if (wal_ != nullptr) ONESQL_RETURN_NOT_OK(wal_->Sync());
   ONESQL_RETURN_NOT_OK(state::EnsureDirectory(dir));
 
   state::CheckpointWriter ckpt;
@@ -936,8 +811,8 @@ Status Engine::Checkpoint(const std::string& dir) {
   for (const auto& query : queries_) {
     state::Writer w;
     w.PutString(query->sql_);
-    w.PutInterval(query->allowed_lateness_);
-    w.PutVarint(static_cast<uint64_t>(query->resolved_shards_));
+    w.PutInterval(query->plan().allowed_lateness);
+    w.PutVarint(static_cast<uint64_t>(query->flow_->shard_count()));
     state::Writer runtime;
     ONESQL_RETURN_NOT_OK(query->flow_->SaveState(&runtime));
     w.PutBlob(runtime);
@@ -1012,18 +887,8 @@ Status Engine::LoadEngineSection(state::Reader* r, uint64_t* num_queries,
   // only shrinks the history), so post-restore feeds keep seqs ascending.
   exec::ChunkBuilder builder(&history_, 0);
   for (uint64_t i = 0; i < nhistory; ++i) {
-    ONESQL_ASSIGN_OR_RETURN(FeedEvent event, DecodeFeedEvent(r));
-    switch (event.kind) {
-      case FeedEvent::Kind::kInsert:
-        builder.AddElement(event.source, event.row, +1, event.ptime);
-        break;
-      case FeedEvent::Kind::kDelete:
-        builder.AddElement(event.source, event.row, -1, event.ptime);
-        break;
-      case FeedEvent::Kind::kWatermark:
-        builder.AddWatermark(event.source, event.watermark, event.ptime);
-        break;
-    }
+    ONESQL_ASSIGN_OR_RETURN(FeedEvent event, r->ReadFeedEvent());
+    AddEventAt(&builder, i, event);
   }
   builder.CloseAll();
   history_events_ = nhistory;
@@ -1048,8 +913,8 @@ Status Engine::RestoreQuerySection(state::Reader* r) {
   plan.allowed_lateness = lateness;
   plan::PlanFingerprint fingerprint = plan::FingerprintPlan(plan);
   ONESQL_ASSIGN_OR_RETURN(
-      std::unique_ptr<exec::DataflowRuntime> flow,
-      exec::BuildDataflowRuntime(std::move(plan), static_cast<int>(shards)));
+      std::unique_ptr<exec::Dataflow> flow,
+      exec::Dataflow::Build(std::move(plan), static_cast<int>(shards)));
 
   ONESQL_ASSIGN_OR_RETURN(state::Reader runtime, r->ReadBlob());
   ONESQL_RETURN_NOT_OK(flow->LoadState(&runtime));
@@ -1059,8 +924,6 @@ Status Engine::RestoreQuerySection(state::Reader* r) {
       std::unique_ptr<ContinuousQuery>(new ContinuousQuery(std::move(flow)));
   query->last_ptime_ = last_ptime_;
   query->sql_ = std::move(sql);
-  query->allowed_lateness_ = lateness;
-  query->resolved_shards_ = static_cast<int>(shards);
   query->fingerprint_ = std::move(fingerprint);
   query->obs_label_ = next_query_label_++;
   // Restored operator state is not counted (it was processed by the
@@ -1147,7 +1010,7 @@ Status Engine::Restore(const std::string& dir) {
     std::vector<FeedEvent> suffix;
     suffix.reserve(records.size() - feed_seq_);
     for (size_t i = feed_seq_; i < records.size(); ++i) {
-      suffix.push_back(FromWalRecord(records[i]));
+      suffix.push_back(std::move(records[i].event));
     }
     replaying_wal_ = true;
     Status replayed = Feed(suffix);
@@ -1156,8 +1019,7 @@ Status Engine::Restore(const std::string& dir) {
   }
 
   // Re-attach the log so the restored engine keeps appending where the
-  // crashed run left off. Group commit (the default mode) is used; the file
-  // format is identical, so the mode the crashed run used does not matter.
+  // crashed run left off.
   if (have_wal) {
     ONESQL_ASSIGN_OR_RETURN(std::unique_ptr<state::GroupCommitLog> log,
                             state::GroupCommitLog::Open(wal_path));
@@ -1165,9 +1027,9 @@ Status Engine::Restore(const std::string& dir) {
       (void)log->Close();
       return Status::Internal("feed log position diverged during restore");
     }
-    gc_wal_ = std::move(log);
+    wal_ = std::move(log);
     if (obs_ != nullptr && obs_->registry() != nullptr) {
-      gc_wal_->AttachMetrics(obs_->ForWal());
+      wal_->AttachMetrics(obs_->ForWal());
     }
   }
   if (engine_metrics_ != nullptr) {
@@ -1199,7 +1061,6 @@ Status Engine::EnableObservability(const obs::ObsOptions& options) {
     engine_metrics_ = obs_->ForEngine();
     engine_profile_ = obs_->ForEngineProfile();
     if (wal_ != nullptr) wal_->AttachMetrics(obs_->ForWal());
-    if (gc_wal_ != nullptr) gc_wal_->AttachMetrics(obs_->ForWal());
   }
   for (auto& query : queries_) AttachQueryObs(query.get());
   return Status::OK();

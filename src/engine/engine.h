@@ -8,6 +8,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/changelog.h"
 #include "common/result.h"
 #include "common/schema.h"
 #include "engine/explain.h"
@@ -20,30 +21,6 @@
 
 namespace onesql {
 
-/// One event of a processing-time-ordered feed: exactly the shape of the
-/// paper's Section 4 example dataset — INSERTs and watermark advances, each
-/// tagged with the processing time at which the system became aware of them.
-struct FeedEvent {
-  enum class Kind { kInsert, kDelete, kWatermark };
-  Kind kind = Kind::kInsert;
-  std::string source;
-  Timestamp ptime;
-  Row row;              // kInsert / kDelete
-  Timestamp watermark;  // kWatermark
-};
-
-/// How the engine's write-ahead feed log commits (see DESIGN.md §16).
-struct DurabilityOptions {
-  /// Group commit (the default): feed records are appended and fsync'd by a
-  /// dedicated appender thread; a Feed call blocks only until the single
-  /// fsync covering its group of records completes, so concurrent feeders
-  /// share one fsync instead of paying one each. Off = the legacy
-  /// synchronous path: append + fsync on the feeding thread before
-  /// dispatch. Both modes write the identical file format and keep the same
-  /// guarantee — every accepted event is durable before any query sees it.
-  bool group_commit = true;
-};
-
 /// Per-query execution options that are not part of the SQL text.
 struct ExecutionOptions {
   /// Extension 2's "configurable amount of allowed lateness": groupings
@@ -52,13 +29,12 @@ struct ExecutionOptions {
   /// reproduces the paper's strict drop semantics.
   Interval allowed_lateness{0};
 
-  /// Number of parallel shards for the key-partitioned runtime. 0 (default)
-  /// picks the hardware concurrency; 1 forces the sequential runtime. Plans
-  /// that cannot be key-partitioned (see exec/shard_router.h) fall back to
-  /// the sequential runtime regardless. The sharded runtime's output is
-  /// bit-identical to the sequential run, so this is purely a throughput
+  /// Number of key-partitioned shards the query runs on (at least 1; Execute
+  /// rejects smaller values). Plans that cannot be key-partitioned (see
+  /// exec/shard_router.h) run on one chain regardless. Output is
+  /// bit-identical at every shard count, so this is purely a throughput
   /// knob.
-  int shards = 0;
+  int shards = 1;
 
   /// Opt into multi-query sharing (DESIGN.md §13): when a query with the same
   /// plan fingerprint is already running, Execute returns
@@ -120,17 +96,17 @@ class ContinuousQuery {
   /// Engine::DropQuery). A freshly executed query has one reference.
   int refs() const { return refs_; }
 
-  /// The underlying runtime (sequential or sharded; see shard_count()).
-  const exec::DataflowRuntime& dataflow() const { return *flow_; }
+  /// The underlying runtime (see exec::Dataflow::shard_count()).
+  const exec::Dataflow& dataflow() const { return *flow_; }
 
  private:
   friend class Engine;
-  explicit ContinuousQuery(std::unique_ptr<exec::DataflowRuntime> flow)
+  explicit ContinuousQuery(std::unique_ptr<exec::Dataflow> flow)
       : flow_(std::move(flow)) {}
 
   Result<std::vector<Row>> Present(std::vector<Row> rows) const;
 
-  std::unique_ptr<exec::DataflowRuntime> flow_;
+  std::unique_ptr<exec::Dataflow> flow_;
   Timestamp last_ptime_ = Timestamp::Min();
   plan::PlanFingerprint fingerprint_;
   int refs_ = 1;
@@ -140,8 +116,6 @@ class ContinuousQuery {
   // runtime is rebuilt at exactly the shard count it resolved to, then its
   // operator state is loaded from the checkpoint instead of replaying.
   std::string sql_;
-  Interval allowed_lateness_{0};
-  int resolved_shards_ = 1;
   /// Stable observability label suffix ("q<label>"); not a position in
   /// Engine::queries_ — positions shift when queries are dropped, labels
   /// never do.
@@ -209,16 +183,16 @@ class Engine {
                           Timestamp watermark);
 
   /// Feeds a whole recorded dataset. The batch is validated event by event
-  /// and then dispatched to every query wholesale (one PushChunks), so the
-  /// sharded runtime pays one epoch barrier per Feed call rather than one
-  /// per event. On a validation error the valid prefix has already been
+  /// and then dispatched to every query wholesale (one PushChunks), so a
+  /// sharded query pays one epoch barrier per Feed call rather than one per
+  /// event. On a validation error the valid prefix has already been
   /// dispatched (matching the event-by-event semantics) and the error is
   /// returned.
   ///
   /// Feed (and Insert/Delete/AdvanceWatermark, which route through it) is
   /// safe to call from multiple threads: calls serialize on an internal
-  /// mutex, and under group-commit durability the lock is released while a
-  /// feeder waits for its group's fsync — so N feeders validate/enqueue
+  /// mutex, and under durability the lock is released while a feeder waits
+  /// for its group's fsync — so N feeders validate/enqueue
   /// interleaved and share fsyncs, while dispatch still happens in strict
   /// feed order (events are seq-ordered across all callers). All *other*
   /// engine entry points (Execute, Checkpoint, snapshots, …) remain
@@ -237,12 +211,13 @@ class Engine {
   /// directory and file as needed). From this point every accepted feed
   /// event is appended to the log — and fsync'd — *before* it is dispatched
   /// to running queries, so a crash loses nothing the caller was told was
-  /// accepted. The log's tail sequence number must match the engine's feed
-  /// position (`feed_seq()`); restore first if the log already holds events.
-  /// The one-argument form uses default DurabilityOptions (group commit).
+  /// accepted. The log commits in groups (DESIGN.md §16): a dedicated
+  /// appender thread appends and fsyncs, and a Feed call blocks only until
+  /// the one fsync covering its records completes, so concurrent feeders
+  /// share fsyncs. The log's tail sequence number must match the engine's
+  /// feed position (`feed_seq()`); restore first if the log already holds
+  /// events.
   Status EnableDurability(const std::string& dir);
-  Status EnableDurability(const std::string& dir,
-                          const DurabilityOptions& options);
 
   /// Writes a checkpoint of the full engine state — catalog, static table
   /// contents, stream watermarks, retained history, and every query's
@@ -309,7 +284,7 @@ class Engine {
   ContinuousQuery* query(size_t i) { return queries_[i].get(); }
 
   /// True when a write-ahead feed log is attached.
-  bool durable() const { return wal_ != nullptr || gc_wal_ != nullptr; }
+  bool durable() const { return wal_ != nullptr; }
 
   /// Number of recorded feed events retained for replaying into queries
   /// executed later. Compaction (see CompactHistory) keeps this bounded:
@@ -318,13 +293,6 @@ class Engine {
   size_t history_size() const { return history_events_; }
 
  private:
-  /// One retained feed event materialized out of the chunked history,
-  /// tagged with its original sequence number (checkpoint encoding and
-  /// compaction preserve the original inter-event order through it).
-  struct HistoryEvent {
-    uint64_t seq = 0;
-    FeedEvent event;
-  };
   /// Per-feed-call cache of a source's validation state, so the hot loop
   /// resolves the catalog (and the watermark slot) once per source rather
   /// than once per event.
@@ -334,23 +302,23 @@ class Engine {
     Timestamp* watermark = nullptr;     // lazily bound monotonicity slot
   };
 
-  /// Flattens the chunked history back to per-event form, in sequence order.
-  void MaterializeHistory(std::vector<HistoryEvent>* out) const;
+  /// Pointers to the retained history chunks, in the order PushChunks takes.
+  std::vector<const exec::InputChunk*> HistoryChunks() const;
   /// Amortized history compaction: triggers when the history doubles past a
   /// floor derived from the running queries' watermarks. Retained invariant:
   /// every event a running query could still accept (above its watermark
   /// minus allowed lateness) survives, plus the last dominated watermark
-  /// event per source so replays re-establish the watermark position. With
+  /// event per source so replays re-establish the watermark position; a
+  /// retraction above the floor whose insert fell below it is dropped with
+  /// it, so the retained history stays a valid changelog. With
   /// no queries registered nothing is compacted (the paper's late-executed
   /// point-in-time SELECTs need the full feed).
   void MaybeCompactHistory();
   void CompactHistory();
 
-  /// Appends `event` to the attached feed log (no-op when not durable or
+  /// Enqueues `event` on the attached feed log (no-op when not durable or
   /// when replaying the log itself).
   Status AppendWal(const FeedEvent& event);
-  /// Fsyncs buffered log appends; called before dispatching to queries.
-  Status SyncWal();
   /// Serializes the engine-level section of a checkpoint (everything but
   /// the per-query runtime state).
   void SaveEngineSection(state::Writer* w, uint64_t* num_queries) const;
@@ -404,11 +372,8 @@ class Engine {
   size_t compact_at_ = 4096;
 
   // -- Durability state -----------------------------------------------------
-  /// Synchronous feed log (DurabilityOptions::group_commit == false). At most
-  /// one of wal_ / gc_wal_ is set.
-  std::unique_ptr<state::FeedLog> wal_;
-  /// Group-commit feed log (the default durable mode, DESIGN.md §16).
-  std::unique_ptr<state::GroupCommitLog> gc_wal_;
+  /// The group-commit feed log (DESIGN.md §16); null when not durable.
+  std::unique_ptr<state::GroupCommitLog> wal_;
   /// Sequence number of the next feed event (counted whether or not a log
   /// is attached, so checkpoints always record their feed position).
   uint64_t feed_seq_ = 0;
@@ -420,7 +385,7 @@ class Engine {
   /// Heap-allocated so the Engine itself stays movable (moves only happen at
   /// setup, never with a Feed in flight).
   struct FeedSync {
-    /// Serializes Feed calls. Under group commit the lock is dropped while a
+    /// Serializes Feed calls. When durable the lock is dropped while a
     /// feeder waits for its group's fsync, so validation/enqueue of later
     /// feeds overlaps the sync; everywhere else Feed holds it end to end.
     std::mutex mu;

@@ -7,6 +7,7 @@
 
 #include "common/changelog.h"
 #include "common/row.h"
+#include "common/status.h"
 #include "common/timestamp.h"
 #include "common/value.h"
 
@@ -164,6 +165,59 @@ struct InputChunk {
   Timestamp MaxPtime() const;
 };
 
+/// Calls `visit(i, row)` for every event carried by `chunks`, in ascending
+/// sequence order: the event lives in `*chunks[i]`, and `row` indexes a kRows
+/// chunk's batch (0 for watermark and singleton chunks). Chunks are ordered by their first seq, but
+/// an open element run interleaves with other sources' chunks, so the sweep
+/// merges on per-event seqs over the small set of chunks still open (at most
+/// one run per source spelling). Stops at the first non-OK status `visit`
+/// returns and returns it. This is the one seq-ordered walk shared by the
+/// runtime's scalar delivery, its shard routing, and the engine's history
+/// compaction and checkpointing.
+template <typename Visit>
+Status ForEachEventInSeqOrder(const std::vector<const InputChunk*>& chunks,
+                              Visit&& visit) {
+  struct Cursor {
+    const InputChunk* chunk;
+    size_t index;  // position in `chunks`
+    size_t row;
+  };
+  std::vector<Cursor> active;
+  size_t next = 0;
+  while (true) {
+    size_t best = active.size();
+    uint64_t best_seq = 0;
+    for (size_t i = 0; i < active.size(); ++i) {
+      const Cursor& cursor = active[i];
+      const uint64_t seq = cursor.chunk->kind == InputChunk::Kind::kRows
+                               ? cursor.chunk->batch.seqs[cursor.row]
+                               : cursor.chunk->seq;
+      if (best == active.size() || seq < best_seq) {
+        best = i;
+        best_seq = seq;
+      }
+    }
+    if (next < chunks.size() &&
+        (best == active.size() || chunks[next]->FirstSeq() < best_seq)) {
+      const InputChunk* chunk = chunks[next];
+      if (chunk->NumEvents() > 0) active.push_back(Cursor{chunk, next, 0});
+      ++next;
+      continue;
+    }
+    if (best == active.size()) return Status::OK();
+    Cursor& cursor = active[best];
+    const size_t index = cursor.index;
+    const size_t row = cursor.row++;
+    if (cursor.chunk->kind != InputChunk::Kind::kRows ||
+        cursor.row >= cursor.chunk->batch.num_rows) {
+      active[best] = active.back();
+      active.pop_back();
+    }
+    Status status = visit(index, row);
+    if (!status.ok()) return status;
+  }
+}
+
 /// Per-push failure context for the batch path. Batched operators process a
 /// whole vector before the runtime regains control, so the failing row's
 /// sequence/ptime is reported out of band: the runtime clears the context
@@ -185,10 +239,9 @@ const BatchFailure& GetBatchFailure();
 /// Groups a scalar event stream into InputChunks: per-source open batches
 /// that close on that source's own watermark (other sources' watermarks do
 /// not cut a run — relative order across sources is preserved through
-/// per-row sequence numbers, which every consumer merges on). Used by the
-/// runtimes' PushBatch compatibility path and the engine's replay; the
-/// engine's hot Feed path runs its own fused validate+append loop with
-/// declared column lanes.
+/// per-row sequence numbers, which every consumer merges on). The engine's
+/// Feed path appends with declared column lanes (AddElementTyped); restore,
+/// compaction and static-table replay append scalar events.
 class ChunkBuilder {
  public:
   /// Appends into `out`; `first_seq` numbers the events.

@@ -182,7 +182,7 @@ std::optional<PartitionSpec> ExtractPartitionSpec(
   // Session windows keep merge/split state whose retract-and-re-emit order
   // is a global property; temporal filters retract on watermarks, whose
   // cross-key interleaving the shard merge cannot reconstruct. Both fall
-  // back to the sequential runtime.
+  // back to one chain.
   if (stats.session || stats.temporal_filter) return std::nullopt;
 
   // Pure pipelines hold no keyed state: any deterministic deal is correct.

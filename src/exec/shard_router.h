@@ -48,7 +48,7 @@ struct PartitionSpec {
 };
 
 /// Derives the partition spec for `plan`, or nullopt when the plan cannot be
-/// key-partitioned and must fall back to the sequential (N = 1) runtime.
+/// key-partitioned and must run on one chain (N = 1).
 ///
 /// Partitionable shapes:
 ///  - no keyed state at all                      -> round-robin routing;

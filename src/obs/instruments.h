@@ -135,8 +135,7 @@ struct WalMetrics {
   Histogram* append_latency_us = nullptr;
   Histogram* sync_latency_us = nullptr;
   /// Group commit (DESIGN.md §16): records covered by each fsync, and how
-  /// long a feeder blocked waiting for its group's commit. Zero-valued under
-  /// the synchronous (non-group) WAL mode.
+  /// long a feeder blocked waiting for its group's commit.
   Histogram* group_size = nullptr;
   Histogram* group_wait_us = nullptr;
 };

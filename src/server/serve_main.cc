@@ -29,8 +29,8 @@ void Usage(const char* argv0) {
       "                        once (default 64)\n"
       "  --max-session-queue N outbound lines buffered per session before\n"
       "                        a slow subscriber is dropped (default 1024)\n"
-      "  --shards N            shard count for submitted queries\n"
-      "                        (default 1; 0 = hardware concurrency)\n"
+      "  --shards N            default shard count for submitted queries\n"
+      "                        (default 1; at least 1)\n"
       "  --profiling           query-level profiling: the explain\n"
       "                        command's sampled wall-time / kernel-path\n"
       "                        annotations (DESIGN.md §15)\n",
@@ -64,6 +64,10 @@ int main(int argc, char** argv) {
           static_cast<size_t>(std::atoll(next()));
     } else if (arg == "--shards") {
       options.default_shards = std::atoi(next());
+      if (options.default_shards < 1) {
+        Usage(argv[0]);
+        return 2;
+      }
     } else if (arg == "--profiling") {
       options.profiling = true;
     } else {

@@ -1,6 +1,7 @@
 #include "server/server_core.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <utility>
 
 #include "plan/fingerprint.h"
@@ -462,6 +463,11 @@ Json ServerCore::CmdSubmit(Session* session, const Json& request) {
   Result<int64_t> shards =
       GetInt(request, "shards", options_.default_shards);
   if (!shards.ok()) return Error(request, shards.status());
+  if (shards.value() < 1 || shards.value() > INT32_MAX) {
+    return Error(request, Status::InvalidArgument(
+                              "\"shards\" must be at least 1, got " +
+                              std::to_string(shards.value())));
+  }
   Result<bool> share = GetBool(request, "share", false);
   if (!share.ok()) return Error(request, share.status());
 

@@ -34,7 +34,7 @@ struct ServerOptions {
   /// changelog is replayable via `subscribe {"from_seq": N}`, so a dropped
   /// subscriber can resume without loss).
   size_t max_session_queue = 1024;
-  /// Default shard count for submitted queries (0 = hardware concurrency).
+  /// Default shard count for submitted queries (at least 1).
   int default_shards = 1;
   /// When set, the server restores from this directory at startup and runs
   /// with a write-ahead feed log; the `checkpoint` command persists all

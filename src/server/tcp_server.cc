@@ -6,6 +6,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -81,21 +82,25 @@ void TcpServer::AcceptLoop() {
       continue;
     }
 
+    // Release the fds and threads of connections that have gone since the
+    // last accept, so reconnect churn never accumulates them.
+    ReapClosed();
+
     auto conn = std::make_unique<Connection>();
     conn->fd = fd;
     conn->session = session.value();
     Connection* raw = conn.get();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (stopping_.load(std::memory_order_acquire)) {
-        core_->CloseSession(raw->session);
-        ::close(fd);
-        continue;
-      }
-      connections_.push_back(std::move(conn));
+    std::lock_guard<std::mutex> lock(mu_);
+    if (stopping_.load(std::memory_order_acquire)) {
+      core_->CloseSession(raw->session);
+      ::close(fd);
+      continue;
     }
+    // The thread handles are set under mu_, so ReapClosed (which inspects
+    // connections under mu_) never sees a connection before both exist.
     raw->reader = std::thread([this, raw] { ReaderLoop(raw); });
     raw->writer = std::thread([this, raw] { WriterLoop(raw); });
+    connections_.push_back(std::move(conn));
   }
 }
 
@@ -118,6 +123,9 @@ bool TcpServer::WriteLine(Connection* conn, const std::string& line) {
 
 void TcpServer::ReaderLoop(Connection* conn) {
   std::string buffer;
+  // Bytes at the front of `buffer` already searched for '\n' (a partial line
+  // is never rescanned, so a long line costs linear time).
+  size_t scanned = 0;
   char chunk[4096];
   while (true) {
     const ssize_t n = ::recv(conn->fd, chunk, sizeof(chunk), 0);
@@ -127,7 +135,7 @@ void TcpServer::ReaderLoop(Connection* conn) {
     }
     buffer.append(chunk, static_cast<size_t>(n));
     size_t start = 0;
-    for (size_t nl = buffer.find('\n', start); nl != std::string::npos;
+    for (size_t nl = buffer.find('\n', scanned); nl != std::string::npos;
          nl = buffer.find('\n', start)) {
       std::string line = buffer.substr(start, nl - start);
       start = nl + 1;
@@ -140,12 +148,20 @@ void TcpServer::ReaderLoop(Connection* conn) {
       }
     }
     buffer.erase(0, start);
+    scanned = buffer.size();
+    if (buffer.size() > kMaxLineBytes) {
+      (void)WriteLine(conn, "{\"ok\":false,\"error\":\"request line exceeds " +
+                                std::to_string(kMaxLineBytes) +
+                                " bytes; closing the connection\"}");
+      break;
+    }
   }
   // Disconnect (possibly mid-feed): tear the session down — subscriptions
   // cancel, handles release, shared plans retire when this was the last
   // subscriber — and unblock the writer.
   core_->CloseSession(conn->session);
   ::shutdown(conn->fd, SHUT_RDWR);
+  conn->exited.fetch_add(1, std::memory_order_acq_rel);
 }
 
 void TcpServer::WriterLoop(Connection* conn) {
@@ -155,6 +171,7 @@ void TcpServer::WriterLoop(Connection* conn) {
       if (!WriteLine(conn, *line)) {
         core_->CloseSession(conn->session);
         ::shutdown(conn->fd, SHUT_RDWR);
+        conn->exited.fetch_add(1, std::memory_order_acq_rel);
         return;
       }
     }
@@ -163,6 +180,28 @@ void TcpServer::WriterLoop(Connection* conn) {
   // after its error line was flushed above): release the socket so the
   // reader unblocks too.
   ::shutdown(conn->fd, SHUT_RDWR);
+  conn->exited.fetch_add(1, std::memory_order_acq_rel);
+}
+
+void TcpServer::ReapClosed() {
+  std::vector<std::unique_ptr<Connection>> closed;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto done = [](const std::unique_ptr<Connection>& conn) {
+      return conn->exited.load(std::memory_order_acquire) == 2;
+    };
+    for (auto& conn : connections_) {
+      if (done(conn)) closed.push_back(std::move(conn));
+    }
+    connections_.erase(
+        std::remove(connections_.begin(), connections_.end(), nullptr),
+        connections_.end());
+  }
+  for (auto& conn : closed) {
+    conn->reader.join();
+    conn->writer.join();
+    ::close(conn->fd);
+  }
 }
 
 void TcpServer::Stop() {
@@ -188,6 +227,7 @@ void TcpServer::Stop() {
 }
 
 size_t TcpServer::num_connections() {
+  ReapClosed();
   std::lock_guard<std::mutex> lock(mu_);
   return connections_.size();
 }

@@ -41,7 +41,14 @@ class TcpServer {
   /// Idempotent; the destructor calls it.
   void Stop();
 
+  /// Live connections. Reaps connections whose peer has gone first, so the
+  /// count drops back once clients disconnect.
   size_t num_connections();
+
+  /// Longest request line a connection may send. A client that exceeds it
+  /// without a newline gets one error line and is disconnected, so a peer
+  /// that never sends '\n' cannot grow the server's buffer without bound.
+  static constexpr size_t kMaxLineBytes = size_t{16} << 20;  // 16 MiB
 
  private:
   struct Connection {
@@ -50,6 +57,8 @@ class TcpServer {
     std::thread reader;
     std::thread writer;
     std::mutex write_mu;  // serializes response + push writes on the socket
+    /// Reader and writer threads that have returned; 2 = ready to reap.
+    std::atomic<int> exited{0};
   };
 
   TcpServer(std::shared_ptr<ServerCore> core, int listen_fd, int port);
@@ -60,6 +69,11 @@ class TcpServer {
   /// Writes one line (appending '\n') under the connection's write lock.
   /// Returns false once the socket is gone.
   bool WriteLine(Connection* conn, const std::string& line);
+  /// Joins and closes every connection whose two threads have returned, and
+  /// drops it from `connections_`. Runs on the accept thread after each
+  /// accept and on num_connections() callers, never on a connection's own
+  /// threads.
+  void ReapClosed();
 
   std::shared_ptr<ServerCore> core_;
   int listen_fd_;

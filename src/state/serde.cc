@@ -106,6 +106,17 @@ void Writer::PutChange(const Change& change) {
   PutTimestamp(change.ptime);
 }
 
+void Writer::PutFeedEvent(const FeedEvent& event) {
+  PutU8(static_cast<uint8_t>(event.kind));
+  PutString(event.source);
+  PutTimestamp(event.ptime);
+  if (event.kind == FeedEvent::Kind::kWatermark) {
+    PutTimestamp(event.watermark);
+  } else {
+    PutRow(event.row);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Reader
 // ---------------------------------------------------------------------------
@@ -245,6 +256,24 @@ Result<Change> Reader::ReadChange() {
   ONESQL_ASSIGN_OR_RETURN(change.row, ReadRow());
   ONESQL_ASSIGN_OR_RETURN(change.ptime, ReadTimestamp());
   return change;
+}
+
+Result<FeedEvent> Reader::ReadFeedEvent() {
+  ONESQL_ASSIGN_OR_RETURN(uint8_t kind, ReadU8());
+  if (kind > static_cast<uint8_t>(FeedEvent::Kind::kWatermark)) {
+    return Status::DataLoss("unknown feed event kind " + std::to_string(kind) +
+                            " in serialized state");
+  }
+  FeedEvent event;
+  event.kind = static_cast<FeedEvent::Kind>(kind);
+  ONESQL_ASSIGN_OR_RETURN(event.source, ReadString());
+  ONESQL_ASSIGN_OR_RETURN(event.ptime, ReadTimestamp());
+  if (event.kind == FeedEvent::Kind::kWatermark) {
+    ONESQL_ASSIGN_OR_RETURN(event.watermark, ReadTimestamp());
+  } else {
+    ONESQL_ASSIGN_OR_RETURN(event.row, ReadRow());
+  }
+  return event;
 }
 
 Result<std::string_view> Reader::ReadBlobBytes() {

@@ -43,6 +43,10 @@ class Writer {
   void PutRow(const Row& row);
   void PutSchema(const Schema& schema);
   void PutChange(const Change& change);
+  /// The one feed-event codec, shared by the WAL records and the checkpoint
+  /// history: u8 kind, source string, ptime, then the watermark (kWatermark)
+  /// or the row (kInsert / kDelete).
+  void PutFeedEvent(const FeedEvent& event);
 
   /// Appends `nested.buffer()` as a varint-length-prefixed blob; the Reader
   /// side mirrors this with `ReadBlob`, which bounds a sub-reader.
@@ -79,6 +83,7 @@ class Reader {
   Result<Row> ReadRow();
   Result<Schema> ReadSchema();
   Result<Change> ReadChange();
+  Result<FeedEvent> ReadFeedEvent();
 
   /// Reads a varint-length-prefixed blob and returns a sub-reader bounded to
   /// it. The parent reader advances past the blob.

@@ -46,14 +46,7 @@ Status CheckHeader(std::string_view payload) {
 std::string EncodeRecord(const WalRecord& record) {
   Writer w;
   w.PutVarint(record.seq);
-  w.PutU8(static_cast<uint8_t>(record.kind));
-  w.PutString(record.source);
-  w.PutTimestamp(record.ptime);
-  if (record.kind == WalRecord::Kind::kWatermark) {
-    w.PutTimestamp(record.watermark);
-  } else {
-    w.PutRow(record.row);
-  }
+  w.PutFeedEvent(record.event);
   return w.TakeBuffer();
 }
 
@@ -61,19 +54,7 @@ Result<WalRecord> DecodeRecord(std::string_view payload) {
   Reader r(payload);
   WalRecord rec;
   ONESQL_ASSIGN_OR_RETURN(rec.seq, r.ReadVarint());
-  ONESQL_ASSIGN_OR_RETURN(uint8_t kind, r.ReadU8());
-  if (kind > static_cast<uint8_t>(WalRecord::Kind::kWatermark)) {
-    return Status::DataLoss("unknown record kind " + std::to_string(kind) +
-                            " in feed log");
-  }
-  rec.kind = static_cast<WalRecord::Kind>(kind);
-  ONESQL_ASSIGN_OR_RETURN(rec.source, r.ReadString());
-  ONESQL_ASSIGN_OR_RETURN(rec.ptime, r.ReadTimestamp());
-  if (rec.kind == WalRecord::Kind::kWatermark) {
-    ONESQL_ASSIGN_OR_RETURN(rec.watermark, r.ReadTimestamp());
-  } else {
-    ONESQL_ASSIGN_OR_RETURN(rec.row, r.ReadRow());
-  }
+  ONESQL_ASSIGN_OR_RETURN(rec.event, r.ReadFeedEvent());
   ONESQL_RETURN_NOT_OK(r.ExpectEnd());
   return rec;
 }

@@ -10,9 +10,8 @@
 #include <thread>
 #include <vector>
 
+#include "common/changelog.h"
 #include "common/result.h"
-#include "common/row.h"
-#include "common/timestamp.h"
 
 namespace onesql {
 
@@ -22,18 +21,11 @@ struct WalMetrics;
 
 namespace state {
 
-/// One durably logged feed event. This mirrors the engine's FeedEvent but is
-/// defined here so the state layer does not depend on the engine layer; the
-/// engine converts between the two shapes at its WAL boundary.
+/// One durably logged feed event: its position in the global feed order
+/// plus the event itself.
 struct WalRecord {
-  enum class Kind : uint8_t { kInsert = 0, kDelete = 1, kWatermark = 2 };
-
   uint64_t seq = 0;  ///< Position in the global feed order, 0-based.
-  Kind kind = Kind::kInsert;
-  std::string source;
-  Timestamp ptime = Timestamp::Min();
-  Row row;                             ///< kInsert / kDelete
-  Timestamp watermark = Timestamp::Min();  ///< kWatermark
+  FeedEvent event;
 };
 
 /// The write-ahead feed log: an append-only file of CRC32-framed WalRecords,
@@ -45,8 +37,10 @@ struct WalRecord {
 /// File layout:
 ///
 ///   frame 0:  "1SQLWAL1" magic + varint format version (currently 1)
-///   frame 1…: one WalRecord each (varint seq, u8 kind, string source,
-///             signed-varint ptime millis, then row or watermark payload)
+///   frame 1…: one WalRecord each: varint seq, then the feed event in the
+///             codec the checkpoint history shares (Writer::PutFeedEvent:
+///             u8 kind, string source, signed-varint ptime millis, then row
+///             or watermark payload)
 ///
 /// Records carry explicit sequence numbers so recovery can replay exactly
 /// the suffix past a checkpoint's feed position. Sequence numbers must be
@@ -111,8 +105,9 @@ class FeedLog {
 /// While one fsync is in flight every newly enqueued record accumulates into
 /// the next group, so the fsync cost is amortized across all feeders that
 /// arrived during it — under contention the log pays one fsync per *group*,
-/// not one per feed, while each caller still gets the same guarantee as the
-/// synchronous path: its records are durable before WaitDurable returns.
+/// not one per feed, while each caller still gets the full guarantee: its
+/// records are durable before WaitDurable returns. This is the engine's one
+/// WAL mode; FeedLog is the file underneath it and the reader recovery uses.
 ///
 /// The file format is exactly FeedLog's; a log written under group commit is
 /// read back by FeedLog::ReadAll / replayed by recovery unchanged, and a

@@ -56,26 +56,6 @@ FeedEvent ThreadBid(int thread, int i) {
   return e;
 }
 
-FeedEvent FromWal(const state::WalRecord& rec) {
-  FeedEvent e;
-  switch (rec.kind) {
-    case state::WalRecord::Kind::kInsert:
-      e.kind = FeedEvent::Kind::kInsert;
-      break;
-    case state::WalRecord::Kind::kDelete:
-      e.kind = FeedEvent::Kind::kDelete;
-      break;
-    case state::WalRecord::Kind::kWatermark:
-      e.kind = FeedEvent::Kind::kWatermark;
-      break;
-  }
-  e.source = rec.source;
-  e.ptime = rec.ptime;
-  e.row = rec.row;
-  e.watermark = rec.watermark;
-  return e;
-}
-
 struct Rendering {
   std::vector<Row> stream;
   std::vector<Row> snapshot;
@@ -168,9 +148,7 @@ TEST(GroupCommitEngineTest, ConcurrentFeedersCrashAtGroupBoundariesRestoreBitIde
     ASSERT_TRUE(reference.RegisterStream("Bid", BidSchema()).ok());
     std::vector<FeedEvent> replay;
     replay.reserve(records->size());
-    for (const state::WalRecord& rec : *records) {
-      replay.push_back(FromWal(rec));
-    }
+    for (const state::WalRecord& rec : *records) replay.push_back(rec.event);
     ASSERT_TRUE(reference.Feed(replay).ok());
 
     auto rq = restored.Execute(kKeyedAgg);
@@ -192,6 +170,8 @@ TEST(GroupCommitEngineTest, ConcurrentFeedersMatchLoggedOrderLive) {
   Engine engine;
   ASSERT_TRUE(engine.RegisterStream("Bid", BidSchema()).ok());
   ASSERT_TRUE(engine.EnableDurability(dir).ok());
+  // Double-enable is rejected.
+  EXPECT_FALSE(engine.EnableDurability(dir).ok());
   auto q = engine.Execute(kKeyedAgg);
   ASSERT_TRUE(q.ok()) << q.status().ToString();
 
@@ -207,7 +187,7 @@ TEST(GroupCommitEngineTest, ConcurrentFeedersMatchLoggedOrderLive) {
   ASSERT_TRUE(reference.RegisterStream("Bid", BidSchema()).ok());
   std::vector<FeedEvent> replay;
   replay.reserve(records->size());
-  for (const state::WalRecord& rec : *records) replay.push_back(FromWal(rec));
+  for (const state::WalRecord& rec : *records) replay.push_back(rec.event);
   ASSERT_TRUE(reference.Feed(replay).ok());
   auto cq = reference.Execute(kKeyedAgg);
   ASSERT_TRUE(cq.ok()) << cq.status().ToString();
@@ -220,21 +200,6 @@ TEST(GroupCommitEngineTest, ConcurrentFeedersMatchLoggedOrderLive) {
                   .AdvanceWatermark("Bid", T(kPtimeH, kPtimeM + 1), T(9, 0))
                   .ok());
   ExpectSameRendering(Render(*q), Render(*cq));
-}
-
-TEST(GroupCommitEngineTest, SynchronousModeStillAvailable) {
-  const std::string dir = NewTempDir("gc_sync");
-  Engine engine;
-  ASSERT_TRUE(engine.RegisterStream("Bid", BidSchema()).ok());
-  DurabilityOptions options;
-  options.group_commit = false;
-  ASSERT_TRUE(engine.EnableDurability(dir, options).ok());
-  ASSERT_TRUE(engine.Feed({ThreadBid(0, 0), ThreadBid(0, 1)}).ok());
-  auto records = state::FeedLog::ReadAll(dir + "/feed.wal");
-  ASSERT_TRUE(records.ok());
-  EXPECT_EQ(records->size(), 2u);
-  // Double-enable is rejected in either mode.
-  EXPECT_FALSE(engine.EnableDurability(dir).ok());
 }
 
 }  // namespace

@@ -299,12 +299,7 @@ TEST(ObservabilityTest, CountersAreCoherentAcrossCheckpointRestore) {
     options.shards = 2;
     auto q = a.Execute(kKeyedAggAfterWatermark, options);
     ASSERT_TRUE(q.ok()) << q.status().ToString();
-    // Synchronous WAL mode: the exact-count assertions below depend on one
-    // fsync per Feed call. Group commit fsyncs per *group*, and the number
-    // of groups a batch splits into depends on appender-thread timing.
-    DurabilityOptions durability;
-    durability.group_commit = false;
-    ASSERT_TRUE(a.EnableDurability(dir, durability).ok());
+    ASSERT_TRUE(a.EnableDurability(dir).ok());
     ASSERT_TRUE(a.EnableObservability(MetricsAndTracing()).ok());
 
     ASSERT_TRUE(a.Feed(prefix).ok());
@@ -312,14 +307,22 @@ TEST(ObservabilityTest, CountersAreCoherentAcrossCheckpointRestore) {
     ASSERT_TRUE(a.Feed(suffix).ok());
 
     const obs::MetricsSnapshot snap = a.MetricsSnapshot();
-    // All ten events hit the WAL; two Feed calls -> two fsync barriers.
+    // All ten events hit the WAL, byte for byte (262 bytes of CRC-framed
+    // records for this feed, a figure of the unchanged file format). The log
+    // commits in groups,
+    // and how a Feed call's records split into groups depends on
+    // appender-thread timing, so the fsync count is only bounded: at least
+    // one, at most one per event.
     EXPECT_EQ(snap.CounterValue("onesql_wal_appends_total"), 10u);
-    EXPECT_EQ(snap.CounterValue("onesql_wal_syncs_total"), 2u);
-    EXPECT_GT(snap.CounterValue("onesql_wal_bytes_written_total"), 0u);
+    EXPECT_EQ(snap.CounterValue("onesql_wal_bytes_written_total"),
+              262u);
+    const uint64_t syncs = snap.CounterValue("onesql_wal_syncs_total");
+    EXPECT_GE(syncs, 1u);
+    EXPECT_LE(syncs, 10u);
     const obs::HistogramData* sync_lat =
         snap.HistogramOf("onesql_wal_sync_latency_us");
     ASSERT_NE(sync_lat, nullptr);
-    EXPECT_EQ(sync_lat->TotalCount(), 2u);
+    EXPECT_EQ(sync_lat->TotalCount(), syncs);
     const obs::HistogramData* append_lat =
         snap.HistogramOf("onesql_wal_append_latency_us");
     ASSERT_NE(append_lat, nullptr);

@@ -1,17 +1,21 @@
-// The key-partitioned parallel runtime must be observationally
-// indistinguishable from the sequential one: identical stream rendering
-// (StreamRows, including undo/ptime/ver metadata) and identical snapshots
-// for every shard count. These tests run the same scenarios at N ∈ {1, 2, 8}
-// and compare bit-for-bit, plus check which plans actually shard and which
-// fall back to the sequential runtime.
+// The runtime must be observationally identical at every shard count:
+// identical stream rendering (StreamRows, including undo/ptime/ver metadata)
+// and identical snapshots. These tests run the same scenarios at
+// N ∈ {1, 2, 8} and compare bit-for-bit — live, and replayed into queries
+// executed late (over plain, compacted and restored histories, and with a
+// static table) — plus check which plans actually shard and which run on
+// one chain.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "engine/engine.h"
+#include "tests/state/temp_dir.h"
 
 namespace onesql {
 namespace {
@@ -84,40 +88,143 @@ std::vector<FeedEvent> MakeBidFeed(int n) {
   return events;
 }
 
+/// A static table the Bid stream joins against (item -> category).
+Schema ItemSchema() {
+  return Schema({{"item", DataType::kVarchar}, {"category", DataType::kBigint}});
+}
+
+std::vector<Row> ItemRows() {
+  std::vector<Row> rows;
+  for (int i = 0; i < 13; i += 2) {
+    rows.push_back({Value::String("item" + std::to_string(i)),
+                    Value::Int64(i % 3)});
+  }
+  return rows;
+}
+
+void RegisterSources(Engine* engine) {
+  EXPECT_TRUE(engine->RegisterStream("Bid", BidSchema()).ok());
+  EXPECT_TRUE(engine->RegisterTable("Item", ItemSchema(), ItemRows()).ok());
+}
+
+/// How the query under test meets the feed.
+enum class Input {
+  kLive,  ///< Execute, then Feed: the live path.
+  kLate,  ///< Feed, then Execute: replay of the retained history.
+  /// Feed with another query running, so the history is compacted (its seqs
+  /// get gaps), then Execute.
+  kLateAfterCompaction,
+  /// Feed, Checkpoint, Restore into a fresh engine (the history comes back
+  /// with synthetic seqs), then Execute.
+  kLateAfterRestore,
+};
+
+std::string InputName(Input input) {
+  switch (input) {
+    case Input::kLive:
+      return "live";
+    case Input::kLate:
+      return "late";
+    case Input::kLateAfterCompaction:
+      return "late-after-compaction";
+    case Input::kLateAfterRestore:
+      return "late-after-restore";
+  }
+  return "?";
+}
+
+/// Compacts the history when running: stateless, and it sees every Bid
+/// watermark, so the compaction floor is the feed's last watermark.
+constexpr const char* kCompactor = "SELECT item FROM Bid WHERE price < 0";
+
 struct RunResult {
   int shard_count = 0;
   size_t state_bytes = 0;
+  size_t history_size = 0;
+  /// The compaction floor (the compactor's watermark); kLateAfterCompaction.
+  Timestamp floor;
   std::vector<Row> stream;
   std::vector<Row> snapshot;
 };
 
-/// Runs `sql` at the given shard count over `feed`, either executing before
-/// feeding (live path) or after (history replay / PushBatch path).
+/// Runs `sql` at the given shard count over `feed`, meeting it as `input`
+/// says.
 RunResult RunBidScenario(const std::string& sql, int shards,
-                         const std::vector<FeedEvent>& feed,
-                         bool execute_before_feed) {
+                         const std::vector<FeedEvent>& feed, Input input) {
   RunResult result;
-  Engine engine;
-  EXPECT_TRUE(engine.RegisterStream("Bid", BidSchema()).ok());
+  auto engine = std::make_unique<Engine>();
+  RegisterSources(engine.get());
   ExecutionOptions options;
   options.shards = shards;
   ContinuousQuery* query = nullptr;
   auto run = [&] {
-    auto q = engine.Execute(sql, options);
+    auto q = engine->Execute(sql, options);
     ASSERT_TRUE(q.ok()) << q.status().ToString();
     query = *q;
   };
-  if (execute_before_feed) run();
-  EXPECT_TRUE(engine.Feed(feed).ok());
-  if (!execute_before_feed) run();
+  ContinuousQuery* compactor = nullptr;
+  if (input == Input::kLive) run();
+  if (input == Input::kLateAfterCompaction) {
+    auto q = engine->Execute(kCompactor);
+    EXPECT_TRUE(q.ok()) << q.status().ToString();
+    if (q.ok()) compactor = *q;
+  }
+  EXPECT_TRUE(engine->Feed(feed).ok());
+  if (compactor != nullptr) result.floor = compactor->watermark();
+  if (input == Input::kLateAfterRestore) {
+    const std::string dir = state::NewTempDir("parallel_restore");
+    EXPECT_TRUE(engine->Checkpoint(dir).ok());
+    engine = std::make_unique<Engine>();
+    EXPECT_TRUE(engine->Restore(dir).ok());
+  }
+  if (input != Input::kLive) run();
   if (query == nullptr) return result;
   result.shard_count = query->dataflow().shard_count();
   result.state_bytes = query->StateBytes();
+  result.history_size = engine->history_size();
   result.stream = query->StreamRows();
   auto snapshot = query->CurrentSnapshot();
   EXPECT_TRUE(snapshot.ok()) << snapshot.status().ToString();
   if (snapshot.ok()) result.snapshot = *snapshot;
   return result;
+}
+
+/// The events history compaction keeps at `floor` (Engine::CompactHistory's
+/// rule): elements after the floor in processing time, watermarks past the
+/// floor, and the last watermark at or below it per source — minus the
+/// retractions after the floor whose inserts were dropped below it.
+std::vector<FeedEvent> RetainedAfterCompaction(
+    const std::vector<FeedEvent>& feed, Timestamp floor) {
+  std::map<std::string, size_t> last_dominated;
+  for (size_t i = 0; i < feed.size(); ++i) {
+    if (feed[i].kind == FeedEvent::Kind::kWatermark &&
+        feed[i].watermark <= floor) {
+      last_dominated[ToLower(feed[i].source)] = i;
+    }
+  }
+  std::map<std::string, int> dropped;  // source + row -> unmatched inserts
+  std::vector<FeedEvent> kept;
+  for (size_t i = 0; i < feed.size(); ++i) {
+    const FeedEvent& event = feed[i];
+    if (event.kind == FeedEvent::Kind::kWatermark) {
+      auto it = last_dominated.find(ToLower(event.source));
+      if (event.watermark > floor ||
+          (it != last_dominated.end() && it->second == i)) {
+        kept.push_back(event);
+      }
+      continue;
+    }
+    int& unmatched = dropped[ToLower(event.source) + RowToString(event.row)];
+    const bool retraction = event.kind == FeedEvent::Kind::kDelete;
+    if (event.ptime <= floor) {
+      unmatched += retraction ? (unmatched > 0 ? -1 : 0) : 1;
+    } else if (retraction && unmatched > 0) {
+      --unmatched;
+    } else {
+      kept.push_back(event);
+    }
+  }
+  return kept;
 }
 
 void ExpectSameRows(const std::vector<Row>& got, const std::vector<Row>& want,
@@ -133,14 +240,14 @@ void ExpectSameRows(const std::vector<Row>& got, const std::vector<Row>& want,
 void ExpectDeterministicAcrossShardCounts(const std::string& sql,
                                           const std::vector<FeedEvent>& feed,
                                           bool expect_sharded) {
-  const RunResult baseline =
-      RunBidScenario(sql, /*shards=*/1, feed, /*execute_before_feed=*/true);
+  const RunResult baseline = RunBidScenario(sql, /*shards=*/1, feed,
+                                           Input::kLive);
   EXPECT_EQ(baseline.shard_count, 1);
   for (int shards : {2, 8}) {
-    for (bool before : {true, false}) {
-      SCOPED_TRACE("shards=" + std::to_string(shards) +
-                   " execute_before_feed=" + std::to_string(before));
-      const RunResult run = RunBidScenario(sql, shards, feed, before);
+    for (Input input : {Input::kLive, Input::kLate}) {
+      SCOPED_TRACE("shards=" + std::to_string(shards) + " " +
+                   InputName(input));
+      const RunResult run = RunBidScenario(sql, shards, feed, input);
       EXPECT_EQ(run.shard_count, expect_sharded ? shards : 1);
       // Keyed operator state is accounted per entry, never per shard, so the
       // total must be invariant under re-partitioning.
@@ -165,6 +272,14 @@ TEST(ParallelRuntimeTest, KeyedAggregationAfterWatermarkIsDeterministic) {
       MakeBidFeed(600), /*expect_sharded=*/true);
 }
 
+TEST(ParallelRuntimeTest, KeyedAggregationAfterDelayIsDeterministic) {
+  // AFTER DELAY timers fire between events: batched delivery on one chain
+  // must emit exactly what the N-chain merge emits.
+  ExpectDeterministicAcrossShardCounts(
+      std::string(kKeyedAgg) + " EMIT STREAM AFTER DELAY INTERVAL '5' SECONDS",
+      MakeBidFeed(600), /*expect_sharded=*/true);
+}
+
 TEST(ParallelRuntimeTest, StatelessPipelineIsDeterministicAcrossShardCounts) {
   // No keyed state: round-robin dealt across shards, merged back in input
   // order.
@@ -177,8 +292,7 @@ TEST(ParallelRuntimeTest, NonPartitionableShapesFallBackToSequential) {
   // verbatim source column — no correct hash routing exists, so the plan
   // runs sequentially even when shards are requested.
   const RunResult run = RunBidScenario(kWindowedMaxByWend, /*shards=*/8,
-                                       MakeBidFeed(200),
-                                       /*execute_before_feed=*/true);
+                                       MakeBidFeed(200), Input::kLive);
   EXPECT_EQ(run.shard_count, 1);
 }
 
@@ -197,8 +311,79 @@ TEST(ParallelRuntimeTest, SelfJoinFallsBackToSequential) {
       "      Bid.bidtime >= MaxBid.wend - INTERVAL '10' MINUTE AND "
       "      Bid.bidtime < MaxBid.wend";
   const RunResult run = RunBidScenario(q7, /*shards=*/4, MakeBidFeed(150),
-                                       /*execute_before_feed=*/true);
+                                       Input::kLive);
   EXPECT_EQ(run.shard_count, 1);
+}
+
+TEST(ParallelRuntimeTest, LateExecuteAfterRestoreMatchesLiveRun) {
+  // After Restore the history carries synthetic seqs 0..H-1; a query
+  // executed then must replay it into exactly the live run's output.
+  const std::vector<FeedEvent> feed = MakeBidFeed(600);
+  for (const char* sql : {kKeyedAgg, kStateless}) {
+    const RunResult live = RunBidScenario(sql, /*shards=*/1, feed,
+                                          Input::kLive);
+    for (int shards : {1, 2}) {
+      SCOPED_TRACE(std::string(sql) + " shards=" + std::to_string(shards));
+      const RunResult run =
+          RunBidScenario(sql, shards, feed, Input::kLateAfterRestore);
+      EXPECT_EQ(run.shard_count, shards);
+      EXPECT_EQ(run.history_size, feed.size());
+      EXPECT_EQ(run.state_bytes, live.state_bytes);
+      ExpectSameRows(run.stream, live.stream, "stream rendering");
+      ExpectSameRows(run.snapshot, live.snapshot, "snapshot");
+    }
+  }
+}
+
+TEST(ParallelRuntimeTest, LateExecuteAfterCompactionMatchesLiveRunOfRetained) {
+  // Compaction drops events below the running queries' watermark floor but
+  // keeps the survivors' original seqs, so the history has gaps. A query
+  // executed afterwards must produce exactly what a live run over the
+  // retained events produces.
+  const std::vector<FeedEvent> feed = MakeBidFeed(4200);
+  for (const char* sql : {kKeyedAgg, kStateless}) {
+    RunResult reference;
+    for (int shards : {1, 2}) {
+      SCOPED_TRACE(std::string(sql) + " shards=" + std::to_string(shards));
+      const RunResult run =
+          RunBidScenario(sql, shards, feed, Input::kLateAfterCompaction);
+      ASSERT_LT(run.history_size, feed.size()) << "no compaction happened";
+      EXPECT_EQ(run.shard_count, shards);
+      if (shards == 1) {
+        const std::vector<FeedEvent> retained =
+            RetainedAfterCompaction(feed, run.floor);
+        ASSERT_EQ(retained.size(), run.history_size);
+        reference = RunBidScenario(sql, 1, retained, Input::kLive);
+      }
+      EXPECT_EQ(run.state_bytes, reference.state_bytes);
+      ExpectSameRows(run.stream, reference.stream, "stream rendering");
+      ExpectSameRows(run.snapshot, reference.snapshot, "snapshot");
+    }
+  }
+}
+
+TEST(ParallelRuntimeTest, StaticTableJoinMatchesLiveRun) {
+  // A stream joined with a static table: the table's rows and its +inf
+  // watermark are pushed before the history, at any shard count and however
+  // the query meets the feed.
+  const std::string sql =
+      "SELECT Bid.bidtime, Bid.price, Item.category "
+      "FROM Bid, Item WHERE Bid.item = Item.item";
+  const std::vector<FeedEvent> feed = MakeBidFeed(400);
+  const RunResult live = RunBidScenario(sql, /*shards=*/1, feed, Input::kLive);
+  ASSERT_FALSE(live.stream.empty());
+  for (int shards : {1, 2}) {
+    for (Input input :
+         {Input::kLive, Input::kLate, Input::kLateAfterRestore}) {
+      SCOPED_TRACE("shards=" + std::to_string(shards) + " " +
+                   InputName(input));
+      const RunResult run = RunBidScenario(sql, shards, feed, input);
+      EXPECT_EQ(run.shard_count, shards);
+      EXPECT_EQ(run.state_bytes, live.state_bytes);
+      ExpectSameRows(run.stream, live.stream, "stream rendering");
+      ExpectSameRows(run.snapshot, live.snapshot, "snapshot");
+    }
+  }
 }
 
 TEST(ParallelRuntimeTest, TwoSourceEquiJoinIsDeterministicAcrossShardCounts) {

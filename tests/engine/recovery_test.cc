@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "engine/engine.h"
-#include "exec/sharded_dataflow.h"
+#include "exec/dataflow.h"
 #include "state/frame.h"
 #include "state/wal.h"
 #include "tests/state/temp_dir.h"
@@ -266,41 +266,51 @@ TEST(RecoveryEquivalenceTest, LargeFeedSampledPrefixes) {
 // loads into a runtime at N shards, for every K x N pair.
 // ---------------------------------------------------------------------------
 
-exec::InputEvent ToInput(const FeedEvent& e) {
-  exec::InputEvent out;
-  out.kind = e.kind == FeedEvent::Kind::kInsert
-                 ? exec::InputEvent::Kind::kInsert
-                 : (e.kind == FeedEvent::Kind::kDelete
-                        ? exec::InputEvent::Kind::kDelete
-                        : exec::InputEvent::Kind::kWatermark);
-  out.source = e.source;
-  out.ptime = e.ptime;
-  out.row = e.row;
-  out.watermark = e.watermark;
-  return out;
+/// Chunks `feed[begin, end)` into `out` the way the engine's feed path does,
+/// numbering the events from `begin`.
+void ChunkFeed(const std::vector<FeedEvent>& feed, size_t begin, size_t end,
+               std::vector<exec::InputChunk>* out) {
+  exec::ChunkBuilder builder(out, begin);
+  for (size_t i = begin; i < end; ++i) {
+    const FeedEvent& e = feed[i];
+    switch (e.kind) {
+      case FeedEvent::Kind::kInsert:
+        builder.AddElement(e.source, e.row, +1, e.ptime);
+        break;
+      case FeedEvent::Kind::kDelete:
+        builder.AddElement(e.source, e.row, -1, e.ptime);
+        break;
+      case FeedEvent::Kind::kWatermark:
+        builder.AddWatermark(e.source, e.watermark, e.ptime);
+        break;
+    }
+  }
+  builder.CloseAll();
 }
 
-std::vector<exec::InputEvent> ToInputs(const std::vector<FeedEvent>& feed,
-                                       size_t begin, size_t end) {
-  std::vector<exec::InputEvent> out;
-  out.reserve(end - begin);
-  for (size_t i = begin; i < end; ++i) out.push_back(ToInput(feed[i]));
-  return out;
+/// Pushes `feed[begin, end)` into `flow` as one PushChunks call.
+Status PushFeed(exec::Dataflow* flow, const std::vector<FeedEvent>& feed,
+                size_t begin, size_t end) {
+  std::vector<exec::InputChunk> chunks;
+  ChunkFeed(feed, begin, end, &chunks);
+  std::vector<const exec::InputChunk*> refs;
+  for (const exec::InputChunk& chunk : chunks) refs.push_back(&chunk);
+  return flow->PushChunks(refs);
 }
 
-std::unique_ptr<exec::DataflowRuntime> BuildRuntime(const std::string& sql,
-                                                    int shards) {
+std::unique_ptr<exec::Dataflow> BuildRuntime(const std::string& sql,
+                                             int shards) {
   Engine engine;
   EXPECT_TRUE(engine.RegisterStream("Bid", BidSchema()).ok());
   auto plan = engine.Plan(sql);
   EXPECT_TRUE(plan.ok()) << plan.status().ToString();
-  auto flow = exec::BuildDataflowRuntime(std::move(*plan), shards);
+  auto flow = exec::Dataflow::Build(std::move(*plan), shards);
   EXPECT_TRUE(flow.ok()) << flow.status().ToString();
   return std::move(*flow);
 }
 
-void ExpectSameEmissions(const exec::DataflowRuntime& got,
-                         const exec::DataflowRuntime& want) {
+void ExpectSameEmissions(const exec::Dataflow& got,
+                         const exec::Dataflow& want) {
   const auto& g = got.sink().emissions();
   const auto& w = want.sink().emissions();
   ASSERT_EQ(g.size(), w.size()) << "emission count";
@@ -318,14 +328,14 @@ TEST(ShardCountChangingRestoreTest, EveryPairOfShardCounts) {
 
   // Reference: sequential, uninterrupted.
   auto reference = BuildRuntime(kKeyedAgg, 1);
-  ASSERT_TRUE(reference->PushBatch(ToInputs(feed, 0, feed.size())).ok());
+  ASSERT_TRUE(PushFeed(reference.get(), feed, 0, feed.size()).ok());
 
   for (int save_shards : {1, 2, 8}) {
     for (int load_shards : {1, 2, 8}) {
       SCOPED_TRACE("save=" + std::to_string(save_shards) +
                    " load=" + std::to_string(load_shards));
       auto saver = BuildRuntime(kKeyedAgg, save_shards);
-      ASSERT_TRUE(saver->PushBatch(ToInputs(feed, 0, half)).ok());
+      ASSERT_TRUE(PushFeed(saver.get(), feed, 0, half).ok());
       state::Writer w;
       ASSERT_TRUE(saver->SaveState(&w).ok());
 
@@ -336,7 +346,7 @@ TEST(ShardCountChangingRestoreTest, EveryPairOfShardCounts) {
       EXPECT_EQ(loader->StateBytes(), saver->StateBytes())
           << "restored state size must not depend on the shard count";
 
-      ASSERT_TRUE(loader->PushBatch(ToInputs(feed, half, feed.size())).ok());
+      ASSERT_TRUE(PushFeed(loader.get(), feed, half, feed.size()).ok());
       ExpectSameEmissions(*loader, *reference);
     }
   }
@@ -345,7 +355,7 @@ TEST(ShardCountChangingRestoreTest, EveryPairOfShardCounts) {
 TEST(ShardCountChangingRestoreTest, DamagedRuntimeBlobIsDataLoss) {
   auto saver = BuildRuntime(kKeyedAgg, 2);
   const std::vector<FeedEvent> feed = PaperFeed();
-  ASSERT_TRUE(saver->PushBatch(ToInputs(feed, 0, feed.size())).ok());
+  ASSERT_TRUE(PushFeed(saver.get(), feed, 0, feed.size()).ok());
   state::Writer w;
   ASSERT_TRUE(saver->SaveState(&w).ok());
   const std::string& bytes = w.buffer();

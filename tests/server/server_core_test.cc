@@ -205,6 +205,37 @@ TEST(ServerCoreTest, DedicatedSubmitsDoNotShare) {
   EXPECT_EQ(core->engine()->num_queries(), 2u);
 }
 
+TEST(ServerCoreTest, SubmitRejectsShardCountsBelowOne) {
+  auto core = MakeServer();
+  const uint64_t s = Open(core.get());
+  RegisterBid(core.get(), s);
+  for (const char* shards : {"0", "-1", "-9223372036854775808"}) {
+    for (const char* share : {"false", "true"}) {
+      SCOPED_TRACE(std::string("shards=") + shards + " share=" + share);
+      Json err = Call(core.get(), s,
+                      std::string(R"({"cmd":"submit","id":3,"shards":)") +
+                          shards + R"(,"share":)" + share + R"(,"sql":")" +
+                          TumbleMaxSql() + R"("})");
+      EXPECT_FALSE(err.Find("ok")->AsBool());
+      EXPECT_EQ(err.Find("id")->AsInt(), 3);
+      EXPECT_NE(err.Find("error")->AsString().find("shards"),
+                std::string::npos);
+    }
+  }
+  EXPECT_EQ(core->num_plans(), 0u);
+  EXPECT_EQ(core->engine()->num_queries(), 0u);
+  // A valid count still submits, and a shared plan already running does not
+  // make a bad count acceptable.
+  CallOk(core.get(), s,
+         R"({"cmd":"submit","shards":2,"share":true,"sql":")" +
+             TumbleMaxSql() + R"("})");
+  Json err = Call(core.get(), s,
+                  R"({"cmd":"submit","shards":0,"share":true,"sql":")" +
+                      TumbleMaxSql() + R"("})");
+  EXPECT_FALSE(err.Find("ok")->AsBool());
+  EXPECT_EQ(core->num_plans(), 1u);
+}
+
 TEST(ServerCoreTest, SessionAdmissionIsBounded) {
   ServerOptions options;
   options.max_sessions = 2;

@@ -1,14 +1,16 @@
 // The TCP shell (server/tcp_server.h) over real loopback sockets: the
 // line protocol round-trips, pushed deltas arrive interleaved with
 // responses, an abrupt client disconnect mid-feed tears the session down
-// (retiring its shared plans) without disturbing other sessions, and the
-// server stops cleanly with connections open.
+// (retiring its shared plans) without disturbing other sessions, an
+// oversized request line or reconnect churn cannot grow server resources,
+// and the server stops cleanly with connections open.
 
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -49,6 +51,19 @@ class LineClient {
   bool SendLine(const std::string& line) {
     std::string framed = line;
     framed.push_back('\n');
+    return SendRaw(framed);
+  }
+
+  /// Makes reads give up (and report EOF) after `seconds`, so a server that
+  /// never answers fails the test instead of hanging it.
+  void SetReadTimeout(int seconds) {
+    timeval tv{};
+    tv.tv_sec = seconds;
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  }
+
+  /// Sends `framed` as it is (no newline appended).
+  bool SendRaw(const std::string& framed) {
     size_t sent = 0;
     while (sent < framed.size()) {
       const ssize_t n = ::send(fd_, framed.data() + sent,
@@ -241,6 +256,53 @@ TEST(TcpServerTest, AdmissionRejectsWithAnErrorLine) {
   EXPECT_FALSE(rejected.Find("ok")->AsBool());
   // The socket is closed right after: EOF.
   EXPECT_EQ(second.ReadLine(), "");
+}
+
+TEST(TcpServerTest, OversizedLineIsRejectedAndTheConnectionClosed) {
+  ServerFixture fx;
+  LineClient other(fx.server->port());
+  ASSERT_TRUE(other.connected());
+  ASSERT_TRUE(other.Call(R"({"cmd":"hello"})").Find("ok")->AsBool());
+
+  // One byte past the cap, and no newline: the server must not wait for
+  // the rest of the line.
+  LineClient hostile(fx.server->port());
+  ASSERT_TRUE(hostile.connected());
+  hostile.SetReadTimeout(30);
+  ASSERT_TRUE(
+      hostile.SendRaw(std::string(TcpServer::kMaxLineBytes + 1, 'x')));
+  const std::string line = hostile.ReadLine();
+  ASSERT_FALSE(line.empty()) << "no error line before the close";
+  auto rejected = Json::Parse(line);
+  ASSERT_TRUE(rejected.ok()) << line;
+  EXPECT_FALSE(rejected->Find("ok")->AsBool());
+  EXPECT_NE(rejected->Find("error")->AsString().find("exceeds"),
+            std::string::npos);
+  EXPECT_EQ(hostile.ReadLine(), "");  // then EOF
+
+  // The server and its other connections carry on; the dropped one is
+  // reaped.
+  EXPECT_TRUE(other.Call(R"({"cmd":"hello"})").Find("ok")->AsBool());
+  EXPECT_TRUE(WaitFor([&] { return fx.server->num_connections() == 1; }));
+  EXPECT_EQ(fx.core->num_sessions(), 1u);
+}
+
+TEST(TcpServerTest, ConnectDisconnectChurnIsReaped) {
+  ServerFixture fx;
+  LineClient live(fx.server->port());
+  ASSERT_TRUE(live.connected());
+  ASSERT_TRUE(live.Call(R"({"cmd":"hello"})").Find("ok")->AsBool());
+  for (int i = 0; i < 200; ++i) {
+    LineClient client(fx.server->port());
+    ASSERT_TRUE(client.connected()) << i;
+    // A round trip proves the server accepted this connection.
+    ASSERT_TRUE(client.Call(R"({"cmd":"hello"})").Find("ok")->AsBool()) << i;
+  }
+  // Every closed connection's fd and threads are released; only the live
+  // one remains.
+  EXPECT_TRUE(WaitFor([&] { return fx.server->num_connections() == 1; }));
+  EXPECT_EQ(fx.core->num_sessions(), 1u);
+  EXPECT_TRUE(live.Call(R"({"cmd":"hello"})").Find("ok")->AsBool());
 }
 
 TEST(TcpServerTest, StopWithLiveConnectionsJoinsCleanly) {

@@ -25,10 +25,10 @@ WalRecord Insert(uint64_t seq, const std::string& source, Timestamp ptime,
                  Row row) {
   WalRecord rec;
   rec.seq = seq;
-  rec.kind = WalRecord::Kind::kInsert;
-  rec.source = source;
-  rec.ptime = ptime;
-  rec.row = std::move(row);
+  rec.event.kind = FeedEvent::Kind::kInsert;
+  rec.event.source = source;
+  rec.event.ptime = ptime;
+  rec.event.row = std::move(row);
   return rec;
 }
 
@@ -36,10 +36,10 @@ WalRecord Watermark(uint64_t seq, const std::string& source, Timestamp ptime,
                     Timestamp mark) {
   WalRecord rec;
   rec.seq = seq;
-  rec.kind = WalRecord::Kind::kWatermark;
-  rec.source = source;
-  rec.ptime = ptime;
-  rec.watermark = mark;
+  rec.event.kind = FeedEvent::Kind::kWatermark;
+  rec.event.source = source;
+  rec.event.ptime = ptime;
+  rec.event.watermark = mark;
   return rec;
 }
 
@@ -80,14 +80,55 @@ TEST(WalTest, AppendThenReadAllRoundTrips) {
   ASSERT_TRUE(records.ok()) << records.status().ToString();
   ASSERT_EQ(records->size(), 3u);
   EXPECT_EQ((*records)[0].seq, 0u);
-  EXPECT_EQ((*records)[0].kind, WalRecord::Kind::kInsert);
-  EXPECT_EQ((*records)[0].source, "Bid");
-  EXPECT_EQ((*records)[0].ptime, T(8, 1));
-  ASSERT_EQ((*records)[0].row.size(), 3u);
-  EXPECT_EQ((*records)[0].row[1], Value::Int64(13));
-  EXPECT_EQ((*records)[1].row[1], Value::Null());
-  EXPECT_EQ((*records)[2].kind, WalRecord::Kind::kWatermark);
-  EXPECT_EQ((*records)[2].watermark, T(8, 0));
+  EXPECT_EQ((*records)[0].event.kind, FeedEvent::Kind::kInsert);
+  EXPECT_EQ((*records)[0].event.source, "Bid");
+  EXPECT_EQ((*records)[0].event.ptime, T(8, 1));
+  ASSERT_EQ((*records)[0].event.row.size(), 3u);
+  EXPECT_EQ((*records)[0].event.row[1], Value::Int64(13));
+  EXPECT_EQ((*records)[1].event.row[1], Value::Null());
+  EXPECT_EQ((*records)[2].event.kind, FeedEvent::Kind::kWatermark);
+  EXPECT_EQ((*records)[2].event.watermark, T(8, 0));
+}
+
+TEST(WalTest, RecordBytesArePinned) {
+  // One insert, one delete and one watermark record. The expected bytes are
+  // the file format as first released: header frame, then one CRC-framed
+  // record per event (varint seq, u8 kind, source, ptime, then the row or
+  // the watermark). A change here breaks every existing log on disk.
+  const std::string path = NewTempDir("wal") + "/feed.wal";
+  {
+    auto log = FeedLog::Open(path);
+    ASSERT_TRUE(log.ok()) << log.status().ToString();
+    ASSERT_TRUE(log->Append(Insert(0, "Bid", T(8, 1),
+                                   {Value::Time(T(8, 0)), Value::Int64(13),
+                                    Value::String("A")}))
+                    .ok());
+    WalRecord del = Insert(1, "Bid", T(8, 2),
+                           {Value::Time(T(8, 1)), Value::Null(),
+                            Value::String("B")});
+    del.event.kind = FeedEvent::Kind::kDelete;
+    ASSERT_TRUE(log->Append(del).ok());
+    ASSERT_TRUE(log->Append(Watermark(2, "Bid", T(8, 3), T(8, 0))).ok());
+    ASSERT_TRUE(log->Close().ok());
+  }
+  const std::string want(
+      "\x09\x00\x00\x00\x31\x53\x51\x4c\x57\x41\x4c\x31\x01\xc9\x2b\x7b"
+      "\xf6\x15\x00\x00\x00\x00\x00\x03\x42\x69\x64\xc0\xf9\xc2\x1b\x03"
+      "\x05\x80\xd0\xbb\x1b\x02\x1a\x04\x01\x41\xbd\x22\x88\x41\x14\x00"
+      "\x00\x00\x01\x01\x03\x42\x69\x64\x80\xa3\xca\x1b\x03\x05\xc0\xf9"
+      "\xc2\x1b\x00\x04\x01\x42\x98\xe3\x74\xb5\x0e\x00\x00\x00\x02\x02"
+      "\x03\x42\x69\x64\xc0\xcc\xd1\x1b\x80\xd0\xbb\x1b\xab\xc7\x0e\x78",
+      96);
+  auto got = ReadFileToString(path);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(*got, want);
+
+  // The same records decode back, delete included.
+  auto records = FeedLog::ReadAll(path);
+  ASSERT_TRUE(records.ok()) << records.status().ToString();
+  ASSERT_EQ(records->size(), 3u);
+  EXPECT_EQ((*records)[1].event.kind, FeedEvent::Kind::kDelete);
+  EXPECT_EQ((*records)[1].event.row[1], Value::Null());
 }
 
 TEST(WalTest, ReopenRecoversSequenceAndKeepsAppending) {
@@ -104,7 +145,7 @@ TEST(WalTest, ReopenRecoversSequenceAndKeepsAppending) {
   auto records = FeedLog::ReadAll(path);
   ASSERT_TRUE(records.ok());
   ASSERT_EQ(records->size(), 4u);
-  EXPECT_EQ((*records)[3].watermark, T(8, 2));
+  EXPECT_EQ((*records)[3].event.watermark, T(8, 2));
 }
 
 TEST(WalTest, OutOfOrderAppendIsRejected) {
@@ -197,7 +238,7 @@ TEST(WalTest, ManyRecordsSurviveSyncBoundaries) {
   ASSERT_EQ(records->size(), 500u);
   for (uint64_t i = 0; i < 500; ++i) {
     EXPECT_EQ((*records)[i].seq, i);
-    EXPECT_EQ((*records)[i].row[0], Value::Int64(static_cast<int64_t>(i)));
+    EXPECT_EQ((*records)[i].event.row[0], Value::Int64(static_cast<int64_t>(i)));
   }
 }
 
@@ -225,7 +266,7 @@ TEST(GroupCommitTest, WritesFeedLogFormat) {
   ASSERT_EQ(records->size(), 5u);
   for (uint64_t i = 0; i < 5; ++i) {
     EXPECT_EQ((*records)[i].seq, i);
-    EXPECT_EQ((*records)[i].row[0].AsInt64(), static_cast<int64_t>(i));
+    EXPECT_EQ((*records)[i].event.row[0].AsInt64(), static_cast<int64_t>(i));
   }
 
   // And the synchronous FeedLog can take over the same file.

@@ -4,14 +4,17 @@
 // ci.sh explain-analyze smoke leg.
 //
 // Usage: explain_nexmark <outdir> [shards] [num_events]
+//        explain_nexmark --help
 //
 // Writes, per query q1/q2/q3/q4/q5/q7: explain_<name>.txt and
 // explain_<name>.json; plus metrics.json (the registry snapshot) and
 // trace.json (Chrome trace_event spans). Exits non-zero on any failure or
 // on an empty/unannotated plan, so the smoke leg fails loudly.
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -35,17 +38,51 @@ bool WriteFile(const std::filesystem::path& path, const std::string& body) {
   return true;
 }
 
+constexpr const char kUsage[] =
+    "usage: %s <outdir> [shards] [num_events]\n"
+    "  outdir      directory for the explain, metrics and trace dumps\n"
+    "  shards      shard count for every query (default 1, at least 1)\n"
+    "  num_events  NEXMark events to feed (default 5000, at least 1)\n";
+
+/// Parses a whole-string decimal integer >= 1; false on anything else.
+bool ParsePositive(const char* text, int* out) {
+  errno = 0;
+  char* end = nullptr;
+  const long value = std::strtol(text, &end, 10);
+  if (errno != 0 || end == text || *end != '\0' || value < 1 ||
+      value > 1000000000L) {
+    return false;
+  }
+  *out = static_cast<int>(value);
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
-    std::fprintf(stderr, "usage: %s <outdir> [shards] [num_events]\n",
-                 argv[0]);
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--help") == 0 || std::strcmp(argv[i], "-h") == 0) {
+      std::printf(kUsage, argv[0]);
+      return 0;
+    }
+  }
+  if (argc < 2 || argc > 4) {
+    std::fprintf(stderr, kUsage, argv[0]);
     return 2;
   }
   const std::filesystem::path outdir = argv[1];
-  const int shards = argc > 2 ? std::atoi(argv[2]) : 1;
-  const int num_events = argc > 3 ? std::atoi(argv[3]) : 5000;
+  int shards = 1;
+  int num_events = 5000;
+  if (argc > 2 && !ParsePositive(argv[2], &shards)) {
+    std::fprintf(stderr, "shards must be an integer >= 1, got '%s'\n",
+                 argv[2]);
+    return 2;
+  }
+  if (argc > 3 && !ParsePositive(argv[3], &num_events)) {
+    std::fprintf(stderr, "num_events must be an integer >= 1, got '%s'\n",
+                 argv[3]);
+    return 2;
+  }
   std::error_code ec;
   std::filesystem::create_directories(outdir, ec);
   if (ec) {

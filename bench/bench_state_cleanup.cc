@@ -8,9 +8,12 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdlib>
+#include <memory>
 #include <random>
 
 #include "bench/bench_util.h"
+#include "exec/dataflow.h"
 
 namespace onesql {
 namespace bench {
@@ -118,6 +121,95 @@ void BM_Q7WithoutWatermarks(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_Q7WithoutWatermarks)->Arg(1000)->Arg(4000);
+
+// Per-change cost of operator state must not grow with the state that stays
+// live. Both benchmarks below hold N rows of state the timed loop never
+// touches, drive one operator directly (its output detached, so only its
+// own work is timed) and report the cost of one change; the time per
+// iteration should stay flat as N grows 10-100x.
+
+/// Compiles `sql` over S(t, k, v) and B(t, k, w) (`t` is event time) at one
+/// shard.
+std::unique_ptr<exec::Dataflow> BuildFlow(const std::string& sql) {
+  Engine engine;
+  for (const char* name : {"S", "B"}) {
+    const Status s = engine.RegisterStream(
+        name, Schema({{"t", DataType::kTimestamp, true},
+                      {"k", DataType::kBigint},
+                      {name[0] == 'S' ? "v" : "w", DataType::kBigint}}));
+    if (!s.ok()) std::abort();
+  }
+  auto plan = engine.Plan(sql);
+  if (!plan.ok()) std::abort();
+  auto flow = exec::Dataflow::Build(std::move(*plan), 1);
+  if (!flow.ok()) std::abort();
+  return std::move(*flow);
+}
+
+Change MakeChange(ChangeKind kind, int64_t t_ms, int64_t k, int64_t v) {
+  return Change{kind,
+                {Value::Time(Timestamp(t_ms)), Value::Int64(k), Value::Int64(v)},
+                T(9, 0)};
+}
+
+// One iteration: a row opens a group that the next watermark completes,
+// while range(0) other groups (event times far ahead) stay live.
+void BM_AggregateWatermarkLiveGroups(benchmark::State& state) {
+  const int64_t live = state.range(0);
+  auto flow = BuildFlow("SELECT k, t, SUM(v) AS total FROM S GROUP BY k, t");
+  exec::AggregateOperator* agg = flow->aggregates()[0];
+  agg->SetOutput(nullptr, 0);
+  const int64_t future = T(23, 0).millis();
+  for (int64_t k = 0; k < live; ++k) {
+    if (!agg->OnElement(0, MakeChange(ChangeKind::kInsert, future, k, 1))
+             .ok()) {
+      std::abort();
+    }
+  }
+  int64_t t = T(8, 0).millis();
+  for (auto _ : state) {
+    ++t;
+    if (!agg->OnElement(0, MakeChange(ChangeKind::kInsert, t, -1, 1)).ok() ||
+        !agg->OnWatermark(0, Timestamp(t), T(9, 0)).ok()) {
+      std::abort();
+    }
+  }
+  if (agg->NumGroups() != static_cast<size_t>(live)) std::abort();
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_AggregateWatermarkLiveGroups)->Arg(1000)->Arg(10000)->Arg(100000);
+
+// One iteration: retract one of range(0) join rows that share one event
+// time, then insert it again. Rows are drawn at random, so a retraction's
+// row sits anywhere among the rows sharing its event time.
+void BM_JoinRetractSharedEventTime(benchmark::State& state) {
+  const int64_t rows = state.range(0);
+  auto flow = BuildFlow(
+      "SELECT s.k AS k, s.v AS v, b.w AS w "
+      "FROM S s JOIN B b ON s.k = b.k AND s.t = b.t");
+  exec::JoinOperator* join = flow->joins()[0];
+  join->SetOutput(nullptr, 0);
+  const int64_t shared = T(8, 5).millis();
+  for (int64_t k = 0; k < rows; ++k) {
+    if (!join->OnElement(0, MakeChange(ChangeKind::kInsert, shared, k, k))
+             .ok()) {
+      std::abort();
+    }
+  }
+  std::mt19937_64 rng(7);
+  for (auto _ : state) {
+    const int64_t k = static_cast<int64_t>(rng() % static_cast<uint64_t>(rows));
+    if (!join->OnElement(0, MakeChange(ChangeKind::kDelete, shared, k, k))
+             .ok() ||
+        !join->OnElement(0, MakeChange(ChangeKind::kInsert, shared, k, k))
+             .ok()) {
+      std::abort();
+    }
+  }
+  if (join->left_rows() != static_cast<size_t>(rows)) std::abort();
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_JoinRetractSharedEventTime)->Arg(1000)->Arg(10000);
 
 }  // namespace
 }  // namespace bench

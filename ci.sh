@@ -58,6 +58,13 @@ run_leg "perf-nexmark-run" \
   env -C "${PERF_DIR}" ../bench/bench_nexmark --benchmark_min_time=0.1
 run_leg "perf-micro-run" \
   env -C "${PERF_DIR}" ../bench/bench_micro --benchmark_min_time=0.1
+# The operator-state scaling benches (per-change cost at 1k-100k rows of live
+# state) share BENCH_micro.json as their baseline; they compare as a second
+# pair below.
+run_leg "perf-state-cleanup-run" \
+  env -C "${PERF_DIR}" ../bench/bench_state_cleanup \
+  --benchmark_filter='BM_AggregateWatermarkLiveGroups|BM_JoinRetractSharedEventTime' \
+  --benchmark_min_time=0.1 --benchmark_repetitions=5
 # bench_profile carries its own hard gate (profiling overhead must stay
 # under 5% of the profiling-off feed path) and exits non-zero past budget;
 # the JSON it writes also joins the throughput comparison below.
@@ -80,7 +87,8 @@ run_leg "perf-e2e-compare" python3 tools/bench_compare.py \
   BENCH_checkpoint.json "${PERF_DIR}/BENCH_checkpoint.json" \
   --fail=0.35 --warn=0.7
 run_leg "perf-micro-compare" python3 tools/bench_compare.py \
-  BENCH_micro.json "${PERF_DIR}/BENCH_micro.json"
+  BENCH_micro.json "${PERF_DIR}/BENCH_micro.json" \
+  BENCH_micro.json "${PERF_DIR}/BENCH_state_cleanup.json"
 
 echo "=== explain-analyze smoke: annotated plans over every NEXMark query ==="
 # Drives all six NEXMark queries through one profiled engine at one and two

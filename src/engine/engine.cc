@@ -236,9 +236,10 @@ Result<ContinuousQuery*> Engine::Execute(const std::string& sql,
   if (options.allowed_lateness.millis() < 0) {
     return Status::InvalidArgument("allowed lateness must be non-negative");
   }
-  if (options.shards < 1) {
-    return Status::InvalidArgument("shard count must be at least 1, got " +
-                                   std::to_string(options.shards));
+  if (options.shards < 1 || options.shards > exec::kMaxShards) {
+    return Status::InvalidArgument("shard count must be between 1 and " +
+                                   std::to_string(exec::kMaxShards) +
+                                   ", got " + std::to_string(options.shards));
   }
   plan.allowed_lateness = options.allowed_lateness;
   plan::PlanFingerprint fingerprint = plan::FingerprintPlan(plan);
@@ -901,7 +902,7 @@ Status Engine::RestoreQuerySection(state::Reader* r) {
   ONESQL_ASSIGN_OR_RETURN(std::string sql, r->ReadString());
   ONESQL_ASSIGN_OR_RETURN(Interval lateness, r->ReadInterval());
   ONESQL_ASSIGN_OR_RETURN(uint64_t shards, r->ReadVarint());
-  if (shards == 0 || shards > 4096) {
+  if (shards == 0 || shards > static_cast<uint64_t>(exec::kMaxShards)) {
     return Status::DataLoss("impossible shard count " +
                             std::to_string(shards) + " in checkpoint");
   }

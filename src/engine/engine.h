@@ -29,11 +29,11 @@ struct ExecutionOptions {
   /// reproduces the paper's strict drop semantics.
   Interval allowed_lateness{0};
 
-  /// Number of key-partitioned shards the query runs on (at least 1; Execute
-  /// rejects smaller values). Plans that cannot be key-partitioned (see
-  /// exec/shard_router.h) run on one chain regardless. Output is
-  /// bit-identical at every shard count, so this is purely a throughput
-  /// knob.
+  /// Number of key-partitioned shards the query runs on, in
+  /// [1, exec::kMaxShards]; Execute rejects other values. Plans that cannot
+  /// be key-partitioned (see exec/shard_router.h) run on one chain
+  /// regardless. Output is bit-identical at every shard count, so this is
+  /// purely a throughput knob.
   int shards = 1;
 
   /// Opt into multi-query sharing (DESIGN.md §13): when a query with the same

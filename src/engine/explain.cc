@@ -377,6 +377,7 @@ Result<ExplainAnalysis> Engine::ExplainAnalyze(const ContinuousQuery* query) {
   json += "}";
 
   ExplainAnalysis result;
+  result.query = qlabel;
   result.text = text.str();
   result.json = std::move(json);
   return result;

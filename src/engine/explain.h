@@ -8,6 +8,10 @@ namespace onesql {
 /// The result of Engine::ExplainAnalyze: the query's logical plan annotated
 /// with its live metrics, in two renderings carrying the same values.
 struct ExplainAnalysis {
+  /// The query's observability label ("q<n>"): the name in the text header,
+  /// the JSON "query" field and the `query` label of its metrics.
+  std::string query;
+
   /// EXPLAIN-style indented plan tree: each node's own EXPLAIN line followed
   /// by bracketed annotation lines (rows, batches, sampled wall time, kernel
   /// path, state bytes), then query-level sink and stall-attribution lines.

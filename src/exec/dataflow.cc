@@ -268,8 +268,9 @@ Result<std::unique_ptr<Dataflow>> Dataflow::Build(plan::QueryPlan plan,
   if (plan.root == nullptr) {
     return Status::InvalidArgument("cannot build a dataflow without a plan");
   }
-  if (shards < 1) {
-    return Status::InvalidArgument("shard count must be at least 1, got " +
+  if (shards < 1 || shards > kMaxShards) {
+    return Status::InvalidArgument("shard count must be between 1 and " +
+                                   std::to_string(kMaxShards) + ", got " +
                                    std::to_string(shards));
   }
   auto flow = std::unique_ptr<Dataflow>(new Dataflow());

@@ -46,6 +46,11 @@ struct CompiledChain {
 class CaptureOperator;
 class WorkerPool;
 
+/// The largest shard count a query runs at. Dataflow::Build, Engine::Execute,
+/// Engine::Restore and the server's `submit` all enforce this one bound (a
+/// checkpoint recording more shards is damaged).
+inline constexpr int kMaxShards = 4096;
+
 /// An executable continuous query: the query's operator chain feeding one
 /// MaterializationSink, driven by pushing chunked source changes and
 /// watermarks in processing-time order.
@@ -70,8 +75,9 @@ class Dataflow {
  public:
   /// Compiles the plan into `shards` key-partitioned chains. Plans that
   /// cannot be key-partitioned get one chain whatever `shards` says. Fails
-  /// with InvalidArgument for `shards < 1`, and with NotImplemented for plan
-  /// shapes the streaming runtime does not support (e.g. LEFT JOIN).
+  /// with InvalidArgument for `shards` outside [1, kMaxShards], and with
+  /// NotImplemented for plan shapes the streaming runtime does not support
+  /// (e.g. LEFT JOIN).
   static Result<std::unique_ptr<Dataflow>> Build(plan::QueryPlan plan,
                                                  int shards);
   ~Dataflow();

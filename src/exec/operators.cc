@@ -103,15 +103,14 @@ Status FilterOperator::ProcessWatermark(int, Timestamp watermark,
 // ---------------------------------------------------------------------------
 
 Status ProjectOperator::ProcessElement(int, const Change& change) {
-  Change out;
-  out.kind = change.kind;
-  out.ptime = change.ptime;
-  out.row.reserve(exprs_->size());
+  out_.kind = change.kind;
+  out_.ptime = change.ptime;
+  out_.row.clear();
   for (const auto& e : *exprs_) {
     ONESQL_ASSIGN_OR_RETURN(Value v, EvalExpr(*e, change.row));
-    out.row.push_back(std::move(v));
+    out_.row.push_back(std::move(v));
   }
-  return EmitElement(out);
+  return EmitElement(out_);
 }
 
 Status ProjectOperator::ProcessBatch(int, const ChangeBatch& batch) {
@@ -227,15 +226,14 @@ Status WindowOperator::ProcessElement(int, const Change& change) {
   const Timestamp t = tv.AsTimestamp();
   AssignWindowsInto(t, node_->dur(), node_->hop(), node_->offset(),
                     &starts_scratch_);
+  out_.kind = change.kind;
+  out_.ptime = change.ptime;
   for (int64_t s : starts_scratch_) {
     const Timestamp start(s);
-    Change out;
-    out.kind = change.kind;
-    out.ptime = change.ptime;
-    out.row = change.row;
-    out.row.push_back(Value::Time(start));
-    out.row.push_back(Value::Time(start + node_->dur()));
-    ONESQL_RETURN_NOT_OK(EmitElement(out));
+    out_.row.assign(change.row.begin(), change.row.end());
+    out_.row.push_back(Value::Time(start));
+    out_.row.push_back(Value::Time(start + node_->dur()));
+    ONESQL_RETURN_NOT_OK(EmitElement(out_));
   }
   return Status::OK();
 }
@@ -698,60 +696,68 @@ AggregateOperator::AggregateOperator(const plan::AggregateNode* node,
                                      Interval allowed_lateness)
     : node_(node), allowed_lateness_(allowed_lateness) {}
 
-Result<Row> AggregateOperator::EvalKey(const Row& input) const {
-  Row key;
-  key.reserve(node_->keys().size());
+Status AggregateOperator::EvalKey(const Row& input) {
+  key_scratch_.clear();
   for (const auto& k : node_->keys()) {
     ONESQL_ASSIGN_OR_RETURN(Value v, EvalExpr(*k, input));
-    key.push_back(std::move(v));
+    key_scratch_.push_back(std::move(v));
   }
-  return key;
+  return Status::OK();
+}
+
+int64_t AggregateOperator::CompletionMillis(const Row& key) const {
+  int64_t at = Timestamp::Min().millis();
+  for (size_t i : node_->event_time_key_indexes()) {
+    const Value& v = key[i];
+    if (!v.is_null()) at = std::max(at, v.AsTimestamp().millis());
+  }
+  return at;
 }
 
 bool AggregateOperator::IsComplete(const Row& key, Timestamp watermark) const {
-  if (node_->event_time_key_indexes().empty()) return false;
   // With allowed lateness, a group stays open (correctable) until the
   // watermark passes its event-time key by the lateness budget.
-  const Timestamp effective = watermark - allowed_lateness_;
-  for (size_t i : node_->event_time_key_indexes()) {
-    const Value& v = key[i];
-    if (v.is_null()) continue;
-    if (v.AsTimestamp() > effective) return false;
-  }
-  return true;
+  return tracks_completion() &&
+         CompletionMillis(key) <= (watermark - allowed_lateness_).millis();
 }
 
 Status AggregateOperator::EmitGroupUpdate(GroupState* state, const Row& key,
                                           Timestamp ptime) {
   // Build the new output row (or none when the group emptied).
-  bool has_new = state->row_count > 0;
-  Row new_output;
+  const bool has_new = state->row_count > 0;
+  next_output_.clear();
   if (has_new) {
-    new_output = key;
+    next_output_.assign(key.begin(), key.end());
     for (const auto& acc : state->accumulators) {
-      new_output.push_back(acc->Current());
+      next_output_.push_back(acc->Current());
     }
   }
-  const bool unchanged = state->has_output == has_new &&
-                         (!has_new || RowsEqual(state->last_output, new_output));
+  const bool unchanged =
+      state->has_output == has_new &&
+      (!has_new || RowsEqual(state->last_output, next_output_));
   if (unchanged) return Status::OK();
 
+  // Both rows travel through out_ by swap, not copy. Each swaps back before
+  // a downstream error returns, so a failed emission leaves the group's
+  // last output as it was.
+  out_.ptime = ptime;
   if (state->has_output) {
-    Change retract;
-    retract.kind = ChangeKind::kDelete;
-    retract.row = state->last_output;
-    retract.ptime = ptime;
-    ONESQL_RETURN_NOT_OK(EmitElement(retract));
+    out_.kind = ChangeKind::kDelete;
+    out_.row.swap(state->last_output);
+    const Status status = EmitElement(out_);
+    out_.row.swap(state->last_output);
+    ONESQL_RETURN_NOT_OK(status);
   }
   if (has_new) {
-    Change insert;
-    insert.kind = ChangeKind::kInsert;
-    insert.row = new_output;
-    insert.ptime = ptime;
-    ONESQL_RETURN_NOT_OK(EmitElement(insert));
+    out_.kind = ChangeKind::kInsert;
+    out_.row.swap(next_output_);
+    const Status status = EmitElement(out_);
+    out_.row.swap(next_output_);
+    ONESQL_RETURN_NOT_OK(status);
   }
   state->has_output = has_new;
-  state->last_output = std::move(new_output);
+  // The old output's buffer becomes the next update's scratch.
+  state->last_output.swap(next_output_);
   return Status::OK();
 }
 
@@ -764,11 +770,34 @@ Status AggregateOperator::MakeGroup(GroupState* state) {
   return Status::OK();
 }
 
+Result<AggregateOperator::GroupState*> AggregateOperator::FindOrCreateGroup(
+    const Row& key, size_t hash) {
+  GroupState* state = groups_.Find(key, hash);
+  if (state != nullptr) return state;
+  // Build the accumulators before inserting, so a MakeAccumulator failure
+  // leaves no empty group behind.
+  GroupState fresh;
+  ONESQL_RETURN_NOT_OK(MakeGroup(&fresh));
+  if (tracks_completion()) {
+    fresh.completion = completion_.emplace(CompletionMillis(key), hash);
+  }
+  state = groups_.FindOrInsert(key, hash);
+  *state = std::move(fresh);
+  return state;
+}
+
+void AggregateOperator::EraseGroup(const Row& key, size_t hash,
+                                   const GroupState& state) {
+  if (tracks_completion()) completion_.erase(state.completion);
+  groups_.Erase(key, hash);
+}
+
 Status AggregateOperator::ProcessElement(int, const Change& change) {
   if (change.kind == ChangeKind::kUpsert) {
     return Status::ExecutionError("aggregate cannot consume UPSERT changes");
   }
-  ONESQL_ASSIGN_OR_RETURN(Row key, EvalKey(change.row));
+  ONESQL_RETURN_NOT_OK(EvalKey(change.row));
+  const Row& key = key_scratch_;
 
   // Extension 2: inputs for already-complete groups are dropped.
   if (IsComplete(key, watermark_)) {
@@ -778,15 +807,7 @@ Status AggregateOperator::ProcessElement(int, const Change& change) {
   }
 
   const size_t hash = HashRow(key);
-  GroupState* state = groups_.Find(key, hash);
-  if (state == nullptr) {
-    // Build the accumulators before inserting, so a MakeAccumulator failure
-    // leaves no empty group behind.
-    GroupState fresh;
-    ONESQL_RETURN_NOT_OK(MakeGroup(&fresh));
-    state = groups_.FindOrInsert(key, hash);
-    *state = std::move(fresh);
-  }
+  ONESQL_ASSIGN_OR_RETURN(GroupState * state, FindOrCreateGroup(key, hash));
 
   for (size_t i = 0; i < node_->aggs().size(); ++i) {
     const plan::AggregateCall& call = node_->aggs()[i];
@@ -808,7 +829,7 @@ Status AggregateOperator::ProcessElement(int, const Change& change) {
 
   ONESQL_RETURN_NOT_OK(EmitGroupUpdate(state, key, change.ptime));
 
-  if (state->row_count == 0) groups_.Erase(key, hash);
+  if (state->row_count == 0) EraseGroup(key, hash, *state);
   return Status::OK();
 }
 
@@ -820,13 +841,7 @@ Status AggregateOperator::ApplyRow(ChangeKind kind, const Row& key,
     CountLateDrop();
     return Status::OK();
   }
-  GroupState* state = groups_.Find(key, hash);
-  if (state == nullptr) {
-    GroupState fresh;
-    ONESQL_RETURN_NOT_OK(MakeGroup(&fresh));
-    state = groups_.FindOrInsert(key, hash);
-    *state = std::move(fresh);
-  }
+  ONESQL_ASSIGN_OR_RETURN(GroupState * state, FindOrCreateGroup(key, hash));
   const size_t naggs = node_->aggs().size();
   for (size_t i = 0; i < naggs; ++i) {
     if (kind == ChangeKind::kInsert) {
@@ -841,7 +856,7 @@ Status AggregateOperator::ApplyRow(ChangeKind kind, const Row& key,
         "aggregate received a DELETE for a row that was never inserted");
   }
   ONESQL_RETURN_NOT_OK(EmitGroupUpdate(state, key, ptime));
-  if (state->row_count == 0) groups_.Erase(key, hash);
+  if (state->row_count == 0) EraseGroup(key, hash, *state);
   return Status::OK();
 }
 
@@ -899,10 +914,16 @@ Status AggregateOperator::ProcessWatermark(int, Timestamp watermark,
   if (watermark > watermark_) {
     watermark_ = watermark;
     // Extension 2: groups whose event-time keys are below the watermark are
-    // complete — their results are final, so state can be released.
-    groups_.EraseIf([this](const FlatRowMap<GroupState>::Slot& slot) {
-      return IsComplete(slot.key, watermark_);
-    });
+    // complete — their results are final, so state can be released. The
+    // completion index yields exactly those groups, earliest first.
+    const int64_t horizon = (watermark_ - allowed_lateness_).millis();
+    while (!completion_.empty() && completion_.begin()->first <= horizon) {
+      const CompletionIndex::iterator done = completion_.begin();
+      groups_.EraseMatching(done->second, [done](const auto& slot) {
+        return slot.value.completion == done;
+      });
+      completion_.erase(done);
+    }
   }
   return EmitWatermark(watermark, ptime);
 }
@@ -985,10 +1006,15 @@ Status AggregateOperator::LoadState(state::Reader* r,
       state.accumulators.push_back(std::move(acc));
     }
     if (!keep) continue;
+    const size_t hash = HashRow(key);
     bool inserted = false;
-    GroupState* slot = groups_.FindOrInsert(key, HashRow(key), &inserted);
+    GroupState* slot = groups_.FindOrInsert(key, hash, &inserted);
     if (!inserted) {
       return Status::DataLoss("duplicate aggregation group in checkpoint");
+    }
+    // The completion index is not saved; it is rebuilt from the group keys.
+    if (tracks_completion()) {
+      state.completion = completion_.emplace(CompletionMillis(key), hash);
     }
     *slot = std::move(state);
   }
@@ -1001,13 +1027,25 @@ Status AggregateOperator::LoadState(state::Reader* r,
 
 JoinOperator::JoinOperator(const plan::JoinNode* node) : node_(node) {}
 
-Row JoinOperator::KeyOf(const Row& row, bool left) const {
-  Row key;
-  key.reserve(node_->equi_keys().size());
+namespace {
+
+/// Event time (ms) under which a join row is purge-tracked, or nullopt when
+/// its side has no purge spec or the row's event time is NULL.
+std::optional<int64_t> PurgeMillis(
+    const Row& row, const std::optional<plan::JoinPurgeSpec>& purge) {
+  if (!purge.has_value()) return std::nullopt;
+  const Value& et = row[purge->et_col];
+  if (et.is_null()) return std::nullopt;
+  return et.AsTimestamp().millis();
+}
+
+}  // namespace
+
+void JoinOperator::EvalKey(const Row& row, bool left) {
+  key_.clear();
   for (const auto& [l, r] : node_->equi_keys()) {
-    key.push_back(row[left ? l : r]);
+    key_.push_back(row[left ? l : r]);
   }
-  return key;
 }
 
 Status JoinOperator::Probe(const Change& change, const Row& key,
@@ -1016,26 +1054,21 @@ Status JoinOperator::Probe(const Change& change, const Row& key,
   auto bucket = other.buckets.find(key);
   if (bucket == other.buckets.end()) return Status::OK();
 
-  for (const auto& [other_row, count] : bucket->second) {
-    Row joined;
-    if (from_left) {
-      joined = change.row;
-      joined.insert(joined.end(), other_row.begin(), other_row.end());
-    } else {
-      joined = other_row;
-      joined.insert(joined.end(), change.row.begin(), change.row.end());
-    }
+  out_.kind = change.kind;
+  out_.ptime = change.ptime;
+  Row& joined = out_.row;
+  for (const auto& [other_row, row_state] : bucket->second) {
+    const Row& left_row = from_left ? change.row : other_row;
+    const Row& right_row = from_left ? other_row : change.row;
+    joined.assign(left_row.begin(), left_row.end());
+    joined.insert(joined.end(), right_row.begin(), right_row.end());
     if (node_->condition() != nullptr) {
       ONESQL_ASSIGN_OR_RETURN(bool pass,
                               EvalPredicate(*node_->condition(), joined));
       if (!pass) continue;
     }
-    Change out;
-    out.kind = change.kind;
-    out.ptime = change.ptime;
-    out.row = std::move(joined);
-    for (int64_t i = 0; i < count; ++i) {
-      ONESQL_RETURN_NOT_OK(EmitElement(out));
+    for (int64_t i = 0; i < row_state.count; ++i) {
+      ONESQL_RETURN_NOT_OK(EmitElement(out_));
     }
   }
   return Status::OK();
@@ -1045,13 +1078,14 @@ Status JoinOperator::ApplyToState(
     SideState* side, const Change& change, const Row& key,
     const std::optional<plan::JoinPurgeSpec>& purge) {
   if (change.kind == ChangeKind::kInsert) {
-    side->buckets[key][change.row] += 1;
+    auto& bucket = *side->buckets.try_emplace(key).first;
+    auto [row_it, fresh] = bucket.second.try_emplace(change.row);
+    row_it->second.count += 1;
     side->size += 1;
-    if (purge.has_value()) {
-      const Value& et = change.row[purge->et_col];
-      if (!et.is_null()) {
-        side->purge_index.emplace(et.AsTimestamp().millis(),
-                                  std::make_pair(key, change.row));
+    if (fresh) {
+      if (const auto et = PurgeMillis(change.row, purge)) {
+        row_it->second.purge =
+            side->purge_index.emplace(*et, PurgeEntry{&bucket, &*row_it});
       }
     }
     return Status::OK();
@@ -1067,20 +1101,13 @@ Status JoinOperator::ApplyToState(
     return Status::ExecutionError(
         "join received a DELETE for a row that was never inserted");
   }
-  if (--row_it->second == 0) bucket->second.erase(row_it);
-  if (bucket->second.empty()) side->buckets.erase(bucket);
   side->size -= 1;
-  if (purge.has_value()) {
-    const Value& et = change.row[purge->et_col];
-    if (!et.is_null()) {
-      auto range = side->purge_index.equal_range(et.AsTimestamp().millis());
-      for (auto it = range.first; it != range.second; ++it) {
-        if (RowsEqual(it->second.second, change.row)) {
-          side->purge_index.erase(it);
-          break;
-        }
-      }
+  if (--row_it->second.count == 0) {
+    if (PurgeMillis(change.row, purge).has_value()) {
+      side->purge_index.erase(row_it->second.purge);
     }
+    bucket->second.erase(row_it);
+    if (bucket->second.empty()) side->buckets.erase(bucket);
   }
   return Status::OK();
 }
@@ -1090,49 +1117,43 @@ Status JoinOperator::ProcessElement(int port, const Change& change) {
     return Status::ExecutionError("join cannot consume UPSERT changes");
   }
   const bool from_left = port == 0;
-  const Row key = KeyOf(change.row, from_left);
+  EvalKey(change.row, from_left);
   // SQL equality: a NULL key never matches anything, and since inner join
   // output cannot include it, the row need not be retained.
-  for (const Value& v : key) {
+  for (const Value& v : key_) {
     if (v.is_null()) return Status::OK();
   }
-  ONESQL_RETURN_NOT_OK(Probe(change, key, from_left));
-  return ApplyToState(from_left ? &left_ : &right_, change, key,
+  ONESQL_RETURN_NOT_OK(Probe(change, key_, from_left));
+  return ApplyToState(from_left ? &left_ : &right_, change, key_,
                       from_left ? node_->left_purge() : node_->right_purge());
 }
 
-Status JoinOperator::PurgeSide(SideState* side,
-                               const std::optional<plan::JoinPurgeSpec>& purge,
-                               Timestamp watermark) {
-  if (!purge.has_value()) return Status::OK();
+void JoinOperator::PurgeSide(SideState* side,
+                             const std::optional<plan::JoinPurgeSpec>& purge,
+                             Timestamp watermark) {
+  if (!purge.has_value()) return;
   // Rows with et + slack <= watermark can never match future rows of the
   // other side, and (by the optimizer's safety analysis) will never be
-  // retracted — release them.
+  // retracted — release them, every instance at once.
   const int64_t cutoff = watermark.millis() - purge->slack.millis();
-  auto it = side->purge_index.begin();
-  while (it != side->purge_index.end() && it->first <= cutoff) {
-    const auto& [key, row] = it->second;
-    auto bucket = side->buckets.find(key);
-    if (bucket != side->buckets.end()) {
-      auto row_it = bucket->second.find(row);
-      if (row_it != bucket->second.end()) {
-        // One purge-index entry exists per inserted instance; remove one.
-        if (--row_it->second == 0) bucket->second.erase(row_it);
-        side->size -= 1;
-      }
-      if (bucket->second.empty()) side->buckets.erase(bucket);
-    }
-    it = side->purge_index.erase(it);
+  while (!side->purge_index.empty() &&
+         side->purge_index.begin()->first <= cutoff) {
+    const auto entry = side->purge_index.begin();
+    auto& [key, bucket] = *entry->second.bucket;
+    const Row& row = entry->second.row->first;
+    side->size -= static_cast<size_t>(entry->second.row->second.count);
+    side->purge_index.erase(entry);
+    bucket.erase(bucket.find(row));
+    if (bucket.empty()) side->buckets.erase(side->buckets.find(key));
   }
-  return Status::OK();
 }
 
 Status JoinOperator::ProcessWatermark(int port, Timestamp watermark,
                                    Timestamp ptime) {
   if (merger_.Update(port, watermark)) {
     const Timestamp combined = merger_.combined();
-    ONESQL_RETURN_NOT_OK(PurgeSide(&left_, node_->left_purge(), combined));
-    ONESQL_RETURN_NOT_OK(PurgeSide(&right_, node_->right_purge(), combined));
+    PurgeSide(&left_, node_->left_purge(), combined);
+    PurgeSide(&right_, node_->right_purge(), combined);
     return EmitWatermark(combined, ptime);
   }
   return Status::OK();
@@ -1143,8 +1164,8 @@ size_t JoinOperator::StateBytes() const {
   for (const SideState* side : {&left_, &right_}) {
     for (const auto& [key, bucket] : side->buckets) {
       total += key.size() * sizeof(Value) + 64;
-      for (const auto& [row, count] : bucket) {
-        (void)count;
+      for (const auto& [row, row_state] : bucket) {
+        (void)row_state;
         total += row.size() * sizeof(Value) + 48;
       }
     }
@@ -1152,42 +1173,64 @@ size_t JoinOperator::StateBytes() const {
   return total;
 }
 
-void JoinOperator::SaveSide(const SideState& side, state::Writer* w) {
+void JoinOperator::SaveSide(const SideState& side,
+                            const std::optional<plan::JoinPurgeSpec>& purge,
+                            state::Writer* w) {
   // Canonical order: key buckets sorted by the equi-key tuple; rows within a
   // bucket are already ordered (std::map with RowLess).
-  std::vector<const std::pair<const Row, std::map<Row, int64_t, RowLess>>*>
-      entries;
+  std::vector<const BucketMap::value_type*> entries;
   entries.reserve(side.buckets.size());
   for (const auto& entry : side.buckets) entries.push_back(&entry);
   std::sort(entries.begin(), entries.end(),
             [](const auto* a, const auto* b) {
               return RowLess{}(a->first, b->first);
             });
+  struct Pending {
+    int64_t et;
+    const Row* key;
+    const Row* row;
+    int64_t count;
+  };
+  std::vector<Pending> pending;
+  size_t npending = 0;
   w->PutVarint(entries.size());
   for (const auto* entry : entries) {
     w->PutRow(entry->first);
     w->PutVarint(entry->second.size());
-    for (const auto& [row, mult] : entry->second) {
+    for (const auto& [row, row_state] : entry->second) {
       w->PutRow(row);
-      w->PutSigned(mult);
+      w->PutSigned(row_state.count);
+      if (const auto et = PurgeMillis(row, purge)) {
+        pending.push_back(Pending{*et, &entry->first, &row, row_state.count});
+        npending += static_cast<size_t>(row_state.count);
+      }
     }
   }
-  // The purge index: multimap order is deterministic (same-timestamp entries
-  // keep insertion order, which is the deterministic input order).
-  w->PutVarint(side.purge_index.size());
-  for (const auto& [et, key_and_row] : side.purge_index) {
-    w->PutSigned(et);
-    w->PutRow(key_and_row.first);
-    w->PutRow(key_and_row.second);
+  // The purge index, one entry per row instance, in (event time, key, row)
+  // order: a function of the side's rows alone, whatever order they arrived
+  // in and whatever shard held them.
+  std::stable_sort(pending.begin(), pending.end(),
+                   [](const Pending& a, const Pending& b) {
+                     return a.et < b.et;
+                   });
+  w->PutVarint(npending);
+  for (const Pending& p : pending) {
+    for (int64_t i = 0; i < p.count; ++i) {
+      w->PutSigned(p.et);
+      w->PutRow(*p.key);
+      w->PutRow(*p.row);
+    }
   }
 }
 
-Status JoinOperator::LoadSide(SideState* side, state::Reader* r,
-                              const StateKeyFilter* filter) {
+Status JoinOperator::LoadSide(SideState* side,
+                              const std::optional<plan::JoinPurgeSpec>& purge,
+                              state::Reader* r, const StateKeyFilter* filter) {
   ONESQL_ASSIGN_OR_RETURN(uint64_t nbuckets, r->ReadVarint());
   if (nbuckets > r->remaining()) {
     return Status::DataLoss("impossible join bucket count in checkpoint");
   }
+  uint64_t tracked = 0;  // purge-tracked row instances loaded
   for (uint64_t i = 0; i < nbuckets; ++i) {
     ONESQL_ASSIGN_OR_RETURN(Row key, r->ReadRow());
     ONESQL_ASSIGN_OR_RETURN(uint64_t nrows, r->ReadVarint());
@@ -1204,37 +1247,52 @@ Status JoinOperator::LoadSide(SideState* side, state::Reader* r,
         return Status::DataLoss("non-positive join multiplicity in checkpoint");
       }
       if (!keep) continue;
-      side->buckets[key][std::move(row)] += mult;
+      auto& bucket = *side->buckets.try_emplace(key).first;
+      auto [row_it, fresh] = bucket.second.try_emplace(std::move(row));
+      row_it->second.count += mult;
       side->size += static_cast<size_t>(mult);
+      if (const auto et = PurgeMillis(row_it->first, purge)) {
+        tracked += static_cast<uint64_t>(mult);
+        if (fresh) {
+          row_it->second.purge =
+              side->purge_index.emplace(*et, PurgeEntry{&bucket, &*row_it});
+        }
+      }
     }
   }
+  // The saved purge index is derivable from the rows (one entry per tracked
+  // instance), so the index is rebuilt above; the saved entries are only
+  // checked against it.
   ONESQL_ASSIGN_OR_RETURN(uint64_t npurge, r->ReadVarint());
   if (npurge > r->remaining()) {
     return Status::DataLoss("impossible purge index size in checkpoint");
   }
+  uint64_t kept = 0;
   for (uint64_t i = 0; i < npurge; ++i) {
     ONESQL_ASSIGN_OR_RETURN(int64_t et, r->ReadSigned());
+    (void)et;
     ONESQL_ASSIGN_OR_RETURN(Row key, r->ReadRow());
     ONESQL_ASSIGN_OR_RETURN(Row row, r->ReadRow());
-    if (filter != nullptr && !filter->Keep(key)) continue;
-    side->purge_index.emplace(et, std::make_pair(std::move(key),
-                                                 std::move(row)));
+    if (filter == nullptr || filter->Keep(key)) ++kept;
+  }
+  if (kept != tracked) {
+    return Status::DataLoss("join purge index disagrees with the join rows");
   }
   return Status::OK();
 }
 
 Status JoinOperator::SaveState(state::Writer* w) const {
   merger_.SaveState(w);
-  SaveSide(left_, w);
-  SaveSide(right_, w);
+  SaveSide(left_, node_->left_purge(), w);
+  SaveSide(right_, node_->right_purge(), w);
   return Status::OK();
 }
 
 Status JoinOperator::LoadState(state::Reader* r,
                                const StateKeyFilter* filter) {
   ONESQL_RETURN_NOT_OK(merger_.LoadState(r));
-  ONESQL_RETURN_NOT_OK(LoadSide(&left_, r, filter));
-  return LoadSide(&right_, r, filter);
+  ONESQL_RETURN_NOT_OK(LoadSide(&left_, node_->left_purge(), r, filter));
+  return LoadSide(&right_, node_->right_purge(), r, filter);
 }
 
 }  // namespace exec

@@ -65,6 +65,7 @@ class ProjectOperator : public Operator {
   const std::vector<plan::BoundExprPtr>* exprs_;
   ChangeBatch out_batch_;
   Row scratch_row_;
+  Change out_;  // scalar-path output, refilled per change
 };
 
 /// Windowing TVF (Extension 3): appends wstart/wend. Stateless — DELETEs map
@@ -92,6 +93,7 @@ class WindowOperator : public Operator {
   const plan::WindowNode* node_;
   ChangeBatch out_batch_;
   std::vector<int64_t> starts_scratch_;
+  Change out_;  // scalar-path output, refilled per window
 };
 
 /// Time-progressing predicate (Section 8 future work): keeps the sliding
@@ -174,6 +176,8 @@ class SessionOperator : public Operator {
 /// never emitting when the output row is unchanged. Implements Extension 2:
 /// once the watermark passes every event-time grouping key of a group, the
 /// group is complete; its state is purged and late inputs are dropped.
+/// Groups are indexed by completion instant, so a watermark visits only the
+/// groups it completes.
 class AggregateOperator : public Operator {
  public:
   AggregateOperator(const plan::AggregateNode* node,
@@ -193,17 +197,37 @@ class AggregateOperator : public Operator {
   int64_t late_drops() const { return late_drops_; }
 
  private:
+  /// Completion instant (ms) -> hash of the group's key. One entry per live
+  /// group when the plan has event-time keys; none otherwise.
+  using CompletionIndex = std::multimap<int64_t, size_t>;
+
   struct GroupState {
     std::vector<AccumulatorPtr> accumulators;
     int64_t row_count = 0;
     bool has_output = false;
     Row last_output;
+    CompletionIndex::iterator completion;  // valid when tracks_completion()
   };
 
-  Result<Row> EvalKey(const Row& input) const;
+  /// Evaluates the group key of `input` into key_scratch_.
+  Status EvalKey(const Row& input);
   /// Builds the accumulator set for a fresh group.
   Status MakeGroup(GroupState* state);
-  /// True when every event-time key of `key` is at or below the watermark.
+  /// Finds the group for `key`, creating it (accumulators and completion
+  /// entry) when absent.
+  Result<GroupState*> FindOrCreateGroup(const Row& key, size_t hash);
+  /// Drops a group whose rows were all retracted.
+  void EraseGroup(const Row& key, size_t hash, const GroupState& state);
+  /// True when groups complete, i.e. the plan groups by event time.
+  bool tracks_completion() const {
+    return !node_->event_time_key_indexes().empty();
+  }
+  /// The instant (ms) at which a group completes: its largest non-NULL
+  /// event-time key (Timestamp::Min() when all are NULL). Requires
+  /// tracks_completion().
+  int64_t CompletionMillis(const Row& key) const;
+  /// True when every event-time key of `key` is at or below the watermark
+  /// minus the allowed lateness.
   bool IsComplete(const Row& key, Timestamp watermark) const;
   Status EmitGroupUpdate(GroupState* state, const Row& key, Timestamp ptime);
   /// Batch-path per-row core: the key row, its hash, and the per-call
@@ -215,6 +239,7 @@ class AggregateOperator : public Operator {
   const plan::AggregateNode* node_;
   Interval allowed_lateness_{0};
   FlatRowMap<GroupState> groups_;
+  CompletionIndex completion_;
   Timestamp watermark_ = Timestamp::Min();
   int64_t late_drops_ = 0;
   // Batch-path scratch: key/argument columns evaluated a vector at a time.
@@ -223,6 +248,10 @@ class AggregateOperator : public Operator {
   std::vector<size_t> hash_scratch_;
   std::vector<Value> arg_scratch_;
   Row key_scratch_;
+  // Emission scratch: the emitted change, and the next output row (which
+  // swaps with the group's last output once emitted).
+  Change out_;
+  Row next_output_;
 };
 
 /// Materializing binary join (inner/cross). Both inputs are kept as
@@ -230,6 +259,10 @@ class AggregateOperator : public Operator {
 /// corresponding insertions/retractions of concatenated rows. Optional
 /// purge specs release state as the watermark advances (the Section 5
 /// lesson on efficient operations over watermarked event-time attributes).
+/// Each distinct row with an event time under a purge spec has one entry in
+/// an event-time-ordered purge index, and the row holds that entry's
+/// iterator: a retraction erases it in O(1), a watermark visits only the
+/// rows it releases.
 class JoinOperator : public Operator {
  public:
   explicit JoinOperator(const plan::JoinNode* node);
@@ -245,30 +278,50 @@ class JoinOperator : public Operator {
   size_t right_rows() const { return right_.size; }
 
  private:
+  struct RowState;
+  /// A bucket: the side's rows with one equi-key, in RowLess order (the
+  /// order probes emit in).
+  using Bucket = std::map<Row, RowState, RowLess>;
+  using BucketMap = std::unordered_map<Row, Bucket, RowHash, RowEq>;
+  /// Locates a purge-tracked row: element addresses of both maps are stable
+  /// until the element itself is erased.
+  struct PurgeEntry {
+    std::pair<const Row, Bucket>* bucket;
+    std::pair<const Row, RowState>* row;
+  };
+  /// Event time (ms) -> purge-tracked row, one entry per distinct row.
+  using PurgeIndex = std::multimap<int64_t, PurgeEntry>;
+  struct RowState {
+    int64_t count = 0;           // multiplicity
+    PurgeIndex::iterator purge;  // valid when the row is purge-tracked
+  };
   struct SideState {
-    // key -> (row -> multiplicity)
-    std::unordered_map<Row, std::map<Row, int64_t, RowLess>, RowHash, RowEq>
-        buckets;
-    // event time (ms) -> rows pending purge, parallel to `buckets`.
-    std::multimap<int64_t, std::pair<Row, Row>> purge_index;  // (key, row)
-    size_t size = 0;
+    BucketMap buckets;
+    PurgeIndex purge_index;
+    size_t size = 0;  // rows counted with multiplicity
   };
 
-  Row KeyOf(const Row& row, bool left) const;
+  /// Fills key_ with the equi-key of a `left` or right row.
+  void EvalKey(const Row& row, bool left);
   Status Probe(const Change& change, const Row& key, bool from_left);
   Status ApplyToState(SideState* side, const Change& change, const Row& key,
                       const std::optional<plan::JoinPurgeSpec>& purge);
-  Status PurgeSide(SideState* side,
-                   const std::optional<plan::JoinPurgeSpec>& purge,
-                   Timestamp watermark);
-  static void SaveSide(const SideState& side, state::Writer* w);
-  static Status LoadSide(SideState* side, state::Reader* r,
-                         const StateKeyFilter* filter);
+  void PurgeSide(SideState* side,
+                 const std::optional<plan::JoinPurgeSpec>& purge,
+                 Timestamp watermark);
+  static void SaveSide(const SideState& side,
+                       const std::optional<plan::JoinPurgeSpec>& purge,
+                       state::Writer* w);
+  static Status LoadSide(SideState* side,
+                         const std::optional<plan::JoinPurgeSpec>& purge,
+                         state::Reader* r, const StateKeyFilter* filter);
 
   const plan::JoinNode* node_;
   SideState left_;
   SideState right_;
   WatermarkMerger merger_{2};
+  Row key_;     // equi-key of the change being processed
+  Change out_;  // probe output, refilled per match
 };
 
 }  // namespace exec

@@ -78,11 +78,21 @@ class FlatRowMap {
 
   /// Removes `key`; returns false when absent.
   bool Erase(const Row& key, size_t hash) {
+    return EraseMatching(hash, [&key](const Slot& s) {
+      return RowsEqual(s.key, key);
+    });
+  }
+
+  /// Removes the entry with hash `hash` for which `match(slot)` holds, for
+  /// callers that name an entry by something cheaper than its key row (a
+  /// value field). Returns false when there is none.
+  template <typename Match>
+  bool EraseMatching(size_t hash, Match match) {
     if (slots_.empty()) return false;
     size_t q = hash & mask_;
     while (index_[q] != 0) {
       Slot& s = slots_[index_[q] - 1];
-      if (s.hash == hash && RowsEqual(s.key, key)) {
+      if (s.hash == hash && match(s)) {
         EraseIndexAt(q);
         RemoveSlot(index_value_cache_);
         return true;
@@ -90,24 +100,6 @@ class FlatRowMap {
       q = (q + 1) & mask_;
     }
     return false;
-  }
-
-  /// Iterates all slots, erasing those for which `pred(slot)` returns true.
-  /// Safe with respect to swap-removal.
-  template <typename Pred>
-  void EraseIf(Pred pred) {
-    size_t i = 0;
-    while (i < slots_.size()) {
-      if (pred(slots_[i])) {
-        const Row key = slots_[i].key;  // copy: Erase moves slots around
-        const size_t h = slots_[i].hash;
-        Erase(key, h);
-        // slots_[i] now holds the previously-last slot (or is gone) —
-        // re-examine the same position.
-      } else {
-        ++i;
-      }
-    }
   }
 
  private:

@@ -89,21 +89,6 @@ Status MaterializationSink::Flush(const Row& key, KeyState* state,
   return Status::OK();
 }
 
-namespace {
-
-void MaybeEraseTimer(std::multimap<Timestamp, Row>* timers, Timestamp at,
-                     const Row& key) {
-  auto range = timers->equal_range(at);
-  for (auto it = range.first; it != range.second; ++it) {
-    if (RowsEqual(it->second, key)) {
-      timers->erase(it);
-      return;
-    }
-  }
-}
-
-}  // namespace
-
 void MaterializationSink::MaybeReclaim(const Row& key) {
   // Only complete groupings are reclaimed: an idle-but-incomplete grouping
   // must keep its `ver` counter (e.g. between the DELETE and INSERT halves
@@ -112,9 +97,7 @@ void MaterializationSink::MaybeReclaim(const Row& key) {
   if (it == keys_.end()) return;
   KeyState& state = it->second;
   if (!state.complete) return;
-  if (state.deadline.has_value()) {
-    MaybeEraseTimer(&timers_, *state.deadline, key);
-  }
+  if (state.deadline.has_value()) timers_.erase(state.timer);
   keys_.erase(it);
 }
 
@@ -203,7 +186,7 @@ Status MaterializationSink::ProcessElement(int, const Change& change) {
   if (config_.delay.has_value()) {
     if (!state.deadline.has_value()) {
       state.deadline = change.ptime + *config_.delay;
-      timers_.emplace(*state.deadline, key);
+      state.timer = timers_.emplace(*state.deadline, key);
     }
     return Status::OK();
   }
@@ -556,6 +539,7 @@ Status MaterializationSink::LoadState(state::Reader* r,
   }
 
   ONESQL_RETURN_NOT_OK(LoadTimerQueue(&timers_, r));
+  ONESQL_RETURN_NOT_OK(LinkTimers());
   ONESQL_RETURN_NOT_OK(LoadTimerQueue(&pending_complete_, r));
 
   ONESQL_ASSIGN_OR_RETURN(uint64_t nemissions, r->ReadVarint());
@@ -591,6 +575,30 @@ Status MaterializationSink::LoadState(state::Reader* r,
       }
     }
     table_.push_back(std::move(change));
+  }
+  return Status::OK();
+}
+
+Status MaterializationSink::LinkTimers() {
+  // Every key with a deadline owns exactly one timer at that deadline, and
+  // every timer belongs to such a key: anything else is a damaged
+  // checkpoint, and a key left unlinked could not erase its timer later.
+  size_t with_deadline = 0;
+  for (auto& [key, state] : keys_) {
+    (void)key;
+    state.timer = timers_.end();  // not linked yet
+    if (state.deadline.has_value()) ++with_deadline;
+  }
+  if (with_deadline != timers_.size()) {
+    return Status::DataLoss("sink timers disagree with key deadlines");
+  }
+  for (auto timer = timers_.begin(); timer != timers_.end(); ++timer) {
+    auto it = keys_.find(timer->second);
+    if (it == keys_.end() || it->second.deadline != timer->first ||
+        it->second.timer != timers_.end()) {
+      return Status::DataLoss("sink timer without a matching key deadline");
+    }
+    it->second.timer = timer;
   }
   return Status::OK();
 }

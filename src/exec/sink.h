@@ -123,11 +123,18 @@ class MaterializationSink : public Operator {
   Status LoadState(state::Reader* r, const StateKeyFilter* filter) override;
 
  private:
+  /// Deadline or completeness instant -> key, firing in (instant, arrival)
+  /// order.
+  using TimerQueue = std::multimap<Timestamp, Row>;
+
   struct KeyState {
     // Net result rows already materialized / not yet materialized.
     std::map<Row, int64_t, RowLess> last;
     std::map<Row, int64_t, RowLess> current;
     std::optional<Timestamp> deadline;
+    // The key's entry in timers_, valid while `deadline` is set, so
+    // reclaiming the key erases its timer without a search.
+    TimerQueue::iterator timer;
     std::optional<Timestamp> completeness;
     bool on_time_fired = false;
     bool complete = false;
@@ -160,6 +167,8 @@ class MaterializationSink : public Operator {
   Status Flush(const Row& key, KeyState* state, Timestamp ptime,
                PaneKind pane);
   void MaybeReclaim(const Row& key);
+  /// Points each restored key state at its restored timer (LoadState).
+  Status LinkTimers();
   /// Appends to the changelog and incrementally updates the snapshot bag.
   /// `hash` is HashRow(row) (hot callers already have it).
   void Materialize(ChangeKind kind, const Row& row, Timestamp ptime,
@@ -171,9 +180,9 @@ class MaterializationSink : public Operator {
   std::unordered_map<Row, KeyState, RowHash, RowEq> keys_;
   FlatRowMap<InstantState> instant_keys_;  // instant_whole_row() mode only
   // deadline -> keys with AFTER DELAY timers.
-  std::multimap<Timestamp, Row> timers_;
+  TimerQueue timers_;
   // completeness timestamp -> keys awaiting the watermark.
-  std::multimap<Timestamp, Row> pending_complete_;
+  TimerQueue pending_complete_;
 
   std::vector<Emission> emissions_;
   Changelog table_;  // changelog kept for point-in-time (SnapshotAt) queries

@@ -2,6 +2,7 @@
 // Line-delimited JSON in, responses and pushed changelog deltas out — try
 // it with nc (README "Serve it"). Runs until SIGINT/SIGTERM.
 
+#include <cerrno>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -30,11 +31,11 @@ void Usage(const char* argv0) {
       "  --max-session-queue N outbound lines buffered per session before\n"
       "                        a slow subscriber is dropped (default 1024)\n"
       "  --shards N            default shard count for submitted queries\n"
-      "                        (default 1; at least 1)\n"
+      "                        (default 1; between 1 and %d)\n"
       "  --profiling           query-level profiling: the explain\n"
       "                        command's sampled wall-time / kernel-path\n"
       "                        annotations (DESIGN.md §15)\n",
-      argv0);
+      argv0, onesql::exec::kMaxShards);
 }
 
 }  // namespace
@@ -63,11 +64,16 @@ int main(int argc, char** argv) {
       options.max_session_queue =
           static_cast<size_t>(std::atoll(next()));
     } else if (arg == "--shards") {
-      options.default_shards = std::atoi(next());
-      if (options.default_shards < 1) {
+      const char* text = next();
+      char* end = nullptr;
+      errno = 0;
+      const long shards = std::strtol(text, &end, 10);
+      if (errno != 0 || end == text || *end != '\0' || shards < 1 ||
+          shards > onesql::exec::kMaxShards) {
         Usage(argv[0]);
         return 2;
       }
+      options.default_shards = static_cast<int>(shards);
     } else if (arg == "--profiling") {
       options.profiling = true;
     } else {

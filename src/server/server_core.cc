@@ -463,9 +463,10 @@ Json ServerCore::CmdSubmit(Session* session, const Json& request) {
   Result<int64_t> shards =
       GetInt(request, "shards", options_.default_shards);
   if (!shards.ok()) return Error(request, shards.status());
-  if (shards.value() < 1 || shards.value() > INT32_MAX) {
+  if (shards.value() < 1 || shards.value() > exec::kMaxShards) {
     return Error(request, Status::InvalidArgument(
-                              "\"shards\" must be at least 1, got " +
+                              "\"shards\" must be between 1 and " +
+                              std::to_string(exec::kMaxShards) + ", got " +
                               std::to_string(shards.value())));
   }
   Result<bool> share = GetBool(request, "share", false);

@@ -146,6 +146,8 @@ Result<QuerySpec> ParseQueryLine(const std::string& rest) {
       spec.extra_proj = value == "1";
     } else if (key == "extra_join_cond") {
       spec.extra_join_cond = value == "1";
+    } else if (key == "ts_join") {
+      spec.ts_join = value == "1";
     } else if (key == "aggs") {
       if (value != "-") {
         std::istringstream aggs(value);
@@ -218,7 +220,8 @@ std::string SerializeCase(const FuzzCase& fuzz) {
       out << "-";
     }
     out << " extra_proj=" << (q.extra_proj ? 1 : 0)
-        << " extra_join_cond=" << (q.extra_join_cond ? 1 : 0) << " aggs=";
+        << " extra_join_cond=" << (q.extra_join_cond ? 1 : 0)
+        << " ts_join=" << (q.ts_join ? 1 : 0) << " aggs=";
     if (q.aggs.empty()) {
       out << "-";
     } else {

@@ -263,6 +263,7 @@ std::string RenderSql(const QuerySpec& spec) {
           "SELECT a.ts AS ats, a.k AS k, a.v AS av, b.ts AS bts, b.v AS bv "
           "FROM S a, R b WHERE a.k = b.k";
       if (spec.extra_join_cond) sql += " AND a.v <= b.v";
+      if (spec.ts_join) sql += " AND a.ts = b.ts";
       return sql;
     }
   }
@@ -432,6 +433,7 @@ const char* BoundaryTemplateToString(BoundaryTemplate t) {
     case BoundaryTemplate::kOddRuns:          return "odd_runs";
     case BoundaryTemplate::kNullHeavy:        return "null_heavy";
     case BoundaryTemplate::kRetractionDense:  return "retraction_dense";
+    case BoundaryTemplate::kSharedEventTimes: return "shared_event_times";
   }
   return "unknown";
 }
@@ -558,6 +560,54 @@ FuzzCase GenerateBoundaryCase(uint64_t seed, BoundaryTemplate t) {
                        RandomK(&rng, need_k, null_heavy ? 60 : 10),
                        RandomV(&rng, null_pct), RandomD(&rng, null_pct),
                        RandomItem(&rng, null_pct)};
+          pool.push_back(event.row);
+        }
+        fuzz.events.push_back(std::move(event));
+      }
+      break;
+    }
+    case BoundaryTemplate::kSharedEventTimes: {
+      // Rows pile onto three event times drawn from a small vocabulary, so
+      // identical rows repeat and deletes (~55%) empty groups and join
+      // buckets that later re-form. Equating the join's event times gives
+      // both join sides a purge index keyed on those same three instants.
+      fuzz.mode = FeedMode::kDeletesPerfect;
+      GenerateQueries(&rng, &fuzz);
+      for (QuerySpec& spec : fuzz.queries) {
+        if (spec.shape != QueryShape::kJoin) continue;
+        spec.ts_join = true;
+        spec.sql = RenderSql(spec);
+      }
+      const bool has_join = HasShape(fuzz, QueryShape::kJoin);
+      const bool need_k = NeedsK(fuzz);
+      const int64_t base = rng.Range(-3'600'000, 3'600'000);
+      const std::vector<int64_t> instants = {
+          base, base + rng.Range(1, 600'000),
+          base + rng.Range(600'001, 1'800'000)};
+      const int64_t num_events = rng.Range(24, 64);
+      int64_t ptime = 0;
+      std::map<std::string, std::vector<Row>> live;
+      for (int64_t i = 0; i < num_events; ++i) {
+        ptime += rng.Range(0, 5'000);
+        const std::string source =
+            has_join ? (rng.Chance(50) ? kFuzzStreamR : kFuzzStreamS)
+                     : (rng.Chance(20) ? kFuzzStreamR : kFuzzStreamS);
+        FeedEvent event;
+        event.source = source;
+        event.ptime = Timestamp(ptime);
+        std::vector<Row>& pool = live[source];
+        if (!pool.empty() && rng.Chance(55)) {
+          const size_t idx = static_cast<size_t>(
+              rng.Range(0, static_cast<int64_t>(pool.size()) - 1));
+          event.kind = FeedEvent::Kind::kDelete;
+          event.row = pool[idx];
+          pool.erase(pool.begin() + static_cast<int64_t>(idx));
+        } else {
+          event.kind = FeedEvent::Kind::kInsert;
+          const int64_t ts = instants[static_cast<size_t>(rng.Range(0, 2))];
+          event.row = {Value::Time(Timestamp(ts)), RandomK(&rng, need_k),
+                       Value::Int64(rng.Range(0, 2)), Value::Double(0.5),
+                       Value::String(kItems[rng.Range(0, 1)])};
           pool.push_back(event.row);
         }
         fuzz.events.push_back(std::move(event));

@@ -59,6 +59,7 @@ struct QuerySpec {
   int64_t filter_min_v = 0;  // WHERE v >= filter_min_v
   bool extra_proj = false;   // kFilterProject: add "v + k AS x"
   bool extra_join_cond = false;  // kJoin: add "AND a.v <= b.v"
+  bool ts_join = false;  // kJoin: add "AND a.ts = b.ts" (both sides purge)
   std::vector<AggKind> aggs;
   std::string sql;  // rendered statement (RenderSql)
 };
@@ -123,18 +124,25 @@ FuzzCase GenerateCase(uint64_t seed);
 ///  - kRetractionDense: deletes-allowed mode with the delete probability
 ///    raised to ~65%, so the weight column flips sign on most rows and
 ///    accumulator retraction dominates.
+///  - kSharedEventTimes: deletes-allowed mode over at most three distinct
+///    event times and a small row vocabulary, ~55% deletes. Many aggregate
+///    groups share one completion instant and empty and re-form before it;
+///    join rows repeat (multiplicity > 1) and, with the join's event times
+///    equated, pile onto one purge instant on both sides.
 enum class BoundaryTemplate {
   kSingletonBatches,
   kOddRuns,
   kNullHeavy,
   kRetractionDense,
+  kSharedEventTimes,
 };
 
 const char* BoundaryTemplateToString(BoundaryTemplate t);
 
 inline constexpr BoundaryTemplate kAllBoundaryTemplates[] = {
     BoundaryTemplate::kSingletonBatches, BoundaryTemplate::kOddRuns,
-    BoundaryTemplate::kNullHeavy, BoundaryTemplate::kRetractionDense};
+    BoundaryTemplate::kNullHeavy, BoundaryTemplate::kRetractionDense,
+    BoundaryTemplate::kSharedEventTimes};
 
 /// Deterministically expands (seed, template) into a full case with the
 /// same validity guarantees as GenerateCase — deletes only target live

@@ -230,6 +230,10 @@ std::vector<Row> EvalJoin(const QuerySpec& query, const std::vector<Row>& s,
           continue;
         }
       }
+      if (query.ts_join && (a[kTs].is_null() || b[kTs].is_null() ||
+                            a[kTs].Compare(b[kTs]) != 0)) {
+        continue;
+      }
       out.push_back({a[kTs], a[kK], a[kV], b[kTs], b[kV]});
     }
   }

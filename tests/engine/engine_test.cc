@@ -374,5 +374,28 @@ TEST_F(EngineTest, HistoryIsKeptWhenNoQueriesRun) {
   EXPECT_EQ((*q)->CurrentSnapshot()->size(), static_cast<size_t>(kEvents));
 }
 
+TEST_F(EngineTest, ShardCountIsBoundedByMaxShards) {
+  // Grouped by the window alone, the query cannot be key-partitioned: at
+  // the bound it still builds one chain, so the test starts no workers.
+  const std::string sql =
+      "SELECT wend, MAX(price) AS maxPrice "
+      "FROM Tumble(data => TABLE(Bid), timecol => DESCRIPTOR(bidtime), "
+      "dur => INTERVAL '10' MINUTES) t GROUP BY wend";
+  ExecutionOptions options;
+  options.shards = exec::kMaxShards;
+  auto at_bound = engine_.Execute(sql, options);
+  ASSERT_TRUE(at_bound.ok()) << at_bound.status().ToString();
+  EXPECT_EQ((*at_bound)->dataflow().shard_count(), 1);
+
+  for (int shards : {exec::kMaxShards + 1, INT32_MAX, 0}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    options.shards = shards;
+    auto rejected = engine_.Execute(sql, options);
+    ASSERT_FALSE(rejected.ok());
+    EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(engine_.num_queries(), 1u);
+}
+
 }  // namespace
 }  // namespace onesql

@@ -13,6 +13,7 @@
 
 #include "engine/engine.h"
 #include "exec/dataflow.h"
+#include "state/checkpoint.h"
 #include "state/frame.h"
 #include "state/wal.h"
 #include "tests/state/temp_dir.h"
@@ -689,6 +690,62 @@ TEST(FaultInjectionTest, WalShorterThanCheckpointIsDataLoss) {
   const Status s = engine.Restore(dir);
   ASSERT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kDataLoss) << s.ToString();
+}
+
+/// Rewrites the shard count saved for the one query checkpointed in `dir`.
+void RewriteSavedShardCount(const std::string& dir, uint64_t shards) {
+  const std::string path = dir + "/checkpoint.osql";
+  auto ckpt = state::CheckpointReader::Open(path);
+  ASSERT_TRUE(ckpt.ok()) << ckpt.status().ToString();
+  ASSERT_EQ(ckpt->num_sections(), 2u);
+  state::Reader r(ckpt->section(1));
+  auto sql = r.ReadString();
+  auto lateness = r.ReadInterval();
+  auto saved = r.ReadVarint();
+  auto runtime = r.ReadBlobBytes();
+  ASSERT_TRUE(sql.ok() && lateness.ok() && saved.ok() && runtime.ok());
+  ASSERT_TRUE(r.ExpectEnd().ok());
+  state::Writer w;
+  w.PutString(*sql);
+  w.PutInterval(*lateness);
+  w.PutVarint(shards);
+  w.PutString(*runtime);
+  state::CheckpointWriter out;
+  out.AddSection(std::string(ckpt->section(0)));
+  out.AddSection(w.buffer());
+  ASSERT_TRUE(out.WriteTo(path).ok());
+}
+
+TEST(RecoveryTest, SavedShardCountIsBoundedByMaxShards) {
+  const std::string dir = NewTempDir("shard_bound");
+  Rendering want;
+  {
+    Engine engine;
+    ASSERT_TRUE(engine.RegisterStream("Bid", BidSchema()).ok());
+    auto q = engine.Execute(kWindowedMax);
+    ASSERT_TRUE(q.ok()) << q.status().ToString();
+    ASSERT_TRUE(engine.Feed(PaperFeed()).ok());
+    want = Render(*q, T(8, 21));
+    ASSERT_TRUE(engine.Checkpoint(dir).ok());
+  }
+  // kWindowedMax groups by the window alone and cannot be key-partitioned,
+  // so a restore at the bound rebuilds one chain.
+  RewriteSavedShardCount(dir, exec::kMaxShards);
+  {
+    Engine restored;
+    const Status s = restored.Restore(dir);
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    ASSERT_EQ(restored.num_queries(), 1u);
+    EXPECT_EQ(restored.query(0)->dataflow().shard_count(), 1);
+    ExpectSameRendering(Render(restored.query(0), T(8, 21)), want);
+  }
+  RewriteSavedShardCount(dir, exec::kMaxShards + 1);
+  {
+    Engine restored;
+    const Status s = restored.Restore(dir);
+    ASSERT_FALSE(s.ok());
+    EXPECT_EQ(s.code(), StatusCode::kDataLoss) << s.ToString();
+  }
 }
 
 }  // namespace

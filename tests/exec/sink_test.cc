@@ -299,6 +299,109 @@ TEST(SinkTest, WholeRowKeyWhenNoVersionColumns) {
   EXPECT_EQ(sink.emissions()[1].ver, 1);  // same row, same key
 }
 
+// EMIT AFTER WATERMARK + AFTER DELAY with the completeness column apart from
+// the version key, so many keys can share one delay deadline while
+// completing at different watermarks.
+SinkConfig GatedDelayConfig() {
+  SinkConfig config;
+  config.after_watermark = true;
+  config.delay = Interval::Minutes(5);
+  config.completeness_column = 0;
+  config.version_key_columns = {1};
+  return config;
+}
+
+TEST(SinkTest, ReclaimingKeysThatShareADeadlineKeepsTheOtherTimers) {
+  constexpr int kKeys = 4000;
+  MaterializationSink sink(GatedDelayConfig());
+  // Every key's first change lands at 8:00, so all timers share the 8:05
+  // deadline. Even keys complete at 8:01, odd keys at 8:30.
+  for (int k = 0; k < kKeys; ++k) {
+    const Timestamp complete = k % 2 == 0 ? T(8, 1) : T(8, 30);
+    ASSERT_TRUE(sink.OnElement(0, Ins(8, 0, {Value::Time(complete),
+                                             Value::Int64(k)}))
+                    .ok());
+  }
+  // The watermark fires the even keys' on-time panes and reclaims them,
+  // timers included, before the shared deadline.
+  ASSERT_TRUE(sink.AdvanceTo(T(8, 2), false).ok());
+  ASSERT_TRUE(sink.OnWatermark(0, T(8, 1), T(8, 2)).ok());
+  ASSERT_EQ(sink.emissions().size(), static_cast<size_t>(kKeys / 2));
+
+  // A checkpoint here carries only the odd keys' timers, and restores them.
+  state::Writer w;
+  ASSERT_TRUE(sink.SaveState(&w).ok());
+  MaterializationSink restored(GatedDelayConfig());
+  state::Reader r(w.buffer());
+  ASSERT_TRUE(restored.LoadState(&r, nullptr).ok());
+
+  for (MaterializationSink* s : {&sink, &restored}) {
+    // At the deadline exactly the odd keys fire their early panes, once.
+    ASSERT_TRUE(s->AdvanceTo(T(8, 6), true).ok());
+    ASSERT_EQ(s->emissions().size(), static_cast<size_t>(kKeys));
+    for (size_t i = kKeys / 2; i < s->emissions().size(); ++i) {
+      const Emission& e = s->emissions()[i];
+      EXPECT_EQ(e.ptime, T(8, 5));
+      EXPECT_EQ(e.row[1].AsInt64() % 2, 1) << i;
+    }
+    ASSERT_TRUE(s->AdvanceTo(T(9, 0), true).ok());
+    EXPECT_EQ(s->emissions().size(), static_cast<size_t>(kKeys));
+  }
+  state::Writer a, b;
+  ASSERT_TRUE(sink.SaveState(&a).ok());
+  ASSERT_TRUE(restored.SaveState(&b).ok());
+  EXPECT_EQ(a.buffer(), b.buffer());
+}
+
+TEST(SinkTest, ReclaimedKeysTimerNeverFlushesItsSuccessor) {
+  MaterializationSink sink(GatedDelayConfig());
+  const Row first = {Value::Time(T(8, 1)), Value::Int64(7)};
+  ASSERT_TRUE(sink.OnElement(0, Ins(8, 0, first)).ok());  // deadline 8:05
+  ASSERT_TRUE(sink.AdvanceTo(T(8, 2), false).ok());
+  ASSERT_TRUE(sink.OnWatermark(0, T(8, 1), T(8, 2)).ok());
+  ASSERT_EQ(sink.emissions().size(), 1u);  // on-time pane; key reclaimed
+
+  // The same key comes back with a later completeness: its own timer is
+  // due at 8:08. The reclaimed key's 8:05 timer must not flush it.
+  const Row second = {Value::Time(T(8, 30)), Value::Int64(7)};
+  ASSERT_TRUE(sink.AdvanceTo(T(8, 3), false).ok());
+  ASSERT_TRUE(sink.OnElement(0, Ins(8, 3, second)).ok());
+  ASSERT_TRUE(sink.AdvanceTo(T(8, 7), true).ok());
+  EXPECT_EQ(sink.emissions().size(), 1u);
+  ASSERT_TRUE(sink.AdvanceTo(T(8, 8), true).ok());
+  ASSERT_EQ(sink.emissions().size(), 2u);
+  EXPECT_EQ(sink.emissions()[1].ptime, T(8, 8));
+  EXPECT_TRUE(RowsEqual(sink.emissions()[1].row, second));
+}
+
+TEST(SinkTest, RestoreRejectsTimersWithoutAMatchingKey) {
+  MaterializationSink sink(GatedDelayConfig());
+  ASSERT_TRUE(
+      sink.OnElement(0, Ins(8, 0, {Value::Time(T(8, 30)), Value::Int64(1)}))
+          .ok());
+  state::Writer w;
+  ASSERT_TRUE(sink.SaveState(&w).ok());
+  // The saved timer queue holds one (8:05, key) entry, followed by the
+  // completeness queue's (8:30, key): point the timer at a key the
+  // checkpoint does not hold.
+  std::string bytes = w.buffer();
+  state::Writer key;
+  key.PutRow({Value::Int64(1)});
+  state::Writer other;
+  other.PutRow({Value::Int64(2)});
+  const size_t pending = bytes.rfind(key.buffer());
+  ASSERT_NE(pending, std::string::npos);
+  ASSERT_GT(pending, 0u);
+  const size_t at = bytes.rfind(key.buffer(), pending - 1);
+  ASSERT_NE(at, std::string::npos);
+  bytes.replace(at, key.buffer().size(), other.buffer());
+  MaterializationSink restored(GatedDelayConfig());
+  state::Reader r(bytes);
+  const Status s = restored.LoadState(&r, nullptr);
+  ASSERT_FALSE(s.ok());
+  EXPECT_EQ(s.code(), StatusCode::kDataLoss) << s.ToString();
+}
+
 }  // namespace
 }  // namespace exec
 }  // namespace onesql

@@ -193,7 +193,7 @@ int main(int argc, char** argv) {
     }
     // Interleave the batch-boundary stress templates (DESIGN.md §14):
     // every Nth seed also runs one template case, rotating through the
-    // four families so a long sweep covers each at many seeds.
+    // families so a long sweep covers each at many seeds.
     if (args.boundary_every > 0 &&
         seed % static_cast<uint64_t>(args.boundary_every) == 0) {
       const auto t = kAllBoundaryTemplates

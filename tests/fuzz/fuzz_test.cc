@@ -102,6 +102,25 @@ TEST(FuzzBoundaryTest, TemplatesShapeTheFeedAsAdvertised) {
       }
       EXPECT_GT(deletes * 10, rows * 2) << "expected retraction-dense feed";
     }
+    {
+      const FuzzCase e =
+          GenerateBoundaryCase(seed, BoundaryTemplate::kSharedEventTimes);
+      std::set<int64_t> event_times;
+      size_t deletes = 0, rows = 0;
+      for (const FeedEvent& event : e.events) {
+        if (event.kind == FeedEvent::Kind::kWatermark) continue;
+        ++rows;
+        if (event.kind == FeedEvent::Kind::kDelete) ++deletes;
+        event_times.insert(event.row[0].AsTimestamp().millis());
+      }
+      EXPECT_LE(event_times.size(), 3u) << "expected shared event times";
+      EXPECT_GT(deletes * 10, rows * 2) << "expected retraction-heavy feed";
+      for (const QuerySpec& q : e.queries) {
+        if (q.shape != QueryShape::kJoin) continue;
+        EXPECT_TRUE(q.ts_join);
+        EXPECT_NE(q.sql.find("a.ts = b.ts"), std::string::npos) << q.sql;
+      }
+    }
     // Same (seed, template) must reproduce the same case bit-for-bit.
     EXPECT_EQ(
         SerializeCase(GenerateBoundaryCase(seed, BoundaryTemplate::kOddRuns)),

@@ -236,6 +236,29 @@ TEST(ServerCoreTest, SubmitRejectsShardCountsBelowOne) {
   EXPECT_EQ(core->num_plans(), 1u);
 }
 
+TEST(ServerCoreTest, SubmitAcceptsShardCountsUpToMaxShards) {
+  auto core = MakeServer();
+  const uint64_t s = Open(core.get());
+  RegisterBid(core.get(), s);
+  // One above the bound is refused like a count below one...
+  for (int64_t shards : {int64_t{exec::kMaxShards} + 1, int64_t{INT32_MAX}}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    Json err = Call(core.get(), s,
+                    R"({"cmd":"submit","shards":)" + std::to_string(shards) +
+                        R"(,"sql":")" + TumbleMaxSql() + R"("})");
+    EXPECT_FALSE(err.Find("ok")->AsBool());
+    EXPECT_NE(err.Find("error")->AsString().find("shards"),
+              std::string::npos);
+  }
+  EXPECT_EQ(core->engine()->num_queries(), 0u);
+  // ...and the bound itself submits. The plan groups by the window alone,
+  // so it runs on one chain and starts no workers.
+  CallOk(core.get(), s,
+         R"({"cmd":"submit","shards":)" + std::to_string(exec::kMaxShards) +
+             R"(,"sql":")" + TumbleMaxSql() + R"("})");
+  EXPECT_EQ(core->engine()->num_queries(), 1u);
+}
+
 TEST(ServerCoreTest, SessionAdmissionIsBounded) {
   ServerOptions options;
   options.max_sessions = 2;

@@ -6,10 +6,13 @@
 // Usage: explain_nexmark <outdir> [shards] [num_events]
 //        explain_nexmark --help
 //
-// Writes, per query q1/q2/q3/q4/q5/q7: explain_<name>.txt and
-// explain_<name>.json; plus metrics.json (the registry snapshot) and
-// trace.json (Chrome trace_event spans). Exits non-zero on any failure or
-// on an empty/unannotated plan, so the smoke leg fails loudly.
+// Writes, per NEXMark query q1/q2/q3/q4/q5/q7: explain_<label>.txt and
+// explain_<label>.json, where <label> is the engine's label for the query
+// (q0..q5 in submission order) — the name its EXPLAIN ANALYZE header and
+// its metrics carry; stdout maps each NEXMark name to its label. Also
+// writes metrics.json (the registry snapshot) and trace.json (Chrome
+// trace_event spans). Exits non-zero on any failure or on an
+// empty/unannotated plan, so the smoke leg fails loudly.
 
 #include <cerrno>
 #include <cstdio>
@@ -155,13 +158,13 @@ int main(int argc, char** argv) {
                    name.c_str());
       return 1;
     }
-    if (!WriteFile(outdir / ("explain_" + name + ".txt"),
-                   analysis.value().text) ||
-        !WriteFile(outdir / ("explain_" + name + ".json"),
-                   analysis.value().json)) {
+    const std::string stem = "explain_" + analysis.value().query;
+    if (!WriteFile(outdir / (stem + ".txt"), analysis.value().text) ||
+        !WriteFile(outdir / (stem + ".json"), analysis.value().json)) {
       return 1;
     }
-    std::printf("%s\n", analysis.value().text.c_str());
+    std::printf("NEXMark %s -> %s.txt\n%s\n", name.c_str(), stem.c_str(),
+                analysis.value().text.c_str());
   }
 
   if (!WriteFile(outdir / "metrics.json", engine.MetricsSnapshot().ToJson()) ||

@@ -3,10 +3,15 @@
 
 #include <benchmark/benchmark.h>
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/table_printer.h"
@@ -105,11 +110,42 @@ inline void PrintSection(const std::string& title) {
 // Machine-readable benchmark output
 // ---------------------------------------------------------------------------
 
+/// The machine a result was measured on, as a JSON object: vCPUs, compiler,
+/// and the median fsync latency of a 4 KiB append in the working directory
+/// (200 appends — the method perfbench's machine record uses).
+inline std::string MachineJson() {
+  std::vector<double> fsync_us;
+  const char* probe = "bench_fsync_probe";
+  const int fd = ::open(probe, O_CREAT | O_TRUNC | O_WRONLY, 0644);
+  if (fd >= 0) {
+    const std::string block(4096, 'x');
+    for (int i = 0; i < 200; ++i) {
+      if (::write(fd, block.data(), block.size()) < 0) break;
+      const auto t0 = std::chrono::steady_clock::now();
+      if (::fsync(fd) != 0) break;
+      fsync_us.push_back(std::chrono::duration<double, std::micro>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count());
+    }
+    ::close(fd);
+    ::unlink(probe);
+  }
+  std::sort(fsync_us.begin(), fsync_us.end());
+  const double p50 = fsync_us.empty() ? 0 : fsync_us[fsync_us.size() / 2];
+  char buf[256];
+  std::snprintf(buf, sizeof(buf),
+                "{\"vcpus\":%u,\"compiler\":\"g++ %s\",\"fsync_p50_us\":%.1f}",
+                std::max(1u, std::thread::hardware_concurrency()), __VERSION__,
+                p50);
+  return buf;
+}
+
 /// Console reporter that additionally collects every measured run and dumps a
 /// compact JSON summary — one record per benchmark instance with p50/p95/p99
 /// per-iteration time across its repetitions (a single repetition collapses
-/// the three to the same value) plus throughput counters when the benchmark
-/// reported them. Keeps the human-readable console table intact.
+/// the three to the same value) plus the median of the throughput counters
+/// across repetitions when the benchmark reported them. Keeps the
+/// human-readable console table intact.
 class JsonBenchReporter : public ::benchmark::ConsoleReporter {
  public:
   void ReportRuns(const std::vector<Run>& reports) override {
@@ -125,13 +161,14 @@ class JsonBenchReporter : public ::benchmark::ConsoleReporter {
           run.iterations > 0 ? static_cast<double>(run.iterations) : 1.0;
       s.time_ns.push_back(run.real_accumulated_time / iters * 1e9);
       auto items = run.counters.find("items_per_second");
-      if (items != run.counters.end()) s.items_per_second = items->second;
+      if (items != run.counters.end()) s.items_per_second.push_back(items->second);
       auto bytes = run.counters.find("bytes_per_second");
-      if (bytes != run.counters.end()) s.bytes_per_second = bytes->second;
+      if (bytes != run.counters.end()) s.bytes_per_second.push_back(bytes->second);
     }
   }
 
-  /// Writes `BENCH_<bench_name>.json` into the working directory. Refuses
+  /// Writes `BENCH_<bench_name>.json` into the working directory, with the
+  /// machine record (MachineJson) beside the entries. Refuses
   /// (and fails the process) when no benchmark entry was collected: an empty
   /// baseline silently disarms every downstream regression comparison, which
   /// is exactly how an all-filtered run once shipped an empty
@@ -150,10 +187,13 @@ class JsonBenchReporter : public ::benchmark::ConsoleReporter {
       std::fprintf(stderr, "cannot write %s\n", path.c_str());
       return false;
     }
-    std::fprintf(f, "{\"bench\":\"%s\",\"benchmarks\":[", bench_name.c_str());
+    std::fprintf(f, "{\"bench\":\"%s\",\"machine\":%s,\"benchmarks\":[",
+                 bench_name.c_str(), MachineJson().c_str());
     bool first = true;
     for (auto& [name, s] : samples_) {
       std::sort(s.time_ns.begin(), s.time_ns.end());
+      std::sort(s.items_per_second.begin(), s.items_per_second.end());
+      std::sort(s.bytes_per_second.begin(), s.bytes_per_second.end());
       std::fprintf(
           f,
           "%s\n  {\"name\":\"%s\",\"params\":\"%s\",\"repetitions\":%zu,"
@@ -163,7 +203,8 @@ class JsonBenchReporter : public ::benchmark::ConsoleReporter {
           first ? "" : ",", Escape(name).c_str(), Escape(s.params).c_str(),
           s.time_ns.size(), static_cast<long long>(s.iterations),
           Percentile(s.time_ns, 50), Percentile(s.time_ns, 95),
-          Percentile(s.time_ns, 99), s.items_per_second, s.bytes_per_second);
+          Percentile(s.time_ns, 99), Percentile(s.items_per_second, 50),
+          Percentile(s.bytes_per_second, 50));
       first = false;
     }
     std::fprintf(f, "\n]}\n");
@@ -177,8 +218,9 @@ class JsonBenchReporter : public ::benchmark::ConsoleReporter {
     std::string params;
     long long iterations = 0;
     std::vector<double> time_ns;  // per-iteration time, one per repetition
-    double items_per_second = 0;
-    double bytes_per_second = 0;
+    // Throughput counters, one per repetition; the median is reported.
+    std::vector<double> items_per_second;
+    std::vector<double> bytes_per_second;
   };
 
   static double Percentile(const std::vector<double>& sorted, int pct) {

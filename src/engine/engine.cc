@@ -242,22 +242,22 @@ Result<ContinuousQuery*> Engine::Execute(const std::string& sql,
                                    ", got " + std::to_string(options.shards));
   }
   plan.allowed_lateness = options.allowed_lateness;
-  plan::PlanFingerprint fingerprint = plan::FingerprintPlan(plan);
-  if (options.share && FindQuery(fingerprint) != nullptr) {
+  // Building first costs little and yields the fingerprint from the same
+  // subtree texts the chain was compiled by.
+  ONESQL_ASSIGN_OR_RETURN(std::unique_ptr<exec::Dataflow> flow,
+                          exec::Dataflow::Build(std::move(plan),
+                                                options.shards));
+  if (options.share && FindQuery(flow->fingerprint()) != nullptr) {
     // The caller opted into sharing: an identical standing query is already
     // running, so starting a second operator tree would be pure waste.
     // Attach to the running one via FindQuery + RefQuery instead.
     return Status::AlreadyExists(
         "an identical standing query is already running (fingerprint " +
-        fingerprint.ToHex() + ")");
+        flow->fingerprint().ToHex() + ")");
   }
-  ONESQL_ASSIGN_OR_RETURN(std::unique_ptr<exec::Dataflow> flow,
-                          exec::Dataflow::Build(std::move(plan),
-                                                options.shards));
 
   auto query = std::unique_ptr<ContinuousQuery>(
       new ContinuousQuery(std::move(flow)));
-  query->fingerprint_ = std::move(fingerprint);
   query->obs_label_ = next_query_label_++;
   // Attach instruments before the history replay, so the query's metrics
   // reflect everything its operators ever processed.
@@ -294,7 +294,7 @@ Result<ContinuousQuery*> Engine::Execute(const std::string& sql,
 
 ContinuousQuery* Engine::FindQuery(const plan::PlanFingerprint& fingerprint) {
   for (auto& query : queries_) {
-    if (query->fingerprint_ == fingerprint) return query.get();
+    if (query->plan_fingerprint() == fingerprint) return query.get();
   }
   return nullptr;
 }
@@ -912,7 +912,6 @@ Status Engine::RestoreQuerySection(state::Reader* r) {
   // replaying history.
   ONESQL_ASSIGN_OR_RETURN(plan::QueryPlan plan, Plan(sql));
   plan.allowed_lateness = lateness;
-  plan::PlanFingerprint fingerprint = plan::FingerprintPlan(plan);
   ONESQL_ASSIGN_OR_RETURN(
       std::unique_ptr<exec::Dataflow> flow,
       exec::Dataflow::Build(std::move(plan), static_cast<int>(shards)));
@@ -925,7 +924,6 @@ Status Engine::RestoreQuerySection(state::Reader* r) {
       std::unique_ptr<ContinuousQuery>(new ContinuousQuery(std::move(flow)));
   query->last_ptime_ = last_ptime_;
   query->sql_ = std::move(sql);
-  query->fingerprint_ = std::move(fingerprint);
   query->obs_label_ = next_query_label_++;
   // Restored operator state is not counted (it was processed by the
   // checkpointed run); the WAL-suffix replay that follows is.

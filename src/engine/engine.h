@@ -90,7 +90,9 @@ class ContinuousQuery {
   /// widths, EMIT clauses, and allowed lateness. Two queries with equal
   /// fingerprints render bit-identically, which is the sharing contract the
   /// standing-query server (and the fuzzer's sharing oracle) relies on.
-  const plan::PlanFingerprint& plan_fingerprint() const { return fingerprint_; }
+  const plan::PlanFingerprint& plan_fingerprint() const {
+    return flow_->fingerprint();
+  }
 
   /// Number of callers holding this query alive (Engine::RefQuery /
   /// Engine::DropQuery). A freshly executed query has one reference.
@@ -108,7 +110,6 @@ class ContinuousQuery {
 
   std::unique_ptr<exec::Dataflow> flow_;
   Timestamp last_ptime_ = Timestamp::Min();
-  plan::PlanFingerprint fingerprint_;
   int refs_ = 1;
 
   // Recorded so Engine::Checkpoint can rebuild this query at restore time:

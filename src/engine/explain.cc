@@ -1,13 +1,12 @@
 // EXPLAIN ANALYZE: renders a running query's logical plan annotated with its
-// live metrics. The plan tree is walked in exactly the order CompileChain
-// builds operators (pre-order; join: left then right), with the same
-// occurrence-suffixing CompiledChain::AttachObs applies, so every plan node
-// resolves to the instrument bundle its operator (and all shard copies of it)
-// publishes under.
+// live metrics. Every plan node reads the instrument bundle of the operator
+// the runtime compiled it to, under the label the chain gave that operator
+// (exec::CompiledChain::labels), so every shard copy publishes there too. A
+// later occurrence of a shared subtree names the operator it shares and is
+// not counted again.
 
 #include <sstream>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "engine/engine.h"
@@ -17,85 +16,29 @@
 namespace onesql {
 namespace {
 
-/// The Operator::Name() the runtime gives this plan node's operator.
-const char* OpName(const plan::LogicalNode& node) {
-  switch (node.kind()) {
-    case plan::LogicalNode::Kind::kScan:
-      return "source";
-    case plan::LogicalNode::Kind::kFilter:
-      return "filter";
-    case plan::LogicalNode::Kind::kProject:
-      return "project";
-    case plan::LogicalNode::Kind::kWindow:
-      return static_cast<const plan::WindowNode&>(node).window_kind() ==
-                     plan::WindowKind::kSession
-                 ? "session"
-                 : "window";
-    case plan::LogicalNode::Kind::kAggregate:
-      return "aggregate";
-    case plan::LogicalNode::Kind::kTemporalFilter:
-      return "temporal_filter";
-    case plan::LogicalNode::Kind::kJoin:
-      return "join";
-  }
-  return "?";
-}
-
 struct NodeEntry {
   const plan::LogicalNode* node = nullptr;
-  std::string op;  ///< Metric `op` label (Name() + occurrence suffix).
+  std::string op;  ///< Metric `op` label of the node's operator.
+  bool shared = false;  ///< A later occurrence of a shared subtree.
   int depth = 0;
   std::vector<size_t> children;  ///< Indexes into the entry vector.
 };
 
-/// Pre-order walk mirroring dataflow.cc's BuildNode: the operator for a node
-/// is pushed before its input(s) are compiled, so entry order here is chain
-/// order there, and the occurrence suffixes line up with AttachObs.
+/// Pre-order walk of the plan. A shared subtree's later occurrence is one
+/// entry with no children: its operators are the first occurrence's.
 size_t Walk(const plan::LogicalNode& node, int depth,
-            std::unordered_map<std::string, int>* seen,
-            std::vector<NodeEntry>* out) {
+            const exec::CompiledChain& chain, std::vector<NodeEntry>* out) {
   const size_t index = out->size();
   out->emplace_back();
+  const exec::CompiledChain::NodeOperator& op = chain.nodes.at(&node);
   (*out)[index].node = &node;
   (*out)[index].depth = depth;
-  std::string label = OpName(node);
-  const int occurrence = ++(*seen)[label];
-  if (occurrence > 1) label += "_" + std::to_string(occurrence);
-  (*out)[index].op = std::move(label);
-
+  (*out)[index].op = chain.labels[op.op];
+  (*out)[index].shared = op.shared;
+  if (op.shared) return index;
   std::vector<size_t> children;
-  switch (node.kind()) {
-    case plan::LogicalNode::Kind::kScan:
-      break;
-    case plan::LogicalNode::Kind::kFilter:
-      children.push_back(Walk(static_cast<const plan::FilterNode&>(node).input(),
-                              depth + 1, seen, out));
-      break;
-    case plan::LogicalNode::Kind::kProject:
-      children.push_back(
-          Walk(static_cast<const plan::ProjectNode&>(node).input(), depth + 1,
-               seen, out));
-      break;
-    case plan::LogicalNode::Kind::kWindow:
-      children.push_back(Walk(static_cast<const plan::WindowNode&>(node).input(),
-                              depth + 1, seen, out));
-      break;
-    case plan::LogicalNode::Kind::kAggregate:
-      children.push_back(
-          Walk(static_cast<const plan::AggregateNode&>(node).input(), depth + 1,
-               seen, out));
-      break;
-    case plan::LogicalNode::Kind::kTemporalFilter:
-      children.push_back(
-          Walk(static_cast<const plan::TemporalFilterNode&>(node).input(),
-               depth + 1, seen, out));
-      break;
-    case plan::LogicalNode::Kind::kJoin: {
-      const auto& join = static_cast<const plan::JoinNode&>(node);
-      children.push_back(Walk(join.left(), depth + 1, seen, out));
-      children.push_back(Walk(join.right(), depth + 1, seen, out));
-      break;
-    }
+  for (const plan::LogicalNode* input : plan::Inputs(node)) {
+    children.push_back(Walk(*input, depth + 1, chain, out));
   }
   (*out)[index].children = std::move(children);
   return index;
@@ -209,11 +152,16 @@ void AppendNodeJson(const std::vector<NodeEntry>& entries, size_t i,
                     const obs::MetricsSnapshot& snap, const std::string& q,
                     bool profiling, std::string* out) {
   const NodeEntry& e = entries[i];
-  const OpStats s = FetchOpStats(snap, q, e.op);
+  // A shared occurrence reports zeros: its counts are the first one's.
+  const OpStats s = e.shared ? OpStats{} : FetchOpStats(snap, q, e.op);
   *out += "{\"op\":";
   AppendJsonString(out, e.op);
   *out += ",\"node\":";
   AppendJsonString(out, Headline(*e.node, 0));
+  if (e.shared) {
+    *out += ",\"shared_with\":";
+    AppendJsonString(out, e.op);
+  }
   *out += ",\"rows_in\":" + std::to_string(s.rows_in);
   *out += ",\"rows_out\":" + std::to_string(s.rows_out);
   *out += ",\"late_drops\":" + std::to_string(s.late_drops);
@@ -269,8 +217,7 @@ Result<ExplainAnalysis> Engine::ExplainAnalyze(const ContinuousQuery* query) {
   const int shards = query->flow_->shard_count();
 
   std::vector<NodeEntry> entries;
-  std::unordered_map<std::string, int> seen;
-  Walk(*query->plan().root, 0, &seen, &entries);
+  Walk(*query->plan().root, 0, query->flow_->chain(), &entries);
 
   // -- Text rendering -------------------------------------------------------
   std::ostringstream text;
@@ -278,6 +225,11 @@ Result<ExplainAnalysis> Engine::ExplainAnalyze(const ContinuousQuery* query) {
        << ", profiling=" << (profiling ? "on" : "off") << ")\n";
   if (!query->sql_.empty()) text << "SQL: " << query->sql_ << "\n";
   for (const NodeEntry& e : entries) {
+    if (e.shared) {
+      text << Headline(*e.node, e.depth) << " (shared with " << e.op
+           << ")\n";
+      continue;
+    }
     const OpStats s = FetchOpStats(snap, qlabel, e.op);
     const std::string pad(static_cast<size_t>(e.depth) * 2 + 2, ' ');
     text << Headline(*e.node, e.depth) << "\n";

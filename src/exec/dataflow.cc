@@ -1,6 +1,7 @@
 #include "exec/dataflow.h"
 
 #include <algorithm>
+#include <set>
 #include <string_view>
 #include <utility>
 
@@ -9,25 +10,86 @@
 namespace onesql {
 namespace exec {
 
+int FanoutOperator::AddConsumer(Operator* op, int port) {
+  later_.emplace_back(op, port);
+  return static_cast<int>(later_.size());
+}
+
+FanoutOperator::Record& FanoutOperator::Append() {
+  if (size_ == run_.size()) run_.emplace_back();
+  return run_[size_++];
+}
+
+Status FanoutOperator::ProcessElement(int /*port*/, const Change& change) {
+  Record& record = Append();
+  record.is_watermark = false;
+  record.change = change;
+  return EmitElement(change);
+}
+
+Status FanoutOperator::ProcessWatermark(int /*port*/, Timestamp watermark,
+                                        Timestamp ptime) {
+  Record& record = Append();
+  record.is_watermark = true;
+  record.watermark = watermark;
+  record.change.ptime = ptime;
+  return EmitWatermark(watermark, ptime);
+}
+
+Status FanoutOperator::Replay(int index) {
+  const auto [op, port] = later_[static_cast<size_t>(index - 1)];
+  for (size_t i = 0; i < size_; ++i) {
+    const Record& record = run_[i];
+    ONESQL_RETURN_NOT_OK(
+        record.is_watermark
+            ? op->OnWatermark(port, record.watermark, record.change.ptime)
+            : op->OnElement(port, record.change));
+  }
+  if (static_cast<size_t>(index) == later_.size()) size_ = 0;
+  return Status::OK();
+}
+
 size_t CompiledChain::StateBytes() const {
   size_t total = 0;
   for (const auto& op : operators) total += op->StateBytes();
   return total;
 }
 
+Status CompiledChain::Abandon(Status status) {
+  for (const auto& fanout : fanouts) fanout->Reset();
+  return status;
+}
+
+Status CompiledChain::PushElement(const std::vector<SourceStep>& steps,
+                                  const Change& change) {
+  for (const SourceStep& step : steps) {
+    Status status = step.scan != nullptr ? step.scan->OnElement(0, change)
+                                         : step.fanout->Replay(step.consumer);
+    if (!status.ok()) return Abandon(std::move(status));
+  }
+  return Status::OK();
+}
+
+Status CompiledChain::PushWatermark(const std::vector<SourceStep>& steps,
+                                    Timestamp watermark, Timestamp ptime) {
+  for (const SourceStep& step : steps) {
+    Status status = step.scan != nullptr
+                        ? step.scan->OnWatermark(0, watermark, ptime)
+                        : step.fanout->Replay(step.consumer);
+    if (!status.ok()) return Abandon(std::move(status));
+  }
+  return Status::OK();
+}
+
 void CompiledChain::AttachObs(obs::ObsContext* ctx,
                               const std::string& query_label) {
   if (ctx == nullptr || ctx->registry() == nullptr) return;
-  std::unordered_map<std::string, int> seen;
   const int sample_every = ctx->profile_sample_every();
-  for (const auto& op : operators) {
-    std::string label = op->Name();
-    const int occurrence = ++seen[label];
-    if (occurrence > 1) label += "_" + std::to_string(occurrence);
-    op->AttachMetrics(ctx->ForOperator(query_label, label));
+  for (size_t i = 0; i < operators.size(); ++i) {
+    operators[i]->AttachMetrics(ctx->ForOperator(query_label, labels[i]));
     // Null unless profiling is enabled; shard copies share the bundle.
-    op->AttachProfile(ctx->ForOperatorProfile(query_label, label),
-                      sample_every);
+    operators[i]->AttachProfile(
+        ctx->ForOperatorProfile(query_label, labels[i]), sample_every);
   }
 }
 
@@ -44,18 +106,41 @@ Status CompiledChain::SaveState(state::Writer* w) const {
 Status CompiledChain::LoadState(state::Reader* r,
                                 const StateKeyFilter* filter) {
   ONESQL_ASSIGN_OR_RETURN(uint64_t n, r->ReadVarint());
-  if (n != operators.size()) {
+  // CompileChain builds the operator vector deterministically from the plan,
+  // so blob i of the saved chain belongs to the same operator as here.
+  if (n == operators.size()) {
+    for (auto& op : operators) {
+      ONESQL_ASSIGN_OR_RETURN(state::Reader section, r->ReadBlob());
+      ONESQL_RETURN_NOT_OK(op->LoadState(&section, filter));
+      ONESQL_RETURN_NOT_OK(section.ExpectEnd());
+    }
+    return Status::OK();
+  }
+  if (n != positions.size()) {
     return Status::DataLoss(
         "checkpointed chain has " + std::to_string(n) +
         " operators, the plan compiles to " +
         std::to_string(operators.size()) +
         " (checkpoint incompatible with this query)");
   }
-  // CompileChain builds the operator vector deterministically from the plan,
-  // so position i of the saved chain is the same operator as position i here.
-  for (auto& op : operators) {
-    ONESQL_ASSIGN_OR_RETURN(state::Reader section, r->ReadBlob());
-    ONESQL_RETURN_NOT_OK(op->LoadState(&section, filter));
+  // One blob per plan-tree position: every copy of a shared subtree was
+  // compiled and saved. The copies saw the same input, so their blobs are
+  // equal; the first loads and the others must match it.
+  std::vector<std::string_view> first(operators.size());
+  std::vector<bool> loaded(operators.size(), false);
+  for (size_t op : positions) {
+    ONESQL_ASSIGN_OR_RETURN(std::string_view bytes, r->ReadBlobBytes());
+    if (loaded[op]) {
+      if (bytes != first[op]) {
+        return Status::DataLoss("checkpointed copies of the shared " +
+                                labels[op] + " operator differ");
+      }
+      continue;
+    }
+    loaded[op] = true;
+    first[op] = bytes;
+    state::Reader section(bytes);
+    ONESQL_RETURN_NOT_OK(operators[op]->LoadState(&section, filter));
     ONESQL_RETURN_NOT_OK(section.ExpectEnd());
   }
   return Status::OK();
@@ -63,93 +148,192 @@ Status CompiledChain::LoadState(state::Reader* r,
 
 namespace {
 
-/// Recursive chain builder: one call per chain copy.
-Status BuildNode(const plan::QueryPlan& plan, const plan::LogicalNode& node,
-                 Operator* out, int port, CompiledChain* chain) {
+/// Recursive chain builder: one per chain copy. Each distinct subtree with an
+/// operator above its scan is built once; its later occurrences become
+/// consumers of a FanoutOperator on the first occurrence's top operator.
+class ChainBuilder {
+ public:
+  ChainBuilder(const plan::QueryPlan& plan, const plan::SubtreeCanon& canon,
+               CompiledChain* chain)
+      : plan_(plan), canon_(canon), chain_(chain) {
+    built_.reserve(canon.size());
+    chain_->nodes.reserve(canon.size());
+  }
+
+  Status Build(const plan::LogicalNode& node, Operator* out, int port);
+
+ private:
+  /// The first occurrence of a non-scan subtree.
+  struct Built {
+    size_t op = 0;         ///< index of its top operator
+    Operator* out = nullptr;  ///< where the first occurrence feeds
+    int port = 0;
+    FanoutOperator* fanout = nullptr;  ///< made at the second occurrence
+    size_t first_position = 0, end_position = 0;  ///< its `positions` slice
+  };
+
+  /// Adds `op` for `node`, wired to (out, port).
+  template <typename Op>
+  Op* Add(const plan::LogicalNode& node, std::unique_ptr<Op> op,
+          Operator* out, int port) {
+    op->SetOutput(out, port);
+    Op* self = op.get();
+    chain_->nodes[&node] = {chain_->operators.size(), false};
+    chain_->positions.push_back(chain_->operators.size());
+    chain_->operators.push_back(std::move(op));
+    return self;
+  }
+
+  /// Wires a later occurrence `node` of `built`'s subtree to (out, port).
+  void Share(Built* built, const plan::LogicalNode& node, Operator* out,
+             int port);
+
+  const plan::QueryPlan& plan_;
+  const plan::SubtreeCanon& canon_;
+  CompiledChain* chain_;
+  std::unordered_map<std::string_view, Built> built_;
+};
+
+void ChainBuilder::Share(Built* built, const plan::LogicalNode& node,
+                         Operator* out, int port) {
+  if (built->fanout == nullptr) {
+    auto fanout = std::make_unique<FanoutOperator>();
+    fanout->SetOutput(built->out, built->port);
+    chain_->operators[built->op]->SetOutput(fanout.get(), 0);
+    built->fanout = fanout.get();
+    chain_->fanouts.push_back(std::move(fanout));
+  }
+  const int consumer = built->fanout->AddConsumer(out, port);
+  // The later occurrence's scans would sit here in each source's pre-order
+  // list of scans, so its replay step goes here too.
+  std::set<std::string> sources;
+  plan::CollectSources(node, &sources);
+  for (const std::string& source : sources) {
+    chain_->sources[source].push_back(
+        SourceStep{nullptr, built->fanout, consumer});
+  }
+  chain_->nodes[&node] = {built->op, true};
+  for (size_t i = built->first_position; i < built->end_position; ++i) {
+    const size_t op = chain_->positions[i];
+    chain_->positions.push_back(op);
+  }
+}
+
+Status ChainBuilder::Build(const plan::LogicalNode& node, Operator* out,
+                           int port) {
+  using Kind = plan::LogicalNode::Kind;
+  if (node.kind() == Kind::kScan) {
+    const auto& scan = static_cast<const plan::ScanNode&>(node);
+    SourceOperator* op =
+        Add(node, std::make_unique<SourceOperator>(), out, port);
+    chain_->sources[ToLower(scan.source())].push_back(SourceStep{op});
+    return Status::OK();
+  }
+  const std::string_view canon = canon_.at(&node);
+  auto it = built_.find(canon);
+  if (it != built_.end()) {
+    Share(&it->second, node, out, port);
+    return Status::OK();
+  }
+  Built built;
+  built.op = chain_->operators.size();
+  built.out = out;
+  built.port = port;
+  built.first_position = chain_->positions.size();
   switch (node.kind()) {
-    case plan::LogicalNode::Kind::kScan: {
-      const auto& scan = static_cast<const plan::ScanNode&>(node);
-      auto op = std::make_unique<SourceOperator>();
-      op->SetOutput(out, port);
-      chain->sources[ToLower(scan.source())].push_back(op.get());
-      chain->operators.push_back(std::move(op));
-      return Status::OK();
-    }
-    case plan::LogicalNode::Kind::kFilter: {
+    case Kind::kScan:
+      break;
+    case Kind::kFilter: {
       const auto& filter = static_cast<const plan::FilterNode&>(node);
-      auto op = std::make_unique<FilterOperator>(&filter.predicate());
-      op->SetOutput(out, port);
-      Operator* self = op.get();
-      chain->operators.push_back(std::move(op));
-      return BuildNode(plan, filter.input(), self, 0, chain);
+      Operator* self = Add(
+          node, std::make_unique<FilterOperator>(&filter.predicate()), out,
+          port);
+      ONESQL_RETURN_NOT_OK(Build(filter.input(), self, 0));
+      break;
     }
-    case plan::LogicalNode::Kind::kProject: {
+    case Kind::kProject: {
       const auto& project = static_cast<const plan::ProjectNode&>(node);
-      auto op = std::make_unique<ProjectOperator>(&project.exprs());
-      op->SetOutput(out, port);
-      Operator* self = op.get();
-      chain->operators.push_back(std::move(op));
-      return BuildNode(plan, project.input(), self, 0, chain);
+      Operator* self = Add(
+          node, std::make_unique<ProjectOperator>(&project.exprs()), out,
+          port);
+      ONESQL_RETURN_NOT_OK(Build(project.input(), self, 0));
+      break;
     }
-    case plan::LogicalNode::Kind::kWindow: {
+    case Kind::kWindow: {
       const auto& window = static_cast<const plan::WindowNode&>(node);
       std::unique_ptr<Operator> op;
       if (window.window_kind() == plan::WindowKind::kSession) {
-        op = std::make_unique<SessionOperator>(&window, plan.allowed_lateness);
+        op = std::make_unique<SessionOperator>(&window,
+                                               plan_.allowed_lateness);
       } else {
         op = std::make_unique<WindowOperator>(&window);
       }
-      op->SetOutput(out, port);
-      Operator* self = op.get();
-      chain->operators.push_back(std::move(op));
-      return BuildNode(plan, window.input(), self, 0, chain);
+      Operator* self = Add(node, std::move(op), out, port);
+      ONESQL_RETURN_NOT_OK(Build(window.input(), self, 0));
+      break;
     }
-    case plan::LogicalNode::Kind::kAggregate: {
+    case Kind::kAggregate: {
       const auto& agg = static_cast<const plan::AggregateNode&>(node);
-      auto op = std::make_unique<AggregateOperator>(&agg,
-                                                    plan.allowed_lateness);
-      op->SetOutput(out, port);
-      AggregateOperator* self = op.get();
-      chain->aggregates.push_back(self);
-      chain->operators.push_back(std::move(op));
-      return BuildNode(plan, agg.input(), self, 0, chain);
+      AggregateOperator* self = Add(
+          node,
+          std::make_unique<AggregateOperator>(&agg, plan_.allowed_lateness),
+          out, port);
+      chain_->aggregates.push_back(self);
+      ONESQL_RETURN_NOT_OK(Build(agg.input(), self, 0));
+      break;
     }
-    case plan::LogicalNode::Kind::kTemporalFilter: {
+    case Kind::kTemporalFilter: {
       const auto& tf = static_cast<const plan::TemporalFilterNode&>(node);
-      auto op = std::make_unique<TemporalFilterOperator>(&tf);
-      op->SetOutput(out, port);
-      Operator* self = op.get();
-      chain->operators.push_back(std::move(op));
-      return BuildNode(plan, tf.input(), self, 0, chain);
+      Operator* self =
+          Add(node, std::make_unique<TemporalFilterOperator>(&tf), out, port);
+      ONESQL_RETURN_NOT_OK(Build(tf.input(), self, 0));
+      break;
     }
-    case plan::LogicalNode::Kind::kJoin: {
+    case Kind::kJoin: {
       const auto& join = static_cast<const plan::JoinNode&>(node);
       if (join.join_type() == sql::JoinType::kLeft) {
         return Status::NotImplemented(
             "LEFT JOIN is not supported by the streaming runtime");
       }
-      auto op = std::make_unique<JoinOperator>(&join);
-      op->SetOutput(out, port);
-      JoinOperator* self = op.get();
-      chain->joins.push_back(self);
-      chain->operators.push_back(std::move(op));
-      ONESQL_RETURN_NOT_OK(BuildNode(plan, join.left(), self, 0, chain));
-      return BuildNode(plan, join.right(), self, 1, chain);
+      JoinOperator* self =
+          Add(node, std::make_unique<JoinOperator>(&join), out, port);
+      chain_->joins.push_back(self);
+      ONESQL_RETURN_NOT_OK(Build(join.left(), self, 0));
+      ONESQL_RETURN_NOT_OK(Build(join.right(), self, 1));
+      break;
     }
   }
-  return Status::Internal("unreachable plan node kind");
+  built.end_position = chain_->positions.size();
+  built_.emplace(canon, built);
+  return Status::OK();
+}
+
+/// Names each operator by its kind, suffixed `_2`, `_3`, ... for repeats in
+/// build order.
+std::vector<std::string> LabelOperators(
+    const std::vector<std::unique_ptr<Operator>>& operators) {
+  std::unordered_map<std::string, int> seen;
+  std::vector<std::string> labels;
+  labels.reserve(operators.size());
+  for (const auto& op : operators) {
+    std::string label = op->Name();
+    const int occurrence = ++seen[label];
+    if (occurrence > 1) label += "_" + std::to_string(occurrence);
+    labels.push_back(std::move(label));
+  }
+  return labels;
 }
 
 /// Compiles the plan tree into an operator chain terminating at `terminal`.
 /// Fails with NotImplemented for plan shapes the streaming runtime does not
 /// support (e.g. LEFT JOIN).
 Result<CompiledChain> CompileChain(const plan::QueryPlan& plan,
+                                   const plan::SubtreeCanon& canon,
                                    Operator* terminal) {
-  if (plan.root == nullptr) {
-    return Status::InvalidArgument("cannot build a dataflow without a plan");
-  }
   CompiledChain chain;
-  ONESQL_RETURN_NOT_OK(BuildNode(plan, *plan.root, terminal, 0, &chain));
+  ChainBuilder builder(plan, canon, &chain);
+  ONESQL_RETURN_NOT_OK(builder.Build(*plan.root, terminal, 0));
+  chain.labels = LabelOperators(chain.operators);
   return chain;
 }
 
@@ -280,6 +464,9 @@ Result<std::unique_ptr<Dataflow>> Dataflow::Build(plan::QueryPlan plan,
 
   std::optional<PartitionSpec> spec;
   if (shards > 1) spec = ExtractPartitionSpec(flow->plan_);
+  const plan::SubtreeCanon canon =
+      plan::CanonicalizeSubtrees(*flow->plan_.root);
+  flow->fingerprint_ = plan::FingerprintPlan(flow->plan_, canon);
   const int n = spec.has_value() ? shards : 1;
   flow->shards_.reserve(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
@@ -291,7 +478,8 @@ Result<std::unique_ptr<Dataflow>> Dataflow::Build(plan::QueryPlan plan,
     }
     // Every chain holds only const pointers into flow->plan_, so N copies
     // share the one plan; each copy owns its (key-partitioned) state.
-    ONESQL_ASSIGN_OR_RETURN(shard.chain, CompileChain(flow->plan_, terminal));
+    ONESQL_ASSIGN_OR_RETURN(shard.chain,
+                            CompileChain(flow->plan_, canon, terminal));
     for (AggregateOperator* agg : shard.chain.aggregates) {
       flow->aggregates_.push_back(agg);
     }
@@ -332,6 +520,7 @@ bool Dataflow::CanPushWholeBatches(
   // delivery (and the N-chain merge) separates.
   if (plan_.emit.has_value() && plan_.emit->delay.has_value()) return false;
   const CompiledChain& chain = shards_[0].chain;
+  if (!chain.fanouts.empty()) return false;
   if (chain.sources.size() != 1) return false;
   if (chain.sources.begin()->second.size() != 1) return false;
   const std::string& source = chain.sources.begin()->first;
@@ -354,7 +543,7 @@ bool Dataflow::CanPushWholeBatches(
 Status Dataflow::PushChunksWhole(const std::vector<const InputChunk*>& chunks) {
   const CompiledChain& chain = shards_[0].chain;
   const std::string& source = chain.sources.begin()->first;
-  SourceOperator* op = chain.sources.begin()->second[0];
+  SourceOperator* op = chain.sources.begin()->second[0].scan;
   Timestamp max_ptime = Timestamp::Min();
   for (const InputChunk* chunk : chunks) {
     const Timestamp chunk_max = chunk->MaxPtime();
@@ -403,9 +592,10 @@ Status Dataflow::PushChunksWhole(const std::vector<const InputChunk*>& chunks) {
 
 Status Dataflow::PushChunksMerged(
     const std::vector<const InputChunk*>& chunks) {
-  // Each chunk's source operators are looked up once, not per event.
-  const auto& sources = shards_[0].chain.sources;
-  std::vector<const std::vector<SourceOperator*>*> chunk_ops(chunks.size());
+  // Each chunk's source steps are looked up once, not per event.
+  CompiledChain& chain = shards_[0].chain;
+  const auto& sources = chain.sources;
+  std::vector<const std::vector<SourceStep>*> chunk_ops(chunks.size());
   for (size_t i = 0; i < chunks.size(); ++i) {
     auto it = sources.find(chunks[i]->source_lower);
     chunk_ops[i] = it == sources.end() ? nullptr : &it->second;
@@ -414,7 +604,7 @@ Status Dataflow::PushChunksMerged(
   return ForEachEventInSeqOrder(
       chunks, [&](size_t i, size_t row) -> Status {
         const InputChunk& chunk = *chunks[i];
-        const std::vector<SourceOperator*>* ops = chunk_ops[i];
+        const std::vector<SourceStep>* ops = chunk_ops[i];
         switch (chunk.kind) {
           case InputChunk::Kind::kRows:
             ONESQL_RETURN_NOT_OK(sink_->AdvanceTo(chunk.batch.ptimes[row],
@@ -426,11 +616,7 @@ Status Dataflow::PushChunksMerged(
             ONESQL_RETURN_NOT_OK(sink_->AdvanceTo(chunk.ptime,
                                                   /*inclusive=*/false));
             if (ops == nullptr) return Status::OK();
-            for (SourceOperator* op : *ops) {
-              ONESQL_RETURN_NOT_OK(
-                  op->OnWatermark(0, chunk.watermark, chunk.ptime));
-            }
-            return Status::OK();
+            return chain.PushWatermark(*ops, chunk.watermark, chunk.ptime);
           case InputChunk::Kind::kSingle:
             ONESQL_RETURN_NOT_OK(sink_->AdvanceTo(chunk.ptime,
                                                   /*inclusive=*/false));
@@ -440,10 +626,7 @@ Status Dataflow::PushChunksMerged(
             scratch.ptime = chunk.ptime;
             break;
         }
-        for (SourceOperator* op : *ops) {
-          ONESQL_RETURN_NOT_OK(op->OnElement(0, scratch));
-        }
-        return Status::OK();
+        return chain.PushElement(*ops, scratch);
       });
 }
 
@@ -477,8 +660,9 @@ void Dataflow::RunChunkFlushTask(void* ctx, int worker, uint32_t /*begin*/,
 
 void Dataflow::FlushShardSub(ShardEpochState* st) {
   if (st->sub.num_rows == 0) return;
-  for (SourceOperator* op : *st->sub_ops) {
-    Status status = op->OnBatch(0, st->sub);
+  // Batch scatter runs only on chains without fan-outs: every step is a scan.
+  for (const SourceStep& step : *st->sub_ops) {
+    Status status = step.scan->OnBatch(0, st->sub);
     if (!status.ok()) {
       const BatchFailure& failure = GetBatchFailure();
       st->fail_seq = failure.has ? failure.seq : st->sub.seqs.front();
@@ -514,14 +698,13 @@ void Dataflow::ProcessChunkRange(int s, uint32_t begin, uint32_t end) {
       FlushShardSub(&st);
       if (st.failed) return;
       shard.capture->set_seq(rseq);
-      for (SourceOperator* op : it->second) {
-        Status status = op->OnWatermark(0, chunk->watermark, chunk->ptime);
-        if (!status.ok()) {
-          st.status = std::move(status);
-          st.fail_seq = rseq;
-          st.failed = true;
-          return;
-        }
+      Status status =
+          shard.chain.PushWatermark(it->second, chunk->watermark, chunk->ptime);
+      if (!status.ok()) {
+        st.status = std::move(status);
+        st.fail_seq = rseq;
+        st.failed = true;
+        return;
       }
       continue;
     }
@@ -550,14 +733,12 @@ void Dataflow::ProcessChunkRange(int s, uint32_t begin, uint32_t end) {
       change.row = chunk->row;
       change.ptime = chunk->ptime;
     }
-    for (SourceOperator* op : it->second) {
-      Status status = op->OnElement(0, change);
-      if (!status.ok()) {
-        st.status = std::move(status);
-        st.fail_seq = rseq;
-        st.failed = true;
-        return;
-      }
+    Status status = shard.chain.PushElement(it->second, change);
+    if (!status.ok()) {
+      st.status = std::move(status);
+      st.fail_seq = rseq;
+      st.failed = true;
+      return;
     }
   }
 }
@@ -670,11 +851,11 @@ Status Dataflow::PushChunksSharded(
   const uint32_t n = static_cast<uint32_t>(epoch_refs_.size());
 
   // Whole sub-batches can only flow into chains whose capture re-attributes
-  // per row (one scan per source: a second scan of the same source would
-  // interleave its records per event, which per-operator batch delivery
-  // cannot reproduce). Stateless chains are single-scan in practice, but
-  // verify rather than assume.
-  bool batch_scatter = spec_.stateless;
+  // per row (one scan per source and no fan-out: a second scan of the same
+  // source, or a replay, would interleave its records per event, which
+  // per-operator batch delivery cannot reproduce). Stateless chains are
+  // single-scan in practice, but verify rather than assume.
+  bool batch_scatter = spec_.stateless && shards_[0].chain.fanouts.empty();
   for (const auto& [name, ops] : shards_[0].chain.sources) {
     if (ops.size() != 1) batch_scatter = false;
   }

@@ -4,43 +4,135 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "exec/operators.h"
 #include "exec/shard_router.h"
 #include "exec/sink.h"
+#include "plan/fingerprint.h"
 #include "plan/logical_plan.h"
 
 namespace onesql {
 namespace exec {
 
+/// The terminal of a plan subtree that several consumers in one chain read
+/// (a shared subtree: DESIGN.md §18). The chain compiles the subtree once.
+/// Its first consumer is fed live, exactly as the subtree's only copy would
+/// feed it. Every change and watermark is also recorded, and the run one
+/// input event produced is replayed to each later consumer at the point of
+/// the per-source dispatch where that consumer's own copy of the subtree
+/// used to sit (see SourceStep). Every consumer therefore sees the run in
+/// the order, and at the moment, it did when each had its own copy.
+class FanoutOperator : public Operator {
+ public:
+  /// Adds a consumer after the live one and returns its index (1, 2, ...).
+  int AddConsumer(Operator* op, int port);
+
+  /// Replays the recorded run to consumer `index`. The last consumer's
+  /// replay ends the run.
+  Status Replay(int index);
+
+  /// Drops the recorded run (an error cut the event short).
+  void Reset() { size_ = 0; }
+
+  const char* Name() const override { return "fanout"; }
+
+ protected:
+  Status ProcessElement(int port, const Change& change) override;
+  Status ProcessWatermark(int port, Timestamp watermark,
+                          Timestamp ptime) override;
+
+ private:
+  struct Record {
+    bool is_watermark = false;
+    Change change;        ///< elements; the ptime of watermark records
+    Timestamp watermark;  ///< watermark records
+  };
+  Record& Append();
+
+  std::vector<std::pair<Operator*, int>> later_;  ///< consumers 1, 2, ...
+  /// The current run is run_[0, size_); records past it keep their row
+  /// allocations for reuse.
+  std::vector<Record> run_;
+  size_t size_ = 0;
+};
+
+/// One delivery of a source event within a chain: into a scan, or — where
+/// a later occurrence of a shared subtree sat in the plan — a replay of that
+/// subtree's recorded run to the occurrence's consumer.
+struct SourceStep {
+  SourceOperator* scan = nullptr;
+  FanoutOperator* fanout = nullptr;  ///< set when scan is null
+  int consumer = 0;
+};
+
 /// A compiled copy of a query's operator chain (everything upstream of the
 /// materialization sink). The chain holds only const pointers into the
 /// owning QueryPlan, so several copies — one per shard — can share one plan.
+///
+/// The plan is a tree; the chain is a DAG. Each distinct subtree with an
+/// operator above its scan (equal plan/fingerprint canonical text) compiles
+/// once and feeds all its consumers through a FanoutOperator. A bare scan is
+/// never shared: the per-source dispatch list already hands one event to
+/// several scans without copying it.
 struct CompiledChain {
+  /// Distinct operators in build order (pre-order; join: left then right;
+  /// later occurrences of a shared subtree add none).
   std::vector<std::unique_ptr<Operator>> operators;
-  std::unordered_map<std::string, std::vector<SourceOperator*>> sources;
+  /// Parallel to `operators`: the `op` metric label — the kind name,
+  /// suffixed `_2`, `_3`, ... for repeats in build order. Deterministic, so
+  /// every shard copy of an operator resolves to the same instrument bundle.
+  std::vector<std::string> labels;
+  std::vector<std::unique_ptr<FanoutOperator>> fanouts;
+  /// Per source (lower-case): the steps one of its events goes through, in
+  /// the pre-order of the plan's scans of it.
+  std::unordered_map<std::string, std::vector<SourceStep>> sources;
   std::vector<AggregateOperator*> aggregates;
   std::vector<JoinOperator*> joins;
 
+  /// The operator behind a plan node. `shared` marks the root of a later
+  /// occurrence of a shared subtree; the nodes below such a root have no
+  /// entry (they are the first occurrence's).
+  struct NodeOperator {
+    size_t op = 0;
+    bool shared = false;
+  };
+  std::unordered_map<const plan::LogicalNode*, NodeOperator> nodes;
+
+  /// The operator of every plan-tree position, in pre-order: the layout of
+  /// a chain section before subtrees were shared (one blob per position).
+  std::vector<size_t> positions;
+
   size_t StateBytes() const;
 
-  /// Attaches per-operator instruments from `ctx` under `query_label`. The
-  /// `op` label is the operator's kind name, suffixed `_2`, `_3`, ... for
-  /// repeats in chain-build order — deterministic, so every shard copy of a
-  /// chain position resolves to the same shared instrument bundle.
+  /// Delivers one event of a source through its steps. On error every
+  /// fan-out drops its partial run, and the status is returned: the
+  /// consumers before the failing one got the whole run, the failing one
+  /// the run up to its failing change.
+  Status PushElement(const std::vector<SourceStep>& steps,
+                     const Change& change);
+  Status PushWatermark(const std::vector<SourceStep>& steps,
+                       Timestamp watermark, Timestamp ptime);
+
+  /// Attaches per-operator instruments from `ctx` under `query_label`, one
+  /// bundle per entry of `labels`.
   void AttachObs(obs::ObsContext* ctx, const std::string& query_label);
 
-  /// Serializes every operator's state, in the chain's deterministic build
-  /// order, as one length-prefixed blob per operator.
+  /// Serializes every distinct operator's state, in build order: a varint
+  /// operator count, then one length-prefixed blob per operator.
   Status SaveState(state::Writer* w) const;
 
-  /// Merges a saved chain section into this chain: operator blobs are
-  /// length-prefixed, each handed to the operator at the same position.
+  /// Merges a saved chain section into this chain. The leading count tells
+  /// the layouts apart: one blob per distinct operator (SaveState's), or
+  /// one per plan-tree position (the layout before sharing), whose later
+  /// occurrences of a shared subtree must equal the first byte for byte.
   /// `filter` redistributes keyed state at restore time (see
-  /// StateKeyFilter); the chain structure (a pure function of the plan) must
-  /// match the saved one, or DataLoss is returned.
+  /// StateKeyFilter); any other count, or a mismatch, is DataLoss.
   Status LoadState(state::Reader* r, const StateKeyFilter* filter);
+
+ private:
+  Status Abandon(Status status);
 };
 
 class CaptureOperator;
@@ -102,6 +194,12 @@ class Dataflow {
 
   const MaterializationSink& sink() const { return *sink_; }
   const plan::QueryPlan& plan() const { return plan_; }
+  /// The plan's fingerprint, from the same subtree texts the chain was
+  /// deduplicated by.
+  const plan::PlanFingerprint& fingerprint() const { return fingerprint_; }
+  /// The first shard's chain; every shard's has the same structure and
+  /// operator labels.
+  const CompiledChain& chain() const { return shards_[0].chain; }
 
   /// Total bytes of operator state (aggregations, joins, sink), for the
   /// state-size benchmarks. Keyed state is counted per entry, so the total
@@ -149,8 +247,8 @@ class Dataflow {
   /// reporting state for a dead operator tree. A no-op when detached.
   void ZeroObsGauges();
 
-  /// Live operator instances, counting every shard copy of every chain
-  /// position plus the sink. The engine sums this into the
+  /// Live operator instances, counting every shard copy of every distinct
+  /// operator (a shared subtree counts once) plus the sink. The engine sums this into the
   /// `onesql_engine_operators` gauge — the number the multi-tenant sharing
   /// tests pin (10k subscribers behind one shared plan must not move it).
   size_t NumOperators() const {
@@ -189,7 +287,7 @@ class Dataflow {
     bool failed = false;
     bool started = false;  ///< per-epoch worker init done (failure slot)
     ChangeBatch sub;       ///< chunk scatter: owned rows awaiting delivery
-    const std::vector<SourceOperator*>* sub_ops = nullptr;
+    const std::vector<SourceStep>* sub_ops = nullptr;
   };
 
   Dataflow();
@@ -197,8 +295,8 @@ class Dataflow {
   bool sharded() const { return pool_ != nullptr; }
 
   // -- One chain ------------------------------------------------------------
-  /// True when the chain reads exactly one source through exactly one scan,
-  /// the sink keeps no AFTER DELAY timers, and the chunks relevant to the
+  /// True when the chain reads exactly one source through exactly one scan
+  /// and has no fan-out, the sink keeps no AFTER DELAY timers, and the chunks relevant to the
   /// chain arrive in strictly ascending seq order — the conditions under
   /// which whole batches flow through OnBatch without changing what
   /// per-event delivery emits.
@@ -229,6 +327,7 @@ class Dataflow {
   Status MergeEpoch(uint64_t limit);
 
   plan::QueryPlan plan_;
+  plan::PlanFingerprint fingerprint_;
   std::unique_ptr<MaterializationSink> sink_;
   std::vector<Shard> shards_;
   obs::TraceRecorder* trace_ = nullptr;

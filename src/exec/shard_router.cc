@@ -137,39 +137,6 @@ void CollectStats(const plan::LogicalNode& node, PlanStats* stats) {
   }
 }
 
-void CollectSources(const plan::LogicalNode& node,
-                    std::set<std::string>* out) {
-  switch (node.kind()) {
-    case plan::LogicalNode::Kind::kScan:
-      out->insert(
-          ToLower(static_cast<const plan::ScanNode&>(node).source()));
-      return;
-    case plan::LogicalNode::Kind::kFilter:
-      CollectSources(static_cast<const plan::FilterNode&>(node).input(), out);
-      return;
-    case plan::LogicalNode::Kind::kProject:
-      CollectSources(static_cast<const plan::ProjectNode&>(node).input(), out);
-      return;
-    case plan::LogicalNode::Kind::kTemporalFilter:
-      CollectSources(
-          static_cast<const plan::TemporalFilterNode&>(node).input(), out);
-      return;
-    case plan::LogicalNode::Kind::kWindow:
-      CollectSources(static_cast<const plan::WindowNode&>(node).input(), out);
-      return;
-    case plan::LogicalNode::Kind::kAggregate:
-      CollectSources(static_cast<const plan::AggregateNode&>(node).input(),
-                     out);
-      return;
-    case plan::LogicalNode::Kind::kJoin: {
-      const auto& join = static_cast<const plan::JoinNode&>(node);
-      CollectSources(join.left(), out);
-      CollectSources(join.right(), out);
-      return;
-    }
-  }
-}
-
 }  // namespace
 
 std::optional<PartitionSpec> ExtractPartitionSpec(
@@ -229,8 +196,8 @@ std::optional<PartitionSpec> ExtractPartitionSpec(
   const plan::JoinNode& join = *stats.join;
   if (join.equi_keys().empty()) return std::nullopt;
   std::set<std::string> left_sources, right_sources;
-  CollectSources(join.left(), &left_sources);
-  CollectSources(join.right(), &right_sources);
+  plan::CollectSources(join.left(), &left_sources);
+  plan::CollectSources(join.right(), &right_sources);
   if (left_sources.size() != 1 || right_sources.size() != 1) {
     return std::nullopt;
   }

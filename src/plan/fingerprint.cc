@@ -1,7 +1,7 @@
 #include "plan/fingerprint.h"
 
 #include <algorithm>
-#include <sstream>
+#include <utility>
 #include <vector>
 
 namespace onesql {
@@ -11,28 +11,42 @@ namespace {
 
 // Canonical expression rendering: positional references, typed literals,
 // operator names. No identifier ever appears, so aliases cannot leak in.
-std::string CanonExpr(const BoundExpr& e) {
+// Appends in place: the pass renders every plan node, so temporaries per
+// sub-expression would dominate its cost.
+void AppendExpr(const BoundExpr& e, std::string* out) {
   switch (e.kind) {
     case BoundExpr::Kind::kLiteral:
-      return std::string("lit<") + DataTypeToString(e.literal.type()) + ">" +
-             e.literal.ToString();
+      *out += "lit<";
+      *out += DataTypeToString(e.literal.type());
+      *out += '>';
+      *out += e.literal.ToString();
+      return;
     case BoundExpr::Kind::kInputRef:
-      return "#" + std::to_string(e.input_index) + "<" +
-             DataTypeToString(e.type) + ">";
-    case BoundExpr::Kind::kOp: {
-      std::string out = ScalarOpToString(e.op);
-      out += "<";
-      out += DataTypeToString(e.type);
-      out += ">(";
+      *out += '#';
+      *out += std::to_string(e.input_index);
+      *out += '<';
+      *out += DataTypeToString(e.type);
+      *out += '>';
+      return;
+    case BoundExpr::Kind::kOp:
+      *out += ScalarOpToString(e.op);
+      *out += '<';
+      *out += DataTypeToString(e.type);
+      *out += ">(";
       for (size_t i = 0; i < e.children.size(); ++i) {
-        if (i > 0) out += ",";
-        out += CanonExpr(*e.children[i]);
+        if (i > 0) *out += ',';
+        AppendExpr(*e.children[i], out);
       }
-      out += ")";
-      return out;
-    }
+      *out += ')';
+      return;
   }
-  return "?";
+  *out += '?';
+}
+
+std::string CanonExpr(const BoundExpr& e) {
+  std::string out;
+  AppendExpr(e, &out);
+  return out;
 }
 
 /// Flattens an AND tree into its conjuncts.
@@ -62,7 +76,12 @@ std::string CanonPredicate(const BoundExpr& predicate) {
   return out;
 }
 
-std::string CanonNode(const LogicalNode& node) {
+/// Renders `node` from its inputs' already-rendered texts (`canon` holds
+/// them), so the whole pass stays bottom-up and each node is rendered once.
+std::string RenderNode(const LogicalNode& node, const SubtreeCanon& canon) {
+  auto input = [&canon](const LogicalNode& child) -> const std::string& {
+    return canon.at(&child);
+  };
   switch (node.kind()) {
     case LogicalNode::Kind::kScan: {
       const auto& scan = static_cast<const ScanNode&>(node);
@@ -81,26 +100,30 @@ std::string CanonNode(const LogicalNode& node) {
     }
     case LogicalNode::Kind::kFilter: {
       const auto& filter = static_cast<const FilterNode&>(node);
-      return "filter(" + CanonPredicate(filter.predicate()) + "," +
-             CanonNode(filter.input()) + ")";
+      std::string out = "filter(" + CanonPredicate(filter.predicate()) + ",";
+      out += input(filter.input());
+      out += ")";
+      return out;
     }
     case LogicalNode::Kind::kProject: {
       const auto& project = static_cast<const ProjectNode&>(node);
       std::string out = "project([";
       for (size_t i = 0; i < project.exprs().size(); ++i) {
         if (i > 0) out += ",";
-        out += CanonExpr(*project.exprs()[i]);
+        AppendExpr(*project.exprs()[i], &out);
       }
       out += "],";
-      out += CanonNode(project.input());
+      out += input(project.input());
       out += ")";
       return out;
     }
     case LogicalNode::Kind::kTemporalFilter: {
       const auto& tf = static_cast<const TemporalFilterNode&>(node);
-      return "temporal(#" + std::to_string(tf.et_col()) + "," +
-             std::to_string(tf.horizon().millis()) + "," +
-             CanonNode(tf.input()) + ")";
+      std::string out = "temporal(#" + std::to_string(tf.et_col()) + "," +
+                        std::to_string(tf.horizon().millis()) + ",";
+      out += input(tf.input());
+      out += ")";
+      return out;
     }
     case LogicalNode::Kind::kWindow: {
       const auto& w = static_cast<const WindowNode&>(node);
@@ -113,7 +136,9 @@ std::string CanonNode(const LogicalNode& node) {
       if (w.session_key().has_value()) {
         out += ",key=#" + std::to_string(*w.session_key());
       }
-      out += "," + CanonNode(w.input()) + ")";
+      out += ",";
+      out += input(w.input());
+      out += ")";
       return out;
     }
     case LogicalNode::Kind::kAggregate: {
@@ -123,7 +148,7 @@ std::string CanonNode(const LogicalNode& node) {
       std::string out = "agg(keys=[";
       for (size_t i = 0; i < agg.keys().size(); ++i) {
         if (i > 0) out += ",";
-        out += CanonExpr(*agg.keys()[i]);
+        AppendExpr(*agg.keys()[i], &out);
       }
       out += "],et=[";
       for (size_t i = 0; i < agg.event_time_key_indexes().size(); ++i) {
@@ -137,12 +162,14 @@ std::string CanonNode(const LogicalNode& node) {
         out += AggFnToString(call.fn);
         if (call.distinct) out += " distinct";
         out += "(";
-        if (call.arg != nullptr) out += CanonExpr(*call.arg);
+        if (call.arg != nullptr) AppendExpr(*call.arg, &out);
         out += ")<";
         out += DataTypeToString(call.result_type);
         out += ">";
       }
-      out += "]," + CanonNode(agg.input()) + ")";
+      out += "],";
+      out += input(agg.input());
+      out += ")";
       return out;
     }
     case LogicalNode::Kind::kJoin: {
@@ -153,7 +180,11 @@ std::string CanonNode(const LogicalNode& node) {
       std::string out =
           "join(type=" + std::to_string(static_cast<int>(join.join_type()));
       out += ",cond=";
-      out += join.condition() != nullptr ? CanonExpr(*join.condition()) : "-";
+      if (join.condition() != nullptr) {
+        AppendExpr(*join.condition(), &out);
+      } else {
+        out += "-";
+      }
       out += ",keys=[";
       for (size_t i = 0; i < join.equi_keys().size(); ++i) {
         if (i > 0) out += ",";
@@ -174,21 +205,35 @@ std::string CanonNode(const LogicalNode& node) {
       };
       purge("lp=", join.left_purge());
       purge("rp=", join.right_purge());
-      out += "," + CanonNode(join.left()) + "," + CanonNode(join.right()) +
-             ")";
+      out += ",";
+      out += input(join.left());
+      out += ",";
+      out += input(join.right());
+      out += ")";
       return out;
     }
   }
   return "?";
 }
 
-uint64_t Fnv1a64(const std::string& data, uint64_t seed) {
-  uint64_t h = 1469598103934665603ULL ^ seed;
+/// Post-order walk: inputs first, so RenderNode finds their texts.
+void Canonicalize(const LogicalNode& node, SubtreeCanon* out) {
+  for (const LogicalNode* input : Inputs(node)) Canonicalize(*input, out);
+  std::string text = RenderNode(node, *out);
+  (*out)[&node] = std::move(text);
+}
+
+/// FNV-1a 64 of `data` under two seeds (0 and the golden-ratio constant),
+/// in one pass: the two multiply chains are independent, so they overlap.
+void Fnv1a64Pair(const std::string& data, uint64_t* hi, uint64_t* lo) {
+  uint64_t h = 1469598103934665603ULL;
+  uint64_t l = 1469598103934665603ULL ^ 0x9E3779B97F4A7C15ULL;
   for (unsigned char c : data) {
-    h ^= c;
-    h *= 1099511628211ULL;
+    h = (h ^ c) * 1099511628211ULL;
+    l = (l ^ c) * 1099511628211ULL;
   }
-  return h;
+  *hi = h;
+  *lo = l;
 }
 
 }  // namespace
@@ -205,47 +250,56 @@ std::string PlanFingerprint::ToHex() const {
   return out;
 }
 
+SubtreeCanon CanonicalizeSubtrees(const LogicalNode& root) {
+  SubtreeCanon canon;
+  Canonicalize(root, &canon);
+  return canon;
+}
+
 PlanFingerprint FingerprintPlan(const QueryPlan& plan) {
-  std::ostringstream text;
-  text << "v1;" << CanonNode(*plan.root) << ";emit=";
+  return FingerprintPlan(plan, CanonicalizeSubtrees(*plan.root));
+}
+
+PlanFingerprint FingerprintPlan(const QueryPlan& plan,
+                                const SubtreeCanon& canon) {
+  const std::string& root = canon.at(plan.root.get());
+  std::string text;
+  text.reserve(root.size() + 96);
+  text += "v1;";
+  text += root;
+  text += ";emit=";
   if (plan.emit.has_value()) {
-    text << (plan.emit->stream ? "S" : "") << (plan.emit->after_watermark ? "W" : "");
+    if (plan.emit->stream) text += "S";
+    if (plan.emit->after_watermark) text += "W";
     if (plan.emit->delay.has_value()) {
-      text << "D" << plan.emit->delay->millis();
+      text += "D" + std::to_string(plan.emit->delay->millis());
     }
   } else {
-    text << "-";
+    text += "-";
   }
-  text << ";order=[";
+  text += ";order=[";
   for (size_t i = 0; i < plan.order_by.size(); ++i) {
-    if (i > 0) text << ",";
-    text << CanonExpr(*plan.order_by[i].first)
-         << (plan.order_by[i].second ? " desc" : " asc");
+    if (i > 0) text += ",";
+    AppendExpr(*plan.order_by[i].first, &text);
+    text += plan.order_by[i].second ? " desc" : " asc";
   }
-  text << "];limit=";
-  if (plan.limit.has_value()) {
-    text << *plan.limit;
-  } else {
-    text << "-";
-  }
-  text << ";lateness=" << plan.allowed_lateness.millis();
-  text << ";complete=";
-  if (plan.completeness_column.has_value()) {
-    text << *plan.completeness_column;
-  } else {
-    text << "-";
-  }
-  text << ";verkey=[";
+  text += "];limit=";
+  text += plan.limit.has_value() ? std::to_string(*plan.limit) : "-";
+  text += ";lateness=" + std::to_string(plan.allowed_lateness.millis());
+  text += ";complete=";
+  text += plan.completeness_column.has_value()
+              ? std::to_string(*plan.completeness_column)
+              : "-";
+  text += ";verkey=[";
   for (size_t i = 0; i < plan.version_key_columns.size(); ++i) {
-    if (i > 0) text << ",";
-    text << plan.version_key_columns[i];
+    if (i > 0) text += ",";
+    text += std::to_string(plan.version_key_columns[i]);
   }
-  text << "]";
+  text += "]";
 
   PlanFingerprint fp;
-  fp.canonical = text.str();
-  fp.hi = Fnv1a64(fp.canonical, 0);
-  fp.lo = Fnv1a64(fp.canonical, 0x9E3779B97F4A7C15ULL);
+  fp.canonical = std::move(text);
+  Fnv1a64Pair(fp.canonical, &fp.hi, &fp.lo);
   return fp;
 }
 

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <unordered_map>
 
 #include "plan/logical_plan.h"
 
@@ -48,11 +49,27 @@ struct PlanFingerprint {
   std::string ToHex() const;
 };
 
+/// The canonical text of every subtree of a plan, keyed by the subtree's
+/// root node. Two subtrees with equal text compile to operators that turn the
+/// same input into the same changelog, under the same rules that make equal
+/// whole-plan fingerprints safe to share (the text of a parent embeds its
+/// inputs' texts, so equal text means equal subtrees all the way down).
+using SubtreeCanon = std::unordered_map<const LogicalNode*, std::string>;
+
+/// Canonicalizes every subtree under `root` in one bottom-up pass: each node
+/// is rendered once, from its inputs' already-rendered texts.
+SubtreeCanon CanonicalizeSubtrees(const LogicalNode& root);
+
 /// Computes the fingerprint of a bound + optimized plan. The plan's
 /// `allowed_lateness` must already hold its effective value (Engine::Execute
 /// applies the execution option before fingerprinting), since lateness
-/// changes the emitted late panes.
+/// changes the emitted late panes. The operator-tree part is the root's
+/// text from CanonicalizeSubtrees.
 PlanFingerprint FingerprintPlan(const QueryPlan& plan);
+
+/// The same, from the plan's subtree texts already computed.
+PlanFingerprint FingerprintPlan(const QueryPlan& plan,
+                                const SubtreeCanon& canon);
 
 }  // namespace plan
 }  // namespace onesql

@@ -114,6 +114,36 @@ std::string JoinNode::ToString(int indent) const {
   return out;
 }
 
+std::vector<const LogicalNode*> Inputs(const LogicalNode& node) {
+  switch (node.kind()) {
+    case LogicalNode::Kind::kScan:
+      return {};
+    case LogicalNode::Kind::kFilter:
+      return {&static_cast<const FilterNode&>(node).input()};
+    case LogicalNode::Kind::kProject:
+      return {&static_cast<const ProjectNode&>(node).input()};
+    case LogicalNode::Kind::kWindow:
+      return {&static_cast<const WindowNode&>(node).input()};
+    case LogicalNode::Kind::kAggregate:
+      return {&static_cast<const AggregateNode&>(node).input()};
+    case LogicalNode::Kind::kTemporalFilter:
+      return {&static_cast<const TemporalFilterNode&>(node).input()};
+    case LogicalNode::Kind::kJoin: {
+      const auto& join = static_cast<const JoinNode&>(node);
+      return {&join.left(), &join.right()};
+    }
+  }
+  return {};
+}
+
+void CollectSources(const LogicalNode& node, std::set<std::string>* out) {
+  if (node.kind() == LogicalNode::Kind::kScan) {
+    out->insert(ToLower(static_cast<const ScanNode&>(node).source()));
+    return;
+  }
+  for (const LogicalNode* input : Inputs(node)) CollectSources(*input, out);
+}
+
 std::string QueryPlan::ToString() const {
   std::string out;
   if (emit.has_value()) {

@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -268,6 +269,13 @@ class JoinNode : public LogicalNode {
   std::optional<JoinPurgeSpec> left_purge_;
   std::optional<JoinPurgeSpec> right_purge_;
 };
+
+/// The node's inputs, left to right: none for a scan, two for a join, one
+/// otherwise.
+std::vector<const LogicalNode*> Inputs(const LogicalNode& node);
+
+/// Adds the lower-cased names of the sources the subtree scans to `out`.
+void CollectSources(const LogicalNode& node, std::set<std::string>* out);
 
 /// A fully bound query: the plan tree plus presentation directives
 /// (ORDER BY / LIMIT apply to snapshot rendering) and the materialization

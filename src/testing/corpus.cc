@@ -82,7 +82,8 @@ Result<Value> ParseRowToken(const std::string& token, DataType type) {
 Result<QueryShape> ParseShape(const std::string& name) {
   for (QueryShape shape :
        {QueryShape::kFilterProject, QueryShape::kTumbleAgg,
-        QueryShape::kHopAgg, QueryShape::kSession, QueryShape::kJoin}) {
+        QueryShape::kHopAgg, QueryShape::kSession, QueryShape::kJoin,
+        QueryShape::kSharedAggJoin}) {
     if (name == QueryShapeToString(shape)) return shape;
   }
   return Status::InvalidArgument("unknown query shape: " + name);

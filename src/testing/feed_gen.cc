@@ -118,6 +118,30 @@ QuerySpec GenerateQuerySpec(Rng* rng) {
     case QueryShape::kJoin:
       spec.extra_join_cond = rng->Chance(50);
       break;
+    case QueryShape::kSharedAggJoin:
+      break;
+  }
+  spec.sql = RenderSql(spec);
+  return spec;
+}
+
+/// A kSharedAggJoin spec: Hop periods and aggregate calls drawn like the
+/// windowed shapes', always keyed, never gated.
+QuerySpec GenerateSharedAggJoinSpec(Rng* rng) {
+  QuerySpec spec;
+  spec.shape = QueryShape::kSharedAggJoin;
+  spec.keyed = true;
+  spec.dur_ms = rng->Pick<int64_t>({60'000, 300'000, 600'000, 900'000});
+  spec.hop_ms = rng->Pick<int64_t>(
+      {spec.dur_ms / 2, spec.dur_ms / 3, (spec.dur_ms * 3) / 4,
+       spec.dur_ms * 2});
+  spec.has_filter = rng->Chance(40);
+  spec.filter_min_v = rng->Range(0, 60);
+  const int64_t num_aggs = rng->Range(1, 2);
+  for (int64_t i = 0; i < num_aggs; ++i) {
+    spec.aggs.push_back(rng->Pick<AggKind>(
+        {AggKind::kCountStar, AggKind::kSumV, AggKind::kSumD, AggKind::kMinV,
+         AggKind::kMaxItem, AggKind::kCountDistinctV}));
   }
   spec.sql = RenderSql(spec);
   return spec;
@@ -185,6 +209,7 @@ const char* QueryShapeToString(QueryShape shape) {
     case QueryShape::kHopAgg:        return "hop_agg";
     case QueryShape::kSession:       return "session";
     case QueryShape::kJoin:          return "join";
+    case QueryShape::kSharedAggJoin: return "shared_agg_join";
   }
   return "unknown";
 }
@@ -265,6 +290,30 @@ std::string RenderSql(const QuerySpec& spec) {
       if (spec.extra_join_cond) sql += " AND a.v <= b.v";
       if (spec.ts_join) sql += " AND a.ts = b.ts";
       return sql;
+    }
+    case QueryShape::kSharedAggJoin: {
+      // Two copies of one keyed Hop aggregate that differ only in aliases,
+      // so they canonicalize alike and compile once.
+      auto copy = [&](const char* alias) {
+        std::string sub = "(SELECT k, wend";
+        for (size_t i = 0; i < spec.aggs.size(); ++i) {
+          sub += ", " + AggExpr(spec.aggs[i], i);
+        }
+        sub += " FROM Hop(data => TABLE(S), timecol => DESCRIPTOR(ts), "
+               "dur => " + IntervalMs(spec.dur_ms) +
+               ", hopsize => " + IntervalMs(spec.hop_ms) + ") " + alias +
+               filter + " GROUP BY k, wend)";
+        return sub;
+      };
+      std::string sql = "SELECT a.k AS k, a.wend AS wend";
+      for (const char* side : {"a", "b"}) {
+        for (size_t i = 0; i < spec.aggs.size(); ++i) {
+          const std::string col = std::to_string(i);
+          sql += std::string(", ") + side + ".a" + col + " AS " + side + col;
+        }
+      }
+      return sql + " FROM " + copy("t") + " a, " + copy("u") +
+             " b WHERE a.k = b.k AND a.wend = b.wend";
     }
   }
   return "SELECT ts, k, v, d, item FROM S";
@@ -434,6 +483,7 @@ const char* BoundaryTemplateToString(BoundaryTemplate t) {
     case BoundaryTemplate::kNullHeavy:        return "null_heavy";
     case BoundaryTemplate::kRetractionDense:  return "retraction_dense";
     case BoundaryTemplate::kSharedEventTimes: return "shared_event_times";
+    case BoundaryTemplate::kSharedSubtrees:   return "shared_subtrees";
   }
   return "unknown";
 }
@@ -519,18 +569,24 @@ FuzzCase GenerateBoundaryCase(uint64_t seed, BoundaryTemplate t) {
       break;
     }
     case BoundaryTemplate::kNullHeavy:
-    case BoundaryTemplate::kRetractionDense: {
+    case BoundaryTemplate::kRetractionDense:
+    case BoundaryTemplate::kSharedSubtrees: {
       // Same feed skeleton as GenerateCase, with one probability cranked:
       // NULLs dominate every nullable column, or deletes dominate the event
-      // mix (pool permitting).
+      // mix (pool permitting). The shared-subtrees template keeps the
+      // ordinary mix and makes its first query a kSharedAggJoin.
       const bool null_heavy = t == BoundaryTemplate::kNullHeavy;
       fuzz.mode = null_heavy && rng.Chance(50) ? FeedMode::kInsertOnlyPerfect
                                                : FeedMode::kDeletesPerfect;
       GenerateQueries(&rng, &fuzz);
+      if (t == BoundaryTemplate::kSharedSubtrees) {
+        fuzz.queries[0] = GenerateSharedAggJoinSpec(&rng);
+      }
       const bool has_join = HasShape(fuzz, QueryShape::kJoin);
       const bool need_k = NeedsK(fuzz);
       const int null_pct = null_heavy ? 60 : 8;
-      const int delete_pct = null_heavy ? 25 : 65;
+      const int delete_pct =
+          null_heavy ? 25 : t == BoundaryTemplate::kRetractionDense ? 65 : 25;
       const int64_t num_events = rng.Range(16, 48);
       const int64_t ts_lo =
           fuzz.mode == FeedMode::kInsertOnlyPerfect ? 0 : -3'600'000;

@@ -19,13 +19,17 @@ namespace testing {
 
 /// Shapes cover every operator family the planner can emit for a single
 /// statement: stateless pipelines, the three windowing TVFs, and the
-/// streaming equi-join.
+/// streaming equi-join. kSharedAggJoin joins two identical keyed Hop
+/// aggregates of S on (k, wend) — NEXMark Q5's shape, whose repeated subtree
+/// the runtime compiles once (DESIGN.md §18); only the shared-subtrees
+/// boundary template draws it.
 enum class QueryShape {
   kFilterProject,
   kTumbleAgg,
   kHopAgg,
   kSession,
   kJoin,
+  kSharedAggJoin,
 };
 
 /// Aggregate calls drawn for the windowed shapes. The double-typed ones are
@@ -129,12 +133,16 @@ FuzzCase GenerateCase(uint64_t seed);
 ///    groups share one completion instant and empty and re-form before it;
 ///    join rows repeat (multiplicity > 1) and, with the join's event times
 ///    equated, pile onto one purge instant on both sides.
+///  - kSharedSubtrees: deletes-allowed mode whose first query is a
+///    kSharedAggJoin, so every oracle runs a fan-out: one compiled aggregate
+///    replaying each event's changes to its second consumer.
 enum class BoundaryTemplate {
   kSingletonBatches,
   kOddRuns,
   kNullHeavy,
   kRetractionDense,
   kSharedEventTimes,
+  kSharedSubtrees,
 };
 
 const char* BoundaryTemplateToString(BoundaryTemplate t);
@@ -142,7 +150,7 @@ const char* BoundaryTemplateToString(BoundaryTemplate t);
 inline constexpr BoundaryTemplate kAllBoundaryTemplates[] = {
     BoundaryTemplate::kSingletonBatches, BoundaryTemplate::kOddRuns,
     BoundaryTemplate::kNullHeavy, BoundaryTemplate::kRetractionDense,
-    BoundaryTemplate::kSharedEventTimes};
+    BoundaryTemplate::kSharedEventTimes, BoundaryTemplate::kSharedSubtrees};
 
 /// Deterministically expands (seed, template) into a full case with the
 /// same validity guarantees as GenerateCase — deletes only target live

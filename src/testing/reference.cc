@@ -240,6 +240,23 @@ std::vector<Row> EvalJoin(const QuerySpec& query, const std::vector<Row>& s,
   return out;
 }
 
+/// Two identical keyed Hop aggregates joined on (k, wend): each group with a
+/// non-NULL key meets its own copy, giving [k, wend, aggs..., aggs...].
+std::vector<Row> EvalSharedAggJoin(const QuerySpec& query,
+                                   const std::vector<Row>& rows) {
+  QuerySpec agg = query;
+  agg.shape = QueryShape::kHopAgg;
+  std::vector<Row> out;
+  for (Row& group : EvalWindowedAgg(agg, rows)) {
+    if (group[0].is_null()) continue;  // NULL keys never match
+    for (size_t i = 0; i < query.aggs.size(); ++i) {
+      group.push_back(group[2 + i]);
+    }
+    out.push_back(std::move(group));
+  }
+  return out;
+}
+
 }  // namespace
 
 Result<std::vector<Row>> ReferenceFinalSnapshot(
@@ -258,6 +275,8 @@ Result<std::vector<Row>> ReferenceFinalSnapshot(
       ONESQL_ASSIGN_OR_RETURN(auto r_bag, NetRows(events, kFuzzStreamR));
       return EvalJoin(query, s_rows, Expand(r_bag));
     }
+    case QueryShape::kSharedAggJoin:
+      return EvalSharedAggJoin(query, s_rows);
   }
   return Status::Internal("unknown query shape");
 }

@@ -43,6 +43,27 @@ constexpr const char* kAggregateQuery =
     "FROM Tumble(data => TABLE(S), timecol => DESCRIPTOR(ts), "
     "dur => INTERVAL '10' MINUTES) t GROUP BY k, wend";
 
+// Shared-subtree (fan-out) shape: one keyed aggregate feeds a join directly
+// and, through a projection dividing by MIN(v), the join's other side. The
+// runtime compiles the aggregate once; its second consumer fails when the
+// poisoned row v == 0 lands in a group. `second_copy_offset` spells the
+// second copy's windows with an offset of one whole window — the same
+// windows, but a different canonical text, so nothing is shared.
+std::string SharedConsumerQuery(bool second_copy_offset) {
+  auto agg = [](bool offset) {
+    return std::string(
+               "SELECT k, wend, COUNT(*) AS n, MIN(v) AS mn "
+               "FROM Tumble(data => TABLE(S), timecol => DESCRIPTOR(ts), "
+               "dur => INTERVAL '10' MINUTES") +
+           (offset ? ", offset => INTERVAL '10' MINUTES" : "") +
+           ") t GROUP BY k, wend";
+  };
+  return "SELECT c.k, c.wend, c.n, m.q FROM (" + agg(false) +
+         ") c, (SELECT k, wend, n / mn AS q FROM (" +
+         agg(second_copy_offset) +
+         ") x) m WHERE c.k = m.k AND c.wend = m.wend";
+}
+
 struct Rendering {
   Status feed_status = Status::OK();
   std::vector<Row> stream_rows;
@@ -174,6 +195,43 @@ TEST_P(ErrorPropagationTest, AggregateDivByZeroIsShardInvariant) {
                               std::to_string(shards));
     }
   }
+}
+
+TEST_P(ErrorPropagationTest, SharedSubtreeKeepsTheUnsharedErrorPrefix) {
+  // The twin compiles both copies of the aggregate. The shared run must
+  // leave the same valid prefix: the join side fed first got the
+  // aggregate's whole run, the failing projection its run up to the
+  // failing change.
+  const bool batched = GetParam();
+  const std::string shared = SharedConsumerQuery(false);
+  const std::string twin = SharedConsumerQuery(true);
+  {
+    Engine engine;
+    ASSERT_TRUE(engine.RegisterStream("S", FeedSchema()).ok());
+    auto a = engine.Execute(shared);
+    auto b = engine.Execute(twin);
+    ASSERT_TRUE(a.ok() && b.ok());
+    EXPECT_EQ((*a)->dataflow().chain().fanouts.size(), 1u);
+    EXPECT_TRUE((*b)->dataflow().chain().fanouts.empty());
+  }
+  size_t prefix_rows = 0;
+  for (uint32_t seed = 300; seed < 312; ++seed) {
+    const int n = 24;
+    const size_t poison_at = seed % static_cast<size_t>(n);
+    const std::vector<FeedEvent> events =
+        MakeFeed(seed, n, poison_at, /*poison_key=*/false);
+    for (int shards : {1, 2}) {
+      const std::string label =
+          "seed " + std::to_string(seed) + " shards " + std::to_string(shards);
+      const Rendering want = RunFeed(twin, events, shards, batched);
+      ASSERT_FALSE(want.feed_status.ok()) << label;
+      EXPECT_EQ(want.feed_status.code(), StatusCode::kExecutionError) << label;
+      const Rendering got = RunFeed(shared, events, shards, batched);
+      ExpectSameRendering(got, want, label);
+      prefix_rows += got.stream_rows.size();
+    }
+  }
+  EXPECT_GT(prefix_rows, 0u) << "every error struck before any output";
 }
 
 TEST(ErrorPropagationTest, BatchedAndEventwiseFeedsAgreeOnError) {

@@ -269,6 +269,45 @@ TEST(ExplainAnalyzeTest, ReconstructsJoinBranchLabels) {
   EXPECT_NE(analysis->json.find("\"op\":\"source_2\""), std::string::npos);
 }
 
+size_t Occurrences(const std::string& text, const std::string& needle) {
+  size_t n = 0;
+  for (size_t at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + 1)) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(ExplainAnalyzeTest, SharedSubtreeRendersOnce) {
+  // Two alias-different copies of one Tumble -> COUNT subquery compile to
+  // one scan, window, aggregate and projection. The second copy names the
+  // projection it shares instead of reading (and counting) it again.
+  Engine engine;
+  ASSERT_TRUE(engine.RegisterStream("Bid", BidSchema()).ok());
+  ASSERT_TRUE(engine.EnableObservability(Profiling()).ok());
+  const std::string count =
+      "SELECT wend, item, COUNT(*) AS c FROM Tumble(data => TABLE(Bid), "
+      "timecol => DESCRIPTOR(bidtime), dur => INTERVAL '10' MINUTES) ";
+  auto q = engine.Execute("SELECT a.wend, a.item, a.c, b.c FROM (" + count +
+                          "t GROUP BY wend, item) a, (" + count +
+                          "u GROUP BY wend, item) b "
+                          "WHERE a.wend = b.wend AND a.item = b.item");
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  ASSERT_TRUE(engine.Feed(Inserts(6)).ok());
+  auto analysis = engine.ExplainAnalyze(*q);
+  ASSERT_TRUE(analysis.ok()) << analysis.status().ToString();
+  const std::string& text = analysis->text;
+  EXPECT_EQ(Occurrences(text, "(shared with project_2)"), 1u) << text;
+  EXPECT_EQ(Occurrences(text, "[op=aggregate "), 1u) << text;
+  EXPECT_EQ(Occurrences(text, "[op=window "), 1u) << text;
+  EXPECT_EQ(Occurrences(text, "[op=source "), 1u) << text;
+  EXPECT_EQ(Occurrences(text, "op=aggregate_2"), 0u) << text;
+  // Six bids, each counted once, not once per copy.
+  EXPECT_NE(text.find("[op=aggregate rows in=6 "), std::string::npos) << text;
+  EXPECT_EQ(Occurrences(analysis->json, "\"shared_with\":\"project_2\""), 1u)
+      << analysis->json;
+}
+
 TEST(ExplainAnalyzeTest, UnknownQueryIsNotFound) {
   Engine a;
   ASSERT_TRUE(a.RegisterStream("Bid", BidSchema()).ok());

@@ -2,7 +2,8 @@
 // every prefix of the paper's Section 4 dataset, crash, restore, replay the
 // WAL suffix — every rendering must be bit-identical to the uninterrupted
 // run, at every shard count), shard-count-changing restores at the runtime
-// level, WAL-only cold starts, and fault injection on both files.
+// level, WAL-only cold starts, checkpoints written before shared subtrees,
+// and fault injection on both files.
 
 #include <gtest/gtest.h>
 
@@ -13,10 +14,15 @@
 
 #include "engine/engine.h"
 #include "exec/dataflow.h"
+#include "nexmark/nexmark.h"
 #include "state/checkpoint.h"
 #include "state/frame.h"
 #include "state/wal.h"
 #include "tests/state/temp_dir.h"
+
+#ifndef ONESQL_ENGINE_TEST_DATA_DIR
+#define ONESQL_ENGINE_TEST_DATA_DIR "tests/engine/data"
+#endif
 
 namespace onesql {
 namespace {
@@ -746,6 +752,177 @@ TEST(RecoveryTest, SavedShardCountIsBoundedByMaxShards) {
     ASSERT_FALSE(s.ok());
     EXPECT_EQ(s.code(), StatusCode::kDataLoss) << s.ToString();
   }
+}
+
+// ---------------------------------------------------------------------------
+// A checkpoint from before shared subtrees (commit f7308f7): one blob per
+// plan-tree position, so NEXMark Q5's repeated Hop -> COUNT(*) subtree was
+// saved twice. The fixture is that engine's Checkpoint() after
+// RegisterNexmark, Execute(Q5()) and Feed() of the first kQ5FixtureCut events
+// of Q5FixtureFeed(): mid-window, so both count aggregates hold live groups.
+// ---------------------------------------------------------------------------
+
+constexpr size_t kQ5FixtureCut = 240;
+
+std::vector<FeedEvent> Q5FixtureFeed() {
+  nexmark::GeneratorConfig config;
+  config.seed = 7;
+  config.num_events = 400;
+  config.mean_event_gap = Interval::Seconds(3);
+  return nexmark::Generator(config).Generate();
+}
+
+/// The fixture's bytes, copied into a fresh directory.
+std::string CopyQ5Fixture(const std::string& dir) {
+  auto bytes = state::ReadFileToString(std::string(ONESQL_ENGINE_TEST_DATA_DIR) +
+                                       "/q5_before_sharing/checkpoint.osql");
+  EXPECT_TRUE(bytes.ok()) << bytes.status().ToString();
+  if (!bytes.ok()) return std::string();
+  EXPECT_TRUE(state::WriteFileAtomic(dir + "/checkpoint.osql", *bytes).ok());
+  return *bytes;
+}
+
+/// The one chain section of Q5's runtime blob, split into its operator
+/// blobs, and a way to write the checkpoint back with different blobs.
+struct Q5ChainSection {
+  std::string engine_section;
+  std::string sql;
+  Interval lateness;
+  uint64_t shards = 0;
+  std::vector<std::string> ops;  ///< the chain's operator blobs
+  std::string sink;
+  uint64_t seq = 0;
+
+  static Q5ChainSection Parse(const std::string& path) {
+    Q5ChainSection out;
+    auto ckpt = state::CheckpointReader::Open(path);
+    EXPECT_TRUE(ckpt.ok()) << ckpt.status().ToString();
+    if (!ckpt.ok()) return out;
+    EXPECT_EQ(ckpt->num_sections(), 2u);
+    out.engine_section = std::string(ckpt->section(0));
+    state::Reader query(ckpt->section(1));
+    out.sql = *query.ReadString();
+    out.lateness = *query.ReadInterval();
+    out.shards = *query.ReadVarint();
+    state::Reader runtime(*query.ReadBlobBytes());
+    EXPECT_EQ(*runtime.ReadVarint(), 1u) << "one chain section";
+    state::Reader chain(*runtime.ReadBlobBytes());
+    const uint64_t n = *chain.ReadVarint();
+    for (uint64_t i = 0; i < n; ++i) {
+      out.ops.emplace_back(*chain.ReadBlobBytes());
+    }
+    EXPECT_TRUE(chain.ExpectEnd().ok());
+    out.sink = std::string(*runtime.ReadBlobBytes());
+    out.seq = *runtime.ReadVarint();
+    EXPECT_TRUE(runtime.ExpectEnd().ok());
+    EXPECT_TRUE(query.ExpectEnd().ok());
+    return out;
+  }
+
+  /// Rewrites the checkpoint; the container recomputes every frame CRC.
+  void WriteTo(const std::string& path) const {
+    state::Writer chain;
+    chain.PutVarint(ops.size());
+    for (const std::string& op : ops) chain.PutString(op);
+    state::Writer runtime;
+    runtime.PutVarint(1);
+    runtime.PutBlob(chain);
+    runtime.PutString(sink);
+    runtime.PutVarint(seq);
+    state::Writer query;
+    query.PutString(sql);
+    query.PutInterval(lateness);
+    query.PutVarint(shards);
+    query.PutBlob(runtime);
+    state::CheckpointWriter out;
+    out.AddSection(engine_section);
+    out.AddSection(query.buffer());
+    ASSERT_TRUE(out.WriteTo(path).ok());
+  }
+};
+
+TEST(PreSharingCheckpointTest, Q5RestoresAndRendersLikeAnUninterruptedRun) {
+  const std::vector<FeedEvent> feed = Q5FixtureFeed();
+  ASSERT_GT(feed.size(), kQ5FixtureCut);
+  const Timestamp end = feed.back().ptime;
+
+  Engine baseline;
+  ASSERT_TRUE(nexmark::RegisterNexmark(&baseline).ok());
+  auto base_q = baseline.Execute(nexmark::Q5());
+  ASSERT_TRUE(base_q.ok()) << base_q.status().ToString();
+  ASSERT_TRUE(baseline.Feed(feed).ok());
+  const Rendering want = Render(*base_q, end);
+  ASSERT_FALSE(want.stream.empty());
+
+  const std::string dir = NewTempDir("pre_sharing");
+  ASSERT_FALSE(CopyQ5Fixture(dir).empty());
+  // The fixture is the per-position layout: one blob more per operator of
+  // the repeated subtree than the distinct operators compiled today.
+  const Q5ChainSection saved =
+      Q5ChainSection::Parse(dir + "/checkpoint.osql");
+  const exec::CompiledChain& chain = (*base_q)->dataflow().chain();
+  EXPECT_EQ(saved.ops.size(), chain.positions.size());
+  EXPECT_LT(chain.operators.size(), chain.positions.size());
+
+  Engine restored;
+  const Status s = restored.Restore(dir);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  ASSERT_EQ(restored.num_queries(), 1u);
+  ContinuousQuery* q = restored.query(0);
+  EXPECT_EQ(restored.feed_seq(), kQ5FixtureCut);
+  size_t live_groups = 0;
+  for (const auto* agg : q->dataflow().aggregates()) {
+    live_groups += agg->NumGroups();
+  }
+  EXPECT_GT(live_groups, 0u) << "the fixture was cut mid-window";
+  ASSERT_TRUE(
+      restored
+          .Feed(std::vector<FeedEvent>(feed.begin() + kQ5FixtureCut, feed.end()))
+          .ok());
+  ExpectSameRendering(Render(q, end), want);
+
+  // Saved again, the chain holds one blob per distinct operator.
+  const std::string again = NewTempDir("pre_sharing_resave");
+  ASSERT_TRUE(restored.Checkpoint(again).ok());
+  EXPECT_EQ(Q5ChainSection::Parse(again + "/checkpoint.osql").ops.size(),
+            q->dataflow().chain().operators.size());
+}
+
+TEST(PreSharingCheckpointTest, DamagedSecondCountAggregateIsDataLoss) {
+  Engine probe;
+  ASSERT_TRUE(nexmark::RegisterNexmark(&probe).ok());
+  auto probe_q = probe.Execute(nexmark::Q5());
+  ASSERT_TRUE(probe_q.ok());
+  // The second count aggregate: the first tree position whose operator an
+  // earlier position already names, among the aggregates.
+  const exec::CompiledChain& chain = (*probe_q)->dataflow().chain();
+  size_t second = chain.positions.size();
+  std::vector<bool> seen(chain.operators.size(), false);
+  for (size_t p = 0; p < chain.positions.size(); ++p) {
+    const size_t op = chain.positions[p];
+    if (seen[op] && chain.labels[op].rfind("aggregate", 0) == 0) {
+      second = p;
+      break;
+    }
+    seen[op] = true;
+  }
+  ASSERT_LT(second, chain.positions.size());
+
+  const std::string dir = NewTempDir("pre_sharing_damaged");
+  ASSERT_FALSE(CopyQ5Fixture(dir).empty());
+  Q5ChainSection saved = Q5ChainSection::Parse(dir + "/checkpoint.osql");
+  ASSERT_EQ(saved.ops.size(), chain.positions.size());
+  std::string& blob = saved.ops[second];
+  ASSERT_FALSE(blob.empty());
+  blob[blob.size() / 2] = static_cast<char>(blob[blob.size() / 2] ^ 0x01);
+  saved.WriteTo(dir + "/checkpoint.osql");
+
+  Engine restored;
+  const Status s = restored.Restore(dir);
+  ASSERT_FALSE(s.ok());
+  EXPECT_EQ(s.code(), StatusCode::kDataLoss) << s.ToString();
+  EXPECT_NE(s.message().find("differ"), std::string::npos) << s.ToString();
+  EXPECT_EQ(restored.num_queries(), 0u);
 }
 
 }  // namespace

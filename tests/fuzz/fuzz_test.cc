@@ -121,6 +121,21 @@ TEST(FuzzBoundaryTest, TemplatesShapeTheFeedAsAdvertised) {
         EXPECT_NE(q.sql.find("a.ts = b.ts"), std::string::npos) << q.sql;
       }
     }
+    {
+      // The first query repeats one aggregate subtree, which the runtime
+      // compiles once behind a fan-out.
+      const FuzzCase c =
+          GenerateBoundaryCase(seed, BoundaryTemplate::kSharedSubtrees);
+      ASSERT_FALSE(c.queries.empty());
+      EXPECT_EQ(c.queries[0].shape, QueryShape::kSharedAggJoin);
+      Engine engine;
+      ASSERT_TRUE(engine.RegisterStream(kFuzzStreamS, FuzzStreamSchema()).ok());
+      ASSERT_TRUE(engine.RegisterStream(kFuzzStreamR, FuzzStreamSchema()).ok());
+      auto q = engine.Execute(c.queries[0].sql);
+      ASSERT_TRUE(q.ok()) << q.status().ToString() << ": " << c.queries[0].sql;
+      EXPECT_EQ((*q)->dataflow().chain().fanouts.size(), 1u)
+          << c.queries[0].sql;
+    }
     // Same (seed, template) must reproduce the same case bit-for-bit.
     EXPECT_EQ(
         SerializeCase(GenerateBoundaryCase(seed, BoundaryTemplate::kOddRuns)),

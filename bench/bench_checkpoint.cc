@@ -163,6 +163,7 @@ BENCHMARK(BM_CheckpointWrite)
     ->Arg(1000)
     ->Arg(10000)
     ->Arg(50000)
+    ->Repetitions(5)
     ->Unit(benchmark::kMillisecond);
 
 /// Time from a cold Engine to a live restored query, loading operator state
@@ -184,6 +185,7 @@ BENCHMARK(BM_RestoreFromCheckpoint)
     ->Arg(1000)
     ->Arg(10000)
     ->Arg(50000)
+    ->Repetitions(5)
     ->Unit(benchmark::kMillisecond);
 
 /// Time from a cold Engine to a live query by replaying the entire feed log

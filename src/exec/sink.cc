@@ -21,24 +21,26 @@ Row MaterializationSink::KeyOf(const Row& row) const {
   return key;
 }
 
-void MaterializationSink::Materialize(ChangeKind kind, const Row& row,
-                                      Timestamp ptime, size_t hash) {
+void MaterializationSink::Fold(FlatRowMap<RowEntry>* rows, bool undo,
+                               const Row& row, size_t hash) {
+  if (!undo) {
+    rows->FindOrInsert(row, hash)->count += 1;
+    return;
+  }
+  RowEntry* entry = rows->Find(row, hash);
+  if (entry == nullptr || entry->count == 0) return;
+  if (--entry->count == 0 && entry->next_ver == 0) rows->Erase(row, hash);
+}
+
+void MaterializationSink::Materialize(const Row& row, bool undo,
+                                      Timestamp ptime, int64_t ver,
+                                      size_t hash) {
   if (sink_metrics_ != nullptr) {
     sink_metrics_->emissions->Increment();
-    (kind == ChangeKind::kDelete ? sink_metrics_->retractions
-                                 : sink_metrics_->inserts)
-        ->Increment();
+    (undo ? sink_metrics_->retractions : sink_metrics_->inserts)->Increment();
   }
-  table_.push_back(Change{kind, row, ptime});
-  // Mirror SnapshotOf's multiset semantics incrementally.
-  if (kind == ChangeKind::kInsert) {
-    *snapshot_.FindOrInsert(row, hash) += 1;
-  } else if (kind == ChangeKind::kDelete) {
-    int64_t* count = snapshot_.Find(row, hash);
-    if (count != nullptr) {
-      if (--*count == 0) snapshot_.Erase(row, hash);
-    }
-  }
+  emissions_.push_back(Emission{row, undo, ptime, ver});
+  Fold(&rows_, undo, row, hash);
 }
 
 Status MaterializationSink::Flush(const Row& key, KeyState* state,
@@ -50,16 +52,14 @@ Status MaterializationSink::Flush(const Row& key, KeyState* state,
     auto it = state->current.find(row);
     const int64_t current_count = it == state->current.end() ? 0 : it->second;
     for (int64_t i = current_count; i < last_count; ++i) {
-      emissions_.push_back(Emission{row, true, ptime, state->next_ver++});
-      Materialize(ChangeKind::kDelete, row, ptime, HashRow(row));
+      Materialize(row, true, ptime, state->next_ver++, HashRow(row));
     }
   }
   for (const auto& [row, current_count] : state->current) {
     auto it = state->last.find(row);
     const int64_t last_count = it == state->last.end() ? 0 : it->second;
     for (int64_t i = last_count; i < current_count; ++i) {
-      emissions_.push_back(Emission{row, false, ptime, state->next_ver++});
-      Materialize(ChangeKind::kInsert, row, ptime, HashRow(row));
+      Materialize(row, false, ptime, state->next_ver++, HashRow(row));
     }
   }
   state->last = state->current;
@@ -104,19 +104,12 @@ void MaterializationSink::MaybeReclaim(const Row& key) {
 Status MaterializationSink::ApplyInstant(bool is_delete, const Row& row,
                                          Timestamp ptime) {
   const size_t hash = HashRow(row);
-  InstantState& state = *instant_keys_.FindOrInsert(row, hash);
-  if (is_delete) {
-    if (state.count == 0) {
-      return Status::ExecutionError(
-          "sink received a DELETE for a row that is not in the result");
-    }
-    state.count -= 1;
-  } else {
-    state.count += 1;
+  RowEntry& entry = *rows_.FindOrInsert(row, hash);
+  if (is_delete && entry.count == 0) {
+    return Status::ExecutionError(
+        "sink received a DELETE for a row that is not in the result");
   }
-  emissions_.push_back(Emission{row, is_delete, ptime, state.next_ver++});
-  Materialize(is_delete ? ChangeKind::kDelete : ChangeKind::kInsert, row,
-              ptime, hash);
+  Materialize(row, is_delete, ptime, entry.next_ver++, hash);
   return Status::OK();
 }
 
@@ -125,8 +118,8 @@ Status MaterializationSink::ProcessElement(int, const Change& change) {
     return Status::ExecutionError("sink cannot consume UPSERT changes");
   }
   // Instant mode with whole-row version keys (the default view semantics):
-  // the key state degenerates to a (count, next_ver) pair in a flat hash
-  // table, with the row hashed exactly once for key state and snapshot.
+  // the key state degenerates to the row map's (count, next_ver) entry, so
+  // the row is hashed once for key state and table alike.
   if (instant_whole_row()) {
     return ApplyInstant(change.kind == ChangeKind::kDelete, change.row,
                         change.ptime);
@@ -177,9 +170,8 @@ Status MaterializationSink::ProcessElement(int, const Change& change) {
     // Single-change fast path: the materialized diff is exactly this change,
     // so there is no need to diff the key's whole state (`last` mirrors
     // `current` and is not maintained in instant mode).
-    emissions_.push_back(Emission{change.row, change.kind == ChangeKind::kDelete,
-                                  change.ptime, state.next_ver++});
-    Materialize(change.kind, change.row, change.ptime, HashRow(change.row));
+    Materialize(change.row, change.kind == ChangeKind::kDelete, change.ptime,
+                state.next_ver++, HashRow(change.row));
     return Status::OK();
   }
 
@@ -306,7 +298,9 @@ void MaterializationSink::SampleObs() const {
   sink_metrics_->timer_queue_depth->Set(static_cast<int64_t>(timers_.size()));
   sink_metrics_->pending_panes->Set(
       static_cast<int64_t>(pending_complete_.size()));
-  sink_metrics_->snapshot_rows->Set(static_cast<int64_t>(snapshot_.size()));
+  int64_t live = 0;
+  for (const auto& slot : rows_.slots()) live += slot.value.count > 0;
+  sink_metrics_->snapshot_rows->Set(live);
 }
 
 void MaterializationSink::ZeroObs() const {
@@ -317,37 +311,41 @@ void MaterializationSink::ZeroObs() const {
 }
 
 std::vector<Row> MaterializationSink::SnapshotAt(Timestamp ptime) const {
-  // Fast path: at or past the latest materialized change the snapshot is
-  // exactly the incrementally maintained bag — no changelog replay. The
-  // changelog (append order is non-decreasing in ptime) is only replayed for
-  // genuinely historical point-in-time queries.
-  if (table_.empty() || ptime >= table_.back().ptime) {
-    return CurrentSnapshot();
+  // At or past the latest emission the table is the incrementally
+  // maintained row map. Only genuinely historical queries fold the log's
+  // prefix with ptime <= `ptime` (appends are non-decreasing in ptime).
+  const FlatRowMap<RowEntry>* rows = &rows_;
+  FlatRowMap<RowEntry> history;
+  if (!emissions_.empty() && ptime < emissions_.back().ptime) {
+    const auto end = std::upper_bound(
+        emissions_.begin(), emissions_.end(), ptime,
+        [](Timestamp t, const Emission& e) { return t < e.ptime; });
+    changelog_entries_scanned_ +=
+        static_cast<int64_t>(std::distance(emissions_.begin(), end));
+    for (auto it = emissions_.begin(); it != end; ++it) {
+      Fold(&history, it->undo, it->row, HashRow(it->row));
+    }
+    rows = &history;
   }
-  // Replay only the prefix with ptime <= `ptime` (the changelog is sorted by
-  // ptime, so binary search bounds the scan).
-  const auto end = std::upper_bound(
-      table_.begin(), table_.end(), ptime,
-      [](Timestamp t, const Change& c) { return t < c.ptime; });
-  changelog_entries_scanned_ +=
-      static_cast<int64_t>(std::distance(table_.begin(), end));
-  return SnapshotOf(Changelog(table_.begin(), end), Timestamp::Max());
-}
-
-std::vector<Row> MaterializationSink::CurrentSnapshot() const {
   // The flat map iterates in insertion-perturbed order; sort slot pointers
-  // to reproduce the canonical RowLess order of the old std::map rendering.
-  std::vector<const FlatRowMap<int64_t>::Slot*> sorted;
-  sorted.reserve(snapshot_.size());
-  for (const auto& slot : snapshot_.slots()) sorted.push_back(&slot);
+  // to reproduce SnapshotOf's canonical RowLess order.
+  std::vector<const FlatRowMap<RowEntry>::Slot*> sorted;
+  sorted.reserve(rows->size());
+  for (const auto& slot : rows->slots()) {
+    if (slot.value.count > 0) sorted.push_back(&slot);
+  }
   std::sort(sorted.begin(), sorted.end(), [](const auto* a, const auto* b) {
     return RowLess{}(a->key, b->key);
   });
   std::vector<Row> out;
   for (const auto* slot : sorted) {
-    for (int64_t i = 0; i < slot->value; ++i) out.push_back(slot->key);
+    for (int64_t i = 0; i < slot->value.count; ++i) out.push_back(slot->key);
   }
   return out;
+}
+
+std::vector<Row> MaterializationSink::CurrentSnapshot() const {
+  return SnapshotAt(Timestamp::Max());
 }
 
 namespace {
@@ -421,13 +419,13 @@ Status MaterializationSink::SaveState(state::Writer* w) const {
   w->PutSigned(late_drops_);
 
   if (instant_whole_row()) {
-    // Synthesize the legacy KeyState layout from the degenerate instant
-    // states so the checkpoint format is identical in every mode: key = the
-    // row, `last` empty (never flushed), `current` = {row: count} when live,
-    // no deadline/completeness, flags false.
-    std::vector<const FlatRowMap<InstantState>::Slot*> entries;
-    entries.reserve(instant_keys_.size());
-    for (const auto& slot : instant_keys_.slots()) entries.push_back(&slot);
+    // Synthesize the KeyState layout from the row map's entries, zero-count
+    // ones included, so the checkpoint format is identical in every mode:
+    // key = the row, `last` empty (never flushed), `current` = {row: count}
+    // when live, no deadline/completeness, flags false.
+    std::vector<const FlatRowMap<RowEntry>::Slot*> entries;
+    entries.reserve(rows_.size());
+    for (const auto& slot : rows_.slots()) entries.push_back(&slot);
     std::sort(entries.begin(), entries.end(),
               [](const auto* a, const auto* b) {
                 return RowLess{}(a->key, b->key);
@@ -482,11 +480,7 @@ Status MaterializationSink::SaveState(state::Writer* w) const {
     w->PutTimestamp(e.ptime);
     w->PutSigned(e.ver);
   }
-
-  // The changelog; the incrementally maintained snapshot is intentionally
-  // not serialized — LoadState rebuilds it from these changes.
-  w->PutVarint(table_.size());
-  for (const Change& change : table_) w->PutChange(change);
+  // The row map is not serialized: LoadState folds it from the emissions.
   return Status::OK();
 }
 
@@ -514,21 +508,19 @@ Status MaterializationSink::LoadState(state::Reader* r,
     ONESQL_ASSIGN_OR_RETURN(state.complete, r->ReadBool());
     ONESQL_ASSIGN_OR_RETURN(state.next_ver, r->ReadSigned());
     if (instant_whole_row()) {
-      // Fold the legacy layout back into the degenerate instant state (the
-      // key is the row; `current` holds at most that row).
+      // Fold the KeyState layout back into the row map's entry (the key is
+      // the row; `current` holds at most that row).
       int64_t count = 0;
       for (const auto& [row, c] : state.current) {
         (void)row;
         count += c;
       }
       bool inserted = false;
-      InstantState* slot =
-          instant_keys_.FindOrInsert(key, HashRow(key), &inserted);
+      RowEntry* entry = rows_.FindOrInsert(key, HashRow(key), &inserted);
       if (!inserted) {
         return Status::DataLoss("duplicate sink key state in checkpoint");
       }
-      slot->count = count;
-      slot->next_ver = state.next_ver;
+      *entry = RowEntry{count, state.next_ver};
       continue;
     }
     const bool inserted =
@@ -546,35 +538,50 @@ Status MaterializationSink::LoadState(state::Reader* r,
   if (nemissions > r->remaining()) {
     return Status::DataLoss("impossible emission count in checkpoint");
   }
-  emissions_.reserve(emissions_.size() + static_cast<size_t>(nemissions));
+  const size_t first = emissions_.size();
+  emissions_.reserve(first + static_cast<size_t>(nemissions));
+  // Rebuild the table by folding the restored emissions, so the two cannot
+  // diverge. In instant whole-row mode the key states built the row map,
+  // and their counts must equal the fold.
+  FlatRowMap<RowEntry> folded;
+  FlatRowMap<RowEntry>* table = instant_whole_row() ? &folded : &rows_;
   for (uint64_t i = 0; i < nemissions; ++i) {
     Emission e;
     ONESQL_ASSIGN_OR_RETURN(e.row, r->ReadRow());
     ONESQL_ASSIGN_OR_RETURN(e.undo, r->ReadBool());
     ONESQL_ASSIGN_OR_RETURN(e.ptime, r->ReadTimestamp());
     ONESQL_ASSIGN_OR_RETURN(e.ver, r->ReadSigned());
+    Fold(table, e.undo, e.row, HashRow(e.row));
     emissions_.push_back(std::move(e));
   }
-
-  ONESQL_ASSIGN_OR_RETURN(uint64_t nchanges, r->ReadVarint());
-  if (nchanges > r->remaining()) {
-    return Status::DataLoss("impossible changelog size in checkpoint");
-  }
-  table_.reserve(table_.size() + static_cast<size_t>(nchanges));
-  for (uint64_t i = 0; i < nchanges; ++i) {
-    ONESQL_ASSIGN_OR_RETURN(Change change, r->ReadChange());
-    // Rebuild the incrementally maintained snapshot from the changelog (the
-    // same fold Materialize applies), so they cannot diverge.
-    const size_t hash = HashRow(change.row);
-    if (change.kind == ChangeKind::kInsert) {
-      *snapshot_.FindOrInsert(change.row, hash) += 1;
-    } else if (change.kind == ChangeKind::kDelete) {
-      int64_t* count = snapshot_.Find(change.row, hash);
-      if (count != nullptr) {
-        if (--*count == 0) snapshot_.Erase(change.row, hash);
-      }
+  if (instant_whole_row()) {
+    size_t live = 0;
+    bool agree = true;
+    for (const auto& slot : rows_.slots()) {
+      if (slot.value.count == 0) continue;
+      ++live;
+      const RowEntry* entry = folded.Find(slot.key, slot.hash);
+      agree = agree && entry != nullptr && entry->count == slot.value.count;
     }
-    table_.push_back(std::move(change));
+    if (!agree || live != folded.size()) {
+      return Status::DataLoss("sink key states disagree with the emissions");
+    }
+  }
+  // The blob is length-framed: bytes after the emissions are the result
+  // changelog of the layout that stored the log twice. It must be exactly
+  // the emissions' projection, and is dropped.
+  if (r->AtEnd()) return Status::OK();
+  const Status disagrees = Status::DataLoss(
+      "sink changelog disagrees with the emissions in checkpoint");
+  ONESQL_ASSIGN_OR_RETURN(uint64_t nchanges, r->ReadVarint());
+  if (nchanges != nemissions) return disagrees;
+  for (size_t i = first; i < emissions_.size(); ++i) {
+    ONESQL_ASSIGN_OR_RETURN(Change change, r->ReadChange());
+    const Emission& e = emissions_[i];
+    if (change.kind != (e.undo ? ChangeKind::kDelete : ChangeKind::kInsert) ||
+        change.ptime != e.ptime || !RowsEqual(change.row, e.row)) {
+      return disagrees;
+    }
   }
   return Status::OK();
 }
@@ -608,7 +615,7 @@ size_t MaterializationSink::StateBytes() const {
   if (instant_whole_row()) {
     // The same formula the generic path charges: 64 bytes per key entry plus
     // 48 per live `current` row (`last` is never maintained in instant mode).
-    for (const auto& slot : instant_keys_.slots()) {
+    for (const auto& slot : rows_.slots()) {
       total += slot.key.size() * sizeof(Value) + 64;
       if (slot.value.count > 0) {
         total += slot.key.size() * sizeof(Value) + 48;

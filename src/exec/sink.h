@@ -46,10 +46,10 @@ struct SinkConfig {
 };
 
 /// Terminal operator of every dataflow: applies the EMIT materialization
-/// controls and materializes both renderings of the result TVR — the stream
-/// changelog (`emissions()`, Listing 9 style) and the table (`SnapshotAt`,
-/// Listing 3/4 style). With no delay and no watermark gating the sink
-/// materializes instantaneously, which is the default view semantics.
+/// controls and materializes the result TVR once, as its stream changelog
+/// (`emissions()`, Listing 9 style); the table (`SnapshotAt`, Listing 3/4
+/// style) is a fold of that log. With no delay and no watermark gating the
+/// sink materializes instantaneously, which is the default view semantics.
 class MaterializationSink : public Operator {
  public:
   explicit MaterializationSink(SinkConfig config)
@@ -96,30 +96,30 @@ class MaterializationSink : public Operator {
   /// The table rendering: result rows as of processing time `ptime`
   /// (all timers <= ptime must have been fired; use Dataflow/Engine APIs).
   /// Queries at or past the latest materialization are served from the
-  /// incrementally maintained snapshot in O(result size); only genuinely
-  /// historical (point-in-time) queries replay the changelog.
+  /// incrementally maintained row map in O(result size); only genuinely
+  /// historical (point-in-time) queries fold the emissions up to `ptime`.
   std::vector<Row> SnapshotAt(Timestamp ptime) const;
   std::vector<Row> CurrentSnapshot() const;
 
   Timestamp watermark() const { return merger_.combined(); }
   int64_t late_drops() const { return late_drops_; }
-  /// Total changelog entries replayed by historical SnapshotAt calls.
+  /// Total emissions replayed by historical SnapshotAt calls.
   /// Regression guard: CurrentSnapshot and up-to-date SnapshotAt calls must
-  /// not scan the changelog at all (they used to replay it in full).
+  /// not scan the log at all (they used to replay it in full).
   int64_t changelog_entries_scanned() const {
     return changelog_entries_scanned_;
   }
   size_t StateBytes() const override;
 
-  /// Serializes the whole sink — key states, timer queues, the emission
-  /// stream, and the result changelog — in the canonical encoding. The sink
-  /// is shared across shards, so unlike chain operators it is saved and
-  /// loaded exactly once regardless of the shard count; `filter` is ignored.
+  /// Serializes the whole sink — key states, timer queues and the emission
+  /// log — in the canonical encoding. The sink is shared across shards, so
+  /// unlike chain operators it is saved and loaded exactly once regardless
+  /// of the shard count; `filter` is ignored.
   Status SaveState(state::Writer* w) const override;
 
-  /// Restores into a freshly constructed sink (same SinkConfig). The
-  /// incrementally maintained snapshot is rebuilt from the restored
-  /// changelog rather than deserialized, so the two can never diverge.
+  /// Restores into a freshly constructed sink (same SinkConfig). The row
+  /// map is the fold of the restored emissions; key states or an old-layout
+  /// changelog that disagree with them are DataLoss.
   Status LoadState(state::Reader* r, const StateKeyFilter* filter) override;
 
  private:
@@ -147,12 +147,11 @@ class MaterializationSink : public Operator {
   /// late. A flush that materializes nothing counts no pane.
   enum class PaneKind { kEarly, kOnTime, kLate };
 
-  /// Per-key state of the instant whole-row fast path. With no EMIT clause
-  /// and whole-row version keys, a KeyState degenerates to this pair: `last`
-  /// is never maintained, `current` holds at most the key row itself, and no
-  /// deadline/completeness machinery engages. SaveState synthesizes the
-  /// legacy KeyState byte layout from it, so checkpoints are format-stable.
-  struct InstantState {
+  /// One row of the table: its multiplicity and, in instant whole-row
+  /// mode, where a KeyState degenerates to this pair, the row's next `ver`.
+  /// There a row at count zero keeps its entry (and ver counter) and
+  /// readers skip it; in the other modes zero-count rows are erased.
+  struct RowEntry {
     int64_t count = 0;
     int64_t next_ver = 0;
   };
@@ -169,27 +168,26 @@ class MaterializationSink : public Operator {
   void MaybeReclaim(const Row& key);
   /// Points each restored key state at its restored timer (LoadState).
   Status LinkTimers();
-  /// Appends to the changelog and incrementally updates the snapshot bag.
-  /// `hash` is HashRow(row) (hot callers already have it).
-  void Materialize(ChangeKind kind, const Row& row, Timestamp ptime,
+  /// Appends one emission and folds it into the row map. `hash` is
+  /// HashRow(row) (hot callers already have it).
+  void Materialize(const Row& row, bool undo, Timestamp ptime, int64_t ver,
+                   size_t hash);
+  /// The table's fold step, with SnapshotOf's multiset semantics. A row at
+  /// count zero is erased unless its entry carries a ver counter.
+  static void Fold(FlatRowMap<RowEntry>* rows, bool undo, const Row& row,
                    size_t hash);
   /// Shared instant-mode core (scalar and batch paths).
   Status ApplyInstant(bool is_delete, const Row& row, Timestamp ptime);
 
   SinkConfig config_;
   std::unordered_map<Row, KeyState, RowHash, RowEq> keys_;
-  FlatRowMap<InstantState> instant_keys_;  // instant_whole_row() mode only
   // deadline -> keys with AFTER DELAY timers.
   TimerQueue timers_;
   // completeness timestamp -> keys awaiting the watermark.
   TimerQueue pending_complete_;
 
-  std::vector<Emission> emissions_;
-  Changelog table_;  // changelog kept for point-in-time (SnapshotAt) queries
-  // Incrementally maintained current snapshot (row -> multiplicity), so
-  // CurrentSnapshot/SnapshotAt-at-the-frontier never replay `table_`.
-  // CurrentSnapshot sorts on the way out, matching the old std::map order.
-  FlatRowMap<int64_t> snapshot_;
+  std::vector<Emission> emissions_;  // the one log, non-decreasing in ptime
+  FlatRowMap<RowEntry> rows_;        // the current table: emissions_ folded
   Row row_scratch_;  // batch-path scratch
   WatermarkMerger merger_{1};
   Timestamp now_ = Timestamp::Min();

@@ -100,12 +100,6 @@ void Writer::PutSchema(const Schema& schema) {
   }
 }
 
-void Writer::PutChange(const Change& change) {
-  PutU8(static_cast<uint8_t>(change.kind));
-  PutRow(change.row);
-  PutTimestamp(change.ptime);
-}
-
 void Writer::PutFeedEvent(const FeedEvent& event) {
   PutU8(static_cast<uint8_t>(event.kind));
   PutString(event.source);

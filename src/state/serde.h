@@ -42,7 +42,6 @@ class Writer {
   void PutValue(const Value& v);
   void PutRow(const Row& row);
   void PutSchema(const Schema& schema);
-  void PutChange(const Change& change);
   /// The one feed-event codec, shared by the WAL records and the checkpoint
   /// history: u8 kind, source string, ptime, then the watermark (kWatermark)
   /// or the row (kInsert / kDelete).

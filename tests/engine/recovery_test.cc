@@ -841,6 +841,42 @@ struct Q5ChainSection {
   }
 };
 
+/// Checkpoints `engine` (one query) into a fresh directory and returns the
+/// sink blob it wrote.
+std::string ResavedSinkBlob(Engine* engine) {
+  const std::string dir = NewTempDir("pre_sharing_sink");
+  EXPECT_TRUE(engine->Checkpoint(dir).ok());
+  return Q5ChainSection::Parse(dir + "/checkpoint.osql").sink;
+}
+
+/// Decodes the result changelog that older sink blobs store after the
+/// emissions: a count, then the changes.
+Changelog DecodeOldChangelog(const std::string& bytes) {
+  Changelog log;
+  state::Reader r(bytes);
+  auto n = r.ReadVarint();
+  EXPECT_TRUE(n.ok());
+  for (uint64_t i = 0; n.ok() && i < *n; ++i) {
+    auto change = r.ReadChange();
+    EXPECT_TRUE(change.ok()) << change.status().ToString();
+    if (!change.ok()) break;
+    log.push_back(*change);
+  }
+  EXPECT_TRUE(r.ExpectEnd().ok());
+  return log;
+}
+
+std::string EncodeOldChangelog(const Changelog& log) {
+  state::Writer w;
+  w.PutVarint(log.size());
+  for (const Change& change : log) {
+    w.PutU8(static_cast<uint8_t>(change.kind));
+    w.PutRow(change.row);
+    w.PutTimestamp(change.ptime);
+  }
+  return w.buffer();
+}
+
 TEST(PreSharingCheckpointTest, Q5RestoresAndRendersLikeAnUninterruptedRun) {
   const std::vector<FeedEvent> feed = Q5FixtureFeed();
   ASSERT_GT(feed.size(), kQ5FixtureCut);
@@ -875,11 +911,27 @@ TEST(PreSharingCheckpointTest, Q5RestoresAndRendersLikeAnUninterruptedRun) {
     live_groups += agg->NumGroups();
   }
   EXPECT_GT(live_groups, 0u) << "the fixture was cut mid-window";
+
+  // The fixture's sink blob also stores the result changelog after the
+  // emissions. Re-saved at once, the blob is exactly the part before it.
+  const std::string resaved = ResavedSinkBlob(&restored);
+  ASSERT_LT(resaved.size(), saved.sink.size());
+  EXPECT_EQ(saved.sink.compare(0, resaved.size(), resaved), 0);
+  const Changelog old_log =
+      DecodeOldChangelog(saved.sink.substr(resaved.size()));
+  EXPECT_EQ(old_log.size(), q->Emissions().size());
+
   ASSERT_TRUE(
       restored
           .Feed(std::vector<FeedEvent>(feed.begin() + kQ5FixtureCut, feed.end()))
           .ok());
   ExpectSameRendering(Render(q, end), want);
+  for (const exec::Emission& e : (*base_q)->Emissions()) {
+    auto got = q->SnapshotAt(e.ptime);
+    auto expected = (*base_q)->SnapshotAt(e.ptime);
+    ASSERT_TRUE(got.ok() && expected.ok());
+    ExpectSameRows(*got, *expected, "SnapshotAt(" + e.ptime.ToString() + ")");
+  }
 
   // Saved again, the chain holds one blob per distinct operator.
   const std::string again = NewTempDir("pre_sharing_resave");
@@ -923,6 +975,74 @@ TEST(PreSharingCheckpointTest, DamagedSecondCountAggregateIsDataLoss) {
   EXPECT_EQ(s.code(), StatusCode::kDataLoss) << s.ToString();
   EXPECT_NE(s.message().find("differ"), std::string::npos) << s.ToString();
   EXPECT_EQ(restored.num_queries(), 0u);
+}
+
+TEST(PreSharingCheckpointTest, OldChangelogThatDisagreesIsDataLoss) {
+  // Where the fixture's trailing changelog starts: the length of the sink
+  // blob re-saved right after a restore.
+  const std::string probe_dir = NewTempDir("pre_sharing_probe");
+  ASSERT_FALSE(CopyQ5Fixture(probe_dir).empty());
+  Engine probe;
+  ASSERT_TRUE(probe.Restore(probe_dir).ok());
+  const size_t emissions_end = ResavedSinkBlob(&probe).size();
+
+  const std::string dir = NewTempDir("pre_sharing_old_log");
+  ASSERT_FALSE(CopyQ5Fixture(dir).empty());
+  const Q5ChainSection saved = Q5ChainSection::Parse(dir + "/checkpoint.osql");
+  ASSERT_LT(emissions_end, saved.sink.size());
+  const Changelog log =
+      DecodeOldChangelog(saved.sink.substr(emissions_end));
+  ASSERT_FALSE(log.empty());
+
+  Changelog flipped = log;
+  Change& mid = flipped[flipped.size() / 2];
+  mid.kind = mid.kind == ChangeKind::kInsert ? ChangeKind::kDelete
+                                             : ChangeKind::kInsert;
+  Changelog shorter(log.begin(), log.end() - 1);
+  for (const Changelog* bad : {&flipped, &shorter}) {
+    Q5ChainSection damaged = saved;
+    damaged.sink =
+        saved.sink.substr(0, emissions_end) + EncodeOldChangelog(*bad);
+    damaged.WriteTo(dir + "/checkpoint.osql");
+    Engine restored;
+    const Status s = restored.Restore(dir);
+    ASSERT_FALSE(s.ok());
+    EXPECT_EQ(s.code(), StatusCode::kDataLoss) << s.ToString();
+    EXPECT_NE(s.message().find("changelog disagrees with the emissions"),
+              std::string::npos)
+        << s.ToString();
+    EXPECT_EQ(restored.num_queries(), 0u);
+  }
+}
+
+TEST(SinkCheckpointSizeTest, SinkBlobIsAboutItsEmissionsAlone) {
+  // The sink stores its log once: its blob is the emissions plus small key
+  // states and timer queues, never a second copy of the changes.
+  nexmark::GeneratorConfig config;
+  config.seed = 7;
+  config.num_events = 3000;
+  const std::vector<FeedEvent> feed = nexmark::Generator(config).Generate();
+  Engine engine;
+  ASSERT_TRUE(nexmark::RegisterNexmark(&engine).ok());
+  auto q = engine.Execute(nexmark::Q4());
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  ASSERT_TRUE(engine.Feed(feed).ok());
+  const std::vector<exec::Emission>& emissions = (*q)->Emissions();
+  ASSERT_GT(emissions.size(), 100u);
+
+  state::Writer alone;
+  alone.PutVarint(emissions.size());
+  for (const exec::Emission& e : emissions) {
+    alone.PutRow(e.row);
+    alone.PutBool(e.undo);
+    alone.PutTimestamp(e.ptime);
+    alone.PutSigned(e.ver);
+  }
+  const std::string sink = ResavedSinkBlob(&engine);
+  EXPECT_LE(static_cast<double>(sink.size()),
+            1.1 * static_cast<double>(alone.buffer().size()))
+      << "sink blob " << sink.size() << " B, emissions alone "
+      << alone.buffer().size() << " B";
 }
 
 }  // namespace

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "obs/instruments.h"
+
 namespace onesql {
 namespace exec {
 namespace {
@@ -267,26 +272,245 @@ TEST(SinkTest, UpToDateSnapshotsDoNotReplayTheChangelog) {
   EXPECT_EQ(sink.changelog_entries_scanned(), 50);
 }
 
-TEST(SinkTest, IncrementalSnapshotMatchesChangelogReplay) {
-  // The incrementally maintained bag must render exactly what a full
-  // changelog replay renders (same rows, same multiset order), including
-  // across deletes that drop multiplicities back to zero.
-  MaterializationSink sink(GroupedConfig());
-  ASSERT_TRUE(sink.OnElement(0, Ins(8, 1, R(8, 10, 1))).ok());
-  ASSERT_TRUE(sink.OnElement(0, Ins(8, 2, R(8, 10, 1))).ok());
-  ASSERT_TRUE(sink.OnElement(0, Ins(8, 3, R(8, 20, 2))).ok());
-  ASSERT_TRUE(sink.OnElement(0, Del(8, 4, R(8, 10, 1))).ok());
-  ASSERT_TRUE(sink.OnElement(0, Del(8, 5, R(8, 10, 1))).ok());
-  ASSERT_TRUE(sink.OnElement(0, Ins(8, 6, R(8, 5, 3))).ok());
+// The projection of the emissions onto a changelog: undo is a delete.
+Changelog Projection(const MaterializationSink& sink) {
+  Changelog log;
+  for (const Emission& e : sink.emissions()) {
+    log.push_back(Change{e.undo ? ChangeKind::kDelete : ChangeKind::kInsert,
+                         e.row, e.ptime});
+  }
+  return log;
+}
 
-  const std::vector<Row> current = sink.CurrentSnapshot();
-  // Historical replay at the frontier must agree with the incremental bag.
-  const std::vector<Row> replayed = sink.SnapshotAt(T(8, 5));
-  ASSERT_EQ(current.size(), 2u);
-  EXPECT_TRUE(RowsEqual(current[0], R(8, 5, 3)));
-  EXPECT_TRUE(RowsEqual(current[1], R(8, 20, 2)));
-  ASSERT_EQ(replayed.size(), 1u);
-  EXPECT_TRUE(RowsEqual(replayed[0], R(8, 20, 2)));
+void ExpectSameRows(const std::vector<Row>& got, const std::vector<Row>& want,
+                    const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_TRUE(RowsEqual(got[i], want[i]))
+        << what << " row " << i << ": got " << RowToString(got[i])
+        << ", want " << RowToString(want[i]);
+  }
+}
+
+/// SnapshotAt at every emitted ptime, just before each, and at both ends
+/// must render exactly what SnapshotOf renders over the emissions'
+/// projection.
+void ExpectSnapshotsMatchReplay(const MaterializationSink& sink,
+                                const std::string& mode) {
+  const Changelog log = Projection(sink);
+  std::vector<Timestamp> times = {Timestamp::Min(), Timestamp::Max()};
+  for (const Emission& e : sink.emissions()) {
+    times.push_back(e.ptime);
+    times.push_back(Timestamp(e.ptime.millis() - 1));
+  }
+  for (Timestamp t : times) {
+    ExpectSameRows(sink.SnapshotAt(t), SnapshotOf(log, t),
+                   mode + " SnapshotAt(" + t.ToString() + ")");
+  }
+  ExpectSameRows(sink.CurrentSnapshot(), SnapshotOf(log, Timestamp::Max()),
+                 mode + " CurrentSnapshot");
+}
+
+/// Duplicates, deletes back to zero, a row that returns, several groupings
+/// and watermarks that complete some of them, so every mode emits at many
+/// ptimes. Timers fire before each change, as the runtime fires them.
+void DriveMixedFeed(MaterializationSink* sink) {
+  auto change = [sink](const Change& c) {
+    ASSERT_TRUE(sink->AdvanceTo(c.ptime, false).ok());
+    ASSERT_TRUE(sink->OnElement(0, c).ok());
+  };
+  auto watermark = [sink](Timestamp mark, Timestamp ptime) {
+    ASSERT_TRUE(sink->AdvanceTo(ptime, false).ok());
+    ASSERT_TRUE(sink->OnWatermark(0, mark, ptime).ok());
+  };
+  change(Ins(8, 1, R(8, 10, 1)));
+  change(Ins(8, 2, R(8, 10, 1)));
+  change(Ins(8, 3, R(8, 20, 2)));
+  change(Del(8, 4, R(8, 10, 1)));
+  change(Del(8, 5, R(8, 10, 1)));
+  change(Ins(8, 6, R(8, 5, 3)));
+  change(Ins(8, 7, R(8, 10, 1)));  // back from zero
+  watermark(T(8, 10), T(8, 8));
+  change(Ins(8, 9, R(8, 20, 4)));
+  change(Del(8, 11, R(8, 20, 2)));
+  change(Ins(8, 12, R(8, 30, 5)));
+  watermark(T(8, 20), T(8, 13));
+  change(Ins(8, 14, R(8, 30, 6)));
+  change(Del(8, 21, R(8, 30, 5)));
+  watermark(T(9, 0), T(8, 22));
+  ASSERT_TRUE(sink->AdvanceTo(T(9, 0), true).ok());
+}
+
+struct SinkMode {
+  const char* name;
+  SinkConfig config;
+};
+
+std::vector<SinkMode> AllModes() {
+  SinkConfig after_watermark = GroupedConfig();
+  after_watermark.after_watermark = true;
+  SinkConfig after_delay = GroupedConfig();
+  after_delay.delay = Interval::Minutes(5);
+  return {{"instant whole-row", SinkConfig{}},
+          {"version-keyed", GroupedConfig()},
+          {"after watermark", after_watermark},
+          {"after delay", after_delay}};
+}
+
+TEST(SinkTest, IncrementalSnapshotMatchesChangelogReplay) {
+  // The incrementally maintained row map, and the fold of the emissions'
+  // prefix for historical ptimes, must render exactly what a full
+  // changelog replay renders (same rows, same multiset order), including
+  // across deletes that drop multiplicities back to zero — in every mode,
+  // and again after a save/restore round trip.
+  for (const SinkMode& mode : AllModes()) {
+    MaterializationSink sink(mode.config);
+    DriveMixedFeed(&sink);
+    ASSERT_GE(sink.emissions().size(), 3u) << mode.name;
+    ExpectSnapshotsMatchReplay(sink, mode.name);
+
+    state::Writer w;
+    ASSERT_TRUE(sink.SaveState(&w).ok());
+    MaterializationSink restored(mode.config);
+    state::Reader r(w.buffer());
+    ASSERT_TRUE(restored.LoadState(&r, nullptr).ok()) << mode.name;
+    ASSERT_TRUE(r.AtEnd()) << mode.name;
+    ASSERT_EQ(restored.emissions().size(), sink.emissions().size());
+    for (size_t i = 0; i < sink.emissions().size(); ++i) {
+      EXPECT_EQ(restored.emissions()[i].ToString(),
+                sink.emissions()[i].ToString())
+          << mode.name;
+    }
+    ExpectSnapshotsMatchReplay(restored, std::string(mode.name) + " restored");
+    state::Writer again;
+    ASSERT_TRUE(restored.SaveState(&again).ok());
+    EXPECT_EQ(again.buffer(), w.buffer()) << mode.name;
+  }
+}
+
+TEST(SinkTest, InstantRowDeletedToZeroKeepsItsVerSequence) {
+  obs::ObsOptions options;
+  options.metrics = true;
+  obs::ObsContext ctx(options);
+  const obs::SinkMetrics* metrics = ctx.ForSink("q0");
+  auto live_rows = [&ctx]() {
+    return ctx.registry()->Snapshot().GaugeValue("onesql_sink_snapshot_rows",
+                                                 {{"query", "q0"}});
+  };
+  const Row a = R(8, 10, 1);
+  const Row b = R(8, 20, 2);
+  MaterializationSink sink(SinkConfig{});
+  sink.AttachSinkMetrics(metrics);
+  ASSERT_TRUE(sink.OnElement(0, Ins(8, 1, a)).ok());
+  ASSERT_TRUE(sink.OnElement(0, Ins(8, 1, b)).ok());
+  ASSERT_TRUE(sink.OnElement(0, Del(8, 2, a)).ok());
+
+  // While its count is zero the row is in no rendering and no gauge.
+  ExpectSameRows(sink.CurrentSnapshot(), {b}, "current");
+  ExpectSameRows(sink.SnapshotAt(T(8, 2)), {b}, "at 8:02");
+  sink.SampleObs();
+  EXPECT_EQ(live_rows(), 1);
+
+  // A checkpoint taken now carries the zero-count row's ver counter.
+  state::Writer w;
+  ASSERT_TRUE(sink.SaveState(&w).ok());
+  MaterializationSink restored(SinkConfig{});
+  state::Reader r(w.buffer());
+  ASSERT_TRUE(restored.LoadState(&r, nullptr).ok());
+
+  for (MaterializationSink* s : {&sink, &restored}) {
+    ASSERT_TRUE(s->OnElement(0, Ins(8, 3, a)).ok());
+    EXPECT_EQ(s->emissions().back().ver, 2) << "a continues its sequence";
+    ExpectSameRows(s->CurrentSnapshot(), {a, b}, "current after re-insert");
+    ExpectSameRows(s->SnapshotAt(T(8, 2)), {b}, "history after re-insert");
+  }
+  sink.SampleObs();
+  EXPECT_EQ(live_rows(), 2);
+}
+
+TEST(SinkTest, RestoreRejectsKeyCountsThatDisagreeWithTheEmissions) {
+  const Row a = R(8, 10, 1);
+  MaterializationSink sink(SinkConfig{});
+  ASSERT_TRUE(sink.OnElement(0, Ins(8, 1, a)).ok());
+  ASSERT_TRUE(sink.OnElement(0, Ins(8, 2, a)).ok());
+  state::Writer w;
+  ASSERT_TRUE(sink.SaveState(&w).ok());
+
+  // The key state's `current` entry is {a: 2}: the row followed by the
+  // count. (The emissions hold the row followed by a bool, never by 2.)
+  state::Writer live;
+  live.PutRow(a);
+  live.PutSigned(2);
+  const size_t at = w.buffer().find(live.buffer());
+  ASSERT_NE(at, std::string::npos);
+  for (int64_t count : {1, 3}) {
+    state::Writer damaged;
+    damaged.PutRow(a);
+    damaged.PutSigned(count);
+    std::string bytes = w.buffer();
+    bytes.replace(at, live.buffer().size(), damaged.buffer());
+    MaterializationSink restored(SinkConfig{});
+    state::Reader r(bytes);
+    const Status s = restored.LoadState(&r, nullptr);
+    ASSERT_FALSE(s.ok()) << count;
+    EXPECT_EQ(s.code(), StatusCode::kDataLoss) << s.ToString();
+    EXPECT_NE(s.message().find("disagree with the emissions"),
+              std::string::npos)
+        << s.ToString();
+  }
+}
+
+TEST(SinkTest, OldLayoutTrailingChangelogIsCheckedAndDropped) {
+  // Before the log was kept once, the blob ended with the result changelog:
+  // the emissions' projection again.
+  for (const SinkMode& mode : AllModes()) {
+    MaterializationSink sink(mode.config);
+    DriveMixedFeed(&sink);
+    state::Writer w;
+    ASSERT_TRUE(sink.SaveState(&w).ok());
+    const Changelog log = Projection(sink);
+    auto old_layout = [&](const Changelog& changes) {
+      state::Writer tail;
+      tail.PutVarint(changes.size());
+      for (const Change& c : changes) {
+        tail.PutU8(static_cast<uint8_t>(c.kind));
+        tail.PutRow(c.row);
+        tail.PutTimestamp(c.ptime);
+      }
+      return w.buffer() + tail.buffer();
+    };
+
+    {
+      const std::string bytes = old_layout(log);
+      MaterializationSink restored(mode.config);
+      state::Reader r(bytes);
+      ASSERT_TRUE(restored.LoadState(&r, nullptr).ok()) << mode.name;
+      EXPECT_TRUE(r.AtEnd()) << mode.name;
+      ExpectSnapshotsMatchReplay(restored, mode.name);
+      state::Writer again;
+      ASSERT_TRUE(restored.SaveState(&again).ok());
+      EXPECT_EQ(again.buffer(), w.buffer()) << "re-saved without the log";
+    }
+
+    Changelog flipped = log;
+    flipped.back().kind = flipped.back().kind == ChangeKind::kInsert
+                              ? ChangeKind::kDelete
+                              : ChangeKind::kInsert;
+    Changelog shorter(log.begin(), log.end() - 1);
+    Changelog later = log;
+    later.front().ptime = Timestamp(later.front().ptime.millis() + 1);
+    for (const Changelog* bad : {&flipped, &shorter, &later}) {
+      const std::string bytes = old_layout(*bad);
+      MaterializationSink restored(mode.config);
+      state::Reader r(bytes);
+      const Status s = restored.LoadState(&r, nullptr);
+      ASSERT_FALSE(s.ok()) << mode.name;
+      EXPECT_EQ(s.code(), StatusCode::kDataLoss) << s.ToString();
+      EXPECT_NE(s.message().find("changelog disagrees with the emissions"),
+                std::string::npos)
+          << s.ToString();
+    }
+  }
 }
 
 TEST(SinkTest, WholeRowKeyWhenNoVersionColumns) {

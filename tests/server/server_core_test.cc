@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <memory>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -516,6 +519,153 @@ TEST(ServerCoreTest, DurableRestartReplaysOnlyTheMissedSuffix) {
     EXPECT_EQ(static_cast<int64_t>(Drain(core.get(), s).size()),
               seen + static_cast<int64_t>(lines.size()));
   }
+}
+
+/// Pre-order node count of a JSON document.
+int CountNodes(const Json& j) {
+  int n = 1;
+  for (const Json& item : j.items()) n += CountNodes(item);
+  for (const auto& [key, value] : j.members()) n += CountNodes(value);
+  return n;
+}
+
+/// A copy of `j` whose pre-order node number `*k` is replaced by `with`.
+Json ReplaceNode(const Json& j, int* k, const Json& with) {
+  if ((*k)-- == 0) return with;
+  if (j.is_array()) {
+    Json out = Json::Array();
+    for (const Json& item : j.items()) out.Add(ReplaceNode(item, k, with));
+    return out;
+  }
+  if (j.is_object()) {
+    Json out = Json::Object();
+    for (const auto& [key, value] : j.members()) {
+      out.Set(key, ReplaceNode(value, k, with));
+    }
+    return out;
+  }
+  return j;
+}
+
+/// Hostile wire lines derived from valid requests: every truncation, every
+/// field swapped to another JSON type, rows of the wrong arity,
+/// out-of-range integers, deep nesting, and random byte flips.
+std::vector<std::string> HostileLines(const std::vector<std::string>& valid,
+                                      size_t total, uint64_t seed) {
+  std::vector<std::string> lines;
+  for (const std::string& line : valid) {
+    for (size_t cut = 0; cut < line.size(); ++cut) {
+      lines.push_back(line.substr(0, cut));
+    }
+  }
+  Json array = Json::Array();
+  array.Add(Json::Int(1)).Add(Json::Str("a"));
+  const Json swaps[] = {Json::Str("x"),
+                        Json::Str(""),
+                        Json::Int(7),
+                        Json::Int(-1),
+                        Json::Int(std::numeric_limits<int64_t>::max()),
+                        Json::Int(std::numeric_limits<int64_t>::min()),
+                        Json::Double(1e300),
+                        array,
+                        Json::Array(),
+                        Json::Object(),
+                        Json::Null(),
+                        Json::Bool(true)};
+  for (const std::string& line : valid) {
+    const Json request = *Json::Parse(line);
+    const int nodes = CountNodes(request);
+    for (int node = 0; node < nodes; ++node) {
+      for (const Json& with : swaps) {
+        int k = node;
+        lines.push_back(ReplaceNode(request, &k, with).Serialize());
+      }
+    }
+  }
+  const std::string big = "123456789012345678901234567890";
+  for (const std::string& row :
+       {std::string("[]"), std::string("[1]"), std::string("[1,2]"),
+        std::string("[1,2,\"A\",4]"), "[" + big + ",2,\"A\"]",
+        "[1,-" + big + ",\"A\"]", std::string("[1,1e400,\"A\"]"),
+        std::string("[9223372036854775807,9223372036854775807,\"A\"]"),
+        std::string("[-9223372036854775808,-9223372036854775808,\"A\"]"),
+        std::string("[null,null,null]"), std::string("[\"A\",\"B\",1]")}) {
+    lines.push_back(R"({"cmd":"feed","events":[{"kind":"insert","source":"Bid","ptime":50,"row":)" +
+                    row + "}]}");
+  }
+  for (const std::string& ptime :
+       {big, "-" + big, std::string("9223372036854775807"),
+        std::string("-9223372036854775808"), std::string("1e400"),
+        std::string("0.5")}) {
+    lines.push_back(R"({"cmd":"feed","events":[{"kind":"watermark","source":"Bid","ptime":)" +
+                    ptime + R"(,"watermark":)" + ptime + "}]}");
+    lines.push_back(R"({"cmd":"subscribe","query":"p1","from_seq":)" + ptime +
+                    "}");
+  }
+  for (int depth : {10, 63, 64, 65, 1000, 100000}) {
+    const std::string open(static_cast<size_t>(depth), '[');
+    const std::string close(static_cast<size_t>(depth), ']');
+    lines.push_back(open + close);
+    lines.push_back(R"({"cmd":"feed","events":)" + open + close + "}");
+    lines.push_back(R"({"cmd":"feed","events":[{"kind":"insert","source":"Bid","ptime":60,"row":[)" +
+                    open + "1" + close + R"(,2,"A"]}]})");
+  }
+  std::mt19937_64 rng(seed);
+  while (lines.size() < total) {
+    std::string line = valid[rng() % valid.size()];
+    const int flips = 1 + static_cast<int>(rng() % 3);
+    for (int f = 0; f < flips; ++f) {
+      char byte = static_cast<char>(rng() % 256);
+      if (byte == '\n') byte = '\r';  // the transport splits lines on '\n'
+      line[rng() % line.size()] = byte;
+    }
+    lines.push_back(std::move(line));
+  }
+  return lines;
+}
+
+TEST(ServerCoreTest, HostileLinesAlwaysGetOneParseableLine) {
+  auto core = MakeServer();
+  const uint64_t s = Open(core.get());
+  RegisterBid(core.get(), s);
+  Json submitted = CallOk(
+      core.get(), s,
+      R"({"cmd":"submit","sql":")" + std::string(kPassThrough) + R"("})");
+  const std::string query = submitted.Find("query")->AsString();
+  const std::vector<std::string> valid = {
+      R"({"cmd":"hello","id":1})",
+      R"({"cmd":"submit","sql":")" + TumbleMaxSql() + R"(","share":true,"id":2})",
+      FeedCmd({InsertEvent(10, 100, 5, "A"), WatermarkEvent(30, 600000)}),
+      R"({"cmd":"subscribe","query":")" + query + R"(","from_seq":0})",
+      R"({"cmd":"snapshot","query":")" + query + R"("})",
+  };
+  const std::vector<std::string> lines = HostileLines(valid, 2000, 18);
+  ASSERT_GE(lines.size(), 2000u);
+
+  size_t accepted = 0;
+  for (const std::string& line : lines) {
+    const std::string response = core->HandleLine(s, line);
+    ASSERT_EQ(response.find('\n'), std::string::npos) << line;
+    auto parsed = Json::Parse(response);
+    ASSERT_TRUE(parsed.ok()) << line << " -> " << response;
+    const Json* ok = parsed->Find("ok");
+    ASSERT_TRUE(ok != nullptr && ok->is_bool()) << line << " -> " << response;
+    accepted += ok->AsBool();
+    // Pushes are wire lines too; draining also keeps the session under its
+    // backpressure bound.
+    for (const std::string& push : Drain(core.get(), s)) {
+      ASSERT_EQ(push.find('\n'), std::string::npos) << line;
+      ASSERT_TRUE(Json::Parse(push).ok()) << line << " -> " << push;
+    }
+  }
+
+  // Some mutants still reach a command and succeed; most are refused.
+  EXPECT_GT(accepted, 0u);
+  EXPECT_LT(accepted, lines.size() / 2);
+
+  // The session survives: valid requests still succeed on it.
+  CallOk(core.get(), s, R"({"cmd":"hello"})");
+  CallOk(core.get(), s, R"({"cmd":"snapshot","query":")" + query + R"("})");
 }
 
 TEST(ServerCoreTest, CheckpointRequiresDurability) {

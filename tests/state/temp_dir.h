@@ -5,7 +5,9 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <filesystem>
 #include <string>
+#include <system_error>
 
 #ifdef _WIN32
 #include <process.h>
@@ -18,14 +20,18 @@
 namespace onesql {
 namespace state {
 
-/// A fresh directory under gtest's temp root, unique per call within the
-/// process (tests run in one process per binary; parallel ctest shards run
-/// distinct binaries, so the pid disambiguates across them).
+/// A fresh, empty directory under gtest's temp root, unique per call within
+/// the process (the pid disambiguates concurrent test processes). A reused
+/// pid can name the directory of an earlier, finished process, so whatever
+/// is left there is removed first.
 inline std::string NewTempDir(const std::string& tag) {
   static std::atomic<int> counter{0};
   const std::string dir = ::testing::TempDir() + "onesql_" + tag + "_" +
                           std::to_string(static_cast<long>(getpid())) + "_" +
                           std::to_string(counter.fetch_add(1));
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
+  EXPECT_FALSE(ec) << ec.message();
   const Status s = EnsureDirectory(dir);
   EXPECT_TRUE(s.ok()) << s.ToString();
   return dir;

@@ -84,12 +84,11 @@ Status CompiledChain::PushWatermark(const std::vector<SourceStep>& steps,
 void CompiledChain::AttachObs(obs::ObsContext* ctx,
                               const std::string& query_label) {
   if (ctx == nullptr || ctx->registry() == nullptr) return;
-  const int sample_every = ctx->profile_sample_every();
   for (size_t i = 0; i < operators.size(); ++i) {
     operators[i]->AttachMetrics(ctx->ForOperator(query_label, labels[i]));
     // Null unless profiling is enabled; shard copies share the bundle.
     operators[i]->AttachProfile(
-        ctx->ForOperatorProfile(query_label, labels[i]), sample_every);
+        ctx->ForOperatorProfile(query_label, labels[i]));
   }
 }
 
@@ -1038,15 +1037,16 @@ void Dataflow::SampleObsGauges() {
   const uint64_t now_us = obs::TraceRecorder::NowMicros();
   const size_t num_ops = shards_[0].chain.operators.size();
   for (size_t pos = 0; pos < num_ops; ++pos) {
-    const Operator& op = *shards_[0].chain.operators[pos];
-    const obs::OperatorMetrics* m = op.metrics();
-    if (m == nullptr) continue;
     // All shard copies of a chain position share one bundle: publish the
     // summed state so the gauge means the same thing at any shard count.
     size_t total = 0;
-    for (const Shard& shard : shards_) {
+    for (Shard& shard : shards_) {
+      shard.chain.operators[pos]->PublishElementTally();
       total += shard.chain.operators[pos]->StateBytes();
     }
+    const Operator& op = *shards_[0].chain.operators[pos];
+    const obs::OperatorMetrics* m = op.metrics();
+    if (m == nullptr) continue;
     m->state_bytes->Set(static_cast<int64_t>(total));
     // The shared rows_in counter already sums across shard copies, so one
     // rows/s computation per chain position covers every shard.
@@ -1064,6 +1064,9 @@ void Dataflow::SampleObsGauges() {
 }
 
 void Dataflow::ZeroObsGauges() {
+  // Publish the last dispatch tallies first: the profile counters outlive
+  // the query.
+  SampleObsGauges();
   for (const auto& op : shards_[0].chain.operators) {
     const obs::OperatorMetrics* m = op->metrics();
     if (m != nullptr) m->state_bytes->Set(0);

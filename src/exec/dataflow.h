@@ -238,13 +238,15 @@ class Dataflow {
                  int query_index);
 
   /// Publishes instantaneous gauges — per-operator state bytes (summed
-  /// across shards), sink timer-queue depth, pending panes, snapshot rows.
-  /// Called single-threaded at snapshot time; a no-op when detached.
+  /// across shards), sink timer-queue depth, pending panes, snapshot rows —
+  /// and each operator's tallied scalar dispatches. Called single-threaded
+  /// at snapshot time; a no-op when detached.
   void SampleObsGauges();
 
-  /// Zeroes the same gauges SampleObsGauges publishes. Called when the
-  /// runtime is being torn down (Engine::DropQuery) so the exposition stops
-  /// reporting state for a dead operator tree. A no-op when detached.
+  /// Zeroes the same gauges SampleObsGauges publishes, after publishing the
+  /// last dispatch tallies. Called when the runtime is being torn down
+  /// (Engine::DropQuery) so the exposition stops reporting state for a dead
+  /// operator tree.
   void ZeroObsGauges();
 
   /// Live operator instances, counting every shard copy of every distinct

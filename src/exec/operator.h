@@ -60,16 +60,8 @@ class Operator {
   Status OnElement(int port, const Change& change) {
     if (metrics_ != nullptr) metrics_->rows_in->Increment();
     if (profile_ == nullptr) return ProcessElement(port, change);
-    profile_->elements->Increment();
-    profile_->batch_size->Record(1);
-    if (++profile_tick_ < profile_sample_every_) {
-      return ProcessElement(port, change);
-    }
-    profile_tick_ = 0;
-    const uint64_t t0 = obs::TraceRecorder::NowMicros();
-    Status status = ProcessElement(port, change);
-    profile_->wall_us->Record(obs::TraceRecorder::NowMicros() - t0);
-    return status;
+    ++profile_elements_;
+    return Sampled([&] { return ProcessElement(port, change); });
   }
 
   /// Processes a whole columnar batch arriving on `port`. The counting
@@ -85,14 +77,7 @@ class Operator {
     if (profile_ == nullptr) return ProcessBatch(port, batch);
     profile_->batches->Increment();
     profile_->batch_size->Record(batch.num_rows);
-    if (++profile_tick_ < profile_sample_every_) {
-      return ProcessBatch(port, batch);
-    }
-    profile_tick_ = 0;
-    const uint64_t t0 = obs::TraceRecorder::NowMicros();
-    Status status = ProcessBatch(port, batch);
-    profile_->wall_us->Record(obs::TraceRecorder::NowMicros() - t0);
-    return status;
+    return Sampled([&] { return ProcessBatch(port, batch); });
   }
 
   /// Processes a watermark advance on `port`. Watermarks are monotonic per
@@ -101,14 +86,7 @@ class Operator {
   /// but not the batch-size one.
   Status OnWatermark(int port, Timestamp watermark, Timestamp ptime) {
     if (profile_ == nullptr) return ProcessWatermark(port, watermark, ptime);
-    if (++profile_tick_ < profile_sample_every_) {
-      return ProcessWatermark(port, watermark, ptime);
-    }
-    profile_tick_ = 0;
-    const uint64_t t0 = obs::TraceRecorder::NowMicros();
-    Status status = ProcessWatermark(port, watermark, ptime);
-    profile_->wall_us->Record(obs::TraceRecorder::NowMicros() - t0);
-    return status;
+    return Sampled([&] { return ProcessWatermark(port, watermark, ptime); });
   }
 
   /// Short stable operator-kind name, used as the `op` metric label.
@@ -124,17 +102,29 @@ class Operator {
 
   /// Attaches the profiling bundle (nullptr detaches — the default). Count
   /// fields (batches, batch sizes, kernel paths) are recorded on every
-  /// dispatch; the wall-clock timer fires every `sample_every`-th dispatch
-  /// per instance, so the timing cost amortizes to ~two clock reads / N.
-  /// Operator instances are single-threaded (one per shard), so the tick is
-  /// a plain int; shard copies share the bundle itself (sharded counters).
-  void AttachProfile(const obs::OperatorProfileMetrics* profile,
-                     int sample_every) {
+  /// dispatch; the wall-clock timer fires every obs::kProfileSampleEvery-th
+  /// dispatch per instance, so the timing cost amortizes to ~two clock
+  /// reads / N. Operator instances are single-threaded (one per shard), so
+  /// the tick is a plain int; shard copies share the bundle itself (sharded
+  /// counters).
+  void AttachProfile(const obs::OperatorProfileMetrics* profile) {
     profile_ = profile;
-    profile_sample_every_ = sample_every < 1 ? 1 : sample_every;
     profile_tick_ = 0;
+    profile_elements_ = 0;
   }
   const obs::OperatorProfileMetrics* profile() const { return profile_; }
+
+  /// Adds the scalar dispatches OnElement tallied since the last call to
+  /// `elements` and to `batch_size` as samples of 1. The tally is a plain
+  /// member, so a profiled element dispatch pays no atomics beyond rows_in;
+  /// Dataflow::SampleObsGauges publishes it, with the operator idle, before
+  /// every metrics snapshot.
+  void PublishElementTally() {
+    if (profile_ == nullptr || profile_elements_ == 0) return;
+    profile_->elements->Add(profile_elements_);
+    profile_->batch_size->RecordMany(1, profile_elements_);
+    profile_elements_ = 0;
+  }
 
   /// Approximate bytes of operator state (for the state-size benchmarks).
   virtual size_t StateBytes() const { return 0; }
@@ -224,12 +214,24 @@ class Operator {
   }
 
  private:
+  /// Runs `process`, timing every obs::kProfileSampleEvery-th dispatch of
+  /// this instance into wall_us.
+  template <typename Process>
+  Status Sampled(Process process) {
+    if (++profile_tick_ < obs::kProfileSampleEvery) return process();
+    profile_tick_ = 0;
+    const uint64_t t0 = obs::TraceRecorder::NowMicros();
+    Status status = process();
+    profile_->wall_us->Record(obs::TraceRecorder::NowMicros() - t0);
+    return status;
+  }
+
   Operator* out_ = nullptr;
   int out_port_ = 0;
   const obs::OperatorMetrics* metrics_ = nullptr;
   const obs::OperatorProfileMetrics* profile_ = nullptr;
-  int profile_sample_every_ = 16;
   int profile_tick_ = 0;
+  uint64_t profile_elements_ = 0;  // scalar dispatches not yet published
 };
 
 /// Helper for operators with `n` input ports: tracks per-port watermarks and

@@ -1,9 +1,19 @@
 #include "exec/sink.h"
 
 #include <algorithm>
+#include <limits>
 
 namespace onesql {
 namespace exec {
+
+namespace {
+
+Status DeleteNotInResult() {
+  return Status::ExecutionError(
+      "sink received a DELETE for a row that is not in the result");
+}
+
+}  // namespace
 
 std::string Emission::ToString() const {
   std::string out = RowToString(row);
@@ -43,8 +53,8 @@ void MaterializationSink::Materialize(const Row& row, bool undo,
   Fold(&rows_, undo, row, hash);
 }
 
-Status MaterializationSink::Flush(const Row& key, KeyState* state,
-                                  Timestamp ptime, PaneKind pane) {
+Status MaterializationSink::Flush(KeyState* state, Timestamp ptime,
+                                  PaneKind pane) {
   obs::Span span(trace_, "sink_flush", "sink", query_tag_);
   const size_t emissions_before = emissions_.size();
   // Retractions first, then additions (Listing 14's undo-then-insert order).
@@ -85,7 +95,6 @@ Status MaterializationSink::Flush(const Row& key, KeyState* state,
           lag_ms > 0 ? static_cast<uint64_t>(lag_ms) : 0);
     }
   }
-  (void)key;
   return Status::OK();
 }
 
@@ -104,12 +113,15 @@ void MaterializationSink::MaybeReclaim(const Row& key) {
 Status MaterializationSink::ApplyInstant(bool is_delete, const Row& row,
                                          Timestamp ptime) {
   const size_t hash = HashRow(row);
-  RowEntry& entry = *rows_.FindOrInsert(row, hash);
-  if (is_delete && entry.count == 0) {
-    return Status::ExecutionError(
-        "sink received a DELETE for a row that is not in the result");
+  // Look up before creating anything, so a rejected DELETE leaves no entry.
+  RowEntry* entry =
+      is_delete ? rows_.Find(row, hash) : rows_.FindOrInsert(row, hash);
+  if (entry == nullptr || (is_delete && entry->count == 0)) {
+    return DeleteNotInResult();
   }
-  Materialize(row, is_delete, ptime, entry.next_ver++, hash);
+  int64_t* ver = config_.version_key_columns.empty() ? &entry->next_ver
+                                                     : VerCounter(row, hash);
+  Materialize(row, is_delete, ptime, (*ver)++, hash);
   return Status::OK();
 }
 
@@ -117,10 +129,7 @@ Status MaterializationSink::ProcessElement(int, const Change& change) {
   if (change.kind == ChangeKind::kUpsert) {
     return Status::ExecutionError("sink cannot consume UPSERT changes");
   }
-  // Instant mode with whole-row version keys (the default view semantics):
-  // the key state degenerates to the row map's (count, next_ver) entry, so
-  // the row is hashed once for key state and table alike.
-  if (instant_whole_row()) {
+  if (instant()) {
     return ApplyInstant(change.kind == ChangeKind::kDelete, change.row,
                         change.ptime);
   }
@@ -138,23 +147,24 @@ Status MaterializationSink::ProcessElement(int, const Change& change) {
   }
 
   const Row key = KeyOf(change.row);
-  KeyState& state = keys_[key];
-
-  if (state.complete) {
+  auto it = keys_.find(key);
+  if (it != keys_.end() && it->second.complete) {
     ++late_drops_;
     if (sink_metrics_ != nullptr) sink_metrics_->late_drops->Increment();
     return Status::OK();
   }
 
+  if (it == keys_.end()) {
+    if (change.kind == ChangeKind::kDelete) return DeleteNotInResult();
+    it = keys_.emplace(key, KeyState{}).first;
+  }
+  KeyState& state = it->second;
   if (change.kind == ChangeKind::kInsert) {
     state.current[change.row] += 1;
   } else {
-    auto it = state.current.find(change.row);
-    if (it == state.current.end()) {
-      return Status::ExecutionError(
-          "sink received a DELETE for a row that is not in the result");
-    }
-    if (--it->second == 0) state.current.erase(it);
+    auto row = state.current.find(change.row);
+    if (row == state.current.end()) return DeleteNotInResult();
+    if (--row->second == 0) state.current.erase(row);
   }
 
   if (config_.after_watermark && config_.completeness_column.has_value() &&
@@ -164,15 +174,6 @@ Status MaterializationSink::ProcessElement(int, const Change& change) {
       state.completeness = cv.AsTimestamp();
       pending_complete_.emplace(*state.completeness, key);
     }
-  }
-
-  if (instant()) {
-    // Single-change fast path: the materialized diff is exactly this change,
-    // so there is no need to diff the key's whole state (`last` mirrors
-    // `current` and is not maintained in instant mode).
-    Materialize(change.row, change.kind == ChangeKind::kDelete, change.ptime,
-                state.next_ver++, HashRow(change.row));
-    return Status::OK();
   }
 
   if (config_.delay.has_value()) {
@@ -186,7 +187,7 @@ Status MaterializationSink::ProcessElement(int, const Change& change) {
   // Pure AFTER WATERMARK with allowed lateness: once the on-time pane fired,
   // late corrections materialize immediately (the "late pane").
   if (state.on_time_fired) {
-    ONESQL_RETURN_NOT_OK(Flush(key, &state, change.ptime, PaneKind::kLate));
+    ONESQL_RETURN_NOT_OK(Flush(&state, change.ptime, PaneKind::kLate));
   }
   return Status::OK();
 }
@@ -195,25 +196,10 @@ Status MaterializationSink::ProcessBatch(int port, const ChangeBatch& batch) {
   // The scalar runtime advances the sink's processing-time clock before
   // delivering each event; a batch delivers that interleaving itself, so
   // AFTER DELAY timers fire at exactly the scalar instants.
-  if (instant_whole_row()) {
-    for (size_t i = 0; i < batch.num_rows; ++i) {
-      ONESQL_RETURN_NOT_OK(AdvanceTo(batch.ptimes[i], false));
-      batch.MaterializeRow(i, &row_scratch_);
-      Status status =
-          ApplyInstant(batch.weights[i] < 0, row_scratch_, batch.ptimes[i]);
-      if (!status.ok()) {
-        SetBatchFailure(i < batch.seqs.size() ? batch.seqs[i] : 0,
-                        batch.ptimes[i]);
-        return status;
-      }
-    }
-    return Status::OK();
-  }
-  Change scratch;
   for (size_t i = 0; i < batch.num_rows; ++i) {
     ONESQL_RETURN_NOT_OK(AdvanceTo(batch.ptimes[i], false));
-    batch.MaterializeChange(i, &scratch);
-    Status status = ProcessElement(port, scratch);
+    batch.MaterializeChange(i, &change_scratch_);
+    Status status = ProcessElement(port, change_scratch_);
     if (!status.ok()) {
       SetBatchFailure(i < batch.seqs.size() ? batch.seqs[i] : 0,
                       batch.ptimes[i]);
@@ -239,7 +225,7 @@ Status MaterializationSink::ProcessWatermark(int port, Timestamp watermark,
       // On-time pane: materialize the result at the watermark's arrival
       // time (Listing 13: ptime is when the watermark passed the window
       // end).
-      ONESQL_RETURN_NOT_OK(Flush(key, &state, ptime, PaneKind::kOnTime));
+      ONESQL_RETURN_NOT_OK(Flush(&state, ptime, PaneKind::kOnTime));
       state.on_time_fired = true;
       if (config_.allowed_lateness.millis() > 0) {
         // Stay open for late corrections until the lateness budget passes.
@@ -249,7 +235,7 @@ Status MaterializationSink::ProcessWatermark(int port, Timestamp watermark,
       }
     } else {
       // Lateness budget exhausted: flush any outstanding correction.
-      ONESQL_RETURN_NOT_OK(Flush(key, &state, ptime, PaneKind::kLate));
+      ONESQL_RETURN_NOT_OK(Flush(&state, ptime, PaneKind::kLate));
     }
     state.complete = true;
     MaybeReclaim(key);
@@ -287,7 +273,7 @@ Status MaterializationSink::AdvanceTo(Timestamp now, bool inclusive) {
     const PaneKind pane = !config_.after_watermark ? PaneKind::kOnTime
                           : state.on_time_fired    ? PaneKind::kLate
                                                    : PaneKind::kEarly;
-    ONESQL_RETURN_NOT_OK(Flush(key, &state, deadline, pane));
+    ONESQL_RETURN_NOT_OK(Flush(&state, deadline, pane));
     MaybeReclaim(key);
   }
   return Status::OK();
@@ -418,56 +404,25 @@ Status MaterializationSink::SaveState(state::Writer* w) const {
   w->PutTimestamp(now_);
   w->PutSigned(late_drops_);
 
-  if (instant_whole_row()) {
-    // Synthesize the KeyState layout from the row map's entries, zero-count
-    // ones included, so the checkpoint format is identical in every mode:
-    // key = the row, `last` empty (never flushed), `current` = {row: count}
-    // when live, no deadline/completeness, flags false.
-    std::vector<const FlatRowMap<RowEntry>::Slot*> entries;
-    entries.reserve(rows_.size());
-    for (const auto& slot : rows_.slots()) entries.push_back(&slot);
-    std::sort(entries.begin(), entries.end(),
-              [](const auto* a, const auto* b) {
-                return RowLess{}(a->key, b->key);
-              });
-    w->PutVarint(entries.size());
-    for (const auto* entry : entries) {
-      w->PutRow(entry->key);
-      w->PutVarint(0);  // last
-      if (entry->value.count > 0) {  // current
-        w->PutVarint(1);
-        w->PutRow(entry->key);
-        w->PutSigned(entry->value.count);
-      } else {
-        w->PutVarint(0);
-      }
-      w->PutBool(false);  // deadline
-      w->PutBool(false);  // completeness
-      w->PutBool(false);  // on_time_fired
-      w->PutBool(false);  // complete
-      w->PutSigned(entry->value.next_ver);
-    }
-  } else {
-    // Key states, sorted by key for a canonical byte stream.
-    std::vector<const std::pair<const Row, KeyState>*> entries;
-    entries.reserve(keys_.size());
-    for (const auto& entry : keys_) entries.push_back(&entry);
-    std::sort(entries.begin(), entries.end(),
-              [](const auto* a, const auto* b) {
-                return RowLess{}(a->first, b->first);
-              });
-    w->PutVarint(entries.size());
-    for (const auto* entry : entries) {
-      const KeyState& state = entry->second;
-      w->PutRow(entry->first);
-      SaveRowCountMap(state.last, w);
-      SaveRowCountMap(state.current, w);
-      SaveOptionalTimestamp(state.deadline, w);
-      SaveOptionalTimestamp(state.completeness, w);
-      w->PutBool(state.on_time_fired);
-      w->PutBool(state.complete);
-      w->PutSigned(state.next_ver);
-    }
+  // Key states, sorted by key for a canonical byte stream. Instant modes
+  // keep none: their row counts and `ver` counters are the emissions' fold.
+  std::vector<const std::pair<const Row, KeyState>*> entries;
+  entries.reserve(keys_.size());
+  for (const auto& entry : keys_) entries.push_back(&entry);
+  std::sort(entries.begin(), entries.end(), [](const auto* a, const auto* b) {
+    return RowLess{}(a->first, b->first);
+  });
+  w->PutVarint(entries.size());
+  for (const auto* entry : entries) {
+    const KeyState& state = entry->second;
+    w->PutRow(entry->first);
+    SaveRowCountMap(state.last, w);
+    SaveRowCountMap(state.current, w);
+    SaveOptionalTimestamp(state.deadline, w);
+    SaveOptionalTimestamp(state.completeness, w);
+    w->PutBool(state.on_time_fired);
+    w->PutBool(state.complete);
+    w->PutSigned(state.next_ver);
   }
 
   SaveTimerQueue(timers_, w);
@@ -497,6 +452,9 @@ Status MaterializationSink::LoadState(state::Reader* r,
   if (nkeys > r->remaining()) {
     return Status::DataLoss("impossible sink key count in checkpoint");
   }
+  // In instant modes key states are the older layout: they are checked
+  // against the emissions' fold below and dropped.
+  std::vector<std::pair<Row, KeyState>> old_keys;
   for (uint64_t i = 0; i < nkeys; ++i) {
     ONESQL_ASSIGN_OR_RETURN(Row key, r->ReadRow());
     KeyState state;
@@ -507,20 +465,12 @@ Status MaterializationSink::LoadState(state::Reader* r,
     ONESQL_ASSIGN_OR_RETURN(state.on_time_fired, r->ReadBool());
     ONESQL_ASSIGN_OR_RETURN(state.complete, r->ReadBool());
     ONESQL_ASSIGN_OR_RETURN(state.next_ver, r->ReadSigned());
-    if (instant_whole_row()) {
-      // Fold the KeyState layout back into the row map's entry (the key is
-      // the row; `current` holds at most that row).
-      int64_t count = 0;
-      for (const auto& [row, c] : state.current) {
-        (void)row;
-        count += c;
+    if (instant()) {
+      // Saved in strictly increasing key order, so no key repeats.
+      if (!old_keys.empty() && !RowLess{}(old_keys.back().first, key)) {
+        return Status::DataLoss("sink key states out of order in checkpoint");
       }
-      bool inserted = false;
-      RowEntry* entry = rows_.FindOrInsert(key, HashRow(key), &inserted);
-      if (!inserted) {
-        return Status::DataLoss("duplicate sink key state in checkpoint");
-      }
-      *entry = RowEntry{count, state.next_ver};
+      old_keys.emplace_back(std::move(key), std::move(state));
       continue;
     }
     const bool inserted =
@@ -541,32 +491,26 @@ Status MaterializationSink::LoadState(state::Reader* r,
   const size_t first = emissions_.size();
   emissions_.reserve(first + static_cast<size_t>(nemissions));
   // Rebuild the table by folding the restored emissions, so the two cannot
-  // diverge. In instant whole-row mode the key states built the row map,
-  // and their counts must equal the fold.
-  FlatRowMap<RowEntry> folded;
-  FlatRowMap<RowEntry>* table = instant_whole_row() ? &folded : &rows_;
+  // diverge. In instant modes every change of a key materializes at once
+  // with the key's next `ver`, and no key is ever reclaimed, so each `ver`
+  // counter is the key's last emitted `ver` + 1.
   for (uint64_t i = 0; i < nemissions; ++i) {
     Emission e;
     ONESQL_ASSIGN_OR_RETURN(e.row, r->ReadRow());
     ONESQL_ASSIGN_OR_RETURN(e.undo, r->ReadBool());
     ONESQL_ASSIGN_OR_RETURN(e.ptime, r->ReadTimestamp());
     ONESQL_ASSIGN_OR_RETURN(e.ver, r->ReadSigned());
-    Fold(table, e.undo, e.row, HashRow(e.row));
+    const size_t hash = HashRow(e.row);
+    if (instant()) {
+      if (e.ver < 0 || e.ver == std::numeric_limits<int64_t>::max()) {
+        return Status::DataLoss("impossible emission ver in checkpoint");
+      }
+      *VerCounter(e.row, hash) = e.ver + 1;
+    }
+    Fold(&rows_, e.undo, e.row, hash);
     emissions_.push_back(std::move(e));
   }
-  if (instant_whole_row()) {
-    size_t live = 0;
-    bool agree = true;
-    for (const auto& slot : rows_.slots()) {
-      if (slot.value.count == 0) continue;
-      ++live;
-      const RowEntry* entry = folded.Find(slot.key, slot.hash);
-      agree = agree && entry != nullptr && entry->count == slot.value.count;
-    }
-    if (!agree || live != folded.size()) {
-      return Status::DataLoss("sink key states disagree with the emissions");
-    }
-  }
+  if (!old_keys.empty()) ONESQL_RETURN_NOT_OK(CheckOldKeyStates(old_keys));
   // The blob is length-framed: bytes after the emissions are the result
   // changelog of the layout that stored the log twice. It must be exactly
   // the emissions' projection, and is dropped.
@@ -582,6 +526,57 @@ Status MaterializationSink::LoadState(state::Reader* r,
         change.ptime != e.ptime || !RowsEqual(change.row, e.row)) {
       return disagrees;
     }
+  }
+  return Status::OK();
+}
+
+int64_t* MaterializationSink::VerCounter(const Row& row, size_t hash) {
+  const std::vector<size_t>& columns = config_.version_key_columns;
+  if (columns.empty()) return &rows_.FindOrInsert(row, hash)->next_ver;
+  // Project into a reused row: a known key costs no allocation, on the hot
+  // path and for every emission LoadState folds.
+  key_scratch_.resize(columns.size());
+  for (size_t i = 0; i < columns.size(); ++i) key_scratch_[i] = row[columns[i]];
+  return vers_.FindOrInsert(key_scratch_, HashRow(key_scratch_));
+}
+
+Status MaterializationSink::CheckOldKeyStates(
+    const std::vector<std::pair<Row, KeyState>>& old_keys) const {
+  // Each saved key was never flushed, timed or completed, carries its
+  // derived `ver` counter (0 for a key never emitted) and names its live
+  // rows at their folded counts; together they name every counter and row.
+  const Status disagree =
+      Status::DataLoss("sink key states disagree with the emissions");
+  const bool whole_row = config_.version_key_columns.empty();
+  size_t counters = 0;
+  size_t live = 0;
+  for (const auto& [key, state] : old_keys) {
+    const size_t hash = HashRow(key);
+    const RowEntry* entry = whole_row ? rows_.Find(key, hash) : nullptr;
+    const int64_t* counter =
+        !whole_row ? vers_.Find(key, hash)
+                   : entry != nullptr ? &entry->next_ver : nullptr;
+    const int64_t next_ver = counter != nullptr ? *counter : 0;
+    if (!state.last.empty() || state.deadline.has_value() ||
+        state.completeness.has_value() || state.on_time_fired ||
+        state.complete || state.next_ver != next_ver) {
+      return disagree;
+    }
+    counters += next_ver != 0;
+    live += state.current.size();
+    for (const auto& [row, count] : state.current) {
+      const RowEntry* folded = rows_.Find(row, HashRow(row));
+      if (count <= 0 || folded == nullptr || folded->count != count ||
+          !RowsEqual(KeyOf(row), key)) {
+        return disagree;
+      }
+    }
+  }
+  size_t live_rows = 0;
+  for (const auto& slot : rows_.slots()) live_rows += slot.value.count > 0;
+  if (live != live_rows ||
+      counters != (whole_row ? rows_.size() : vers_.size())) {
+    return disagree;
   }
   return Status::OK();
 }
@@ -611,29 +606,23 @@ Status MaterializationSink::LinkTimers() {
 }
 
 size_t MaterializationSink::StateBytes() const {
+  // 64 bytes per key plus 48 per live row of it. In instant modes the keys
+  // are the `ver` counters (a whole-row entry holds its own, and may be at
+  // count zero) and the live rows are the row map's entries.
+  const auto bytes = [](const Row& row) { return row.size() * sizeof(Value); };
   size_t total = 0;
-  if (instant_whole_row()) {
-    // The same formula the generic path charges: 64 bytes per key entry plus
-    // 48 per live `current` row (`last` is never maintained in instant mode).
-    for (const auto& slot : rows_.slots()) {
-      total += slot.key.size() * sizeof(Value) + 64;
-      if (slot.value.count > 0) {
-        total += slot.key.size() * sizeof(Value) + 48;
-      }
-    }
-    return total;
-  }
   for (const auto& [key, state] : keys_) {
-    total += key.size() * sizeof(Value) + 64;
-    for (const auto& [row, count] : state.last) {
-      (void)count;
-      total += row.size() * sizeof(Value) + 48;
-    }
-    for (const auto& [row, count] : state.current) {
-      (void)count;
-      total += row.size() * sizeof(Value) + 48;
-    }
+    total += bytes(key) + 64;
+    for (const auto& entry : state.last) total += bytes(entry.first) + 48;
+    for (const auto& entry : state.current) total += bytes(entry.first) + 48;
   }
+  if (!instant()) return total;
+  const bool whole_row = config_.version_key_columns.empty();
+  for (const auto& slot : rows_.slots()) {
+    if (whole_row) total += bytes(slot.key) + 64;
+    if (!whole_row || slot.value.count > 0) total += bytes(slot.key) + 48;
+  }
+  for (const auto& slot : vers_.slots()) total += bytes(slot.key) + 64;
   return total;
 }
 

@@ -111,15 +111,16 @@ class MaterializationSink : public Operator {
   }
   size_t StateBytes() const override;
 
-  /// Serializes the whole sink — key states, timer queues and the emission
-  /// log — in the canonical encoding. The sink is shared across shards, so
-  /// unlike chain operators it is saved and loaded exactly once regardless
-  /// of the shard count; `filter` is ignored.
+  /// Serializes the whole sink — key states (none in instant modes), timer
+  /// queues and the emission log — in the canonical encoding. The sink is
+  /// shared across shards, so unlike chain operators it is saved and loaded
+  /// exactly once regardless of the shard count; `filter` is ignored.
   Status SaveState(state::Writer* w) const override;
 
   /// Restores into a freshly constructed sink (same SinkConfig). The row
-  /// map is the fold of the restored emissions; key states or an old-layout
-  /// changelog that disagree with them are DataLoss.
+  /// map, and in instant modes every `ver` counter, is the fold of the
+  /// restored emissions; old-layout instant key states or changelog that
+  /// disagree with them are DataLoss.
   Status LoadState(state::Reader* r, const StateKeyFilter* filter) override;
 
  private:
@@ -127,6 +128,8 @@ class MaterializationSink : public Operator {
   /// order.
   using TimerQueue = std::multimap<Timestamp, Row>;
 
+  /// A grouping's state under AFTER WATERMARK / AFTER DELAY; instant modes
+  /// keep none.
   struct KeyState {
     // Net result rows already materialized / not yet materialized.
     std::map<Row, int64_t, RowLess> last;
@@ -148,7 +151,7 @@ class MaterializationSink : public Operator {
   enum class PaneKind { kEarly, kOnTime, kLate };
 
   /// One row of the table: its multiplicity and, in instant whole-row
-  /// mode, where a KeyState degenerates to this pair, the row's next `ver`.
+  /// mode, where the row is its own version key, the row's next `ver`.
   /// There a row at count zero keeps its entry (and ver counter) and
   /// readers skip it; in the other modes zero-count rows are erased.
   struct RowEntry {
@@ -159,12 +162,8 @@ class MaterializationSink : public Operator {
   bool instant() const {
     return !config_.after_watermark && !config_.delay.has_value();
   }
-  bool instant_whole_row() const {
-    return instant() && config_.version_key_columns.empty();
-  }
   Row KeyOf(const Row& row) const;
-  Status Flush(const Row& key, KeyState* state, Timestamp ptime,
-               PaneKind pane);
+  Status Flush(KeyState* state, Timestamp ptime, PaneKind pane);
   void MaybeReclaim(const Row& key);
   /// Points each restored key state at its restored timer (LoadState).
   Status LinkTimers();
@@ -176,8 +175,15 @@ class MaterializationSink : public Operator {
   /// count zero is erased unless its entry carries a ver counter.
   static void Fold(FlatRowMap<RowEntry>* rows, bool undo, const Row& row,
                    size_t hash);
-  /// Shared instant-mode core (scalar and batch paths).
+  /// The instant-mode path, for both key shapes.
   Status ApplyInstant(bool is_delete, const Row& row, Timestamp ptime);
+  /// The instant-mode `ver` counter of `row`'s key, created at 0 if absent.
+  /// `hash` is HashRow(row).
+  int64_t* VerCounter(const Row& row, size_t hash);
+  /// Older checkpoints saved instant-mode key states; each must equal the
+  /// emissions' fold restricted to its key, or DataLoss.
+  Status CheckOldKeyStates(
+      const std::vector<std::pair<Row, KeyState>>& old_keys) const;
 
   SinkConfig config_;
   std::unordered_map<Row, KeyState, RowHash, RowEq> keys_;
@@ -188,7 +194,10 @@ class MaterializationSink : public Operator {
 
   std::vector<Emission> emissions_;  // the one log, non-decreasing in ptime
   FlatRowMap<RowEntry> rows_;        // the current table: emissions_ folded
-  Row row_scratch_;  // batch-path scratch
+  // Version-keyed instant mode: key -> next `ver`.
+  FlatRowMap<int64_t> vers_;
+  Change change_scratch_;  // batch-path scratch
+  Row key_scratch_;        // VerCounter's projected version key
   WatermarkMerger merger_{1};
   Timestamp now_ = Timestamp::Min();
   int64_t late_drops_ = 0;

@@ -13,22 +13,22 @@
 namespace onesql {
 namespace obs {
 
+/// Sampling period for the wall-clock operator timers: every Nth dispatch
+/// per operator instance is timed. Count-valued profile metrics (rows,
+/// batches, kernel paths) are never sampled.
+inline constexpr int kProfileSampleEvery = 16;
+
 /// Observability knobs. Everything is off by default; a default-constructed
 /// engine carries no registry, no recorder, and every instrumentation site
 /// reduces to one null-pointer test.
 struct ObsOptions {
   bool metrics = false;  ///< Counters, gauges, histograms.
   bool tracing = false;  ///< Span recording into per-thread rings.
-  size_t trace_ring_capacity = 4096;  ///< Retained spans per thread.
   /// Query-level profiling (DESIGN.md §15): per-operator wall-time sampling,
   /// batch-size histograms, kernel-path counters, and pipeline-stall
   /// attribution. Requires `metrics` (the profile is exported through the
   /// same registry); implied-off otherwise.
   bool profiling = false;
-  /// Sampling period for the wall-clock operator timers: every Nth dispatch
-  /// per operator instance is timed. Count-valued profile metrics (rows,
-  /// batches, kernel paths) are never sampled. Clamped to >= 1.
-  int profile_sample_every = 16;
 };
 
 // -- Typed instrument bundles ------------------------------------------------
@@ -193,8 +193,7 @@ class ObsContext {
       : options_(options),
         registry_(options.metrics ? std::make_unique<MetricsRegistry>()
                                   : nullptr),
-        trace_(options.tracing ? std::make_unique<TraceRecorder>(
-                                     options.trace_ring_capacity)
+        trace_(options.tracing ? std::make_unique<TraceRecorder>()
                                : nullptr) {}
 
   const ObsOptions& options() const { return options_; }
@@ -204,11 +203,6 @@ class ObsContext {
   /// True when the profiling factories hand out real bundles.
   bool profiling_enabled() const {
     return registry_ != nullptr && options_.profiling;
-  }
-  /// Sampling period for operator wall-clock timers (>= 1).
-  int profile_sample_every() const {
-    return options_.profile_sample_every < 1 ? 1
-                                             : options_.profile_sample_every;
   }
 
   /// Bundle factories; cached per key, so repeated calls (e.g. a query

@@ -102,9 +102,12 @@ class Histogram {
     return width > kBuckets - 1 ? kBuckets - 1 : width;
   }
 
-  void Record(uint64_t v) {
-    counts_[BucketOf(v)].fetch_add(1, std::memory_order_relaxed);
-    sum_.fetch_add(v, std::memory_order_relaxed);
+  void Record(uint64_t v) { RecordMany(v, 1); }
+
+  /// Records `n` samples of value `v` at once.
+  void RecordMany(uint64_t v, uint64_t n) {
+    counts_[BucketOf(v)].fetch_add(n, std::memory_order_relaxed);
+    sum_.fetch_add(v * n, std::memory_order_relaxed);
   }
 
   HistogramData Data() const {

@@ -122,6 +122,51 @@ TEST(KernelPathTest, SingletonChunksCountExactVectorizedRows) {
   EXPECT_EQ(KernelRows(snap, "project", "scalar"), 0u);
 }
 
+TEST(KernelPathTest, ElementDispatchesArePublishedAtEverySnapshot) {
+  // Operators tally scalar element dispatches in a plain member and the
+  // snapshot publishes them, so every snapshot — mid-feed, and after the
+  // query is dropped — reads each operator's counts as if recorded inline:
+  // batch_size count = batches + elements, batch_size sum = rows_in.
+  Engine engine;
+  ASSERT_TRUE(engine.RegisterStream("Bid", BidSchema()).ok());
+  ASSERT_TRUE(engine.EnableObservability(Profiling()).ok());
+  auto q = engine.Execute(
+      "SELECT wend, total * 2 AS doubled FROM (SELECT wend, SUM(price) AS "
+      "total FROM Tumble(data => TABLE(Bid), timecol => DESCRIPTOR(bidtime), "
+      "dur => INTERVAL '10' MINUTES) GROUP BY wend) t WHERE total > 2");
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  uint64_t elements = 0;
+  auto check = [&](const obs::MetricsSnapshot& snap) {
+    elements = 0;
+    for (const obs::CounterSample& c : snap.counters) {
+      if (c.name != "onesql_profile_elements_total") continue;
+      const obs::HistogramData* sizes =
+          snap.HistogramOf("onesql_profile_batch_size", c.labels);
+      ASSERT_NE(sizes, nullptr);
+      EXPECT_EQ(sizes->TotalCount(),
+                snap.CounterValue("onesql_profile_batches_total", c.labels) +
+                    c.value);
+      EXPECT_EQ(sizes->sum, snap.CounterValue("onesql_operator_rows_in_total",
+                                              c.labels));
+      elements += c.value;
+    }
+  };
+  std::vector<FeedEvent> feed = Inserts(6);
+  FeedEvent retract = feed[2];  // the 8:02 bid, retracted at 8:06
+  retract.kind = FeedEvent::Kind::kDelete;
+  retract.ptime = T(8, 6);
+  feed.push_back(retract);
+  for (const FeedEvent& e : feed) {
+    ASSERT_TRUE(engine.Feed({e}).ok());
+    check(engine.MetricsSnapshot());
+  }
+  EXPECT_GT(elements, 0u) << "the query must dispatch scalar elements";
+  const uint64_t before_drop = elements;
+  ASSERT_TRUE(engine.DropQuery(*q).ok());
+  check(engine.MetricsSnapshot());
+  EXPECT_EQ(elements, before_drop);
+}
+
 TEST(KernelPathTest, NullHeavyChunksStayVectorized) {
   // NULLs ride the validity lanes, not a fallback: a 50% NULL price column
   // filters vectorized, and the NULL rows simply fail the predicate.

@@ -849,6 +849,70 @@ std::string ResavedSinkBlob(Engine* engine) {
   return Q5ChainSection::Parse(dir + "/checkpoint.osql").sink;
 }
 
+/// A sink blob cut at its section boundaries (DESIGN.md §19).
+struct SinkBlobSections {
+  std::string head;        ///< watermark merger, clock, late drops
+  std::string key_states;  ///< a count, then the key states
+  std::string timers;      ///< both timer queues
+  std::string emissions;   ///< a count, then the emissions
+  std::string changelog;   ///< older layouts' trailing changelog, or empty
+
+  static SinkBlobSections Parse(const std::string& blob) {
+    SinkBlobSections out;
+    state::Reader r(blob);
+    size_t at = 0;
+    auto cut = [&](std::string* section) {
+      const size_t end = blob.size() - r.remaining();
+      *section = blob.substr(at, end - at);
+      at = end;
+    };
+    auto row_counts = [&r] {
+      const uint64_t n = *r.ReadVarint();
+      for (uint64_t i = 0; i < n; ++i) {
+        (void)*r.ReadRow();
+        (void)*r.ReadSigned();
+      }
+    };
+    auto optional_time = [&r] {
+      if (*r.ReadBool()) (void)*r.ReadTimestamp();
+    };
+    const uint64_t ports = *r.ReadVarint();
+    for (uint64_t i = 0; i < ports + 2; ++i) (void)*r.ReadTimestamp();
+    (void)*r.ReadSigned();
+    cut(&out.head);
+    const uint64_t keys = *r.ReadVarint();
+    for (uint64_t i = 0; i < keys; ++i) {
+      (void)*r.ReadRow();
+      row_counts();  // last
+      row_counts();  // current
+      optional_time();  // deadline
+      optional_time();  // completeness
+      (void)*r.ReadBool();
+      (void)*r.ReadBool();
+      (void)*r.ReadSigned();
+    }
+    cut(&out.key_states);
+    for (int queue = 0; queue < 2; ++queue) {
+      const uint64_t n = *r.ReadVarint();
+      for (uint64_t i = 0; i < n; ++i) {
+        (void)*r.ReadTimestamp();
+        (void)*r.ReadRow();
+      }
+    }
+    cut(&out.timers);
+    const uint64_t emissions = *r.ReadVarint();
+    for (uint64_t i = 0; i < emissions; ++i) {
+      (void)*r.ReadRow();
+      (void)*r.ReadBool();
+      (void)*r.ReadTimestamp();
+      (void)*r.ReadSigned();
+    }
+    cut(&out.emissions);
+    out.changelog = blob.substr(at);
+    return out;
+  }
+};
+
 /// Decodes the result changelog that older sink blobs store after the
 /// emissions: a count, then the changes.
 Changelog DecodeOldChangelog(const std::string& bytes) {
@@ -912,13 +976,18 @@ TEST(PreSharingCheckpointTest, Q5RestoresAndRendersLikeAnUninterruptedRun) {
   }
   EXPECT_GT(live_groups, 0u) << "the fixture was cut mid-window";
 
-  // The fixture's sink blob also stores the result changelog after the
-  // emissions. Re-saved at once, the blob is exactly the part before it.
-  const std::string resaved = ResavedSinkBlob(&restored);
-  ASSERT_LT(resaved.size(), saved.sink.size());
-  EXPECT_EQ(saved.sink.compare(0, resaved.size(), resaved), 0);
-  const Changelog old_log =
-      DecodeOldChangelog(saved.sink.substr(resaved.size()));
+  // The fixture's sink blob also stores Q5's instant-mode key states and,
+  // after the emissions, the result changelog. Re-saved at once, the blob
+  // is the fixture's with no key states and no changelog.
+  const SinkBlobSections old_sink = SinkBlobSections::Parse(saved.sink);
+  ASSERT_GT(old_sink.key_states.size(), 1u);
+  ASSERT_FALSE(old_sink.changelog.empty());
+  state::Writer no_key_states;
+  no_key_states.PutVarint(0);
+  EXPECT_EQ(ResavedSinkBlob(&restored),
+            old_sink.head + no_key_states.buffer() + old_sink.timers +
+                old_sink.emissions);
+  const Changelog old_log = DecodeOldChangelog(old_sink.changelog);
   EXPECT_EQ(old_log.size(), q->Emissions().size());
 
   ASSERT_TRUE(
@@ -978,20 +1047,12 @@ TEST(PreSharingCheckpointTest, DamagedSecondCountAggregateIsDataLoss) {
 }
 
 TEST(PreSharingCheckpointTest, OldChangelogThatDisagreesIsDataLoss) {
-  // Where the fixture's trailing changelog starts: the length of the sink
-  // blob re-saved right after a restore.
-  const std::string probe_dir = NewTempDir("pre_sharing_probe");
-  ASSERT_FALSE(CopyQ5Fixture(probe_dir).empty());
-  Engine probe;
-  ASSERT_TRUE(probe.Restore(probe_dir).ok());
-  const size_t emissions_end = ResavedSinkBlob(&probe).size();
-
   const std::string dir = NewTempDir("pre_sharing_old_log");
   ASSERT_FALSE(CopyQ5Fixture(dir).empty());
   const Q5ChainSection saved = Q5ChainSection::Parse(dir + "/checkpoint.osql");
-  ASSERT_LT(emissions_end, saved.sink.size());
-  const Changelog log =
-      DecodeOldChangelog(saved.sink.substr(emissions_end));
+  const SinkBlobSections sink = SinkBlobSections::Parse(saved.sink);
+  const size_t emissions_end = saved.sink.size() - sink.changelog.size();
+  const Changelog log = DecodeOldChangelog(sink.changelog);
   ASSERT_FALSE(log.empty());
 
   Changelog flipped = log;
@@ -1016,33 +1077,41 @@ TEST(PreSharingCheckpointTest, OldChangelogThatDisagreesIsDataLoss) {
 }
 
 TEST(SinkCheckpointSizeTest, SinkBlobIsAboutItsEmissionsAlone) {
-  // The sink stores its log once: its blob is the emissions plus small key
-  // states and timer queues, never a second copy of the changes.
+  // The sink stores its log once, and in instant modes nothing the log
+  // already gives: its blob is the emissions plus small gated key states
+  // and timer queues, never a second copy of the changes. The feed is the
+  // 40,000-event one the checkpoint-size figures are quoted at; with fewer,
+  // Q3 emits too few rows for the blob's fixed header to be noise.
   nexmark::GeneratorConfig config;
   config.seed = 7;
-  config.num_events = 3000;
+  config.num_events = 40000;
   const std::vector<FeedEvent> feed = nexmark::Generator(config).Generate();
-  Engine engine;
-  ASSERT_TRUE(nexmark::RegisterNexmark(&engine).ok());
-  auto q = engine.Execute(nexmark::Q4());
-  ASSERT_TRUE(q.ok()) << q.status().ToString();
-  ASSERT_TRUE(engine.Feed(feed).ok());
-  const std::vector<exec::Emission>& emissions = (*q)->Emissions();
-  ASSERT_GT(emissions.size(), 100u);
+  const std::vector<std::pair<const char*, std::string>> queries = {
+      {"Q1", nexmark::Q1()}, {"Q3", nexmark::Q3()}, {"Q4", nexmark::Q4()},
+      {"Q5", nexmark::Q5()}, {"Q7", nexmark::Q7()}};
+  for (const auto& [name, sql] : queries) {
+    Engine engine;
+    ASSERT_TRUE(nexmark::RegisterNexmark(&engine).ok());
+    auto q = engine.Execute(sql);
+    ASSERT_TRUE(q.ok()) << name << ": " << q.status().ToString();
+    ASSERT_TRUE(engine.Feed(feed).ok()) << name;
+    const std::vector<exec::Emission>& emissions = (*q)->Emissions();
+    ASSERT_GT(emissions.size(), 40u) << name;
 
-  state::Writer alone;
-  alone.PutVarint(emissions.size());
-  for (const exec::Emission& e : emissions) {
-    alone.PutRow(e.row);
-    alone.PutBool(e.undo);
-    alone.PutTimestamp(e.ptime);
-    alone.PutSigned(e.ver);
+    state::Writer alone;
+    alone.PutVarint(emissions.size());
+    for (const exec::Emission& e : emissions) {
+      alone.PutRow(e.row);
+      alone.PutBool(e.undo);
+      alone.PutTimestamp(e.ptime);
+      alone.PutSigned(e.ver);
+    }
+    const std::string sink = ResavedSinkBlob(&engine);
+    EXPECT_LE(static_cast<double>(sink.size()),
+              1.1 * static_cast<double>(alone.buffer().size()))
+        << name << ": sink blob " << sink.size() << " B, emissions alone "
+        << alone.buffer().size() << " B";
   }
-  const std::string sink = ResavedSinkBlob(&engine);
-  EXPECT_LE(static_cast<double>(sink.size()),
-            1.1 * static_cast<double>(alone.buffer().size()))
-      << "sink blob " << sink.size() << " B, emissions alone "
-      << alone.buffer().size() << " B";
 }
 
 }  // namespace

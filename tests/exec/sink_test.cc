@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -66,11 +69,6 @@ TEST(SinkTest, SnapshotReflectsPtime) {
   EXPECT_TRUE(RowsEqual(sink.SnapshotAt(T(8, 1))[0], R(8, 10, 1)));
   EXPECT_TRUE(RowsEqual(sink.SnapshotAt(T(8, 6))[0], R(8, 10, 2)));
   EXPECT_TRUE(sink.SnapshotAt(T(8, 0)).empty());
-}
-
-TEST(SinkTest, DeleteOfUnknownRowIsError) {
-  MaterializationSink sink(GroupedConfig());
-  EXPECT_FALSE(sink.OnElement(0, Del(8, 1, R(8, 10, 1))).ok());
 }
 
 TEST(SinkTest, AfterWatermarkHoldsUntilComplete) {
@@ -311,34 +309,55 @@ void ExpectSnapshotsMatchReplay(const MaterializationSink& sink,
                  mode + " CurrentSnapshot");
 }
 
+/// One input of the mixed feed: a change, or a watermark `mark` arriving
+/// at `change.ptime`.
+struct FeedStep {
+  Change change;
+  std::optional<Timestamp> mark;
+};
+
 /// Duplicates, deletes back to zero, a row that returns, several groupings
 /// and watermarks that complete some of them, so every mode emits at many
-/// ptimes. Timers fire before each change, as the runtime fires them.
-void DriveMixedFeed(MaterializationSink* sink) {
-  auto change = [sink](const Change& c) {
-    ASSERT_TRUE(sink->AdvanceTo(c.ptime, false).ok());
-    ASSERT_TRUE(sink->OnElement(0, c).ok());
+/// ptimes.
+std::vector<FeedStep> MixedFeed() {
+  auto change = [](Change c) { return FeedStep{std::move(c), std::nullopt}; };
+  auto watermark = [](Timestamp mark, Timestamp ptime) {
+    return FeedStep{Change{ChangeKind::kInsert, {}, ptime}, mark};
   };
-  auto watermark = [sink](Timestamp mark, Timestamp ptime) {
-    ASSERT_TRUE(sink->AdvanceTo(ptime, false).ok());
-    ASSERT_TRUE(sink->OnWatermark(0, mark, ptime).ok());
-  };
-  change(Ins(8, 1, R(8, 10, 1)));
-  change(Ins(8, 2, R(8, 10, 1)));
-  change(Ins(8, 3, R(8, 20, 2)));
-  change(Del(8, 4, R(8, 10, 1)));
-  change(Del(8, 5, R(8, 10, 1)));
-  change(Ins(8, 6, R(8, 5, 3)));
-  change(Ins(8, 7, R(8, 10, 1)));  // back from zero
-  watermark(T(8, 10), T(8, 8));
-  change(Ins(8, 9, R(8, 20, 4)));
-  change(Del(8, 11, R(8, 20, 2)));
-  change(Ins(8, 12, R(8, 30, 5)));
-  watermark(T(8, 20), T(8, 13));
-  change(Ins(8, 14, R(8, 30, 6)));
-  change(Del(8, 21, R(8, 30, 5)));
-  watermark(T(9, 0), T(8, 22));
-  ASSERT_TRUE(sink->AdvanceTo(T(9, 0), true).ok());
+  return {change(Ins(8, 1, R(8, 10, 1))),
+          change(Ins(8, 2, R(8, 10, 1))),
+          change(Ins(8, 3, R(8, 20, 2))),
+          change(Del(8, 4, R(8, 10, 1))),
+          change(Del(8, 5, R(8, 10, 1))),
+          change(Ins(8, 6, R(8, 5, 3))),
+          change(Ins(8, 7, R(8, 10, 1))),  // back from zero
+          watermark(T(8, 10), T(8, 8)),
+          change(Ins(8, 9, R(8, 20, 4))),
+          change(Del(8, 11, R(8, 20, 2))),
+          change(Ins(8, 12, R(8, 30, 5))),
+          watermark(T(8, 20), T(8, 13)),
+          change(Ins(8, 14, R(8, 30, 6))),
+          change(Del(8, 21, R(8, 30, 5))),
+          watermark(T(9, 0), T(8, 22))};
+}
+
+/// Drives steps [from, to) of the mixed feed. Timers fire before each step,
+/// as the runtime fires them; the last step also fires every timer.
+void DriveMixedFeed(MaterializationSink* sink, size_t from = 0,
+                    size_t to = MixedFeed().size()) {
+  const std::vector<FeedStep> steps = MixedFeed();
+  for (size_t i = from; i < to; ++i) {
+    const FeedStep& step = steps[i];
+    ASSERT_TRUE(sink->AdvanceTo(step.change.ptime, false).ok());
+    if (step.mark.has_value()) {
+      ASSERT_TRUE(sink->OnWatermark(0, *step.mark, step.change.ptime).ok());
+    } else {
+      ASSERT_TRUE(sink->OnElement(0, step.change).ok());
+    }
+  }
+  if (to == steps.size()) {
+    ASSERT_TRUE(sink->AdvanceTo(T(9, 0), true).ok());
+  }
 }
 
 struct SinkMode {
@@ -355,6 +374,61 @@ std::vector<SinkMode> AllModes() {
           {"version-keyed", GroupedConfig()},
           {"after watermark", after_watermark},
           {"after delay", after_delay}};
+}
+
+std::string SavedBlob(const MaterializationSink& sink) {
+  state::Writer w;
+  EXPECT_TRUE(sink.SaveState(&w).ok());
+  return w.buffer();
+}
+
+TEST(SinkTest, DeleteOfUnknownRowIsError) {
+  // A rejected DELETE creates no state: the sink's size and checkpoint stay
+  // those of a sink that never saw it, with or without earlier rows.
+  for (const SinkMode& mode : AllModes()) {
+    for (bool with_row : {false, true}) {
+      MaterializationSink clean(mode.config);
+      MaterializationSink sink(mode.config);
+      if (with_row) {
+        ASSERT_TRUE(clean.OnElement(0, Ins(8, 1, R(8, 10, 1))).ok());
+        ASSERT_TRUE(sink.OnElement(0, Ins(8, 1, R(8, 10, 1))).ok());
+      }
+      for (const Row& row : {R(8, 10, 2), R(8, 20, 1)}) {
+        EXPECT_FALSE(sink.OnElement(0, Del(8, 2, row)).ok()) << mode.name;
+      }
+      EXPECT_EQ(sink.StateBytes(), clean.StateBytes()) << mode.name;
+      EXPECT_EQ(SavedBlob(sink), SavedBlob(clean)) << mode.name;
+    }
+  }
+}
+
+TEST(SinkTest, RestoredSinkContinuesLikeAnUninterruptedOne) {
+  // Cut the mixed feed at every step, restore, and feed the rest: the
+  // emissions, `ver` included, equal the uninterrupted run's.
+  const size_t steps = MixedFeed().size();
+  for (const SinkMode& mode : AllModes()) {
+    MaterializationSink whole(mode.config);
+    DriveMixedFeed(&whole);
+    for (size_t cut = 0; cut <= steps; ++cut) {
+      MaterializationSink first(mode.config);
+      DriveMixedFeed(&first, 0, cut);
+      const std::string blob = SavedBlob(first);
+      MaterializationSink restored(mode.config);
+      state::Reader r(blob);
+      ASSERT_TRUE(restored.LoadState(&r, nullptr).ok()) << mode.name;
+      ASSERT_TRUE(r.AtEnd()) << mode.name;
+      EXPECT_EQ(restored.StateBytes(), first.StateBytes()) << mode.name;
+      DriveMixedFeed(&restored, cut, steps);
+      ASSERT_EQ(restored.emissions().size(), whole.emissions().size())
+          << mode.name << " cut " << cut;
+      for (size_t i = 0; i < whole.emissions().size(); ++i) {
+        EXPECT_EQ(restored.emissions()[i].ToString(),
+                  whole.emissions()[i].ToString())
+            << mode.name << " cut " << cut;
+      }
+      EXPECT_EQ(SavedBlob(restored), SavedBlob(whole)) << mode.name;
+    }
+  }
 }
 
 TEST(SinkTest, IncrementalSnapshotMatchesChangelogReplay) {
@@ -428,35 +502,153 @@ TEST(SinkTest, InstantRowDeletedToZeroKeepsItsVerSequence) {
   EXPECT_EQ(live_rows(), 2);
 }
 
-TEST(SinkTest, RestoreRejectsKeyCountsThatDisagreeWithTheEmissions) {
-  const Row a = R(8, 10, 1);
-  MaterializationSink sink(SinkConfig{});
-  ASSERT_TRUE(sink.OnElement(0, Ins(8, 1, a)).ok());
-  ASSERT_TRUE(sink.OnElement(0, Ins(8, 2, a)).ok());
-  state::Writer w;
-  ASSERT_TRUE(sink.SaveState(&w).ok());
+/// An instant-mode key state as older checkpoints saved it: never flushed,
+/// timed or completed, so only `current` and the `ver` counter carry
+/// anything.
+struct OldKeyState {
+  Row key;
+  std::vector<std::pair<Row, int64_t>> current;
+  int64_t next_ver = 0;
+};
 
-  // The key state's `current` entry is {a: 2}: the row followed by the
-  // count. (The emissions hold the row followed by a bool, never by 2.)
-  state::Writer live;
-  live.PutRow(a);
-  live.PutSigned(2);
-  const size_t at = w.buffer().find(live.buffer());
-  ASSERT_NE(at, std::string::npos);
-  for (int64_t count : {1, 3}) {
-    state::Writer damaged;
-    damaged.PutRow(a);
-    damaged.PutSigned(count);
-    std::string bytes = w.buffer();
-    bytes.replace(at, live.buffer().size(), damaged.buffer());
-    MaterializationSink restored(SinkConfig{});
-    state::Reader r(bytes);
-    const Status s = restored.LoadState(&r, nullptr);
-    ASSERT_FALSE(s.ok()) << count;
-    EXPECT_EQ(s.code(), StatusCode::kDataLoss) << s.ToString();
-    EXPECT_NE(s.message().find("disagree with the emissions"),
-              std::string::npos)
-        << s.ToString();
+/// `blob` (the current layout, no key states) with `states` spliced in as
+/// its key-state section, in key order as older checkpoints wrote them.
+std::string WithOldKeyStates(const std::string& blob,
+                             std::vector<OldKeyState> states) {
+  std::sort(states.begin(), states.end(),
+            [](const OldKeyState& a, const OldKeyState& b) {
+              return RowLess{}(a.key, b.key);
+            });
+  state::Writer section;
+  section.PutVarint(states.size());
+  for (const OldKeyState& state : states) {
+    section.PutRow(state.key);
+    section.PutVarint(0);  // last
+    section.PutVarint(state.current.size());
+    for (const auto& [row, count] : state.current) {
+      section.PutRow(row);
+      section.PutSigned(count);
+    }
+    section.PutBool(false);  // deadline
+    section.PutBool(false);  // completeness
+    section.PutBool(false);  // on_time_fired
+    section.PutBool(false);  // complete
+    section.PutSigned(state.next_ver);
+  }
+  // The key-state count follows the watermark merger, clock and late drops.
+  state::Reader r(blob);
+  const uint64_t ports = *r.ReadVarint();
+  for (uint64_t i = 0; i < ports + 2; ++i) (void)*r.ReadTimestamp();
+  (void)*r.ReadSigned();
+  const size_t at = blob.size() - r.remaining();
+  EXPECT_EQ(*r.ReadVarint(), 0u) << "instant modes save no key states";
+  return blob.substr(0, at) + section.buffer() +
+         blob.substr(blob.size() - r.remaining());
+}
+
+TEST(SinkTest, RestoreRejectsKeyCountsThatDisagreeWithTheEmissions) {
+  // Older checkpoints also saved instant-mode key states. They load when
+  // each equals the emissions' fold restricted to its key, and are dropped.
+  const Row a = R(8, 10, 1);
+  const Row b = R(8, 20, 2);
+  const Row c = R(8, 10, 3);
+  struct Case {
+    const char* name;
+    SinkConfig config;
+    std::vector<OldKeyState> states;
+  };
+  // The feed: a, a, b, -b, c. Whole-row keys are the rows; version keys
+  // are the window ends, so a and c share one.
+  const std::vector<Case> cases = {
+      {"instant whole-row",
+       SinkConfig{},
+       {{a, {{a, 2}}, 2}, {b, {}, 2}, {c, {{c, 1}}, 1}}},
+      {"version-keyed",
+       GroupedConfig(),
+       {{{a[0]}, {{a, 2}, {c, 1}}, 3}, {{b[0]}, {}, 2}}}};
+  for (const Case& test : cases) {
+    MaterializationSink sink(test.config);
+    ASSERT_TRUE(sink.OnElement(0, Ins(8, 1, a)).ok());
+    ASSERT_TRUE(sink.OnElement(0, Ins(8, 2, a)).ok());
+    ASSERT_TRUE(sink.OnElement(0, Ins(8, 2, b)).ok());
+    ASSERT_TRUE(sink.OnElement(0, Del(8, 3, b)).ok());
+    ASSERT_TRUE(sink.OnElement(0, Ins(8, 3, c)).ok());
+    const std::string blob = SavedBlob(sink);
+
+    auto load = [&](const std::vector<OldKeyState>& states) {
+      MaterializationSink restored(test.config);
+      const std::string old_layout = WithOldKeyStates(blob, states);
+      state::Reader r(old_layout);
+      Status s = restored.LoadState(&r, nullptr);
+      if (s.ok()) {
+        EXPECT_TRUE(r.AtEnd()) << test.name;
+        EXPECT_EQ(SavedBlob(restored), blob) << test.name << " re-saved";
+        EXPECT_EQ(restored.StateBytes(), sink.StateBytes()) << test.name;
+      }
+      return s;
+    };
+    const Status loaded = load(test.states);
+    ASSERT_TRUE(loaded.ok()) << test.name << ": " << loaded.ToString();
+    // A rejected DELETE used to leave an empty key state behind.
+    std::vector<OldKeyState> with_empty = test.states;
+    with_empty.push_back({R(9, 0, 9), {}, 0});
+    if (!test.config.version_key_columns.empty()) {
+      with_empty.back().key = {Value::Time(T(9, 0))};
+    }
+    EXPECT_TRUE(load(with_empty).ok()) << test.name;
+
+    std::vector<std::vector<OldKeyState>> damaged;
+    for (int64_t delta : {-1, 1}) {
+      std::vector<OldKeyState> count = test.states;
+      count[0].current[0].second += delta;
+      damaged.push_back(count);
+      std::vector<OldKeyState> ver = test.states;
+      ver[0].next_ver += delta;
+      damaged.push_back(ver);
+      std::vector<OldKeyState> zero_row_ver = test.states;
+      zero_row_ver[1].next_ver += delta;
+      damaged.push_back(zero_row_ver);
+    }
+    damaged.push_back(std::vector<OldKeyState>(test.states.begin() + 1,
+                                               test.states.end()));
+    std::vector<OldKeyState> missing_row = test.states;
+    missing_row[0].current.pop_back();
+    damaged.push_back(missing_row);
+    std::vector<OldKeyState> deleted_row_live = test.states;
+    deleted_row_live[1].current.push_back({b, 1});
+    damaged.push_back(deleted_row_live);
+    for (size_t i = 0; i < damaged.size(); ++i) {
+      const Status s = load(damaged[i]);
+      ASSERT_FALSE(s.ok()) << test.name << " case " << i;
+      EXPECT_EQ(s.code(), StatusCode::kDataLoss) << s.ToString();
+      EXPECT_NE(s.message().find("disagree with the emissions"),
+                std::string::npos)
+          << s.ToString();
+    }
+  }
+}
+
+TEST(SinkTest, RestoreRejectsVersNoInstantSinkEmits) {
+  // An instant-mode counter is the last `ver` + 1, so a negative or
+  // maximal `ver` cannot come from a sink: it is damage, not overflow.
+  for (const SinkConfig& config : {SinkConfig{}, GroupedConfig()}) {
+    const std::string empty = SavedBlob(MaterializationSink(config));
+    for (int64_t ver : {int64_t{-1}, std::numeric_limits<int64_t>::max()}) {
+      state::Writer emissions;
+      emissions.PutVarint(1);
+      emissions.PutRow(R(8, 10, 1));
+      emissions.PutBool(false);
+      emissions.PutTimestamp(T(8, 1));
+      emissions.PutSigned(ver);
+      // The fresh sink's blob ends with its emission count, 0.
+      const std::string bytes =
+          empty.substr(0, empty.size() - 1) + emissions.buffer();
+      MaterializationSink restored(config);
+      state::Reader r(bytes);
+      const Status s = restored.LoadState(&r, nullptr);
+      ASSERT_FALSE(s.ok()) << ver;
+      EXPECT_EQ(s.code(), StatusCode::kDataLoss) << s.ToString();
+    }
   }
 }
 

@@ -72,7 +72,7 @@ std::unique_ptr<exec::Dataflow> BuildVariant(const plan::Catalog& catalog,
     if (!plan::Optimizer::Optimize(&*plan).ok()) std::abort();
     if (variant == Variant::kNoPurge) StripPurges(plan->root.get());
   }
-  auto flow = exec::Dataflow::Build(std::move(*plan), /*shards=*/1);
+  auto flow = exec::Dataflow::Build(std::move(*plan));
   if (!flow.ok()) std::abort();
   return std::move(*flow);
 }

@@ -18,7 +18,9 @@
 #include <benchmark/benchmark.h>
 
 #include <atomic>
+#include <filesystem>
 #include <string>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -40,19 +42,39 @@ constexpr const char* kKeyedAgg =
     "FROM Tumble(data => TABLE(Bid), timecol => DESCRIPTOR(bidtime), "
     "dur => INTERVAL '10' MINUTES) t GROUP BY item, wend";
 
-/// A fresh scratch directory per call (benchmarks re-create engines many
-/// times; each run gets its own log/checkpoint so sequence numbers align).
-std::string NewBenchDir(const std::string& tag) {
-  static std::atomic<int> counter{0};
-  const std::string dir = "/tmp/onesql_bench_" + tag + "_" +
-                          std::to_string(static_cast<long>(getpid())) + "_" +
-                          std::to_string(counter.fetch_add(1));
-  if (!state::EnsureDirectory(dir).ok()) std::abort();
-  return dir;
-}
+/// Fresh scratch directories (benchmarks re-create engines many times; each
+/// run gets its own log/checkpoint so sequence numbers align). Every
+/// directory is removed, with its contents, when the set goes out of scope,
+/// so a benchmark removes its directories outside its timed loop.
+class BenchDirs {
+ public:
+  ~BenchDirs() {
+    for (const std::string& dir : dirs_) {
+      std::error_code ec;
+      std::filesystem::remove_all(dir, ec);
+    }
+  }
 
-/// High-cardinality keyed feed, same shape as bench_parallel: `keys`
-/// distinct items, watermark every `wm_every` rows.
+  std::string New(const std::string& tag) {
+    static std::atomic<int> counter{0};
+    std::error_code ec;
+    const std::string dir =
+        (std::filesystem::temp_directory_path(ec) /
+         ("onesql_bench_" + tag + "_" +
+          std::to_string(static_cast<long>(getpid())) + "_" +
+          std::to_string(counter.fetch_add(1))))
+            .string();
+    if (!state::EnsureDirectory(dir).ok()) std::abort();
+    dirs_.push_back(dir);
+    return dir;
+  }
+
+ private:
+  std::vector<std::string> dirs_;
+};
+
+/// High-cardinality keyed feed: `keys` distinct items, watermark every
+/// `wm_every` rows.
 std::vector<FeedEvent> KeyedFeed(int rows, int keys, int wm_every) {
   std::vector<FeedEvent> feed;
   feed.reserve(static_cast<size_t>(rows) + static_cast<size_t>(rows) /
@@ -84,14 +106,16 @@ std::vector<FeedEvent> KeyedFeed(int rows, int keys, int wm_every) {
 }
 
 /// Feeds `feed` into a fresh engine running the keyed aggregation;
-/// optionally durable. Returns the directory (empty when not durable).
+/// optionally durable. Returns the directory, made in `dirs` (empty when
+/// not durable).
 std::string RunOnce(const std::vector<FeedEvent>& feed, bool durable,
-                    bool checkpoint_at_end, const std::string& tag) {
+                    bool checkpoint_at_end, const std::string& tag,
+                    BenchDirs* dirs) {
   Engine engine;
   if (!engine.RegisterStream("Bid", PaperBidSchema()).ok()) std::abort();
   std::string dir;
   if (durable || checkpoint_at_end) {
-    dir = NewBenchDir(tag);
+    dir = dirs->New(tag);
     if (durable && !engine.EnableDurability(dir).ok()) std::abort();
   }
   auto q = engine.Execute(kKeyedAgg);
@@ -111,11 +135,12 @@ void BM_FeedThroughput(benchmark::State& state) {
   const std::vector<FeedEvent> feed =
       KeyedFeed(kRows, /*keys=*/512, /*wm_every=*/200);
   int64_t rows_processed = 0;
+  BenchDirs dirs;
   for (auto _ : state) {
     state.PauseTiming();
     Engine engine;
     if (!engine.RegisterStream("Bid", PaperBidSchema()).ok()) std::abort();
-    if (durable && !engine.EnableDurability(NewBenchDir("feed")).ok()) {
+    if (durable && !engine.EnableDurability(dirs.New("feed")).ok()) {
       std::abort();
     }
     auto q = engine.Execute(kKeyedAgg);
@@ -150,7 +175,8 @@ void BM_CheckpointWrite(benchmark::State& state) {
   auto q = engine.Execute(kKeyedAgg);
   if (!q.ok()) std::abort();
   if (!engine.Feed(feed).ok()) std::abort();
-  const std::string dir = NewBenchDir("ckptwrite");
+  BenchDirs dirs;
+  const std::string dir = dirs.New("ckptwrite");
   for (auto _ : state) {
     if (!engine.Checkpoint(dir).ok()) std::abort();
   }
@@ -170,9 +196,11 @@ BENCHMARK(BM_CheckpointWrite)
 /// from a checkpoint (the log suffix past the checkpoint is empty).
 void BM_RestoreFromCheckpoint(benchmark::State& state) {
   const int rows = static_cast<int>(state.range(0));
+  BenchDirs dirs;
   const std::string dir =
       RunOnce(KeyedFeed(rows, /*keys=*/512, /*wm_every=*/200),
-              /*durable=*/true, /*checkpoint_at_end=*/true, "restoreckpt");
+              /*durable=*/true, /*checkpoint_at_end=*/true, "restoreckpt",
+              &dirs);
   for (auto _ : state) {
     Engine engine;
     if (!engine.Restore(dir).ok()) std::abort();
@@ -192,9 +220,11 @@ BENCHMARK(BM_RestoreFromCheckpoint)
 /// through the dataflow (no checkpoint taken before the crash).
 void BM_RestoreByReplay(benchmark::State& state) {
   const int rows = static_cast<int>(state.range(0));
+  BenchDirs dirs;
   const std::string dir =
       RunOnce(KeyedFeed(rows, /*keys=*/512, /*wm_every=*/200),
-              /*durable=*/true, /*checkpoint_at_end=*/false, "restorereplay");
+              /*durable=*/true, /*checkpoint_at_end=*/false, "restorereplay",
+              &dirs);
   for (auto _ : state) {
     Engine engine;
     // Cold start: the catalog is not in the log, so re-register, restore
@@ -231,12 +261,13 @@ void BM_ConcurrentDurableFeed(benchmark::State& state) {
   // ptime, and concurrent callers have no cross-thread order to promise.
   const Timestamp ptime = T(9, 0);
   int64_t rows_processed = 0;
+  BenchDirs dirs;
   for (auto _ : state) {
     state.PauseTiming();
     Engine engine;
     if (!engine.RegisterStream("Bid", PaperBidSchema()).ok()) std::abort();
     if (mode != 0) {
-      if (!engine.EnableDurability(NewBenchDir("gcfeed")).ok()) std::abort();
+      if (!engine.EnableDurability(dirs.New("gcfeed")).ok()) std::abort();
     }
     auto q = engine.Execute(kKeyedAgg);
     if (!q.ok()) std::abort();

@@ -128,8 +128,7 @@ BENCHMARK(BM_Q7WithoutWatermarks)->Arg(1000)->Arg(4000);
 // own work is timed) and report the cost of one change; the time per
 // iteration should stay flat as N grows 10-100x.
 
-/// Compiles `sql` over S(t, k, v) and B(t, k, w) (`t` is event time) at one
-/// shard.
+/// Compiles `sql` over S(t, k, v) and B(t, k, w) (`t` is event time).
 std::unique_ptr<exec::Dataflow> BuildFlow(const std::string& sql) {
   Engine engine;
   for (const char* name : {"S", "B"}) {
@@ -141,7 +140,7 @@ std::unique_ptr<exec::Dataflow> BuildFlow(const std::string& sql) {
   }
   auto plan = engine.Plan(sql);
   if (!plan.ok()) std::abort();
-  auto flow = exec::Dataflow::Build(std::move(*plan), 1);
+  auto flow = exec::Dataflow::Build(std::move(*plan));
   if (!flow.ok()) std::abort();
   return std::move(*flow);
 }

@@ -3,12 +3,13 @@
 # including the checkpoint/WAL/fault-injection durability suites), then an
 # ASan/UBSan sweep of the whole suite (the byte-flip and truncation fault
 # injections run under the sanitizers here — damaged files must fail with a
-# clean Status, never UB), then a TSan pass over the threaded
-# sharded-runtime tests (including the sharded checkpoint/restore path) and
-# the observability suites: the lock-free metrics/trace primitives under a
-# concurrent-registry hammer, and end-to-end metrics on the 8-shard runtime,
-# and the standing-query server (socket reader/writer threads racing the
-# command dispatcher, subscription fan-out, and slow-subscriber teardown).
+# clean Status, never UB), then a TSan pass over the threaded paths: the
+# engine feed lock and group-commit WAL under concurrent feeders, the
+# checkpoint/restore path, the observability suites (the lock-free
+# metrics/trace primitives under a concurrent-registry hammer, and
+# end-to-end metrics), and the standing-query server (socket reader/writer
+# threads racing the command dispatcher, subscription fan-out, and
+# slow-subscriber teardown).
 # Every build compiles with -Wall -Wextra -Werror.
 #
 # Fail-fast: `set -e` alone does not fire inside `if`/`&&`/`||` contexts and
@@ -70,12 +71,9 @@ run_leg "perf-state-cleanup-run" \
 # the JSON it writes also joins the throughput comparison below.
 run_leg "perf-profile-run" \
   env -C "${PERF_DIR}" ../bench/bench_profile --benchmark_min_time=0.1
-# The sharded-runtime and durability benches guard the pipelined worker
-# epochs and the group-commit WAL: a scheduling regression (lost wakeup,
-# spin gone wrong, fsync no longer amortized) shows up here as a throughput
+# The durability bench guards the group-commit WAL: a scheduling regression
+# (lost wakeup, fsync no longer amortized) shows up here as a throughput
 # cliff long before anyone reads a latency histogram.
-run_leg "perf-parallel-run" \
-  env -C "${PERF_DIR}" ../bench/bench_parallel --benchmark_min_time=0.1
 run_leg "perf-checkpoint-run" \
   env -C "${PERF_DIR}" ../bench/bench_checkpoint --benchmark_min_time=0.1
 # The e2e legs get extra headroom: full-engine NEXMark runs swing harder
@@ -83,7 +81,6 @@ run_leg "perf-checkpoint-run" \
 run_leg "perf-e2e-compare" python3 tools/bench_compare.py \
   BENCH_nexmark.json "${PERF_DIR}/BENCH_nexmark.json" \
   BENCH_profile.json "${PERF_DIR}/BENCH_profile.json" \
-  BENCH_parallel.json "${PERF_DIR}/BENCH_parallel.json" \
   BENCH_checkpoint.json "${PERF_DIR}/BENCH_checkpoint.json" \
   --fail=0.35 --warn=0.7
 run_leg "perf-micro-compare" python3 tools/bench_compare.py \
@@ -91,16 +88,14 @@ run_leg "perf-micro-compare" python3 tools/bench_compare.py \
   BENCH_micro.json "${PERF_DIR}/BENCH_state_cleanup.json"
 
 echo "=== explain-analyze smoke: annotated plans over every NEXMark query ==="
-# Drives all six NEXMark queries through one profiled engine at one and two
-# shards, then validates every rendering: the driver itself fails on an
-# unannotated plan, and profile_report.py --check re-parses each JSON and
-# asserts the plan/sink/per-node shape the tooling depends on.
+# Drives all six NEXMark queries through one profiled engine, then validates
+# every rendering: the driver itself fails on an unannotated plan, and
+# profile_report.py --check re-parses each JSON and asserts the
+# plan/sink/per-node shape the tooling depends on.
 EXPLAIN_DIR="build/explain-run"
 rm -rf "${EXPLAIN_DIR}"
-run_leg "explain-run-seq" ./build/tools/explain_nexmark "${EXPLAIN_DIR}/n1" 1
-run_leg "explain-run-sharded" ./build/tools/explain_nexmark "${EXPLAIN_DIR}/n2" 2
+run_leg "explain-run-seq" ./build/tools/explain_nexmark "${EXPLAIN_DIR}/n1"
 run_leg "explain-check-seq" python3 tools/profile_report.py --check "${EXPLAIN_DIR}/n1"
-run_leg "explain-check-sharded" python3 tools/profile_report.py --check "${EXPLAIN_DIR}/n2"
 
 echo "=== ASan/UBSan: full test suite ==="
 # GCC-12 emits -Wmaybe-uninitialized false positives inside std::variant
@@ -123,7 +118,7 @@ run_leg "fuzz-sweep" ./build-asan/tests/fuzz_driver \
   --seed-start=1 --seed-count=10000 --budget-seconds=600 --wal-every=16 \
   --corpus=tests/fuzz/corpus --corpus-out=tests/fuzz/corpus
 
-echo "=== TSan: threaded sharded-runtime + observability tests ==="
+echo "=== TSan: threaded engine, durability, observability and server tests ==="
 run_leg "tsan-configure" cmake -B build-tsan -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="${WARN_FLAGS} -fsanitize=thread" \
@@ -132,9 +127,9 @@ run_leg "tsan-build" cmake --build build-tsan -j"${JOBS}" \
   --target engine_test recovery_test group_commit_test obs_test \
   observability_test server_test state_test
 run_leg "tsan-engine" ./build-tsan/tests/engine_test \
-  --gtest_filter='ParallelRuntimeTest.*:EngineTest.*:SpscQueueTest.*'
-# The sharded restore path: SaveState/LoadState across worker threads, and
-# recovery-equivalence at N ∈ {1, 2, 8}.
+  --gtest_filter='ParallelRuntimeTest.*:EngineTest.*'
+# The restore path with the WAL appender thread: recovery equivalence, and
+# checkpoints of the N-chain runtime loading into one chain.
 run_leg "tsan-recovery" ./build-tsan/tests/recovery_test \
   --gtest_filter='RecoveryEquivalenceTest.*:ShardCountChangingRestoreTest.*'
 # Group commit under real contention: N feeder threads racing the engine
@@ -148,7 +143,7 @@ run_leg "tsan-wal" ./build-tsan/tests/state_test \
 # snapshots) and the lock-free trace rings.
 run_leg "tsan-obs" ./build-tsan/tests/obs_test \
   --gtest_filter='*Concurrent*:RegistryTest.*'
-# End-to-end metrics over the threaded runtime, 8 shards included.
+# End-to-end metrics, with the WAL appender thread in play.
 run_leg "tsan-observability" ./build-tsan/tests/observability_test
 # The standing-query server: TCP reader/writer/accept threads against the
 # core's session registry, plus the in-process overflow-teardown path. The

@@ -160,13 +160,6 @@ FeedEvent EventAt(const exec::InputChunk& chunk, size_t row) {
       event.ptime = chunk.ptime;
       event.watermark = chunk.watermark;
       break;
-    case exec::InputChunk::Kind::kSingle:
-      event.kind = chunk.event_kind == ChangeKind::kDelete
-                       ? FeedEvent::Kind::kDelete
-                       : FeedEvent::Kind::kInsert;
-      event.ptime = chunk.ptime;
-      event.row = chunk.row;
-      break;
   }
   return event;
 }
@@ -236,6 +229,7 @@ Result<ContinuousQuery*> Engine::Execute(const std::string& sql,
   if (options.allowed_lateness.millis() < 0) {
     return Status::InvalidArgument("allowed lateness must be non-negative");
   }
+  // The shard count has no effect, but is still range-checked.
   if (options.shards < 1 || options.shards > exec::kMaxShards) {
     return Status::InvalidArgument("shard count must be between 1 and " +
                                    std::to_string(exec::kMaxShards) +
@@ -245,8 +239,7 @@ Result<ContinuousQuery*> Engine::Execute(const std::string& sql,
   // Building first costs little and yields the fingerprint from the same
   // subtree texts the chain was compiled by.
   ONESQL_ASSIGN_OR_RETURN(std::unique_ptr<exec::Dataflow> flow,
-                          exec::Dataflow::Build(std::move(plan),
-                                                options.shards));
+                          exec::Dataflow::Build(std::move(plan)));
   if (options.share && FindQuery(flow->fingerprint()) != nullptr) {
     // The caller opted into sharing: an identical standing query is already
     // running, so starting a second operator tree would be pure waste.
@@ -523,7 +516,7 @@ Status Engine::Feed(const std::vector<FeedEvent>& events) {
     }
     ++accepted;
     // Feed metrics run on the logical feed clock (event ptimes), so they are
-    // exact and deterministic at any shard count. WAL-suffix replay during
+    // exact and deterministic. WAL-suffix replay during
     // Restore() goes through here too: a restored engine counts the replayed
     // suffix as processing (which it is) and nothing before the checkpoint.
     if (engine_metrics_ != nullptr) {
@@ -813,7 +806,8 @@ Status Engine::Checkpoint(const std::string& dir) {
     state::Writer w;
     w.PutString(query->sql_);
     w.PutInterval(query->plan().allowed_lateness);
-    w.PutVarint(static_cast<uint64_t>(query->flow_->shard_count()));
+    // The shard count the older N-chain runtime recorded; always 1 now.
+    w.PutVarint(1);
     state::Writer runtime;
     ONESQL_RETURN_NOT_OK(query->flow_->SaveState(&runtime));
     w.PutBlob(runtime);
@@ -901,20 +895,20 @@ Status Engine::LoadEngineSection(state::Reader* r, uint64_t* num_queries,
 Status Engine::RestoreQuerySection(state::Reader* r) {
   ONESQL_ASSIGN_OR_RETURN(std::string sql, r->ReadString());
   ONESQL_ASSIGN_OR_RETURN(Interval lateness, r->ReadInterval());
+  // A checkpoint of the older N-chain runtime records N here; its N chain
+  // sections all load into the one chain.
   ONESQL_ASSIGN_OR_RETURN(uint64_t shards, r->ReadVarint());
   if (shards == 0 || shards > static_cast<uint64_t>(exec::kMaxShards)) {
     return Status::DataLoss("impossible shard count " +
                             std::to_string(shards) + " in checkpoint");
   }
 
-  // Rebuild the runtime exactly as Execute() did — same plan, same resolved
-  // shard count — but load its operator state from the checkpoint instead of
-  // replaying history.
+  // Rebuild the runtime exactly as Execute() did, but load its operator
+  // state from the checkpoint instead of replaying history.
   ONESQL_ASSIGN_OR_RETURN(plan::QueryPlan plan, Plan(sql));
   plan.allowed_lateness = lateness;
-  ONESQL_ASSIGN_OR_RETURN(
-      std::unique_ptr<exec::Dataflow> flow,
-      exec::Dataflow::Build(std::move(plan), static_cast<int>(shards)));
+  ONESQL_ASSIGN_OR_RETURN(std::unique_ptr<exec::Dataflow> flow,
+                          exec::Dataflow::Build(std::move(plan)));
 
   ONESQL_ASSIGN_OR_RETURN(state::Reader runtime, r->ReadBlob());
   ONESQL_RETURN_NOT_OK(flow->LoadState(&runtime));

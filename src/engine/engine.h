@@ -29,11 +29,8 @@ struct ExecutionOptions {
   /// reproduces the paper's strict drop semantics.
   Interval allowed_lateness{0};
 
-  /// Number of key-partitioned shards the query runs on, in
-  /// [1, exec::kMaxShards]; Execute rejects other values. Plans that cannot
-  /// be key-partitioned (see exec/shard_router.h) run on one chain
-  /// regardless. Output is bit-identical at every shard count, so this is
-  /// purely a throughput knob.
+  /// Has no effect: every query runs on one operator chain. Still
+  /// range-checked to [1, exec::kMaxShards]; Execute rejects other values.
   int shards = 1;
 
   /// Opt into multi-query sharing (DESIGN.md §13): when a query with the same
@@ -98,7 +95,7 @@ class ContinuousQuery {
   /// Engine::DropQuery). A freshly executed query has one reference.
   int refs() const { return refs_; }
 
-  /// The underlying runtime (see exec::Dataflow::shard_count()).
+  /// The underlying runtime.
   const exec::Dataflow& dataflow() const { return *flow_; }
 
  private:
@@ -114,8 +111,8 @@ class ContinuousQuery {
 
   // Recorded so Engine::Checkpoint can rebuild this query at restore time:
   // the SQL text is re-planned (plans hold pointers, not bytes) and the
-  // runtime is rebuilt at exactly the shard count it resolved to, then its
-  // operator state is loaded from the checkpoint instead of replaying.
+  // runtime is rebuilt, then its operator state is loaded from the
+  // checkpoint instead of replaying.
   std::string sql_;
   /// Stable observability label suffix ("q<label>"); not a position in
   /// Engine::queries_ — positions shift when queries are dropped, labels
@@ -168,7 +165,7 @@ class Engine {
   /// history, and no durability/observability attachments. Registration
   /// order is canonical (sorted by name), so two clones are bit-identical
   /// starting points: the differential harness runs one recorded feed
-  /// through independently configured clones (shard counts, restore points)
+  /// through independently configured clones (feed shapes, restore points)
   /// and demands identical renderings.
   Result<std::unique_ptr<Engine>> CloneRegistrations() const;
 
@@ -184,9 +181,8 @@ class Engine {
                           Timestamp watermark);
 
   /// Feeds a whole recorded dataset. The batch is validated event by event
-  /// and then dispatched to every query wholesale (one PushChunks), so a
-  /// sharded query pays one epoch barrier per Feed call rather than one per
-  /// event. On a validation error the valid prefix has already been
+  /// and then dispatched to every query wholesale (one PushChunks). On a
+  /// validation error the valid prefix has already been
   /// dispatched (matching the event-by-event semantics) and the error is
   /// returned.
   ///
@@ -229,8 +225,8 @@ class Engine {
   Status Checkpoint(const std::string& dir);
 
   /// Restores engine state from `dir`: loads `checkpoint.osql` if present
-  /// (the engine must hold no data or queries yet), rebuilds every query at
-  /// its original shard count with its checkpointed operator state, then
+  /// (the engine must hold no data or queries yet), rebuilds every query
+  /// with its checkpointed operator state, then
   /// replays the suffix of `feed.wal` past the checkpoint's feed position
   /// and re-attaches the log. With no checkpoint file the whole log is
   /// replayed (streams must be re-registered first in that case). Damaged
@@ -268,7 +264,7 @@ class Engine {
   /// EXPLAIN ANALYZE: the query's logical plan annotated with its live
   /// metrics — per-operator rows in/out, batch counts and sizes, sampled
   /// wall time, kernel path (vectorized vs scalar rows, fallback reasons),
-  /// state bytes, sink emission counters, and (sharded) stall attribution.
+  /// state bytes and sink emission counters.
   /// Returns both a human-readable text tree and a JSON document carrying
   /// the same values. Requires observability with metrics enabled; the
   /// profiling extras appear only when `ObsOptions::profiling` is on.
@@ -328,8 +324,8 @@ class Engine {
   /// from one whose log has gone missing (the latter is DataLoss).
   Status LoadEngineSection(state::Reader* r, uint64_t* num_queries,
                            bool* was_durable);
-  /// Rebuilds one checkpointed query (re-plan, rebuild runtime at the saved
-  /// shard count, load operator state) and appends it to `queries_`.
+  /// Rebuilds one checkpointed query (re-plan, rebuild runtime, load
+  /// operator state) and appends it to `queries_`.
   Status RestoreQuerySection(state::Reader* r);
 
   /// Attaches the observability context to a query's runtime under its

@@ -1,8 +1,7 @@
 // EXPLAIN ANALYZE: renders a running query's logical plan annotated with its
 // live metrics. Every plan node reads the instrument bundle of the operator
 // the runtime compiled it to, under the label the chain gave that operator
-// (exec::CompiledChain::labels), so every shard copy publishes there too. A
-// later occurrence of a shared subtree names the operator it shares and is
+// (exec::CompiledChain::labels). A later occurrence of a shared subtree names the operator it shares and is
 // not counted again.
 
 #include <sstream>
@@ -214,6 +213,8 @@ Result<ExplainAnalysis> Engine::ExplainAnalyze(const ContinuousQuery* query) {
   const obs::MetricsSnapshot snap = MetricsSnapshot();
   const std::string qlabel = "q" + std::to_string(query->obs_label_);
   const bool profiling = obs_->profiling_enabled();
+  // Always 1 (one chain); the key stays because readers of the JSON expect
+  // it.
   const int shards = query->flow_->shard_count();
 
   std::vector<NodeEntry> entries;
@@ -275,17 +276,11 @@ Result<ExplainAnalysis> Engine::ExplainAnalyze(const ContinuousQuery* query) {
        << " pending_panes=" << snap.GaugeValue("onesql_sink_pending_panes", ql)
        << " timer_queue=" << snap.GaugeValue("onesql_sink_timer_queue_depth", ql)
        << "\n";
-  const obs::HistogramData* shard_wait =
-      snap.HistogramOf("onesql_profile_shard_wait_us", ql);
-  const obs::HistogramData* merge =
-      snap.HistogramOf("onesql_profile_merge_us", ql);
   const obs::HistogramData* wal_stall =
       snap.HistogramOf("onesql_profile_feed_wal_stall_us");
   const obs::HistogramData* dispatch =
       snap.HistogramOf("onesql_profile_feed_dispatch_us");
   if (profiling) {
-    text << "stalls: shard_wait_us " << HistText(shard_wait) << " | merge_us "
-         << HistText(merge) << "\n";
     text << "engine: feed_wal_stall_us " << HistText(wal_stall)
          << " | feed_dispatch_us " << HistText(dispatch) << "\n";
   }
@@ -316,11 +311,7 @@ Result<ExplainAnalysis> Engine::ExplainAnalyze(const ContinuousQuery* query) {
           std::to_string(snap.GaugeValue("onesql_sink_timer_queue_depth", ql));
   json += "}";
   if (profiling) {
-    json += ",\"stalls\":{\"shard_wait_us\":";
-    AppendHistJson(&json, shard_wait);
-    json += ",\"merge_us\":";
-    AppendHistJson(&json, merge);
-    json += "},\"engine\":{\"feed_wal_stall_us\":";
+    json += ",\"engine\":{\"feed_wal_stall_us\":";
     AppendHistJson(&json, wal_stall);
     json += ",\"feed_dispatch_us\":";
     AppendHistJson(&json, dispatch);

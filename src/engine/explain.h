@@ -14,12 +14,13 @@ struct ExplainAnalysis {
 
   /// EXPLAIN-style indented plan tree: each node's own EXPLAIN line followed
   /// by bracketed annotation lines (rows, batches, sampled wall time, kernel
-  /// path, state bytes), then query-level sink and stall-attribution lines.
+  /// path, state bytes), then query-level sink and engine stall lines.
   std::string text;
 
   /// JSON document with a stable shape (consumed by tools/profile_report.py):
   /// {"query","sql","shards","profiling","plan":{...recursive "inputs"...},
-  ///  "sink":{...}, and — when profiling is on — "stalls" and "engine"}.
+  ///  "sink":{...}, and — when profiling is on — "engine"}. "shards" is
+  /// always 1.
   /// Count-valued fields are exact; time-valued fields are sampled and
   /// machine-dependent (see DESIGN.md §15 for the determinism contract).
   std::string json;

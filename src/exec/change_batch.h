@@ -101,8 +101,7 @@ class ColumnVector {
 /// A column-oriented batch of changelog entries: one ColumnVector per row
 /// column, plus a retraction/weight column (+1 INSERT, -1 DELETE), per-row
 /// processing times, and optional per-row sequence numbers (populated by the
-/// feed path so the sharded runtime can scatter a batch and still merge in
-/// deterministic input order).
+/// feed path, which orders events across chunks by them).
 struct ChangeBatch {
   std::vector<ColumnVector> columns;
   std::vector<int8_t> weights;
@@ -138,10 +137,9 @@ struct ChangeBatch {
 };
 
 /// One unit of the chunked feed path. Element runs from a single source are
-/// carried as a columnar batch; watermark advances and singleton events
-/// (the per-event Insert/Delete/AdvanceWatermark API) stay scalar.
+/// carried as a columnar batch; watermark advances stay scalar.
 struct InputChunk {
-  enum class Kind : uint8_t { kRows, kWatermark, kSingle };
+  enum class Kind : uint8_t { kRows, kWatermark };
 
   Kind kind = Kind::kRows;
   std::string source;        // original spelling (checkpoint fidelity)
@@ -149,12 +147,10 @@ struct InputChunk {
 
   ChangeBatch batch;  // kRows
 
-  // kWatermark / kSingle:
+  // kWatermark:
   Timestamp ptime;
-  Timestamp watermark;        // kWatermark
-  ChangeKind event_kind = ChangeKind::kInsert;  // kSingle
-  Row row;                    // kSingle
-  uint64_t seq = 0;           // kWatermark / kSingle
+  Timestamp watermark;
+  uint64_t seq = 0;
 
   /// Sequence number of the first / last event carried by this chunk.
   uint64_t FirstSeq() const;
@@ -167,13 +163,13 @@ struct InputChunk {
 
 /// Calls `visit(i, row)` for every event carried by `chunks`, in ascending
 /// sequence order: the event lives in `*chunks[i]`, and `row` indexes a kRows
-/// chunk's batch (0 for watermark and singleton chunks). Chunks are ordered by their first seq, but
+/// chunk's batch (0 for watermark chunks). Chunks are ordered by their first seq, but
 /// an open element run interleaves with other sources' chunks, so the sweep
 /// merges on per-event seqs over the small set of chunks still open (at most
 /// one run per source spelling). Stops at the first non-OK status `visit`
 /// returns and returns it. This is the one seq-ordered walk shared by the
-/// runtime's scalar delivery, its shard routing, and the engine's history
-/// compaction and checkpointing.
+/// runtime's scalar delivery and the engine's history compaction and
+/// checkpointing.
 template <typename Visit>
 Status ForEachEventInSeqOrder(const std::vector<const InputChunk*>& chunks,
                               Visit&& visit) {

@@ -14,25 +14,6 @@
 namespace onesql {
 namespace exec {
 
-/// Restore-time filter for redistributing key-partitioned operator state
-/// across a possibly different shard count. When a checkpoint taken at N
-/// shards is restored at M shards, every target chain loads *all* N saved
-/// chain sections, keeping only the keyed entries (aggregation groups, join
-/// key buckets) it owns under the M-way routing. Stateless entries —
-/// watermarks — are merged by maximum regardless.
-struct StateKeyFilter {
-  virtual ~StateKeyFilter() = default;
-
-  /// True when the loading chain owns `state_key` (an aggregation group key
-  /// or a join equi-key tuple) under the restore target's routing.
-  virtual bool Keep(const Row& state_key) const = 0;
-
-  /// True for exactly one chain of the restore target: global counters
-  /// (late drops, expiry counts) are attributed to the primary chain so
-  /// restoring at M shards does not multiply totals by M.
-  bool primary = true;
-};
-
 /// Base class for push-based dataflow operators. Each operator consumes a
 /// changelog (INSERT/DELETE changes interleaved with watermark advances) on
 /// one or more input ports and produces a changelog on its single output.
@@ -93,8 +74,6 @@ class Operator {
   virtual const char* Name() const = 0;
 
   /// Attaches per-operator instruments (nullptr detaches — the default).
-  /// Shard copies of the same chain position share one bundle, so totals
-  /// are shard-count-invariant.
   void AttachMetrics(const obs::OperatorMetrics* metrics) {
     metrics_ = metrics;
   }
@@ -104,9 +83,8 @@ class Operator {
   /// fields (batches, batch sizes, kernel paths) are recorded on every
   /// dispatch; the wall-clock timer fires every obs::kProfileSampleEvery-th
   /// dispatch per instance, so the timing cost amortizes to ~two clock
-  /// reads / N. Operator instances are single-threaded (one per shard), so
-  /// the tick is a plain int; shard copies share the bundle itself (sharded
-  /// counters).
+  /// reads / N. Operator instances are single-threaded, so the tick is a
+  /// plain int.
   void AttachProfile(const obs::OperatorProfileMetrics* profile) {
     profile_ = profile;
     profile_tick_ = 0;
@@ -138,15 +116,12 @@ class Operator {
   }
 
   /// Merges previously saved state from `r` into this operator. Called once
-  /// per saved chain section; keyed entries pass through `filter` (nullptr
-  /// keeps everything), watermarks merge by maximum, and counters load only
-  /// when `filter` is null or marks this chain primary. The default expects
-  /// an empty section (stateless operator) and fails with DataLoss
-  /// otherwise, so format drift is caught instead of silently skipped.
-  virtual Status LoadState(state::Reader* r, const StateKeyFilter* filter) {
-    (void)filter;
-    return r->ExpectEnd();
-  }
+  /// per saved chain section (a checkpoint written by the older N-chain
+  /// runtime holds N): keyed entries are disjoint across sections,
+  /// watermarks merge by maximum and counters sum. The default expects an
+  /// empty section (stateless operator) and fails with DataLoss otherwise,
+  /// so format drift is caught instead of silently skipped.
+  virtual Status LoadState(state::Reader* r) { return r->ExpectEnd(); }
 
  protected:
   /// The virtual hooks subclasses implement (see OnElement/OnWatermark).
@@ -197,10 +172,9 @@ class Operator {
 
  protected:
   /// Kernel-path accounting for operators with a native batch kernel
-  /// (Filter/Project/Aggregate). Row-denominated, so the totals are
-  /// shard-count-invariant: the vector/scalar decision depends only on the
-  /// expression and the batch's lane kinds, which sub-batch splitting
-  /// preserves. `reason_rows` lands on one of the fallback reason counters.
+  /// (Filter/Project/Aggregate). Row-denominated: the vector/scalar decision
+  /// depends only on the expression and the batch's lane kinds.
+  /// `reason_rows` lands on one of the fallback reason counters.
   void CountVectorizedRows(size_t rows) {
     if (profile_ == nullptr) return;
     profile_->vector_batches->Increment();
@@ -264,8 +238,9 @@ class WatermarkMerger {
     w->PutTimestamp(combined_);
   }
 
-  /// Max-merges saved marks into this merger (sharded chains all observe the
-  /// same broadcast watermark stream, so the merge is idempotent).
+  /// Max-merges saved marks into this merger (the chain sections of an
+  /// N-chain checkpoint all observed the same watermark stream, so the
+  /// merge is idempotent).
   Status LoadState(state::Reader* r) {
     ONESQL_ASSIGN_OR_RETURN(uint64_t ports, r->ReadVarint());
     if (ports != marks_.size()) {

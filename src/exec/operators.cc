@@ -394,12 +394,11 @@ Status TemporalFilterOperator::SaveState(state::Writer* w) const {
   return Status::OK();
 }
 
-Status TemporalFilterOperator::LoadState(state::Reader* r,
-                                         const StateKeyFilter* filter) {
+Status TemporalFilterOperator::LoadState(state::Reader* r) {
   ONESQL_ASSIGN_OR_RETURN(Timestamp wm, r->ReadTimestamp());
   watermark_ = std::max(watermark_, wm);
   ONESQL_ASSIGN_OR_RETURN(int64_t expired, r->ReadSigned());
-  if (filter == nullptr || filter->primary) expired_ += expired;
+  expired_ += expired;
   ONESQL_ASSIGN_OR_RETURN(uint64_t n, r->ReadVarint());
   if (n > r->remaining()) {
     return Status::DataLoss("impossible live-row count in checkpoint");
@@ -632,12 +631,11 @@ Status SessionOperator::SaveState(state::Writer* w) const {
   return Status::OK();
 }
 
-Status SessionOperator::LoadState(state::Reader* r,
-                                  const StateKeyFilter* filter) {
+Status SessionOperator::LoadState(state::Reader* r) {
   ONESQL_ASSIGN_OR_RETURN(Timestamp wm, r->ReadTimestamp());
   watermark_ = std::max(watermark_, wm);
   ONESQL_ASSIGN_OR_RETURN(int64_t drops, r->ReadSigned());
-  if (filter == nullptr || filter->primary) late_drops_ += drops;
+  late_drops_ += drops;
   ONESQL_ASSIGN_OR_RETURN(uint64_t nkeys, r->ReadVarint());
   if (nkeys > r->remaining()) {
     return Status::DataLoss("impossible session key count in checkpoint");
@@ -648,8 +646,7 @@ Status SessionOperator::LoadState(state::Reader* r,
     if (nsessions > r->remaining()) {
       return Status::DataLoss("impossible session count in checkpoint");
     }
-    const bool keep = filter == nullptr || filter->Keep(key);
-    KeyState* ks = keep ? &keys_[key] : nullptr;
+    KeyState& ks = keys_[key];
     for (uint64_t s = 0; s < nsessions; ++s) {
       Session session;
       ONESQL_ASSIGN_OR_RETURN(session.start, r->ReadTimestamp());
@@ -663,10 +660,8 @@ Status SessionOperator::LoadState(state::Reader* r,
         ONESQL_ASSIGN_OR_RETURN(Row row, r->ReadRow());
         session.rows.emplace(rt, std::move(row));
       }
-      if (ks != nullptr) {
-        const Timestamp start = session.start;
-        ks->sessions.emplace(start, std::move(session));
-      }
+      const Timestamp start = session.start;
+      ks.sessions.emplace(start, std::move(session));
     }
   }
   return Status::OK();
@@ -967,12 +962,11 @@ Status AggregateOperator::SaveState(state::Writer* w) const {
   return Status::OK();
 }
 
-Status AggregateOperator::LoadState(state::Reader* r,
-                                    const StateKeyFilter* filter) {
+Status AggregateOperator::LoadState(state::Reader* r) {
   ONESQL_ASSIGN_OR_RETURN(Timestamp wm, r->ReadTimestamp());
   watermark_ = std::max(watermark_, wm);
   ONESQL_ASSIGN_OR_RETURN(int64_t drops, r->ReadSigned());
-  if (filter == nullptr || filter->primary) late_drops_ += drops;
+  late_drops_ += drops;
   ONESQL_ASSIGN_OR_RETURN(uint64_t ngroups, r->ReadVarint());
   if (ngroups > r->remaining()) {
     return Status::DataLoss("impossible group count in checkpoint");
@@ -993,19 +987,14 @@ Status AggregateOperator::LoadState(state::Reader* r,
           " accumulators, plan expects " +
           std::to_string(node_->aggs().size()));
     }
-    // All rows of one group hash to one shard, so under a filter each group
-    // appears in exactly one saved section and is loaded (or skipped) whole.
-    const bool keep = filter == nullptr || filter->Keep(key);
     for (uint64_t j = 0; j < naccs; ++j) {
       ONESQL_ASSIGN_OR_RETURN(state::Reader nested, r->ReadBlob());
-      if (!keep) continue;
       ONESQL_ASSIGN_OR_RETURN(AccumulatorPtr acc,
                               MakeAccumulator(node_->aggs()[j]));
       ONESQL_RETURN_NOT_OK(acc->LoadState(&nested));
       ONESQL_RETURN_NOT_OK(nested.ExpectEnd());
       state.accumulators.push_back(std::move(acc));
     }
-    if (!keep) continue;
     const size_t hash = HashRow(key);
     bool inserted = false;
     GroupState* slot = groups_.FindOrInsert(key, hash, &inserted);
@@ -1208,7 +1197,7 @@ void JoinOperator::SaveSide(const SideState& side,
   }
   // The purge index, one entry per row instance, in (event time, key, row)
   // order: a function of the side's rows alone, whatever order they arrived
-  // in and whatever shard held them.
+  // in.
   std::stable_sort(pending.begin(), pending.end(),
                    [](const Pending& a, const Pending& b) {
                      return a.et < b.et;
@@ -1225,7 +1214,7 @@ void JoinOperator::SaveSide(const SideState& side,
 
 Status JoinOperator::LoadSide(SideState* side,
                               const std::optional<plan::JoinPurgeSpec>& purge,
-                              state::Reader* r, const StateKeyFilter* filter) {
+                              state::Reader* r) {
   ONESQL_ASSIGN_OR_RETURN(uint64_t nbuckets, r->ReadVarint());
   if (nbuckets > r->remaining()) {
     return Status::DataLoss("impossible join bucket count in checkpoint");
@@ -1237,16 +1226,12 @@ Status JoinOperator::LoadSide(SideState* side,
     if (nrows > r->remaining()) {
       return Status::DataLoss("impossible join row count in checkpoint");
     }
-    // Both join sides key their state by the aligned equi-key tuple, so one
-    // filter covers both; a bucket lives in exactly one saved section.
-    const bool keep = filter == nullptr || filter->Keep(key);
     for (uint64_t j = 0; j < nrows; ++j) {
       ONESQL_ASSIGN_OR_RETURN(Row row, r->ReadRow());
       ONESQL_ASSIGN_OR_RETURN(int64_t mult, r->ReadSigned());
       if (mult <= 0) {
         return Status::DataLoss("non-positive join multiplicity in checkpoint");
       }
-      if (!keep) continue;
       auto& bucket = *side->buckets.try_emplace(key).first;
       auto [row_it, fresh] = bucket.second.try_emplace(std::move(row));
       row_it->second.count += mult;
@@ -1267,15 +1252,12 @@ Status JoinOperator::LoadSide(SideState* side,
   if (npurge > r->remaining()) {
     return Status::DataLoss("impossible purge index size in checkpoint");
   }
-  uint64_t kept = 0;
   for (uint64_t i = 0; i < npurge; ++i) {
-    ONESQL_ASSIGN_OR_RETURN(int64_t et, r->ReadSigned());
-    (void)et;
-    ONESQL_ASSIGN_OR_RETURN(Row key, r->ReadRow());
-    ONESQL_ASSIGN_OR_RETURN(Row row, r->ReadRow());
-    if (filter == nullptr || filter->Keep(key)) ++kept;
+    ONESQL_RETURN_NOT_OK(r->ReadSigned().status());
+    ONESQL_RETURN_NOT_OK(r->ReadRow().status());
+    ONESQL_RETURN_NOT_OK(r->ReadRow().status());
   }
-  if (kept != tracked) {
+  if (npurge != tracked) {
     return Status::DataLoss("join purge index disagrees with the join rows");
   }
   return Status::OK();
@@ -1288,11 +1270,10 @@ Status JoinOperator::SaveState(state::Writer* w) const {
   return Status::OK();
 }
 
-Status JoinOperator::LoadState(state::Reader* r,
-                               const StateKeyFilter* filter) {
+Status JoinOperator::LoadState(state::Reader* r) {
   ONESQL_RETURN_NOT_OK(merger_.LoadState(r));
-  ONESQL_RETURN_NOT_OK(LoadSide(&left_, node_->left_purge(), r, filter));
-  return LoadSide(&right_, node_->right_purge(), r, filter);
+  ONESQL_RETURN_NOT_OK(LoadSide(&left_, node_->left_purge(), r));
+  return LoadSide(&right_, node_->right_purge(), r);
 }
 
 }  // namespace exec

@@ -110,7 +110,7 @@ class TemporalFilterOperator : public Operator {
   const char* Name() const override { return "temporal_filter"; }
   size_t StateBytes() const override;
   Status SaveState(state::Writer* w) const override;
-  Status LoadState(state::Reader* r, const StateKeyFilter* filter) override;
+  Status LoadState(state::Reader* r) override;
 
   size_t live_rows() const { return live_.size(); }
   int64_t expired_rows() const { return expired_; }
@@ -140,7 +140,7 @@ class SessionOperator : public Operator {
   const char* Name() const override { return "session"; }
   size_t StateBytes() const override;
   Status SaveState(state::Writer* w) const override;
-  Status LoadState(state::Reader* r, const StateKeyFilter* filter) override;
+  Status LoadState(state::Reader* r) override;
 
   /// Live (non-final) sessions across all keys.
   size_t NumSessions() const;
@@ -189,7 +189,7 @@ class AggregateOperator : public Operator {
   const char* Name() const override { return "aggregate"; }
   size_t StateBytes() const override;
   Status SaveState(state::Writer* w) const override;
-  Status LoadState(state::Reader* r, const StateKeyFilter* filter) override;
+  Status LoadState(state::Reader* r) override;
 
   /// Number of live groups (state-size benchmarks).
   size_t NumGroups() const { return groups_.size(); }
@@ -272,7 +272,7 @@ class JoinOperator : public Operator {
   const char* Name() const override { return "join"; }
   size_t StateBytes() const override;
   Status SaveState(state::Writer* w) const override;
-  Status LoadState(state::Reader* r, const StateKeyFilter* filter) override;
+  Status LoadState(state::Reader* r) override;
 
   size_t left_rows() const { return left_.size; }
   size_t right_rows() const { return right_.size; }
@@ -314,7 +314,7 @@ class JoinOperator : public Operator {
                        state::Writer* w);
   static Status LoadSide(SideState* side,
                          const std::optional<plan::JoinPurgeSpec>& purge,
-                         state::Reader* r, const StateKeyFilter* filter);
+                         state::Reader* r);
 
   const plan::JoinNode* node_;
   SideState left_;

@@ -88,8 +88,7 @@ Status MaterializationSink::Flush(KeyState* state, Timestamp ptime,
     if (state->completeness.has_value()) {
       // Event-time emit latency: how long past the pane's completeness
       // timestamp the materialization happened. Both operands live on the
-      // feed's logical clock, so the value is deterministic and identical
-      // at any shard count.
+      // feed's logical clock, so the value is deterministic.
       const int64_t lag_ms = (ptime - *state->completeness).millis();
       sink_metrics_->emit_latency_ms->Record(
           lag_ms > 0 ? static_cast<uint64_t>(lag_ms) : 0);
@@ -439,9 +438,7 @@ Status MaterializationSink::SaveState(state::Writer* w) const {
   return Status::OK();
 }
 
-Status MaterializationSink::LoadState(state::Reader* r,
-                                      const StateKeyFilter* filter) {
-  (void)filter;  // the sink is shared across shards; loaded exactly once
+Status MaterializationSink::LoadState(state::Reader* r) {
   ONESQL_RETURN_NOT_OK(merger_.LoadState(r));
   ONESQL_ASSIGN_OR_RETURN(Timestamp now, r->ReadTimestamp());
   now_ = std::max(now_, now);
@@ -493,7 +490,13 @@ Status MaterializationSink::LoadState(state::Reader* r,
   // Rebuild the table by folding the restored emissions, so the two cannot
   // diverge. In instant modes every change of a key materializes at once
   // with the key's next `ver`, and no key is ever reclaimed, so each `ver`
-  // counter is the key's last emitted `ver` + 1.
+  // counter is the key's last emitted `ver` + 1. Consecutive emissions of
+  // one version key (an update's DELETE+INSERT) share one counter lookup:
+  // the fold never touches vers_, so the pointer stays valid. A whole-row
+  // counter lives in rows_, which the fold may grow, so it is looked up
+  // every time.
+  const bool whole_row = config_.version_key_columns.empty();
+  int64_t* ver = nullptr;
   for (uint64_t i = 0; i < nemissions; ++i) {
     Emission e;
     ONESQL_ASSIGN_OR_RETURN(e.row, r->ReadRow());
@@ -505,7 +508,11 @@ Status MaterializationSink::LoadState(state::Reader* r,
       if (e.ver < 0 || e.ver == std::numeric_limits<int64_t>::max()) {
         return Status::DataLoss("impossible emission ver in checkpoint");
       }
-      *VerCounter(e.row, hash) = e.ver + 1;
+      if (whole_row || ver == nullptr ||
+          !SameVersionKey(emissions_.back().row, e.row)) {
+        ver = VerCounter(e.row, hash);
+      }
+      *ver = e.ver + 1;
     }
     Fold(&rows_, e.undo, e.row, hash);
     emissions_.push_back(std::move(e));
@@ -538,6 +545,13 @@ int64_t* MaterializationSink::VerCounter(const Row& row, size_t hash) {
   key_scratch_.resize(columns.size());
   for (size_t i = 0; i < columns.size(); ++i) key_scratch_[i] = row[columns[i]];
   return vers_.FindOrInsert(key_scratch_, HashRow(key_scratch_));
+}
+
+bool MaterializationSink::SameVersionKey(const Row& a, const Row& b) const {
+  for (size_t c : config_.version_key_columns) {
+    if (!(a[c] == b[c])) return false;
+  }
+  return true;
 }
 
 Status MaterializationSink::CheckOldKeyStates(

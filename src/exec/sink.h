@@ -112,16 +112,14 @@ class MaterializationSink : public Operator {
   size_t StateBytes() const override;
 
   /// Serializes the whole sink — key states (none in instant modes), timer
-  /// queues and the emission log — in the canonical encoding. The sink is
-  /// shared across shards, so unlike chain operators it is saved and loaded
-  /// exactly once regardless of the shard count; `filter` is ignored.
+  /// queues and the emission log — in the canonical encoding.
   Status SaveState(state::Writer* w) const override;
 
   /// Restores into a freshly constructed sink (same SinkConfig). The row
   /// map, and in instant modes every `ver` counter, is the fold of the
   /// restored emissions; old-layout instant key states or changelog that
   /// disagree with them are DataLoss.
-  Status LoadState(state::Reader* r, const StateKeyFilter* filter) override;
+  Status LoadState(state::Reader* r) override;
 
  private:
   /// Deadline or completeness instant -> key, firing in (instant, arrival)
@@ -180,6 +178,8 @@ class MaterializationSink : public Operator {
   /// The instant-mode `ver` counter of `row`'s key, created at 0 if absent.
   /// `hash` is HashRow(row).
   int64_t* VerCounter(const Row& row, size_t hash);
+  /// True when rows `a` and `b` have the same version key.
+  bool SameVersionKey(const Row& a, const Row& b) const;
   /// Older checkpoints saved instant-mode key states; each must equal the
   /// emissions' fold restricted to its key, or DataLoss.
   Status CheckOldKeyStates(

@@ -77,25 +77,6 @@ const OperatorProfileMetrics* ObsContext::ForOperatorProfile(
   return operator_profile_bundles_.back().second.get();
 }
 
-const QueryProfileMetrics* ObsContext::ForQueryProfile(
-    const std::string& query) {
-  if (!profiling_enabled()) return nullptr;
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [k, bundle] : query_profile_bundles_) {
-    if (k == query) return bundle.get();
-  }
-  Labels labels = {{"query", query}};
-  auto bundle = std::make_unique<QueryProfileMetrics>();
-  bundle->shard_wait_us =
-      registry_->GetHistogram("onesql_profile_shard_wait_us", labels);
-  bundle->merge_us =
-      registry_->GetHistogram("onesql_profile_merge_us", labels);
-  bundle->shard_queue_high_water =
-      registry_->GetGauge("onesql_profile_shard_queue_high_water", labels);
-  query_profile_bundles_.emplace_back(query, std::move(bundle));
-  return query_profile_bundles_.back().second.get();
-}
-
 const EngineProfileMetrics* ObsContext::ForEngineProfile() {
   if (!profiling_enabled()) return nullptr;
   std::lock_guard<std::mutex> lock(mu_);

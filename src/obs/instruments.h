@@ -37,9 +37,7 @@ struct ObsOptions {
 // to a pre-resolved bundle (null when metrics are off). The metric catalog —
 // names and labels — therefore lives in exactly one place: ObsContext below.
 
-/// Per-operator counters, shared by all shard copies of one chain position
-/// (the sharded Counter absorbs the write contention), so totals match the
-/// sequential run at any shard count.
+/// Per-operator counters.
 struct OperatorMetrics {
   Counter* rows_in = nullptr;
   Counter* rows_out = nullptr;
@@ -48,11 +46,10 @@ struct OperatorMetrics {
 };
 
 /// Per-operator profile instruments (DESIGN.md §15), resolved only when
-/// `ObsOptions::profiling` is on. Like OperatorMetrics, one bundle is shared
-/// by every shard copy of a chain position, so count-valued fields sum to the
-/// sequential totals at any shard count. Row-denominated counters (kernel
-/// rows by path/reason) are shard-count-invariant; batch-denominated and
-/// time-valued fields are not (sub-batch splitting differs by N).
+/// `ObsOptions::profiling` is on. Row-denominated counters (kernel rows by
+/// path/reason) depend only on the expression and the data;
+/// batch-denominated and time-valued fields depend on how the feed was
+/// batched.
 struct OperatorProfileMetrics {
   Counter* batches = nullptr;        ///< ProcessBatch dispatches.
   Counter* elements = nullptr;       ///< Scalar ProcessElement dispatches.
@@ -63,26 +60,12 @@ struct OperatorProfileMetrics {
   Counter* scalar_rows = nullptr;    ///< Rows through the scalar fallback.
   Counter* vector_batches = nullptr;
   Counter* scalar_batches = nullptr;
-  /// Scalar-fallback rows by reason (shard-count-invariant: the reason
-  /// depends only on the expression and lane kinds, which sub-batching
-  /// preserves).
+  /// Scalar-fallback rows by reason (the reason depends only on the
+  /// expression and lane kinds).
   Counter* fallback_demoted_lane = nullptr;
   Counter* fallback_division = nullptr;
   Counter* fallback_generic_lane = nullptr;
   Counter* fallback_unsupported = nullptr;
-};
-
-/// Per-query pipeline-stall attribution for the sharded runtime: where a
-/// pushed batch waits (the epoch barrier closing the pipelined dispatch) and
-/// how long the deterministic merge takes. Wall-clock valued; never
-/// shard-count-invariant.
-struct QueryProfileMetrics {
-  Histogram* shard_wait_us = nullptr;  ///< Epoch-barrier wait per push.
-  Histogram* merge_us = nullptr;       ///< Input-order merge per push.
-  /// Deepest any shard's worker queue has been at dispatch time (tasks) —
-  /// the backpressure signal of the pipelined runtime. Sampled at feed
-  /// boundaries like every gauge.
-  Gauge* shard_queue_high_water = nullptr;
 };
 
 /// Engine-level stall attribution: time a Feed spends blocked on the
@@ -109,7 +92,7 @@ struct SinkMetrics {
   Counter* panes_late = nullptr;    ///< Corrections within allowed lateness.
   /// Event-time pane emit latency: emission ptime minus the watermark-passing
   /// ptime of the pane's window (deterministic, so tests can assert exact
-  /// sums at any shard count).
+  /// sums).
   Histogram* emit_latency_ms = nullptr;
   Gauge* timer_queue_depth = nullptr;
   Gauge* pending_panes = nullptr;
@@ -151,8 +134,8 @@ struct EngineMetrics {
   Histogram* checkpoint_restore_ms = nullptr;
   Gauge* checkpoint_bytes = nullptr;
   Gauge* queries = nullptr;
-  /// Live operator instances across all running queries (chains × shards +
-  /// sinks). The multi-tenant sharing tests assert on this: 10k subscribers
+  /// Live operator instances across all running queries (chain operators
+  /// plus sinks). The multi-tenant sharing tests assert on this: 10k subscribers
   /// behind one shared plan must not move it.
   Gauge* operators = nullptr;
 };
@@ -212,7 +195,6 @@ class ObsContext {
   /// Profiling bundles return nullptr unless `profiling_enabled()`.
   const OperatorProfileMetrics* ForOperatorProfile(const std::string& query,
                                                    const std::string& op);
-  const QueryProfileMetrics* ForQueryProfile(const std::string& query);
   const EngineProfileMetrics* ForEngineProfile();
   const ServerProfileMetrics* ForServerProfile();
   const SinkMetrics* ForSink(const std::string& query);
@@ -233,8 +215,6 @@ class ObsContext {
       operator_bundles_;
   std::vector<std::pair<std::string, std::unique_ptr<OperatorProfileMetrics>>>
       operator_profile_bundles_;
-  std::vector<std::pair<std::string, std::unique_ptr<QueryProfileMetrics>>>
-      query_profile_bundles_;
   std::vector<std::pair<std::string, std::unique_ptr<SinkMetrics>>>
       sink_bundles_;
   std::vector<std::pair<std::string, std::unique_ptr<SourceMetrics>>>

@@ -24,8 +24,8 @@ std::string RenderLabels(const Labels& labels);
 
 /// A monotonically increasing counter. The hot path (Add) is sharded across
 /// cache-line-aligned atomic slots indexed by a thread-local slot id, so
-/// concurrent shard workers bumping the same logical counter never contend
-/// on one cache line. Value() sums the slots (monotone but not atomic as a
+/// concurrent writers (feeders, the WAL appender, server threads) bumping
+/// the same logical counter never contend on one cache line. Value() sums the slots (monotone but not atomic as a
 /// whole — exact once writers are quiescent, which is when snapshots are
 /// taken).
 class Counter {
@@ -172,7 +172,7 @@ struct MetricsSnapshot {
 
 /// Owns every instrument. Get* registers on first use and returns the same
 /// pointer for the same (name, labels) afterwards, so independent components
-/// (e.g. the N shard copies of one operator chain) share one instrument.
+/// (e.g. a query and its rebuild after Restore) share one instrument.
 /// Registration takes a mutex; the returned instruments are the lock-free
 /// hot path. Instruments live as long as the registry.
 class MetricsRegistry {

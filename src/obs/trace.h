@@ -29,8 +29,9 @@ struct TraceEvent {
 /// Lock-free structured tracing: each thread records completed spans into its
 /// own fixed-capacity ring buffer, overwriting the oldest entries when full.
 /// Recording is a handful of relaxed atomic stores plus one release store of
-/// the ring head — no locks, no allocation — so it is safe from the sharded
-/// runtime's worker threads and TSan-clean by construction. Draining (for the
+/// the ring head — no locks, no allocation — so it is safe from any thread
+/// (feeders, the WAL appender, server threads) and TSan-clean by
+/// construction. Draining (for the
 /// Chrome trace dump) reads the rings with acquire loads; exact contents are
 /// guaranteed when writers are quiescent, which is when dumps are taken.
 class TraceRecorder {

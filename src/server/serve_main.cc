@@ -30,8 +30,8 @@ void Usage(const char* argv0) {
       "                        once (default 64)\n"
       "  --max-session-queue N outbound lines buffered per session before\n"
       "                        a slow subscriber is dropped (default 1024)\n"
-      "  --shards N            default shard count for submitted queries\n"
-      "                        (default 1; between 1 and %d)\n"
+      "  --shards N            no effect: every query runs on one chain\n"
+      "                        (accepted between 1 and %d)\n"
       "  --profiling           query-level profiling: the explain\n"
       "                        command's sampled wall-time / kernel-path\n"
       "                        annotations (DESIGN.md §15)\n",

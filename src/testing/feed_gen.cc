@@ -478,7 +478,7 @@ void RegeneratePerfectWatermarks(std::vector<FeedEvent>* events) {
 
 const char* BoundaryTemplateToString(BoundaryTemplate t) {
   switch (t) {
-    case BoundaryTemplate::kSingletonBatches: return "singleton_batches";
+    case BoundaryTemplate::kOneEventBatches: return "singleton_batches";
     case BoundaryTemplate::kOddRuns:          return "odd_runs";
     case BoundaryTemplate::kNullHeavy:        return "null_heavy";
     case BoundaryTemplate::kRetractionDense:  return "retraction_dense";
@@ -497,7 +497,7 @@ FuzzCase GenerateBoundaryCase(uint64_t seed, BoundaryTemplate t) {
   fuzz.seed = seed;
 
   switch (t) {
-    case BoundaryTemplate::kSingletonBatches: {
+    case BoundaryTemplate::kOneEventBatches: {
       // Insert-only with strictly ascending event times per stream: the
       // perfect watermark schedule then advances after every single row, so
       // every rows-chunk the engine builds holds exactly one row.

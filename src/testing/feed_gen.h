@@ -75,8 +75,8 @@ struct QuerySpec {
 ///    event times. Adds the CQL baseline oracle for tumbling aggregates.
 ///  - kInsertOnlySloppy: insert-only with arbitrary (monotone) watermarks,
 ///    so rows genuinely drop late. The reference interpreter does not model
-///    lateness; only the self-consistency oracles (duality, shard
-///    invariance, crash equivalence) run.
+///    lateness; only the self-consistency oracles (duality, batched
+///    feed, crash equivalence) run.
 enum class FeedMode {
   kDeletesPerfect,
   kInsertOnlyPerfect,
@@ -116,7 +116,7 @@ FuzzCase GenerateCase(uint64_t seed);
 /// §14): each family shapes the feed so the ChangeBatch chunking degenerates
 /// in a specific way, and any scalar-vs-vectorized divergence at that seam
 /// shows up as an oracle disagreement.
-///  - kSingletonBatches: insert-only, event times strictly ascending per
+///  - kOneEventBatches: insert-only, event times strictly ascending per
 ///    stream, so the perfect watermark schedule closes every rows-chunk
 ///    after exactly one row. Exercises batch size 1 everywhere.
 ///  - kOddRuns: insert-only runs of odd length (1/3/5/7/9) with descending
@@ -137,7 +137,7 @@ FuzzCase GenerateCase(uint64_t seed);
 ///    kSharedAggJoin, so every oracle runs a fan-out: one compiled aggregate
 ///    replaying each event's changes to its second consumer.
 enum class BoundaryTemplate {
-  kSingletonBatches,
+  kOneEventBatches,
   kOddRuns,
   kNullHeavy,
   kRetractionDense,
@@ -148,7 +148,7 @@ enum class BoundaryTemplate {
 const char* BoundaryTemplateToString(BoundaryTemplate t);
 
 inline constexpr BoundaryTemplate kAllBoundaryTemplates[] = {
-    BoundaryTemplate::kSingletonBatches, BoundaryTemplate::kOddRuns,
+    BoundaryTemplate::kOneEventBatches, BoundaryTemplate::kOddRuns,
     BoundaryTemplate::kNullHeavy, BoundaryTemplate::kRetractionDense,
     BoundaryTemplate::kSharedEventTimes, BoundaryTemplate::kSharedSubtrees};
 

@@ -32,13 +32,10 @@ Result<std::unique_ptr<Engine>> MakeBaseEngine() {
 }
 
 Result<std::vector<ContinuousQuery*>> ExecuteAll(
-    Engine* engine, const std::vector<QuerySpec>& specs, int shards) {
-  ExecutionOptions options;
-  options.shards = shards;
+    Engine* engine, const std::vector<QuerySpec>& specs) {
   std::vector<ContinuousQuery*> queries;
   for (const QuerySpec& spec : specs) {
-    ONESQL_ASSIGN_OR_RETURN(ContinuousQuery * q,
-                            engine->Execute(spec.sql, options));
+    ONESQL_ASSIGN_OR_RETURN(ContinuousQuery * q, engine->Execute(spec.sql));
     queries.push_back(q);
   }
   return queries;
@@ -367,7 +364,7 @@ Result<CaseOutcome> RunCase(const FuzzCase& fuzz, const OracleOptions& opts) {
   // ---- Oracle 1: duality, over the sequential event-by-event baseline.
   ONESQL_ASSIGN_OR_RETURN(auto baseline_engine, MakeBaseEngine());
   ONESQL_ASSIGN_OR_RETURN(auto baseline_queries,
-                          ExecuteAll(baseline_engine.get(), fuzz.queries, 1));
+                          ExecuteAll(baseline_engine.get(), fuzz.queries));
 
   std::set<size_t> duality_at;
   for (int i = 1; i <= opts.duality_checks; ++i) {
@@ -410,31 +407,28 @@ Result<CaseOutcome> RunCase(const FuzzCase& fuzz, const OracleOptions& opts) {
     baseline.push_back(std::move(r));
   }
 
-  // ---- Oracle 2: shard invariance, batched feed at each shard count.
-  for (int shards : opts.shard_counts) {
-    ONESQL_ASSIGN_OR_RETURN(auto sharded_engine,
-                            baseline_engine->CloneRegistrations());
-    ONESQL_ASSIGN_OR_RETURN(
-        auto sharded_queries,
-        ExecuteAll(sharded_engine.get(), fuzz.queries, shards));
-    const Status fed = FeedBatched(sharded_engine.get(), fuzz.events,
-                                   Mix(fuzz.seed) ^ static_cast<uint64_t>(shards));
-    if (!fed.ok()) {
-      outcome.failures.push_back(
-          {"shards", "shards=" + std::to_string(shards) +
-                         " rejected the feed: " + fed.ToString()});
-      continue;
-    }
-    for (size_t q = 0; q < sharded_queries.size(); ++q) {
-      ONESQL_ASSIGN_OR_RETURN(QueryRendering r, Render(sharded_queries[q]));
+  // ---- Oracle 2: batched feed. The same events through Engine::Feed in
+  // pseudo-random batches: the whole-batch path must emit exactly what
+  // event-by-event delivery emits.
+  ONESQL_ASSIGN_OR_RETURN(auto batched_engine,
+                          baseline_engine->CloneRegistrations());
+  ONESQL_ASSIGN_OR_RETURN(auto batched_queries,
+                          ExecuteAll(batched_engine.get(), fuzz.queries));
+  const Status fed =
+      FeedBatched(batched_engine.get(), fuzz.events, Mix(fuzz.seed));
+  if (!fed.ok()) {
+    outcome.failures.push_back(
+        {"batched", "batched feed rejected: " + fed.ToString()});
+  } else {
+    for (size_t q = 0; q < batched_queries.size(); ++q) {
+      ONESQL_ASSIGN_OR_RETURN(QueryRendering r, Render(batched_queries[q]));
       std::string err = CompareEmissions(r.emissions, baseline[q].emissions);
       if (err.empty()) {
         err = CompareRowSequences(r.snapshot, baseline[q].snapshot);
       }
       if (!err.empty()) {
         outcome.failures.push_back(
-            {"shards", QueryLabel(fuzz, q) + " shards=" +
-                           std::to_string(shards) + ": " + err});
+            {"batched", QueryLabel(fuzz, q) + ": " + err});
       }
     }
   }
@@ -454,7 +448,7 @@ Result<CaseOutcome> RunCase(const FuzzCase& fuzz, const OracleOptions& opts) {
       ONESQL_ASSIGN_OR_RETURN(auto crashing,
                               baseline_engine->CloneRegistrations());
       ONESQL_ASSIGN_OR_RETURN(auto ignored,
-                              ExecuteAll(crashing.get(), fuzz.queries, 1));
+                              ExecuteAll(crashing.get(), fuzz.queries));
       (void)ignored;
       if (opts.crash_use_wal) {
         crash_status = crashing->EnableDurability(dir);

@@ -12,9 +12,6 @@ namespace testing {
 
 /// Knobs for one differential run. Defaults run every applicable oracle.
 struct OracleOptions {
-  /// Shard counts compared bit-for-bit against the sequential baseline.
-  std::vector<int> shard_counts = {2, 8};
-
   /// Directory for the crash oracle's checkpoint files; a per-case
   /// subdirectory is created and removed inside it. Empty disables the
   /// crash oracle.
@@ -40,7 +37,7 @@ struct OracleOptions {
 };
 
 /// One oracle disagreement. `oracle` is the stable machine-readable name:
-/// "duality", "shards", "crash", "reference", "cql", "sharing", or "feed"
+/// "duality", "batched", "crash", "reference", "cql", "sharing", or "feed"
 /// (the feed itself was rejected, which a generated case never is).
 struct CaseFailure {
   std::string oracle;
@@ -58,9 +55,10 @@ struct CaseOutcome {
 ///
 ///  1. Duality: at every checked feed prefix, the accumulated EMIT STREAM
 ///     changelog of each query must reconstruct exactly its table snapshot.
-///  2. Shard invariance: re-running the same feed (batched) at each shard
-///     count must render a bit-identical stream (undo/ptime/ver included)
-///     and snapshot.
+///  2. Batched feed: re-running the same events through Engine::Feed in
+///     seed-chosen batches of 1-7 events — the whole-batch path where the
+///     chain allows it — must render a bit-identical stream
+///     (undo/ptime/ver included) and snapshot.
 ///  3. Crash equivalence: checkpointing at a seed-chosen prefix, restoring
 ///     into a fresh engine, and feeding the suffix must render identically
 ///     to the uninterrupted run.

@@ -375,8 +375,8 @@ TEST_F(EngineTest, HistoryIsKeptWhenNoQueriesRun) {
 }
 
 TEST_F(EngineTest, ShardCountIsBoundedByMaxShards) {
-  // Grouped by the window alone, the query cannot be key-partitioned: at
-  // the bound it still builds one chain, so the test starts no workers.
+  // The setting has no effect, but values outside [1, kMaxShards] are
+  // rejected.
   const std::string sql =
       "SELECT wend, MAX(price) AS maxPrice "
       "FROM Tumble(data => TABLE(Bid), timecol => DESCRIPTOR(bidtime), "

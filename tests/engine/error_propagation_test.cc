@@ -1,9 +1,10 @@
 // Satellite of the differential harness: every Status::ExecutionError the
 // expression evaluator can raise (the division-by-zero paths in
-// exec/expr_eval.cc) must propagate through BOTH runtimes and the sink with
-// identical observable effects. Concretely, at any shard count:
-//  - the feed call returns the error of the *first failing input event*
-//    (not whichever failing shard finishes first), with the same message;
+// exec/expr_eval.cc) must propagate through both delivery paths (whole
+// batches and per event) and the sink with identical observable effects.
+// Concretely, whatever the (inert) shard setting:
+//  - the feed call returns the error of the *first failing input event*,
+//    with the same message;
 //  - every emission from events before the failure — and the failing
 //    element's own pre-error emissions — has reached the sink, bit-identical
 //    to the sequential run (no discarded prefix, no partial panes beyond
@@ -31,12 +32,12 @@ Schema FeedSchema() {
                  {"v", DataType::kBigint}});
 }
 
-// Stateless (round-robin-sharded) shape: the divisor hits zero on the
+// Stateless shape: the divisor hits zero on the
 // poisoned row k == 7.
 constexpr const char* kProjectionQuery =
     "SELECT ts, k, v, v / (k - 7) AS q FROM S";
 
-// Keyed-aggregate (hash-sharded) shape: MIN(v) reaches 0 when the poisoned
+// Keyed-aggregate shape: MIN(v) reaches 0 when the poisoned
 // row v == 0 lands in its group, and the group's re-emission divides by it.
 constexpr const char* kAggregateQuery =
     "SELECT k, wend, SUM(v) / MIN(v) AS q "

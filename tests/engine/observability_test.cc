@@ -1,8 +1,8 @@
 // End-to-end observability: metrics on the paper's Section 4 dataset must be
 // exact — event-time metrics (watermark lag, emit latency) run on the logical
 // feed clock, so their values are fully determined by the dataset — and
-// invariant across shard counts {1, 2, 8}. Also: tracing spans cover
-// feed -> route -> operator -> sink, observability is off by default, and
+// the same whatever the (inert) shard setting {1, 2, 8}. Also: tracing
+// spans cover feed -> push -> sink, observability is off by default, and
 // counters stay coherent across Checkpoint/Restore (process-lifetime
 // counters, no double-counting after the WAL-suffix replay).
 
@@ -92,7 +92,7 @@ TEST(ObservabilityTest, MetricsAreExactAndShardCountInvariant) {
     options.shards = shards;
     auto q = engine.Execute(kKeyedAggAfterWatermark, options);
     ASSERT_TRUE(q.ok()) << q.status().ToString();
-    EXPECT_EQ((*q)->dataflow().shard_count(), shards);
+    EXPECT_EQ((*q)->dataflow().shard_count(), 1);
 
     std::vector<FeedEvent> feed = PaperFeed();
     // One late bid past window end + lateness: dropped at the aggregate.
@@ -186,11 +186,10 @@ TEST(ObservabilityTest, MetricsAreExactAndShardCountInvariant) {
 
 TEST(ObservabilityTest, ProfileRowCountersAreShardCountInvariant) {
   // The profiling determinism contract (DESIGN.md §15): row-denominated
-  // kernel counters are a function of the expression and the data — routing
-  // sub-batches a chunk but preserves per-row path attribution — so they are
-  // bit-identical across shard counts. Batch-denominated and time-valued
-  // profile metrics carry no such guarantee and are deliberately not
-  // compared here.
+  // kernel counters are a function of the expression and the data, so they
+  // are exact whatever the (inert) shard setting. Batch-denominated and
+  // time-valued profile metrics carry no such guarantee and are
+  // deliberately not compared here.
   for (int shards : {1, 2, 8}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
     Engine engine;
@@ -241,7 +240,7 @@ TEST(ObservabilityTest, ProfileRowCountersAreShardCountInvariant) {
                                 {{"query", "q0"}, {"op", "filter"}}),
               5u);
     // Profiling is live (batches flowed) without asserting how many: batch
-    // counts depend on the shard routing.
+    // counts depend on how the feed was chunked.
     EXPECT_GT(snap.CounterValue("onesql_profile_batches_total",
                                 {{"query", "q0"}, {"op", "filter"}}),
               0u);
@@ -252,16 +251,12 @@ TEST(ObservabilityTest, TraceSpansCoverFeedRouteOperatorSink) {
   Engine engine;
   ASSERT_TRUE(engine.RegisterStream("Bid", BidSchema()).ok());
   ASSERT_TRUE(engine.EnableObservability(MetricsAndTracing()).ok());
-  ExecutionOptions options;
-  options.shards = 2;
-  auto q = engine.Execute(kKeyedAggAfterWatermark, options);
+  auto q = engine.Execute(kKeyedAggAfterWatermark);
   ASSERT_TRUE(q.ok()) << q.status().ToString();
-  ASSERT_EQ((*q)->dataflow().shard_count(), 2);
   ASSERT_TRUE(engine.Feed(PaperFeed()).ok());
 
   const std::string trace = engine.DumpTraceJson();
-  for (const char* span : {"\"feed\"", "\"push_batch\"", "\"route\"",
-                           "\"shard_worker\"", "\"merge\"", "\"sink_flush\""}) {
+  for (const char* span : {"\"feed\"", "\"push_batch\"", "\"sink_flush\""}) {
     EXPECT_NE(trace.find(span), std::string::npos)
         << "missing span " << span << " in " << trace;
   }

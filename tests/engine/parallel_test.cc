@@ -1,10 +1,10 @@
-// The runtime must be observationally identical at every shard count:
-// identical stream rendering (StreamRows, including undo/ptime/ver metadata)
-// and identical snapshots. These tests run the same scenarios at
-// N ∈ {1, 2, 8} and compare bit-for-bit — live, and replayed into queries
-// executed late (over plain, compacted and restored histories, and with a
-// static table) — plus check which plans actually shard and which run on
-// one chain.
+// Every query runs on one chain; ExecutionOptions::shards is accepted but
+// has no effect. These tests run the same scenarios with the setting at
+// N ∈ {1, 2, 8} and compare bit-for-bit — identical stream rendering
+// (StreamRows, including undo/ptime/ver metadata) and identical snapshots,
+// live and replayed into queries executed late (over plain, compacted and
+// restored histories, and with a static table) — and check that every
+// query reports one chain.
 
 #include <gtest/gtest.h>
 
@@ -41,9 +41,9 @@ Schema BidSchema() {
                  {"item", DataType::kVarchar}});
 }
 
-/// Deterministic pseudo-random feed: many distinct items (so hash routing
-/// actually spreads work), out-of-order event times, interleaved watermarks,
-/// and occasional retractions of earlier rows.
+/// Deterministic pseudo-random feed: many distinct items, out-of-order event
+/// times, interleaved watermarks, and occasional retractions of earlier
+/// rows.
 std::vector<FeedEvent> MakeBidFeed(int n) {
   std::vector<FeedEvent> events;
   events.reserve(static_cast<size_t>(n) + static_cast<size_t>(n) / 40 + 1);
@@ -238,8 +238,7 @@ void ExpectSameRows(const std::vector<Row>& got, const std::vector<Row>& want,
 }
 
 void ExpectDeterministicAcrossShardCounts(const std::string& sql,
-                                          const std::vector<FeedEvent>& feed,
-                                          bool expect_sharded) {
+                                          const std::vector<FeedEvent>& feed) {
   const RunResult baseline = RunBidScenario(sql, /*shards=*/1, feed,
                                            Input::kLive);
   EXPECT_EQ(baseline.shard_count, 1);
@@ -248,11 +247,9 @@ void ExpectDeterministicAcrossShardCounts(const std::string& sql,
       SCOPED_TRACE("shards=" + std::to_string(shards) + " " +
                    InputName(input));
       const RunResult run = RunBidScenario(sql, shards, feed, input);
-      EXPECT_EQ(run.shard_count, expect_sharded ? shards : 1);
-      // Keyed operator state is accounted per entry, never per shard, so the
-      // total must be invariant under re-partitioning.
+      EXPECT_EQ(run.shard_count, 1);
       EXPECT_EQ(run.state_bytes, baseline.state_bytes)
-          << "StateBytes() must not depend on the shard count";
+          << "StateBytes() must not depend on the shard setting";
       ExpectSameRows(run.stream, baseline.stream, "stream rendering");
       ExpectSameRows(run.snapshot, baseline.snapshot, "snapshot");
     }
@@ -260,45 +257,36 @@ void ExpectDeterministicAcrossShardCounts(const std::string& sql,
 }
 
 TEST(ParallelRuntimeTest, KeyedAggregationIsDeterministicAcrossShardCounts) {
-  // GROUP BY item, wend: `item` is a verbatim source column, so the plan is
-  // hash-partitionable by it.
-  ExpectDeterministicAcrossShardCounts(kKeyedAgg, MakeBidFeed(600),
-                                       /*expect_sharded=*/true);
+  ExpectDeterministicAcrossShardCounts(kKeyedAgg, MakeBidFeed(600));
 }
 
 TEST(ParallelRuntimeTest, KeyedAggregationAfterWatermarkIsDeterministic) {
   ExpectDeterministicAcrossShardCounts(
       std::string(kKeyedAgg) + " EMIT STREAM AFTER WATERMARK",
-      MakeBidFeed(600), /*expect_sharded=*/true);
+      MakeBidFeed(600));
 }
 
 TEST(ParallelRuntimeTest, KeyedAggregationAfterDelayIsDeterministic) {
-  // AFTER DELAY timers fire between events: batched delivery on one chain
-  // must emit exactly what the N-chain merge emits.
   ExpectDeterministicAcrossShardCounts(
       std::string(kKeyedAgg) + " EMIT STREAM AFTER DELAY INTERVAL '5' SECONDS",
-      MakeBidFeed(600), /*expect_sharded=*/true);
+      MakeBidFeed(600));
 }
 
 TEST(ParallelRuntimeTest, StatelessPipelineIsDeterministicAcrossShardCounts) {
-  // No keyed state: round-robin dealt across shards, merged back in input
-  // order.
-  ExpectDeterministicAcrossShardCounts(kStateless, MakeBidFeed(400),
-                                       /*expect_sharded=*/true);
+  ExpectDeterministicAcrossShardCounts(kStateless, MakeBidFeed(400));
 }
 
 TEST(ParallelRuntimeTest, NonPartitionableShapesFallBackToSequential) {
-  // GROUP BY wend only: the group key is a computed window bound, not a
-  // verbatim source column — no correct hash routing exists, so the plan
-  // runs sequentially even when shards are requested.
+  // GROUP BY wend only: a plan the N-chain runtime could not key-partition
+  // runs on one chain, like every plan.
   const RunResult run = RunBidScenario(kWindowedMaxByWend, /*shards=*/8,
                                        MakeBidFeed(200), Input::kLive);
   EXPECT_EQ(run.shard_count, 1);
 }
 
 TEST(ParallelRuntimeTest, SelfJoinFallsBackToSequential) {
-  // The paper's Q7 feeds Bid to both join sides under different keys: a
-  // single-shard routing cannot honor both, so it must fall back.
+  // The paper's Q7 feeds Bid to both join sides under different keys; it
+  // runs on one chain, like every plan.
   const std::string q7 =
       "SELECT MaxBid.wstart, MaxBid.wend, Bid.bidtime, Bid.price, Bid.item "
       "FROM Bid, "
@@ -326,7 +314,7 @@ TEST(ParallelRuntimeTest, LateExecuteAfterRestoreMatchesLiveRun) {
       SCOPED_TRACE(std::string(sql) + " shards=" + std::to_string(shards));
       const RunResult run =
           RunBidScenario(sql, shards, feed, Input::kLateAfterRestore);
-      EXPECT_EQ(run.shard_count, shards);
+      EXPECT_EQ(run.shard_count, 1);
       EXPECT_EQ(run.history_size, feed.size());
       EXPECT_EQ(run.state_bytes, live.state_bytes);
       ExpectSameRows(run.stream, live.stream, "stream rendering");
@@ -348,7 +336,7 @@ TEST(ParallelRuntimeTest, LateExecuteAfterCompactionMatchesLiveRunOfRetained) {
       const RunResult run =
           RunBidScenario(sql, shards, feed, Input::kLateAfterCompaction);
       ASSERT_LT(run.history_size, feed.size()) << "no compaction happened";
-      EXPECT_EQ(run.shard_count, shards);
+      EXPECT_EQ(run.shard_count, 1);
       if (shards == 1) {
         const std::vector<FeedEvent> retained =
             RetainedAfterCompaction(feed, run.floor);
@@ -378,7 +366,7 @@ TEST(ParallelRuntimeTest, StaticTableJoinMatchesLiveRun) {
       SCOPED_TRACE("shards=" + std::to_string(shards) + " " +
                    InputName(input));
       const RunResult run = RunBidScenario(sql, shards, feed, input);
-      EXPECT_EQ(run.shard_count, shards);
+      EXPECT_EQ(run.shard_count, 1);
       EXPECT_EQ(run.state_bytes, live.state_bytes);
       ExpectSameRows(run.stream, live.stream, "stream rendering");
       ExpectSameRows(run.snapshot, live.snapshot, "snapshot");
@@ -387,7 +375,6 @@ TEST(ParallelRuntimeTest, StaticTableJoinMatchesLiveRun) {
 }
 
 TEST(ParallelRuntimeTest, TwoSourceEquiJoinIsDeterministicAcrossShardCounts) {
-  // An equi join over two distinct sources partitions by the key pair.
   const std::string sql =
       "SELECT Bid.bidtime, Bid.item, Bid.price, Ask.price "
       "FROM Bid, Ask WHERE Bid.item = Ask.item";
@@ -431,7 +418,7 @@ TEST(ParallelRuntimeTest, TwoSourceEquiJoinIsDeterministicAcrossShardCounts) {
     auto q = engine.Execute(sql, options);
     ASSERT_TRUE(q.ok()) << q.status().ToString();
     ASSERT_TRUE(engine.Feed(feed).ok());
-    EXPECT_EQ((*q)->dataflow().shard_count(), shards);
+    EXPECT_EQ((*q)->dataflow().shard_count(), 1);
     auto snapshot = (*q)->CurrentSnapshot();
     ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
     if (shards == 1) {
@@ -446,10 +433,10 @@ TEST(ParallelRuntimeTest, TwoSourceEquiJoinIsDeterministicAcrossShardCounts) {
 
 TEST(ParallelRuntimeTest, SingleEventPushesMatchBatchedFeed) {
   // The per-event Insert/AdvanceWatermark path and the batched Feed path
-  // must produce the same output on the sharded runtime.
+  // must produce the same output.
   const std::vector<FeedEvent> feed = MakeBidFeed(300);
   ExecutionOptions options;
-  options.shards = 4;
+  options.shards = 4;  // no effect
 
   Engine batched;
   ASSERT_TRUE(batched.RegisterStream("Bid", BidSchema()).ok());

@@ -1,8 +1,8 @@
 // Durability end to end: the recovery-equivalence property (checkpoint at
 // every prefix of the paper's Section 4 dataset, crash, restore, replay the
 // WAL suffix — every rendering must be bit-identical to the uninterrupted
-// run, at every shard count), shard-count-changing restores at the runtime
-// level, WAL-only cold starts, checkpoints written before shared subtrees,
+// run, whatever the inert shard setting), checkpoints written by the N-chain
+// runtime, WAL-only cold starts, checkpoints written before shared subtrees,
 // and fault injection on both files.
 
 #include <gtest/gtest.h>
@@ -218,8 +218,7 @@ void CheckRecoveryEquivalence(const std::string& sql,
   EXPECT_TRUE(restored.durable());
   ASSERT_EQ(restored.num_queries(), 1u);
   ContinuousQuery* q = restored.query(0);
-  EXPECT_EQ(q->dataflow().shard_count(),
-            shards);  // rebuilt at the saved shard count
+  EXPECT_EQ(q->dataflow().shard_count(), 1);
   ExpectSameRendering(Render(q, at), want);
 }
 
@@ -247,8 +246,7 @@ TEST(RecoveryEquivalenceTest, PaperDatasetAfterWatermarkEmission) {
 }
 
 TEST(RecoveryEquivalenceTest, NonPartitionableQueryRecovers) {
-  // GROUP BY wend only: runs sequentially regardless of the shard request;
-  // the checkpoint must record and restore that resolution.
+  // GROUP BY wend only: the N-chain runtime could not key-partition it.
   const std::vector<FeedEvent> feed = PaperFeed();
   const Rendering want = Baseline(kWindowedMax, feed, 1, T(8, 21));
   for (size_t prefix : {size_t{0}, size_t{4}, size_t{10}}) {
@@ -269,108 +267,187 @@ TEST(RecoveryEquivalenceTest, LargeFeedSampledPrefixes) {
 }
 
 // ---------------------------------------------------------------------------
-// Shard-count-changing restore (runtime level): state saved at K shards
-// loads into a runtime at N shards, for every K x N pair.
+// A checkpoint of the N-chain runtime, which ran key-partitioned queries as
+// N copies of the chain: each query section records N and holds N chain
+// sections. The fixture is an engine's Checkpoint() plus feed log at
+// shards=2: RegisterStream Bid and Ask, EnableDurability, Execute
+// kKeyedAgg and kTwoSourceJoin, Feed() the first kTwoShardFixtureCut events
+// of TwoSourceFeed(), Checkpoint(), then Feed() the rest (the log suffix).
 // ---------------------------------------------------------------------------
 
-/// Chunks `feed[begin, end)` into `out` the way the engine's feed path does,
-/// numbering the events from `begin`.
-void ChunkFeed(const std::vector<FeedEvent>& feed, size_t begin, size_t end,
-               std::vector<exec::InputChunk>* out) {
-  exec::ChunkBuilder builder(out, begin);
-  for (size_t i = begin; i < end; ++i) {
-    const FeedEvent& e = feed[i];
-    switch (e.kind) {
-      case FeedEvent::Kind::kInsert:
-        builder.AddElement(e.source, e.row, +1, e.ptime);
-        break;
-      case FeedEvent::Kind::kDelete:
-        builder.AddElement(e.source, e.row, -1, e.ptime);
-        break;
-      case FeedEvent::Kind::kWatermark:
-        builder.AddWatermark(e.source, e.watermark, e.ptime);
-        break;
+constexpr const char* kTwoSourceJoin =
+    "SELECT Bid.bidtime, Bid.item, Bid.price, Ask.price "
+    "FROM Bid, Ask WHERE Bid.item = Ask.item";
+
+constexpr size_t kTwoShardFixtureCut = 200;
+
+/// Bids and asks on 11 items: out-of-order event times, retractions and
+/// per-source watermarks. The feed of the two-shard fixture.
+std::vector<FeedEvent> TwoSourceFeed() {
+  std::vector<FeedEvent> events;
+  uint64_t state = 11;
+  auto next = [&state] {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    return state >> 33;
+  };
+  std::vector<Row> inserted[2];
+  for (int i = 0; i < 320; ++i) {
+    const Timestamp ptime = T(9, 0) + Interval::Seconds(i);
+    const int side = i % 3 == 2 ? 1 : 0;
+    const char* source = side == 0 ? "Bid" : "Ask";
+    const uint64_t r = next();
+    FeedEvent e;
+    e.source = source;
+    e.ptime = ptime;
+    if (i % 29 == 13 && !inserted[side].empty()) {
+      e.kind = FeedEvent::Kind::kDelete;
+      const size_t pick = next() % inserted[side].size();
+      e.row = inserted[side][pick];
+      inserted[side][pick] = inserted[side].back();
+      inserted[side].pop_back();
+    } else {
+      e.kind = FeedEvent::Kind::kInsert;
+      const Timestamp bidtime = ptime - Interval::Seconds(r % 150);
+      e.row = {Value::Time(bidtime), Value::Int64(static_cast<int64_t>(r % 90)),
+               Value::String("item" + std::to_string(r % 11))};
+      inserted[side].push_back(e.row);
+    }
+    events.push_back(std::move(e));
+    if (i % 40 == 39) {
+      for (const char* s : {"Bid", "Ask"}) {
+        FeedEvent mark;
+        mark.kind = FeedEvent::Kind::kWatermark;
+        mark.source = s;
+        mark.ptime = ptime;
+        mark.watermark = ptime - Interval::Minutes(3);
+        events.push_back(std::move(mark));
+      }
     }
   }
-  builder.CloseAll();
+  return events;
 }
 
-/// Pushes `feed[begin, end)` into `flow` as one PushChunks call.
-Status PushFeed(exec::Dataflow* flow, const std::vector<FeedEvent>& feed,
-                size_t begin, size_t end) {
-  std::vector<exec::InputChunk> chunks;
-  ChunkFeed(feed, begin, end, &chunks);
-  std::vector<const exec::InputChunk*> refs;
-  for (const exec::InputChunk& chunk : chunks) refs.push_back(&chunk);
-  return flow->PushChunks(refs);
-}
+/// The layout of one query section of a checkpoint.
+struct QuerySectionLayout {
+  uint64_t shards = 0;
+  uint64_t chains = 0;  ///< chain sections in the runtime blob
+  uint64_t seq = 0;     ///< the trailing routing sequence
+  std::string runtime;  ///< the runtime blob
+};
 
-std::unique_ptr<exec::Dataflow> BuildRuntime(const std::string& sql,
-                                             int shards) {
-  Engine engine;
-  EXPECT_TRUE(engine.RegisterStream("Bid", BidSchema()).ok());
-  auto plan = engine.Plan(sql);
-  EXPECT_TRUE(plan.ok()) << plan.status().ToString();
-  auto flow = exec::Dataflow::Build(std::move(*plan), shards);
-  EXPECT_TRUE(flow.ok()) << flow.status().ToString();
-  return std::move(*flow);
-}
-
-void ExpectSameEmissions(const exec::Dataflow& got,
-                         const exec::Dataflow& want) {
-  const auto& g = got.sink().emissions();
-  const auto& w = want.sink().emissions();
-  ASSERT_EQ(g.size(), w.size()) << "emission count";
-  for (size_t i = 0; i < w.size(); ++i) {
-    EXPECT_TRUE(RowsEqual(g[i].row, w[i].row)) << "emission " << i;
-    EXPECT_EQ(g[i].undo, w[i].undo) << "emission " << i;
-    EXPECT_EQ(g[i].ptime, w[i].ptime) << "emission " << i;
-    EXPECT_EQ(g[i].ver, w[i].ver) << "emission " << i;
-  }
-}
-
-TEST(ShardCountChangingRestoreTest, EveryPairOfShardCounts) {
-  const std::vector<FeedEvent> feed = BigFeed(300);
-  const size_t half = feed.size() / 2;
-
-  // Reference: sequential, uninterrupted.
-  auto reference = BuildRuntime(kKeyedAgg, 1);
-  ASSERT_TRUE(PushFeed(reference.get(), feed, 0, feed.size()).ok());
-
-  for (int save_shards : {1, 2, 8}) {
-    for (int load_shards : {1, 2, 8}) {
-      SCOPED_TRACE("save=" + std::to_string(save_shards) +
-                   " load=" + std::to_string(load_shards));
-      auto saver = BuildRuntime(kKeyedAgg, save_shards);
-      ASSERT_TRUE(PushFeed(saver.get(), feed, 0, half).ok());
-      state::Writer w;
-      ASSERT_TRUE(saver->SaveState(&w).ok());
-
-      auto loader = BuildRuntime(kKeyedAgg, load_shards);
-      state::Reader r(w.buffer());
-      auto loaded = loader->LoadState(&r);
-      ASSERT_TRUE(loaded.ok()) << loaded.ToString();
-      EXPECT_EQ(loader->StateBytes(), saver->StateBytes())
-          << "restored state size must not depend on the shard count";
-
-      ASSERT_TRUE(PushFeed(loader.get(), feed, half, feed.size()).ok());
-      ExpectSameEmissions(*loader, *reference);
+std::vector<QuerySectionLayout> ParseQuerySections(const std::string& path) {
+  std::vector<QuerySectionLayout> out;
+  auto ckpt = state::CheckpointReader::Open(path);
+  EXPECT_TRUE(ckpt.ok()) << ckpt.status().ToString();
+  if (!ckpt.ok()) return out;
+  for (size_t i = 1; i < ckpt->num_sections(); ++i) {
+    QuerySectionLayout layout;
+    state::Reader query(ckpt->section(i));
+    EXPECT_TRUE(query.ReadString().ok());
+    EXPECT_TRUE(query.ReadInterval().ok());
+    layout.shards = *query.ReadVarint();
+    layout.runtime = std::string(*query.ReadBlobBytes());
+    EXPECT_TRUE(query.ExpectEnd().ok());
+    state::Reader runtime(layout.runtime);
+    layout.chains = *runtime.ReadVarint();
+    for (uint64_t c = 0; c < layout.chains + 1; ++c) {
+      EXPECT_TRUE(runtime.ReadBlobBytes().ok());  // chains, then the sink
     }
+    layout.seq = *runtime.ReadVarint();
+    EXPECT_TRUE(runtime.ExpectEnd().ok());
+    out.push_back(std::move(layout));
+  }
+  return out;
+}
+
+/// The fixture's files, copied into a fresh directory.
+std::string CopyTwoShardFixture() {
+  const std::string dir = NewTempDir("two_shards");
+  for (const char* file : {"/checkpoint.osql", "/feed.wal"}) {
+    auto bytes = state::ReadFileToString(
+        std::string(ONESQL_ENGINE_TEST_DATA_DIR) + "/two_shards" + file);
+    EXPECT_TRUE(bytes.ok()) << bytes.status().ToString();
+    if (bytes.ok()) {
+      EXPECT_TRUE(state::WriteFileAtomic(dir + file, *bytes).ok());
+    }
+  }
+  return dir;
+}
+
+TEST(ShardCountChangingRestoreTest, TwoShardCheckpointRestoresIntoOneChain) {
+  const std::vector<FeedEvent> feed = TwoSourceFeed();
+  ASSERT_GT(feed.size(), kTwoShardFixtureCut);
+  const Timestamp end = feed.back().ptime;
+  const std::string dir = CopyTwoShardFixture();
+  // The fixture really is the N-chain layout: two chain sections per query.
+  const auto saved = ParseQuerySections(dir + "/checkpoint.osql");
+  ASSERT_EQ(saved.size(), 2u);
+  for (const QuerySectionLayout& layout : saved) {
+    EXPECT_EQ(layout.shards, 2u);
+    EXPECT_EQ(layout.chains, 2u);
+    EXPECT_GT(layout.seq, 0u);
+  }
+
+  Engine baseline;
+  ASSERT_TRUE(baseline.RegisterStream("Bid", BidSchema()).ok());
+  ASSERT_TRUE(baseline.RegisterStream("Ask", BidSchema()).ok());
+  std::vector<ContinuousQuery*> want;
+  for (const char* sql : {kKeyedAgg, kTwoSourceJoin}) {
+    auto q = baseline.Execute(sql);
+    ASSERT_TRUE(q.ok()) << q.status().ToString();
+    want.push_back(*q);
+  }
+  ASSERT_TRUE(baseline.Feed(feed).ok());
+
+  // Restore loads both chain sections of each query into its one chain,
+  // then replays the log suffix.
+  Engine restored;
+  const Status s = restored.Restore(dir);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(restored.feed_seq(), feed.size());
+  ASSERT_EQ(restored.num_queries(), 2u);
+  for (size_t i = 0; i < want.size(); ++i) {
+    SCOPED_TRACE("query " + std::to_string(i));
+    ContinuousQuery* q = restored.query(i);
+    EXPECT_EQ(q->dataflow().shard_count(), 1);
+    EXPECT_EQ(q->StateBytes(), want[i]->StateBytes());
+    ASSERT_FALSE(want[i]->StreamRows().empty());
+    ExpectSameRendering(Render(q, end), Render(want[i], end));
+  }
+
+  // Saved again, each query is one chain section, byte for byte what the
+  // uninterrupted run saves.
+  const std::string resaved = NewTempDir("two_shards_resaved");
+  ASSERT_TRUE(restored.Checkpoint(resaved).ok());
+  const std::string uninterrupted = NewTempDir("two_shards_baseline");
+  ASSERT_TRUE(baseline.Checkpoint(uninterrupted).ok());
+  const auto got = ParseQuerySections(resaved + "/checkpoint.osql");
+  const auto base = ParseQuerySections(uninterrupted + "/checkpoint.osql");
+  ASSERT_EQ(got.size(), 2u);
+  ASSERT_EQ(base.size(), 2u);
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].shards, 1u);
+    EXPECT_EQ(got[i].chains, 1u);
+    EXPECT_EQ(got[i].seq, 0u);
+    EXPECT_EQ(got[i].runtime, base[i].runtime) << "query " << i;
   }
 }
 
 TEST(ShardCountChangingRestoreTest, DamagedRuntimeBlobIsDataLoss) {
-  auto saver = BuildRuntime(kKeyedAgg, 2);
-  const std::vector<FeedEvent> feed = PaperFeed();
-  ASSERT_TRUE(PushFeed(saver.get(), feed, 0, feed.size()).ok());
-  state::Writer w;
-  ASSERT_TRUE(saver->SaveState(&w).ok());
-  const std::string& bytes = w.buffer();
-
+  // The keyed aggregate's two-section runtime blob, cut short anywhere.
+  const std::string dir = CopyTwoShardFixture();
+  const auto saved = ParseQuerySections(dir + "/checkpoint.osql");
+  ASSERT_EQ(saved.size(), 2u);
+  const std::string& bytes = saved[0].runtime;
+  Engine engine;
+  ASSERT_TRUE(engine.RegisterStream("Bid", BidSchema()).ok());
   for (size_t cut = 0; cut < bytes.size(); cut += 3) {
-    auto loader = BuildRuntime(kKeyedAgg, 2);
+    auto plan = engine.Plan(kKeyedAgg);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    auto loader = exec::Dataflow::Build(std::move(*plan));
+    ASSERT_TRUE(loader.ok()) << loader.status().ToString();
     state::Reader r(std::string_view(bytes).substr(0, cut));
-    const Status s = loader->LoadState(&r);
+    const Status s = (*loader)->LoadState(&r);
     ASSERT_FALSE(s.ok()) << "cut at " << cut;
     EXPECT_EQ(s.code(), StatusCode::kDataLoss) << s.ToString();
   }

@@ -4,7 +4,7 @@
 // same windows through a different spelling canonicalizes differently, so
 // it compiles both copies, as every plan did before sharing. The two must
 // render bit-identically — stream (kind, row, ptime, ver) and the snapshot
-// at every processing time — at any shard count.
+// at every processing time — whatever the (inert) shard setting.
 
 #include <gtest/gtest.h>
 
@@ -96,8 +96,8 @@ void ExpectSameStream(const ContinuousQuery& q, const ContinuousQuery& twin) {
   }
 }
 
-/// Runs `sql` and `twin_sql` side by side over the NEXMark feed at one
-/// shard and compares their stream renderings.
+/// Runs `sql` and `twin_sql` side by side over the NEXMark feed and
+/// compares their stream renderings.
 void ExpectSameStream(const std::string& sql, const std::string& twin_sql) {
   Engine engine;
   ASSERT_TRUE(nexmark::RegisterNexmark(&engine).ok());

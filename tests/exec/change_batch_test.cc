@@ -2,8 +2,8 @@
 // ColumnVector lane/demotion rules, ChangeBatch row round-trips, the
 // ChunkBuilder's per-source run semantics, and the vectorized kernels'
 // exact agreement with the scalar evaluator — including the per-batch
-// scalar-fallback rules. The end-to-end seams (runtime dispatch, sharded
-// scatter/merge) are covered by the fuzz oracles and parallel_test.
+// scalar-fallback rules. The end-to-end seam (whole-batch versus per-event
+// dispatch) is covered by the fuzz oracles and parallel_test.
 
 #include "exec/change_batch.h"
 

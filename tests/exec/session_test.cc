@@ -282,9 +282,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SessionPropertyTest,
 // Gap-boundary semantics, pinned at N ∈ {1, 8}. The session window is
 // [min_t, max_t + gap) — half-open — so a row at exactly max_t + gap starts
 // a NEW session, and a delete that leaves two runs exactly gap apart splits
-// them. Session plans are not key-partitionable (merge/split state is
-// global), so the N = 8 engines exercise the sharded-request fallback path;
-// both shard counts must render bit-identically.
+// them. The shard setting has no effect (every query runs on one chain), so
+// both settings must render bit-identically.
 // --------------------------------------------------------------------------
 
 class SessionBoundaryTest : public ::testing::TestWithParam<int> {
@@ -371,8 +370,8 @@ TEST_P(SessionBoundaryTest, DeleteLeavingRunsExactlyGapApartSplits) {
 }
 
 TEST_P(SessionBoundaryTest, ShardCountsRenderIdentically) {
-  // The same boundary-heavy feed rendered at this shard count must equal
-  // the sequential rendering bit-for-bit (stream metadata included).
+  // The same boundary-heavy feed rendered at this shard setting must equal
+  // the default rendering bit-for-bit (stream metadata included).
   auto run = [](int shards) {
     Engine engine;
     EXPECT_TRUE(engine

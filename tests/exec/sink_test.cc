@@ -415,7 +415,7 @@ TEST(SinkTest, RestoredSinkContinuesLikeAnUninterruptedOne) {
       const std::string blob = SavedBlob(first);
       MaterializationSink restored(mode.config);
       state::Reader r(blob);
-      ASSERT_TRUE(restored.LoadState(&r, nullptr).ok()) << mode.name;
+      ASSERT_TRUE(restored.LoadState(&r).ok()) << mode.name;
       ASSERT_TRUE(r.AtEnd()) << mode.name;
       EXPECT_EQ(restored.StateBytes(), first.StateBytes()) << mode.name;
       DriveMixedFeed(&restored, cut, steps);
@@ -447,7 +447,7 @@ TEST(SinkTest, IncrementalSnapshotMatchesChangelogReplay) {
     ASSERT_TRUE(sink.SaveState(&w).ok());
     MaterializationSink restored(mode.config);
     state::Reader r(w.buffer());
-    ASSERT_TRUE(restored.LoadState(&r, nullptr).ok()) << mode.name;
+    ASSERT_TRUE(restored.LoadState(&r).ok()) << mode.name;
     ASSERT_TRUE(r.AtEnd()) << mode.name;
     ASSERT_EQ(restored.emissions().size(), sink.emissions().size());
     for (size_t i = 0; i < sink.emissions().size(); ++i) {
@@ -490,7 +490,7 @@ TEST(SinkTest, InstantRowDeletedToZeroKeepsItsVerSequence) {
   ASSERT_TRUE(sink.SaveState(&w).ok());
   MaterializationSink restored(SinkConfig{});
   state::Reader r(w.buffer());
-  ASSERT_TRUE(restored.LoadState(&r, nullptr).ok());
+  ASSERT_TRUE(restored.LoadState(&r).ok());
 
   for (MaterializationSink* s : {&sink, &restored}) {
     ASSERT_TRUE(s->OnElement(0, Ins(8, 3, a)).ok());
@@ -579,7 +579,7 @@ TEST(SinkTest, RestoreRejectsKeyCountsThatDisagreeWithTheEmissions) {
       MaterializationSink restored(test.config);
       const std::string old_layout = WithOldKeyStates(blob, states);
       state::Reader r(old_layout);
-      Status s = restored.LoadState(&r, nullptr);
+      Status s = restored.LoadState(&r);
       if (s.ok()) {
         EXPECT_TRUE(r.AtEnd()) << test.name;
         EXPECT_EQ(SavedBlob(restored), blob) << test.name << " re-saved";
@@ -645,7 +645,7 @@ TEST(SinkTest, RestoreRejectsVersNoInstantSinkEmits) {
           empty.substr(0, empty.size() - 1) + emissions.buffer();
       MaterializationSink restored(config);
       state::Reader r(bytes);
-      const Status s = restored.LoadState(&r, nullptr);
+      const Status s = restored.LoadState(&r);
       ASSERT_FALSE(s.ok()) << ver;
       EXPECT_EQ(s.code(), StatusCode::kDataLoss) << s.ToString();
     }
@@ -676,7 +676,7 @@ TEST(SinkTest, OldLayoutTrailingChangelogIsCheckedAndDropped) {
       const std::string bytes = old_layout(log);
       MaterializationSink restored(mode.config);
       state::Reader r(bytes);
-      ASSERT_TRUE(restored.LoadState(&r, nullptr).ok()) << mode.name;
+      ASSERT_TRUE(restored.LoadState(&r).ok()) << mode.name;
       EXPECT_TRUE(r.AtEnd()) << mode.name;
       ExpectSnapshotsMatchReplay(restored, mode.name);
       state::Writer again;
@@ -695,7 +695,7 @@ TEST(SinkTest, OldLayoutTrailingChangelogIsCheckedAndDropped) {
       const std::string bytes = old_layout(*bad);
       MaterializationSink restored(mode.config);
       state::Reader r(bytes);
-      const Status s = restored.LoadState(&r, nullptr);
+      const Status s = restored.LoadState(&r);
       ASSERT_FALSE(s.ok()) << mode.name;
       EXPECT_EQ(s.code(), StatusCode::kDataLoss) << s.ToString();
       EXPECT_NE(s.message().find("changelog disagrees with the emissions"),
@@ -749,7 +749,7 @@ TEST(SinkTest, ReclaimingKeysThatShareADeadlineKeepsTheOtherTimers) {
   ASSERT_TRUE(sink.SaveState(&w).ok());
   MaterializationSink restored(GatedDelayConfig());
   state::Reader r(w.buffer());
-  ASSERT_TRUE(restored.LoadState(&r, nullptr).ok());
+  ASSERT_TRUE(restored.LoadState(&r).ok());
 
   for (MaterializationSink* s : {&sink, &restored}) {
     // At the deadline exactly the odd keys fire their early panes, once.
@@ -813,7 +813,7 @@ TEST(SinkTest, RestoreRejectsTimersWithoutAMatchingKey) {
   bytes.replace(at, key.buffer().size(), other.buffer());
   MaterializationSink restored(GatedDelayConfig());
   state::Reader r(bytes);
-  const Status s = restored.LoadState(&r, nullptr);
+  const Status s = restored.LoadState(&r);
   ASSERT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kDataLoss) << s.ToString();
 }

@@ -2,12 +2,14 @@
 // visits only the groups it completes) and the join's purge index (a
 // retraction finds its entry in O(1), a watermark visits only the rows it
 // releases). Each case checks the operator's live state as well as its
-// output, including across checkpoint restores at a different shard count.
+// output, including across checkpoint restores — of one chain, and of the
+// two chain sections the N-chain runtime saved at two shards.
 
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "engine/engine.h"
@@ -54,7 +56,7 @@ FeedEvent Wm(const char* source, Timestamp ptime, Timestamp mark) {
 
 /// Builds `sql` over streams S(t, k, v), A(t, k, v), B(t, k, w) and P(t, u,
 /// v), whose `t` and `u` are both event-time columns.
-std::unique_ptr<exec::Dataflow> Build(const std::string& sql, int shards,
+std::unique_ptr<exec::Dataflow> Build(const std::string& sql,
                                       Interval lateness = Interval(0)) {
   Engine engine;
   EXPECT_TRUE(engine.RegisterStream("S", StreamSchema("v")).ok());
@@ -69,7 +71,7 @@ std::unique_ptr<exec::Dataflow> Build(const std::string& sql, int shards,
   auto plan = engine.Plan(sql);
   EXPECT_TRUE(plan.ok()) << plan.status().ToString();
   plan->allowed_lateness = lateness;
-  auto flow = exec::Dataflow::Build(std::move(*plan), shards);
+  auto flow = exec::Dataflow::Build(std::move(*plan));
   EXPECT_TRUE(flow.ok()) << flow.status().ToString();
   return std::move(*flow);
 }
@@ -133,6 +135,46 @@ void ExpectSameEmissions(const exec::Dataflow& got,
   }
 }
 
+/// Saves `flow`'s runtime and returns its chain and sink sections.
+std::pair<std::string, std::string> ChainAndSink(const exec::Dataflow& flow) {
+  state::Writer w;
+  EXPECT_TRUE(flow.SaveState(&w).ok());
+  state::Reader r(w.buffer());
+  EXPECT_EQ(*r.ReadVarint(), 1u);
+  std::string chain(*r.ReadBlobBytes());
+  std::string sink(*r.ReadBlobBytes());
+  return {std::move(chain), std::move(sink)};
+}
+
+/// The runtime blob the N-chain runtime saved at two shards after
+/// `feed[0, end)`. Chain section s is a chain fed the elements whose `k`
+/// has parity s plus every watermark (a key partition, as one shard owned),
+/// and the sink section is the one-chain run's: the N-chain merge fed the
+/// sink exactly what one chain does. The trailing routing sequence is
+/// nonzero, as an N-chain save recorded it.
+std::string TwoChainBlob(const std::string& sql,
+                         const std::vector<FeedEvent>& feed, size_t end) {
+  state::Writer w;
+  w.PutVarint(2);
+  for (int64_t parity : {0, 1}) {
+    std::vector<FeedEvent> part;
+    for (size_t i = 0; i < end; ++i) {
+      if (feed[i].kind == FeedEvent::Kind::kWatermark ||
+          feed[i].row[1].AsInt64() % 2 == parity) {
+        part.push_back(feed[i]);
+      }
+    }
+    auto shard = Build(sql);
+    EXPECT_TRUE(Push(shard.get(), part).ok());
+    w.PutString(ChainAndSink(*shard).first);
+  }
+  auto one = Build(sql);
+  EXPECT_TRUE(Push(one.get(), feed, 0, end).ok());
+  w.PutString(ChainAndSink(*one).second);
+  w.PutVarint(end);
+  return w.buffer();
+}
+
 constexpr const char* kKeyedSum =
     "SELECT k, wend, SUM(v) AS total "
     "FROM Tumble(data => TABLE(S), timecol => DESCRIPTOR(t), "
@@ -149,7 +191,7 @@ constexpr const char* kTimedJoin =
 // ---------------------------------------------------------------------------
 
 TEST(AggregateCompletionIndexTest, AllowedLatenessDefersCompletion) {
-  auto flow = Build(kKeyedSum, 1, Interval::Minutes(5));
+  auto flow = Build(kKeyedSum, Interval::Minutes(5));
   // Window [8:00, 8:10) of k=1, and a later window [8:20, 8:30).
   ASSERT_TRUE(Push(flow.get(), {Ins("S", T(9, 0), R(T(8, 1), 1, 1)),
                                 Ins("S", T(9, 0), R(T(8, 21), 1, 5)),
@@ -173,7 +215,7 @@ TEST(AggregateCompletionIndexTest, AllowedLatenessDefersCompletion) {
 TEST(AggregateCompletionIndexTest, NullEventTimeKeys) {
   // A group whose only event-time key is NULL is complete at any
   // watermark: its input drops as late and no group is kept.
-  auto single = Build("SELECT t, COUNT(*) AS n FROM S GROUP BY t", 1);
+  auto single = Build("SELECT t, COUNT(*) AS n FROM S GROUP BY t");
   ASSERT_TRUE(Push(single.get(),
                    {Ins("S", T(9, 0), {Value::Null(), Value::Int64(1),
                                        Value::Int64(1)})})
@@ -184,7 +226,7 @@ TEST(AggregateCompletionIndexTest, NullEventTimeKeys) {
 
   // With two event-time keys, the NULL one is ignored: the group completes
   // once the watermark reaches the other.
-  auto pair = Build("SELECT t, u, COUNT(*) AS n FROM P GROUP BY t, u", 1);
+  auto pair = Build("SELECT t, u, COUNT(*) AS n FROM P GROUP BY t, u");
   ASSERT_TRUE(Push(pair.get(),
                    {Ins("P", T(9, 0),
                         {Value::Null(), Value::Time(T(8, 10)), Value::Int64(1)}),
@@ -201,7 +243,7 @@ TEST(AggregateCompletionIndexTest, NullEventTimeKeys) {
 }
 
 TEST(AggregateCompletionIndexTest, GroupEmptiedAndRecreatedCompletesOnce) {
-  auto flow = Build(kKeyedSum, 1);
+  auto flow = Build(kKeyedSum);
   std::vector<FeedEvent> feed;
   // k=1 in [8:00, 8:10) empties and re-forms 50 times; k=2 in [8:10, 8:20)
   // stays live throughout.
@@ -235,33 +277,32 @@ TEST(AggregateCompletionIndexTest, LoadStateRebuildsTheIndex) {
   for (int m = 5; m <= 40; m += 5) {
     feed.push_back(Wm("S", T(9, 1) + Interval::Minutes(m), T(8, m)));
   }
-  auto reference = Build(kKeyedSum, 1);
+  auto reference = Build(kKeyedSum);
   ASSERT_TRUE(Push(reference.get(), feed).ok());
   EXPECT_EQ(NumGroups(*reference), 0u);
 
-  for (int save_shards : {1, 2}) {
-    for (int load_shards : {1, 2}) {
-      SCOPED_TRACE("save=" + std::to_string(save_shards) +
-                   " load=" + std::to_string(load_shards));
-      auto saver = Build(kKeyedSum, save_shards);
-      ASSERT_TRUE(Push(saver.get(), feed, 0, half).ok());
-      state::Writer w;
-      ASSERT_TRUE(saver->SaveState(&w).ok());
-      auto loader = Build(kKeyedSum, load_shards);
-      state::Reader r(w.buffer());
-      ASSERT_TRUE(loader->LoadState(&r).ok());
-      EXPECT_EQ(NumGroups(*loader), NumGroups(*saver));
-      // Each watermark must complete exactly the groups it completes on
-      // the uninterrupted run, so the restored index holds every group.
-      auto twin = Build(kKeyedSum, 1);
-      ASSERT_TRUE(Push(twin.get(), feed, 0, half).ok());
-      for (size_t i = half; i < feed.size(); ++i) {
-        ASSERT_TRUE(Push(loader.get(), feed, i, i + 1).ok());
-        ASSERT_TRUE(Push(twin.get(), feed, i, i + 1).ok());
-        EXPECT_EQ(NumGroups(*loader), NumGroups(*twin)) << "event " << i;
-      }
-      ExpectSameEmissions(*loader, *reference);
+  auto saver = Build(kKeyedSum);
+  ASSERT_TRUE(Push(saver.get(), feed, 0, half).ok());
+  state::Writer one_chain;
+  ASSERT_TRUE(saver->SaveState(&one_chain).ok());
+  for (int chains : {1, 2}) {
+    SCOPED_TRACE("chains=" + std::to_string(chains));
+    const std::string blob = chains == 1 ? one_chain.buffer()
+                                         : TwoChainBlob(kKeyedSum, feed, half);
+    auto loader = Build(kKeyedSum);
+    state::Reader r(blob);
+    ASSERT_TRUE(loader->LoadState(&r).ok());
+    EXPECT_EQ(NumGroups(*loader), NumGroups(*saver));
+    // Each watermark must complete exactly the groups it completes on
+    // the uninterrupted run, so the restored index holds every group.
+    auto twin = Build(kKeyedSum);
+    ASSERT_TRUE(Push(twin.get(), feed, 0, half).ok());
+    for (size_t i = half; i < feed.size(); ++i) {
+      ASSERT_TRUE(Push(loader.get(), feed, i, i + 1).ok());
+      ASSERT_TRUE(Push(twin.get(), feed, i, i + 1).ok());
+      EXPECT_EQ(NumGroups(*loader), NumGroups(*twin)) << "event " << i;
     }
+    ExpectSameEmissions(*loader, *reference);
   }
 }
 
@@ -270,7 +311,7 @@ TEST(AggregateCompletionIndexTest, LoadStateRebuildsTheIndex) {
 // ---------------------------------------------------------------------------
 
 TEST(JoinPurgeIndexTest, MultiplicityAboveOne) {
-  auto flow = Build(kTimedJoin, 1);
+  auto flow = Build(kTimedJoin);
   const Row a = R(T(8, 5), 1, 10);
   ASSERT_TRUE(Push(flow.get(), {Ins("A", T(9, 0), a), Ins("A", T(9, 0), a),
                                 Ins("B", T(9, 1), R(T(8, 5), 1, 7))})
@@ -300,7 +341,7 @@ TEST(JoinPurgeIndexTest, MultiplicityAboveOne) {
 
 TEST(JoinPurgeIndexTest, ManyRowsSharingOneEventTime) {
   constexpr int kRows = 2000;
-  auto flow = Build(kTimedJoin, 1);
+  auto flow = Build(kTimedJoin);
   std::vector<FeedEvent> feed;
   for (int i = 0; i < kRows; ++i) {
     feed.push_back(Ins("A", T(9, 0), R(T(8, 5), i, i)));   // shares 8:05
@@ -355,19 +396,21 @@ TEST(JoinPurgeIndexTest, CheckpointsMoveBetweenShardCounts) {
   }
   // Mid-block, so live rows (and purge entries) are checkpointed.
   const size_t half = feed.size() / 2 + 10;
-  auto reference = Build(kTimedJoin, 1);
+  auto reference = Build(kTimedJoin);
   ASSERT_TRUE(Push(reference.get(), feed).ok());
 
-  for (auto [save_shards, load_shards] : {std::pair{1, 2}, std::pair{2, 1}}) {
-    SCOPED_TRACE("save=" + std::to_string(save_shards) +
-                 " load=" + std::to_string(load_shards));
-    auto saver = Build(kTimedJoin, save_shards);
-    ASSERT_TRUE(Push(saver.get(), feed, 0, half).ok());
-    ASSERT_GT(LeftRows(*saver), 0u);
-    state::Writer w;
-    ASSERT_TRUE(saver->SaveState(&w).ok());
-    auto loader = Build(kTimedJoin, load_shards);
-    state::Reader r(w.buffer());
+  auto saver = Build(kTimedJoin);
+  ASSERT_TRUE(Push(saver.get(), feed, 0, half).ok());
+  ASSERT_GT(LeftRows(*saver), 0u);
+  state::Writer one_chain;
+  ASSERT_TRUE(saver->SaveState(&one_chain).ok());
+  for (int chains : {1, 2}) {
+    SCOPED_TRACE("chains=" + std::to_string(chains));
+    const std::string blob = chains == 1
+                                 ? one_chain.buffer()
+                                 : TwoChainBlob(kTimedJoin, feed, half);
+    auto loader = Build(kTimedJoin);
+    state::Reader r(blob);
     ASSERT_TRUE(loader->LoadState(&r).ok());
     EXPECT_EQ(LeftRows(*loader), LeftRows(*saver));
     EXPECT_EQ(RightRows(*loader), RightRows(*saver));
@@ -375,21 +418,12 @@ TEST(JoinPurgeIndexTest, CheckpointsMoveBetweenShardCounts) {
     EXPECT_EQ(loader->sink().CurrentSnapshot(),
               saver->sink().CurrentSnapshot());
 
-    if (save_shards == 1) {
-      // Back on one chain, the state re-encodes to the same bytes: the
-      // encoding depends on the rows, not on how they arrived or which
-      // shard held them. (A one-chain save is compared because its routing
-      // counter is always 0; an N-shard save also records how many events
-      // it routed.)
-      state::Writer again;
-      ASSERT_TRUE(loader->SaveState(&again).ok());
-      auto back = Build(kTimedJoin, 1);
-      state::Reader r2(again.buffer());
-      ASSERT_TRUE(back->LoadState(&r2).ok());
-      state::Writer round_trip;
-      ASSERT_TRUE(back->SaveState(&round_trip).ok());
-      EXPECT_EQ(round_trip.buffer(), w.buffer());
-    }
+    // On one chain, the state re-encodes to the uninterrupted run's bytes:
+    // the encoding depends on the rows, not on how they arrived or how
+    // many chain sections held them.
+    state::Writer again;
+    ASSERT_TRUE(loader->SaveState(&again).ok());
+    EXPECT_EQ(again.buffer(), one_chain.buffer());
 
     ASSERT_TRUE(Push(loader.get(), feed, half, feed.size()).ok());
     ExpectSameEmissions(*loader, *reference);

@@ -59,7 +59,7 @@ TEST(FuzzBoundaryTest, TemplatesShapeTheFeedAsAdvertised) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     {
       const FuzzCase s =
-          GenerateBoundaryCase(seed, BoundaryTemplate::kSingletonBatches);
+          GenerateBoundaryCase(seed, BoundaryTemplate::kOneEventBatches);
       for (const char* src : {kFuzzStreamS, kFuzzStreamR}) {
         for (size_t run : RunLengths(s, src)) EXPECT_EQ(run, 1u) << src;
       }

@@ -3,7 +3,7 @@
 // an output directory — the input set for tools/profile_report.py and the
 // ci.sh explain-analyze smoke leg.
 //
-// Usage: explain_nexmark <outdir> [shards] [num_events]
+// Usage: explain_nexmark <outdir> [num_events]
 //        explain_nexmark --help
 //
 // Writes, per NEXMark query q1/q2/q3/q4/q5/q7: explain_<label>.txt and
@@ -42,9 +42,8 @@ bool WriteFile(const std::filesystem::path& path, const std::string& body) {
 }
 
 constexpr const char kUsage[] =
-    "usage: %s <outdir> [shards] [num_events]\n"
+    "usage: %s <outdir> [num_events]\n"
     "  outdir      directory for the explain, metrics and trace dumps\n"
-    "  shards      shard count for every query (default 1, at least 1)\n"
     "  num_events  NEXMark events to feed (default 5000, at least 1)\n";
 
 /// Parses a whole-string decimal integer >= 1; false on anything else.
@@ -69,21 +68,15 @@ int main(int argc, char** argv) {
       return 0;
     }
   }
-  if (argc < 2 || argc > 4) {
+  if (argc < 2 || argc > 3) {
     std::fprintf(stderr, kUsage, argv[0]);
     return 2;
   }
   const std::filesystem::path outdir = argv[1];
-  int shards = 1;
   int num_events = 5000;
-  if (argc > 2 && !ParsePositive(argv[2], &shards)) {
-    std::fprintf(stderr, "shards must be an integer >= 1, got '%s'\n",
-                 argv[2]);
-    return 2;
-  }
-  if (argc > 3 && !ParsePositive(argv[3], &num_events)) {
+  if (argc > 2 && !ParsePositive(argv[2], &num_events)) {
     std::fprintf(stderr, "num_events must be an integer >= 1, got '%s'\n",
-                 argv[3]);
+                 argv[2]);
     return 2;
   }
   std::error_code ec;
@@ -121,9 +114,7 @@ int main(int argc, char** argv) {
 
   std::vector<onesql::ContinuousQuery*> running;
   for (const auto& [name, sql] : queries) {
-    onesql::ExecutionOptions opts;
-    opts.shards = shards;
-    auto q = engine.Execute(sql, opts);
+    auto q = engine.Execute(sql);
     if (!q.ok()) {
       std::fprintf(stderr, "%s: %s\n", name.c_str(),
                    q.status().ToString().c_str());

@@ -106,13 +106,6 @@ def render_explain(doc):
             % (sink.get("emissions", 0), sink.get("inserts", 0),
                sink.get("retractions", 0), sink.get("late_drops", 0))
         )
-    stalls = doc.get("stalls")
-    if stalls:
-        lines.append(
-            "stalls: shard_wait_us %s | merge_us %s"
-            % (hist_str(stalls.get("shard_wait_us")),
-               hist_str(stalls.get("merge_us")))
-        )
     engine = doc.get("engine")
     if engine:
         lines.append(

@@ -37,6 +37,10 @@ namespace onesql {
 namespace bench {
 namespace {
 
+// Every benchmark runs this many repetitions: with nearest-rank percentiles
+// over 20 samples, the recorded p50, p95 and p99 are three different ranks.
+constexpr int kRepetitions = 20;
+
 constexpr const char* kKeyedAgg =
     "SELECT item, wstart, wend, SUM(price) AS total, COUNT(*) AS cnt "
     "FROM Tumble(data => TABLE(Bid), timecol => DESCRIPTOR(bidtime), "
@@ -163,6 +167,7 @@ void BM_FeedThroughput(benchmark::State& state) {
 }
 BENCHMARK(BM_FeedThroughput)
     ->ArgsProduct({{0, 1}, {64, 1024}})
+    ->Repetitions(kRepetitions)
     ->Unit(benchmark::kMillisecond);
 
 /// Latency of Engine::Checkpoint after range(0) rows of keyed state.
@@ -189,7 +194,7 @@ BENCHMARK(BM_CheckpointWrite)
     ->Arg(1000)
     ->Arg(10000)
     ->Arg(50000)
-    ->Repetitions(5)
+    ->Repetitions(kRepetitions)
     ->Unit(benchmark::kMillisecond);
 
 /// Time from a cold Engine to a live restored query, loading operator state
@@ -213,7 +218,7 @@ BENCHMARK(BM_RestoreFromCheckpoint)
     ->Arg(1000)
     ->Arg(10000)
     ->Arg(50000)
-    ->Repetitions(5)
+    ->Repetitions(kRepetitions)
     ->Unit(benchmark::kMillisecond);
 
 /// Time from a cold Engine to a live query by replaying the entire feed log
@@ -242,6 +247,7 @@ BENCHMARK(BM_RestoreByReplay)
     ->Arg(1000)
     ->Arg(10000)
     ->Arg(50000)
+    ->Repetitions(kRepetitions)
     ->Unit(benchmark::kMillisecond);
 
 /// Experiment CHECKPOINT §group-commit: aggregate rows/sec of `threads`
@@ -299,6 +305,7 @@ void BM_ConcurrentDurableFeed(benchmark::State& state) {
 }
 BENCHMARK(BM_ConcurrentDurableFeed)
     ->ArgsProduct({{0, 2}, {1, 4}})
+    ->Repetitions(kRepetitions)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

@@ -129,9 +129,9 @@ run_leg "tsan-build" cmake --build build-tsan -j"${JOBS}" \
 run_leg "tsan-engine" ./build-tsan/tests/engine_test \
   --gtest_filter='ParallelRuntimeTest.*:EngineTest.*'
 # The restore path with the WAL appender thread: recovery equivalence, and
-# checkpoints of the N-chain runtime loading into one chain.
+# the refused older-version checkpoint and its cold-start route.
 run_leg "tsan-recovery" ./build-tsan/tests/recovery_test \
-  --gtest_filter='RecoveryEquivalenceTest.*:ShardCountChangingRestoreTest.*'
+  --gtest_filter='RecoveryEquivalenceTest.*:CheckpointVersionTest.*'
 # Group commit under real contention: N feeder threads racing the engine
 # feed lock, the dispatch turnstile, and the WAL appender thread — plus the
 # multi-producer log test at the state layer.

@@ -806,8 +806,6 @@ Status Engine::Checkpoint(const std::string& dir) {
     state::Writer w;
     w.PutString(query->sql_);
     w.PutInterval(query->plan().allowed_lateness);
-    // The shard count the older N-chain runtime recorded; always 1 now.
-    w.PutVarint(1);
     state::Writer runtime;
     ONESQL_RETURN_NOT_OK(query->flow_->SaveState(&runtime));
     w.PutBlob(runtime);
@@ -895,13 +893,6 @@ Status Engine::LoadEngineSection(state::Reader* r, uint64_t* num_queries,
 Status Engine::RestoreQuerySection(state::Reader* r) {
   ONESQL_ASSIGN_OR_RETURN(std::string sql, r->ReadString());
   ONESQL_ASSIGN_OR_RETURN(Interval lateness, r->ReadInterval());
-  // A checkpoint of the older N-chain runtime records N here; its N chain
-  // sections all load into the one chain.
-  ONESQL_ASSIGN_OR_RETURN(uint64_t shards, r->ReadVarint());
-  if (shards == 0 || shards > static_cast<uint64_t>(exec::kMaxShards)) {
-    return Status::DataLoss("impossible shard count " +
-                            std::to_string(shards) + " in checkpoint");
-  }
 
   // Rebuild the runtime exactly as Execute() did, but load its operator
   // state from the checkpoint instead of replaying history.
@@ -965,6 +956,14 @@ Status Engine::Restore(const std::string& dir) {
       state::Reader r(ckpt.section(1 + i));
       ONESQL_RETURN_NOT_OK(RestoreQuerySection(&r));
     }
+  } else if (ckpt_or.status().code() == StatusCode::kNotImplemented) {
+    // An intact checkpoint of an older format: operator state is a cache of
+    // a replay of the feed log, so the route back is a cold start from it.
+    return Status::NotImplemented(
+        "'" + ckpt_path + "': " + ckpt_or.status().message() +
+        "; to recover, move it aside, register the streams and tables, "
+        "Restore() from the feed log (a cold start), then Execute() the "
+        "queries again");
   } else if (ckpt_or.status().code() != StatusCode::kNotFound) {
     return ckpt_or.status();
   }

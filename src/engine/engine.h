@@ -231,7 +231,11 @@ class Engine {
   /// and re-attaches the log. With no checkpoint file the whole log is
   /// replayed (streams must be re-registered first in that case). Damaged
   /// files — truncation, bit flips, sequence gaps — fail with
-  /// Status::DataLoss and leave no partially restored queries behind.
+  /// Status::DataLoss and leave no partially restored queries behind. A
+  /// checkpoint of an older format version is refused with NotImplemented,
+  /// the engine untouched; its message names the route back: move the file
+  /// aside, register the streams and tables, Restore() from the feed log
+  /// alone, then Execute() the queries again.
   Status Restore(const std::string& dir);
 
   /// Number of feed events accepted so far (the WAL sequence position).

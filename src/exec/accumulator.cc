@@ -33,7 +33,9 @@ Status LoadCountMap(Map* map, state::Reader* r) {
     if (count <= 0) {
       return Status::DataLoss("non-positive multiplicity in checkpoint");
     }
-    (*map)[value] += count;
+    if (!map->emplace(std::move(value), count).second) {
+      return Status::DataLoss("duplicate count-map value in checkpoint");
+    }
   }
   return Status::OK();
 }

@@ -103,41 +103,18 @@ Status CompiledChain::SaveState(state::Writer* w) const {
 
 Status CompiledChain::LoadState(state::Reader* r) {
   ONESQL_ASSIGN_OR_RETURN(uint64_t n, r->ReadVarint());
-  // CompileChain builds the operator vector deterministically from the plan,
-  // so blob i of the saved chain belongs to the same operator as here.
-  if (n == operators.size()) {
-    for (auto& op : operators) {
-      ONESQL_ASSIGN_OR_RETURN(state::Reader section, r->ReadBlob());
-      ONESQL_RETURN_NOT_OK(op->LoadState(&section));
-      ONESQL_RETURN_NOT_OK(section.ExpectEnd());
-    }
-    return Status::OK();
-  }
-  if (n != positions.size()) {
+  if (n != operators.size()) {
     return Status::DataLoss(
         "checkpointed chain has " + std::to_string(n) +
         " operators, the plan compiles to " +
         std::to_string(operators.size()) +
         " (checkpoint incompatible with this query)");
   }
-  // One blob per plan-tree position: every copy of a shared subtree was
-  // compiled and saved. The copies saw the same input, so their blobs are
-  // equal; the first loads and the others must match it.
-  std::vector<std::string_view> first(operators.size());
-  std::vector<bool> loaded(operators.size(), false);
-  for (size_t op : positions) {
-    ONESQL_ASSIGN_OR_RETURN(std::string_view bytes, r->ReadBlobBytes());
-    if (loaded[op]) {
-      if (bytes != first[op]) {
-        return Status::DataLoss("checkpointed copies of the shared " +
-                                labels[op] + " operator differ");
-      }
-      continue;
-    }
-    loaded[op] = true;
-    first[op] = bytes;
-    state::Reader section(bytes);
-    ONESQL_RETURN_NOT_OK(operators[op]->LoadState(&section));
+  // CompileChain builds the operator vector deterministically from the plan,
+  // so blob i of the saved chain belongs to the same operator as here.
+  for (auto& op : operators) {
+    ONESQL_ASSIGN_OR_RETURN(state::Reader section, r->ReadBlob());
+    ONESQL_RETURN_NOT_OK(op->LoadState(&section));
     ONESQL_RETURN_NOT_OK(section.ExpectEnd());
   }
   return Status::OK();
@@ -166,7 +143,6 @@ class ChainBuilder {
     Operator* out = nullptr;  ///< where the first occurrence feeds
     int port = 0;
     FanoutOperator* fanout = nullptr;  ///< made at the second occurrence
-    size_t first_position = 0, end_position = 0;  ///< its `positions` slice
   };
 
   /// Adds `op` for `node`, wired to (out, port).
@@ -176,7 +152,6 @@ class ChainBuilder {
     op->SetOutput(out, port);
     Op* self = op.get();
     chain_->nodes[&node] = {chain_->operators.size(), false};
-    chain_->positions.push_back(chain_->operators.size());
     chain_->operators.push_back(std::move(op));
     return self;
   }
@@ -210,10 +185,6 @@ void ChainBuilder::Share(Built* built, const plan::LogicalNode& node,
         SourceStep{nullptr, built->fanout, consumer});
   }
   chain_->nodes[&node] = {built->op, true};
-  for (size_t i = built->first_position; i < built->end_position; ++i) {
-    const size_t op = chain_->positions[i];
-    chain_->positions.push_back(op);
-  }
 }
 
 Status ChainBuilder::Build(const plan::LogicalNode& node, Operator* out,
@@ -236,7 +207,6 @@ Status ChainBuilder::Build(const plan::LogicalNode& node, Operator* out,
   built.op = chain_->operators.size();
   built.out = out;
   built.port = port;
-  built.first_position = chain_->positions.size();
   switch (node.kind()) {
     case Kind::kScan:
       break;
@@ -300,7 +270,6 @@ Status ChainBuilder::Build(const plan::LogicalNode& node, Operator* out,
       break;
     }
   }
-  built.end_position = chain_->positions.size();
   built_.emplace(canon, built);
   return Status::OK();
 }
@@ -505,38 +474,22 @@ size_t Dataflow::StateBytes() const {
 }
 
 Status Dataflow::SaveState(state::Writer* w) const {
-  w->PutVarint(1);
   state::Writer chain;
   ONESQL_RETURN_NOT_OK(chain_.SaveState(&chain));
   w->PutBlob(chain);
   state::Writer sink;
   ONESQL_RETURN_NOT_OK(sink_->SaveState(&sink));
   w->PutBlob(sink);
-  w->PutVarint(0);  // the N-chain runtime's routing sequence
   return Status::OK();
 }
 
 Status Dataflow::LoadState(state::Reader* r) {
-  ONESQL_ASSIGN_OR_RETURN(uint64_t nchains, r->ReadVarint());
-  if (nchains == 0) {
-    return Status::DataLoss("checkpoint holds no chain sections");
-  }
-  if (nchains > r->remaining()) {
-    return Status::DataLoss("impossible chain section count in checkpoint");
-  }
-  // A checkpoint of the N-chain runtime holds one section per chain; all of
-  // them merge into the one chain: keyed entries are disjoint across
-  // sections, watermarks merge by maximum, and counters sum.
-  for (uint64_t i = 0; i < nchains; ++i) {
-    ONESQL_ASSIGN_OR_RETURN(state::Reader section, r->ReadBlob());
-    ONESQL_RETURN_NOT_OK(chain_.LoadState(&section));
-    ONESQL_RETURN_NOT_OK(section.ExpectEnd());
-  }
+  ONESQL_ASSIGN_OR_RETURN(state::Reader chain_section, r->ReadBlob());
+  ONESQL_RETURN_NOT_OK(chain_.LoadState(&chain_section));
+  ONESQL_RETURN_NOT_OK(chain_section.ExpectEnd());
   ONESQL_ASSIGN_OR_RETURN(state::Reader sink_section, r->ReadBlob());
   ONESQL_RETURN_NOT_OK(sink_->LoadState(&sink_section));
   ONESQL_RETURN_NOT_OK(sink_section.ExpectEnd());
-  // The N-chain runtime's routing sequence: read and ignored.
-  ONESQL_RETURN_NOT_OK(r->ReadVarint().status());
   return r->ExpectEnd();
 }
 

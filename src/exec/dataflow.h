@@ -98,10 +98,6 @@ struct CompiledChain {
   };
   std::unordered_map<const plan::LogicalNode*, NodeOperator> nodes;
 
-  /// The operator of every plan-tree position, in pre-order: the layout of
-  /// a chain section before subtrees were shared (one blob per position).
-  std::vector<size_t> positions;
-
   size_t StateBytes() const;
 
   /// Delivers one event of a source through its steps. On error every
@@ -121,11 +117,8 @@ struct CompiledChain {
   /// operator count, then one length-prefixed blob per operator.
   Status SaveState(state::Writer* w) const;
 
-  /// Merges a saved chain section into this chain. The leading count tells
-  /// the layouts apart: one blob per distinct operator (SaveState's), or
-  /// one per plan-tree position (the layout before sharing), whose later
-  /// occurrences of a shared subtree must equal the first byte for byte.
-  /// Any other count, or a mismatch, is DataLoss.
+  /// Loads SaveState's bytes into this freshly compiled chain. An operator
+  /// count other than the plan's is DataLoss.
   Status LoadState(state::Reader* r);
 
  private:
@@ -133,8 +126,7 @@ struct CompiledChain {
 };
 
 /// The bound on the shard-count settings (ExecutionOptions::shards, the
-/// server's `shards`), which are range-checked but have no effect. A
-/// checkpoint recording more shards is damaged.
+/// server's `shards`), which are range-checked but have no effect.
 inline constexpr int kMaxShards = 4096;
 
 /// An executable continuous query: the query's operator chain ending at one
@@ -181,17 +173,12 @@ class Dataflow {
   int shard_count() const { return 1; }
 
   /// Serializes all runtime state into `w`. Must be called at a feed
-  /// boundary (between pushes). Layout: a varint chain count (1), one
-  /// length-prefixed chain section, a length-prefixed sink section, and a
-  /// routing sequence counter (0) — the layout the N-chain runtime wrote.
+  /// boundary (between pushes). Layout: a length-prefixed chain section,
+  /// then a length-prefixed sink section.
   Status SaveState(state::Writer* w) const;
 
   /// Restores state saved by SaveState into a freshly built runtime for the
-  /// same plan. A checkpoint of the N-chain runtime holds N chain sections;
-  /// all of them load into the one chain (keyed entries are disjoint across
-  /// sections, watermarks merge by maximum, counters sum), and its routing
-  /// counter is read and ignored. Structural mismatch or damage yields
-  /// DataLoss.
+  /// same plan. Structural mismatch or damage yields DataLoss.
   Status LoadState(state::Reader* r);
 
   /// Introspection for tests and benchmarks.

@@ -115,12 +115,10 @@ class Operator {
     return Status::OK();
   }
 
-  /// Merges previously saved state from `r` into this operator. Called once
-  /// per saved chain section (a checkpoint written by the older N-chain
-  /// runtime holds N): keyed entries are disjoint across sections,
-  /// watermarks merge by maximum and counters sum. The default expects an
-  /// empty section (stateless operator) and fails with DataLoss otherwise,
-  /// so format drift is caught instead of silently skipped.
+  /// Loads state saved by SaveState from `r`, once, into a freshly built
+  /// operator. The default expects an empty section (stateless operator)
+  /// and fails with DataLoss otherwise, so format drift is caught instead
+  /// of silently skipped.
   virtual Status LoadState(state::Reader* r) { return r->ExpectEnd(); }
 
  protected:
@@ -238,9 +236,7 @@ class WatermarkMerger {
     w->PutTimestamp(combined_);
   }
 
-  /// Max-merges saved marks into this merger (the chain sections of an
-  /// N-chain checkpoint all observed the same watermark stream, so the
-  /// merge is idempotent).
+  /// Loads saved marks into a fresh merger with the same port count.
   Status LoadState(state::Reader* r) {
     ONESQL_ASSIGN_OR_RETURN(uint64_t ports, r->ReadVarint());
     if (ports != marks_.size()) {
@@ -249,11 +245,9 @@ class WatermarkMerger {
                               std::to_string(marks_.size()));
     }
     for (Timestamp& m : marks_) {
-      ONESQL_ASSIGN_OR_RETURN(Timestamp saved, r->ReadTimestamp());
-      m = std::max(m, saved);
+      ONESQL_ASSIGN_OR_RETURN(m, r->ReadTimestamp());
     }
-    ONESQL_ASSIGN_OR_RETURN(Timestamp combined, r->ReadTimestamp());
-    combined_ = std::max(combined_, combined);
+    ONESQL_ASSIGN_OR_RETURN(combined_, r->ReadTimestamp());
     return Status::OK();
   }
 

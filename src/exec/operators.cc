@@ -395,10 +395,8 @@ Status TemporalFilterOperator::SaveState(state::Writer* w) const {
 }
 
 Status TemporalFilterOperator::LoadState(state::Reader* r) {
-  ONESQL_ASSIGN_OR_RETURN(Timestamp wm, r->ReadTimestamp());
-  watermark_ = std::max(watermark_, wm);
-  ONESQL_ASSIGN_OR_RETURN(int64_t expired, r->ReadSigned());
-  expired_ += expired;
+  ONESQL_ASSIGN_OR_RETURN(watermark_, r->ReadTimestamp());
+  ONESQL_ASSIGN_OR_RETURN(expired_, r->ReadSigned());
   ONESQL_ASSIGN_OR_RETURN(uint64_t n, r->ReadVarint());
   if (n > r->remaining()) {
     return Status::DataLoss("impossible live-row count in checkpoint");
@@ -632,10 +630,8 @@ Status SessionOperator::SaveState(state::Writer* w) const {
 }
 
 Status SessionOperator::LoadState(state::Reader* r) {
-  ONESQL_ASSIGN_OR_RETURN(Timestamp wm, r->ReadTimestamp());
-  watermark_ = std::max(watermark_, wm);
-  ONESQL_ASSIGN_OR_RETURN(int64_t drops, r->ReadSigned());
-  late_drops_ += drops;
+  ONESQL_ASSIGN_OR_RETURN(watermark_, r->ReadTimestamp());
+  ONESQL_ASSIGN_OR_RETURN(late_drops_, r->ReadSigned());
   ONESQL_ASSIGN_OR_RETURN(uint64_t nkeys, r->ReadVarint());
   if (nkeys > r->remaining()) {
     return Status::DataLoss("impossible session key count in checkpoint");
@@ -646,7 +642,11 @@ Status SessionOperator::LoadState(state::Reader* r) {
     if (nsessions > r->remaining()) {
       return Status::DataLoss("impossible session count in checkpoint");
     }
-    KeyState& ks = keys_[key];
+    auto [it, inserted] = keys_.try_emplace(std::move(key));
+    if (!inserted) {
+      return Status::DataLoss("duplicate session key in checkpoint");
+    }
+    KeyState& ks = it->second;
     for (uint64_t s = 0; s < nsessions; ++s) {
       Session session;
       ONESQL_ASSIGN_OR_RETURN(session.start, r->ReadTimestamp());
@@ -963,10 +963,8 @@ Status AggregateOperator::SaveState(state::Writer* w) const {
 }
 
 Status AggregateOperator::LoadState(state::Reader* r) {
-  ONESQL_ASSIGN_OR_RETURN(Timestamp wm, r->ReadTimestamp());
-  watermark_ = std::max(watermark_, wm);
-  ONESQL_ASSIGN_OR_RETURN(int64_t drops, r->ReadSigned());
-  late_drops_ += drops;
+  ONESQL_ASSIGN_OR_RETURN(watermark_, r->ReadTimestamp());
+  ONESQL_ASSIGN_OR_RETURN(late_drops_, r->ReadSigned());
   ONESQL_ASSIGN_OR_RETURN(uint64_t ngroups, r->ReadVarint());
   if (ngroups > r->remaining()) {
     return Status::DataLoss("impossible group count in checkpoint");
@@ -1234,14 +1232,15 @@ Status JoinOperator::LoadSide(SideState* side,
       }
       auto& bucket = *side->buckets.try_emplace(key).first;
       auto [row_it, fresh] = bucket.second.try_emplace(std::move(row));
-      row_it->second.count += mult;
+      if (!fresh) {
+        return Status::DataLoss("duplicate join row in checkpoint");
+      }
+      row_it->second.count = mult;
       side->size += static_cast<size_t>(mult);
       if (const auto et = PurgeMillis(row_it->first, purge)) {
         tracked += static_cast<uint64_t>(mult);
-        if (fresh) {
-          row_it->second.purge =
-              side->purge_index.emplace(*et, PurgeEntry{&bucket, &*row_it});
-        }
+        row_it->second.purge =
+            side->purge_index.emplace(*et, PurgeEntry{&bucket, &*row_it});
       }
     }
   }

@@ -440,18 +440,16 @@ Status MaterializationSink::SaveState(state::Writer* w) const {
 
 Status MaterializationSink::LoadState(state::Reader* r) {
   ONESQL_RETURN_NOT_OK(merger_.LoadState(r));
-  ONESQL_ASSIGN_OR_RETURN(Timestamp now, r->ReadTimestamp());
-  now_ = std::max(now_, now);
-  ONESQL_ASSIGN_OR_RETURN(int64_t drops, r->ReadSigned());
-  late_drops_ += drops;
+  ONESQL_ASSIGN_OR_RETURN(now_, r->ReadTimestamp());
+  ONESQL_ASSIGN_OR_RETURN(late_drops_, r->ReadSigned());
 
   ONESQL_ASSIGN_OR_RETURN(uint64_t nkeys, r->ReadVarint());
   if (nkeys > r->remaining()) {
     return Status::DataLoss("impossible sink key count in checkpoint");
   }
-  // In instant modes key states are the older layout: they are checked
-  // against the emissions' fold below and dropped.
-  std::vector<std::pair<Row, KeyState>> old_keys;
+  if (nkeys != 0 && instant()) {
+    return Status::DataLoss("instant-mode sink key states in checkpoint");
+  }
   for (uint64_t i = 0; i < nkeys; ++i) {
     ONESQL_ASSIGN_OR_RETURN(Row key, r->ReadRow());
     KeyState state;
@@ -462,14 +460,6 @@ Status MaterializationSink::LoadState(state::Reader* r) {
     ONESQL_ASSIGN_OR_RETURN(state.on_time_fired, r->ReadBool());
     ONESQL_ASSIGN_OR_RETURN(state.complete, r->ReadBool());
     ONESQL_ASSIGN_OR_RETURN(state.next_ver, r->ReadSigned());
-    if (instant()) {
-      // Saved in strictly increasing key order, so no key repeats.
-      if (!old_keys.empty() && !RowLess{}(old_keys.back().first, key)) {
-        return Status::DataLoss("sink key states out of order in checkpoint");
-      }
-      old_keys.emplace_back(std::move(key), std::move(state));
-      continue;
-    }
     const bool inserted =
         keys_.emplace(std::move(key), std::move(state)).second;
     if (!inserted) {
@@ -485,8 +475,7 @@ Status MaterializationSink::LoadState(state::Reader* r) {
   if (nemissions > r->remaining()) {
     return Status::DataLoss("impossible emission count in checkpoint");
   }
-  const size_t first = emissions_.size();
-  emissions_.reserve(first + static_cast<size_t>(nemissions));
+  emissions_.reserve(static_cast<size_t>(nemissions));
   // Rebuild the table by folding the restored emissions, so the two cannot
   // diverge. In instant modes every change of a key materializes at once
   // with the key's next `ver`, and no key is ever reclaimed, so each `ver`
@@ -517,23 +506,6 @@ Status MaterializationSink::LoadState(state::Reader* r) {
     Fold(&rows_, e.undo, e.row, hash);
     emissions_.push_back(std::move(e));
   }
-  if (!old_keys.empty()) ONESQL_RETURN_NOT_OK(CheckOldKeyStates(old_keys));
-  // The blob is length-framed: bytes after the emissions are the result
-  // changelog of the layout that stored the log twice. It must be exactly
-  // the emissions' projection, and is dropped.
-  if (r->AtEnd()) return Status::OK();
-  const Status disagrees = Status::DataLoss(
-      "sink changelog disagrees with the emissions in checkpoint");
-  ONESQL_ASSIGN_OR_RETURN(uint64_t nchanges, r->ReadVarint());
-  if (nchanges != nemissions) return disagrees;
-  for (size_t i = first; i < emissions_.size(); ++i) {
-    ONESQL_ASSIGN_OR_RETURN(Change change, r->ReadChange());
-    const Emission& e = emissions_[i];
-    if (change.kind != (e.undo ? ChangeKind::kDelete : ChangeKind::kInsert) ||
-        change.ptime != e.ptime || !RowsEqual(change.row, e.row)) {
-      return disagrees;
-    }
-  }
   return Status::OK();
 }
 
@@ -552,47 +524,6 @@ bool MaterializationSink::SameVersionKey(const Row& a, const Row& b) const {
     if (!(a[c] == b[c])) return false;
   }
   return true;
-}
-
-Status MaterializationSink::CheckOldKeyStates(
-    const std::vector<std::pair<Row, KeyState>>& old_keys) const {
-  // Each saved key was never flushed, timed or completed, carries its
-  // derived `ver` counter (0 for a key never emitted) and names its live
-  // rows at their folded counts; together they name every counter and row.
-  const Status disagree =
-      Status::DataLoss("sink key states disagree with the emissions");
-  const bool whole_row = config_.version_key_columns.empty();
-  size_t counters = 0;
-  size_t live = 0;
-  for (const auto& [key, state] : old_keys) {
-    const size_t hash = HashRow(key);
-    const RowEntry* entry = whole_row ? rows_.Find(key, hash) : nullptr;
-    const int64_t* counter =
-        !whole_row ? vers_.Find(key, hash)
-                   : entry != nullptr ? &entry->next_ver : nullptr;
-    const int64_t next_ver = counter != nullptr ? *counter : 0;
-    if (!state.last.empty() || state.deadline.has_value() ||
-        state.completeness.has_value() || state.on_time_fired ||
-        state.complete || state.next_ver != next_ver) {
-      return disagree;
-    }
-    counters += next_ver != 0;
-    live += state.current.size();
-    for (const auto& [row, count] : state.current) {
-      const RowEntry* folded = rows_.Find(row, HashRow(row));
-      if (count <= 0 || folded == nullptr || folded->count != count ||
-          !RowsEqual(KeyOf(row), key)) {
-        return disagree;
-      }
-    }
-  }
-  size_t live_rows = 0;
-  for (const auto& slot : rows_.slots()) live_rows += slot.value.count > 0;
-  if (live != live_rows ||
-      counters != (whole_row ? rows_.size() : vers_.size())) {
-    return disagree;
-  }
-  return Status::OK();
 }
 
 Status MaterializationSink::LinkTimers() {

@@ -117,8 +117,7 @@ class MaterializationSink : public Operator {
 
   /// Restores into a freshly constructed sink (same SinkConfig). The row
   /// map, and in instant modes every `ver` counter, is the fold of the
-  /// restored emissions; old-layout instant key states or changelog that
-  /// disagree with them are DataLoss.
+  /// restored emissions; instant-mode key states are DataLoss.
   Status LoadState(state::Reader* r) override;
 
  private:
@@ -180,10 +179,6 @@ class MaterializationSink : public Operator {
   int64_t* VerCounter(const Row& row, size_t hash);
   /// True when rows `a` and `b` have the same version key.
   bool SameVersionKey(const Row& a, const Row& b) const;
-  /// Older checkpoints saved instant-mode key states; each must equal the
-  /// emissions' fold restricted to its key, or DataLoss.
-  Status CheckOldKeyStates(
-      const std::vector<std::pair<Row, KeyState>>& old_keys) const;
 
   SinkConfig config_;
   std::unordered_map<Row, KeyState, RowHash, RowEq> keys_;

@@ -318,6 +318,28 @@ void PushFilterIntoJoin(JoinNode* join, BoundExprPtr predicate) {
   }
 }
 
+// Moves the conjuncts of `*predicate` that read only `window`'s input
+// columns into a filter below it, leaves the rest in `*predicate` (null if
+// none), and returns whether any conjunct moved. Only valid for Hop/Tumble:
+// their output is the input columns followed by wstart/wend, and each input
+// row's window copies carry its columns unchanged, so such a conjunct keeps
+// or drops all copies of a row alike.
+bool PushFilterBelowWindow(WindowNode* window, BoundExprPtr* predicate) {
+  const size_t ninput = window->input().schema().num_fields();
+  std::vector<BoundExprPtr> below, above;
+  for (auto& c : SplitConjuncts(std::move(*predicate))) {
+    std::vector<size_t> refs;
+    CollectInputRefs(*c, &refs);
+    (refs.empty() || refs.back() < ninput ? below : above)
+        .push_back(std::move(c));
+  }
+  *predicate = CombineConjuncts(std::move(above));
+  if (below.empty()) return false;
+  window->mutable_input() = std::make_unique<FilterNode>(
+      std::move(window->mutable_input()), CombineConjuncts(std::move(below)));
+  return true;
+}
+
 }  // namespace
 
 LogicalNodePtr Optimizer::OptimizeNode(LogicalNodePtr node) {
@@ -341,6 +363,23 @@ LogicalNodePtr Optimizer::OptimizeNode(LogicalNodePtr node) {
           DerivePurgeSpecs(j);
           return join_node;
         }
+      }
+      // A Session window stays below its filter: dropping rows first would
+      // change which sessions the remaining rows form.
+      if (input.kind() == LogicalNode::Kind::kWindow &&
+          static_cast<WindowNode&>(input).window_kind() !=
+              WindowKind::kSession) {
+        auto* window = static_cast<WindowNode*>(&input);
+        if (PushFilterBelowWindow(window, &filter->mutable_predicate())) {
+          // The pushed filter may merge with, or move below, what it now
+          // sits on.
+          window->mutable_input() =
+              OptimizeNode(std::move(window->mutable_input()));
+        }
+        if (filter->mutable_predicate() == nullptr) {
+          return std::move(filter->mutable_input());
+        }
+        return node;
       }
       // Merge adjacent filters.
       if (input.kind() == LogicalNode::Kind::kFilter) {

@@ -10,7 +10,7 @@ namespace {
 
 constexpr char kCheckpointMagic[] = "1SQLCKP1";  // 8 bytes, excluding NUL
 constexpr size_t kMagicLen = 8;
-constexpr uint64_t kCheckpointVersion = 1;
+constexpr uint64_t kCheckpointVersion = 2;
 
 std::string EncodeHeader() {
   Writer w;
@@ -27,6 +27,12 @@ Status CheckHeader(std::string_view payload) {
   }
   Reader body(payload.substr(kMagicLen));
   ONESQL_ASSIGN_OR_RETURN(uint64_t version, body.ReadVarint());
+  if (version > 0 && version < kCheckpointVersion) {
+    return Status::NotImplemented(
+        "checkpoint format version " + std::to_string(version) +
+        " is no longer read (this build reads only version " +
+        std::to_string(kCheckpointVersion) + ")");
+  }
   if (version != kCheckpointVersion) {
     return Status::DataLoss("unsupported checkpoint format version " +
                             std::to_string(version));

@@ -20,8 +20,13 @@ namespace state {
 /// Status::DataLoss at open time, never as undefined behavior.
 ///
 /// Layout:
-///   frame 0:  magic "1SQLCKP1" (8 bytes) + varint format version (currently 1)
+///   frame 0:  magic "1SQLCKP1" (8 bytes) + varint format version (currently 2)
 ///   frame 1+: opaque section payloads, in the order they were added
+///
+/// Exactly one format version is read. A layout change bumps it; an older
+/// file is refused whole (NotImplemented — it is intact, just not readable
+/// here), never migrated: state is a cache of a replay of the feed log, so
+/// the route back is a cold start from that log (Engine::Restore).
 class CheckpointWriter {
  public:
   /// Appends one section payload. Sections are opaque to the container.
@@ -47,7 +52,8 @@ class CheckpointWriter {
 /// Validating reader for the checkpoint container. Open() reads the whole
 /// file, checks the magic/version header and every frame CRC up front, and
 /// indexes the section payloads; any damage yields DataLoss with no partial
-/// state escaping.
+/// state escaping. An intact header of an older version yields
+/// NotImplemented; an unknown version is DataLoss.
 class CheckpointReader {
  public:
   static Result<CheckpointReader> Open(const std::string& path);

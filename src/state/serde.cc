@@ -240,18 +240,6 @@ Result<Schema> Reader::ReadSchema() {
   return Schema(std::move(fields));
 }
 
-Result<Change> Reader::ReadChange() {
-  ONESQL_ASSIGN_OR_RETURN(uint8_t kind, ReadU8());
-  if (kind > static_cast<uint8_t>(ChangeKind::kUpsert)) {
-    return Status::DataLoss("unknown change kind in serialized state");
-  }
-  Change change;
-  change.kind = static_cast<ChangeKind>(kind);
-  ONESQL_ASSIGN_OR_RETURN(change.row, ReadRow());
-  ONESQL_ASSIGN_OR_RETURN(change.ptime, ReadTimestamp());
-  return change;
-}
-
 Result<FeedEvent> Reader::ReadFeedEvent() {
   ONESQL_ASSIGN_OR_RETURN(uint8_t kind, ReadU8());
   if (kind > static_cast<uint8_t>(FeedEvent::Kind::kWatermark)) {

@@ -81,14 +81,12 @@ class Reader {
   Result<Value> ReadValue();
   Result<Row> ReadRow();
   Result<Schema> ReadSchema();
-  Result<Change> ReadChange();
   Result<FeedEvent> ReadFeedEvent();
 
   /// Reads a varint-length-prefixed blob and returns a sub-reader bounded to
   /// it. The parent reader advances past the blob.
   Result<Reader> ReadBlob();
-  /// Like ReadBlob but returns the raw bytes (useful when the same blob must
-  /// be decoded several times, e.g. filtered loads into several shards).
+  /// Like ReadBlob but returns the raw bytes.
   Result<std::string_view> ReadBlobBytes();
 
   bool AtEnd() const { return p_ == end_; }

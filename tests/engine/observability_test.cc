@@ -1,9 +1,8 @@
 // End-to-end observability: metrics on the paper's Section 4 dataset must be
 // exact — event-time metrics (watermark lag, emit latency) run on the logical
-// feed clock, so their values are fully determined by the dataset — and
-// the same whatever the (inert) shard setting {1, 2, 8}. Also: tracing
-// spans cover feed -> push -> sink, observability is off by default, and
-// counters stay coherent across Checkpoint/Restore (process-lifetime
+// feed clock, so their values are fully determined by the dataset. Also:
+// tracing spans cover feed -> push -> sink, observability is off by default,
+// and counters stay coherent across Checkpoint/Restore (process-lifetime
 // counters, no double-counting after the WAL-suffix replay).
 
 #include <gtest/gtest.h>
@@ -82,169 +81,156 @@ obs::ObsOptions MetricsAndTracing() {
   return options;
 }
 
-TEST(ObservabilityTest, MetricsAreExactAndShardCountInvariant) {
-  for (int shards : {1, 2, 8}) {
-    SCOPED_TRACE("shards=" + std::to_string(shards));
-    Engine engine;
-    ASSERT_TRUE(engine.RegisterStream("Bid", BidSchema()).ok());
-    ASSERT_TRUE(engine.EnableObservability(MetricsAndTracing()).ok());
-    ExecutionOptions options;
-    options.shards = shards;
-    auto q = engine.Execute(kKeyedAggAfterWatermark, options);
-    ASSERT_TRUE(q.ok()) << q.status().ToString();
-    EXPECT_EQ((*q)->dataflow().shard_count(), 1);
+TEST(ObservabilityTest, MetricsAreExact) {
+  Engine engine;
+  ASSERT_TRUE(engine.RegisterStream("Bid", BidSchema()).ok());
+  ASSERT_TRUE(engine.EnableObservability(MetricsAndTracing()).ok());
+  auto q = engine.Execute(kKeyedAggAfterWatermark);
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
 
-    std::vector<FeedEvent> feed = PaperFeed();
-    // One late bid past window end + lateness: dropped at the aggregate.
-    feed.push_back(BidInsert(T(8, 22), T(8, 1), 99, "A"));
-    ASSERT_TRUE(engine.Feed(feed).ok());
+  std::vector<FeedEvent> feed = PaperFeed();
+  // One late bid past window end + lateness: dropped at the aggregate.
+  feed.push_back(BidInsert(T(8, 22), T(8, 1), 99, "A"));
+  ASSERT_TRUE(engine.Feed(feed).ok());
 
-    const obs::MetricsSnapshot snap = engine.MetricsSnapshot();
+  const obs::MetricsSnapshot snap = engine.MetricsSnapshot();
 
-    // Feed-level event counts.
-    EXPECT_EQ(snap.CounterValue("onesql_engine_feed_events_total",
-                                {{"kind", "insert"}}),
-              7u);
-    EXPECT_EQ(snap.CounterValue("onesql_engine_feed_events_total",
-                                {{"kind", "watermark"}}),
-              4u);
-    EXPECT_EQ(snap.GaugeValue("onesql_engine_queries"), 1);
+  // Feed-level event counts.
+  EXPECT_EQ(snap.CounterValue("onesql_engine_feed_events_total",
+                              {{"kind", "insert"}}),
+            7u);
+  EXPECT_EQ(snap.CounterValue("onesql_engine_feed_events_total",
+                              {{"kind", "watermark"}}),
+            4u);
+  EXPECT_EQ(snap.GaugeValue("onesql_engine_queries"), 1);
 
-    // Per-source watermark lag on the logical feed clock: exactly
-    // 2 + 6 + 4 + 1 minutes across the four watermark events.
-    EXPECT_EQ(
-        snap.CounterValue("onesql_source_rows_total", {{"source", "bid"}}),
-        7u);
-    EXPECT_EQ(snap.CounterValue("onesql_source_watermarks_total",
-                                {{"source", "bid"}}),
-              4u);
-    const obs::HistogramData* lag =
-        snap.HistogramOf("onesql_source_watermark_lag_ms", {{"source", "bid"}});
-    ASSERT_NE(lag, nullptr);
-    EXPECT_EQ(lag->TotalCount(), 4u);
-    EXPECT_EQ(lag->sum, 780000u);
-    EXPECT_EQ(snap.GaugeValue("onesql_source_watermark_lag_current_ms",
+  // Per-source watermark lag on the logical feed clock: exactly
+  // 2 + 6 + 4 + 1 minutes across the four watermark events.
+  EXPECT_EQ(
+      snap.CounterValue("onesql_source_rows_total", {{"source", "bid"}}),
+      7u);
+  EXPECT_EQ(snap.CounterValue("onesql_source_watermarks_total",
                               {{"source", "bid"}}),
-              60000);
+            4u);
+  const obs::HistogramData* lag =
+      snap.HistogramOf("onesql_source_watermark_lag_ms", {{"source", "bid"}});
+  ASSERT_NE(lag, nullptr);
+  EXPECT_EQ(lag->TotalCount(), 4u);
+  EXPECT_EQ(lag->sum, 780000u);
+  EXPECT_EQ(snap.GaugeValue("onesql_source_watermark_lag_current_ms",
+                            {{"source", "bid"}}),
+            60000);
 
-    // Operator-level counts: every bid reaches the source operator exactly
-    // once regardless of routing; the late bid dies at the aggregate.
-    EXPECT_EQ(snap.CounterValue("onesql_operator_rows_in_total",
-                                {{"query", "q0"}, {"op", "source"}}),
-              7u);
-    EXPECT_EQ(snap.CounterValue("onesql_operator_late_drops_total",
-                                {{"query", "q0"}, {"op", "aggregate"}}),
-              1u);
+  // Operator-level counts: every bid reaches the source operator exactly
+  // once regardless of routing; the late bid dies at the aggregate.
+  EXPECT_EQ(snap.CounterValue("onesql_operator_rows_in_total",
+                              {{"query", "q0"}, {"op", "source"}}),
+            7u);
+  EXPECT_EQ(snap.CounterValue("onesql_operator_late_drops_total",
+                              {{"query", "q0"}, {"op", "aggregate"}}),
+            1u);
 
-    // Sink: six group rows across two on-time panes (one per window), no
-    // retractions.
-    EXPECT_EQ(
-        snap.CounterValue("onesql_sink_emissions_total", {{"query", "q0"}}),
-        6u);
-    EXPECT_EQ(
-        snap.CounterValue("onesql_sink_inserts_total", {{"query", "q0"}}),
-        6u);
-    EXPECT_EQ(
-        snap.CounterValue("onesql_sink_retractions_total", {{"query", "q0"}}),
-        0u);
-    EXPECT_EQ(snap.CounterValue("onesql_sink_panes_total",
-                                {{"query", "q0"}, {"kind", "on_time"}}),
-              2u);
-    EXPECT_EQ(snap.CounterValue("onesql_sink_panes_total",
-                                {{"query", "q0"}, {"kind", "early"}}),
-              0u);
-    EXPECT_EQ(snap.CounterValue("onesql_sink_panes_total",
-                                {{"query", "q0"}, {"kind", "late"}}),
-              0u);
+  // Sink: six group rows across two on-time panes (one per window), no
+  // retractions.
+  EXPECT_EQ(
+      snap.CounterValue("onesql_sink_emissions_total", {{"query", "q0"}}),
+      6u);
+  EXPECT_EQ(
+      snap.CounterValue("onesql_sink_inserts_total", {{"query", "q0"}}),
+      6u);
+  EXPECT_EQ(
+      snap.CounterValue("onesql_sink_retractions_total", {{"query", "q0"}}),
+      0u);
+  EXPECT_EQ(snap.CounterValue("onesql_sink_panes_total",
+                              {{"query", "q0"}, {"kind", "on_time"}}),
+            2u);
+  EXPECT_EQ(snap.CounterValue("onesql_sink_panes_total",
+                              {{"query", "q0"}, {"kind", "early"}}),
+            0u);
+  EXPECT_EQ(snap.CounterValue("onesql_sink_panes_total",
+                              {{"query", "q0"}, {"kind", "late"}}),
+            0u);
 
-    // Emit latency under EMIT AFTER WATERMARK, on the logical clock:
-    // one pane at 360000 ms, one at 60000 ms.
-    const obs::HistogramData* latency =
-        snap.HistogramOf("onesql_sink_emit_latency_ms", {{"query", "q0"}});
-    ASSERT_NE(latency, nullptr);
-    EXPECT_EQ(latency->TotalCount(), 2u);
-    EXPECT_EQ(latency->sum, 360000u + 60000u);
+  // Emit latency under EMIT AFTER WATERMARK, on the logical clock:
+  // one pane at 360000 ms, one at 60000 ms.
+  const obs::HistogramData* latency =
+      snap.HistogramOf("onesql_sink_emit_latency_ms", {{"query", "q0"}});
+  ASSERT_NE(latency, nullptr);
+  EXPECT_EQ(latency->TotalCount(), 2u);
+  EXPECT_EQ(latency->sum, 360000u + 60000u);
 
-    // Sampled gauges: the materialized snapshot holds the six group rows.
-    EXPECT_EQ(snap.GaugeValue("onesql_sink_snapshot_rows", {{"query", "q0"}}),
-              6);
+  // Sampled gauges: the materialized snapshot holds the six group rows.
+  EXPECT_EQ(snap.GaugeValue("onesql_sink_snapshot_rows", {{"query", "q0"}}),
+            6);
 
-    // Both exposition formats carry these exact values.
-    const std::string prom = snap.ToPrometheus();
-    EXPECT_NE(
-        prom.find(
-            "onesql_source_watermark_lag_ms_sum{source=\"bid\"} 780000"),
-        std::string::npos);
-    EXPECT_NE(
-        prom.find("onesql_sink_emit_latency_ms_count{query=\"q0\"} 2"),
-        std::string::npos);
-    const std::string json = snap.ToJson();
-    EXPECT_NE(json.find("\"sum\":780000"), std::string::npos);
-    EXPECT_NE(json.find("\"sum\":420000"), std::string::npos);
-  }
+  // Both exposition formats carry these exact values.
+  const std::string prom = snap.ToPrometheus();
+  EXPECT_NE(
+      prom.find(
+          "onesql_source_watermark_lag_ms_sum{source=\"bid\"} 780000"),
+      std::string::npos);
+  EXPECT_NE(
+      prom.find("onesql_sink_emit_latency_ms_count{query=\"q0\"} 2"),
+      std::string::npos);
+  const std::string json = snap.ToJson();
+  EXPECT_NE(json.find("\"sum\":780000"), std::string::npos);
+  EXPECT_NE(json.find("\"sum\":420000"), std::string::npos);
 }
 
-TEST(ObservabilityTest, ProfileRowCountersAreShardCountInvariant) {
+TEST(ObservabilityTest, ProfileRowCountersAreExact) {
   // The profiling determinism contract (DESIGN.md §15): row-denominated
   // kernel counters are a function of the expression and the data, so they
-  // are exact whatever the (inert) shard setting. Batch-denominated and
-  // time-valued profile metrics carry no such guarantee and are
-  // deliberately not compared here.
-  for (int shards : {1, 2, 8}) {
-    SCOPED_TRACE("shards=" + std::to_string(shards));
-    Engine engine;
-    ASSERT_TRUE(engine.RegisterStream("Bid", BidSchema()).ok());
-    obs::ObsOptions options = MetricsAndTracing();
-    options.profiling = true;
-    ASSERT_TRUE(engine.EnableObservability(options).ok());
-    ExecutionOptions exec;
-    exec.shards = shards;
-    // One vectorized expression per path of interest: the filter and
-    // `price * 2` ride the kernels; `price / price` has a non-literal
-    // divisor and falls back per row with the `division` reason.
-    auto q = engine.Execute(
-        "SELECT item, price * 2 AS p2, price / price AS unit FROM Bid "
-        "WHERE price >= 2",
-        exec);
-    ASSERT_TRUE(q.ok()) << q.status().ToString();
-    ASSERT_TRUE(engine.Feed(PaperFeed()).ok());
+  // are exact. Batch-denominated and time-valued profile metrics carry no
+  // such guarantee and are deliberately not compared here.
+  Engine engine;
+  ASSERT_TRUE(engine.RegisterStream("Bid", BidSchema()).ok());
+  obs::ObsOptions options = MetricsAndTracing();
+  options.profiling = true;
+  ASSERT_TRUE(engine.EnableObservability(options).ok());
+  // One vectorized expression per path of interest: the filter and
+  // `price * 2` ride the kernels; `price / price` has a non-literal
+  // divisor and falls back per row with the `division` reason.
+  auto q = engine.Execute(
+      "SELECT item, price * 2 AS p2, price / price AS unit FROM Bid "
+      "WHERE price >= 2");
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  ASSERT_TRUE(engine.Feed(PaperFeed()).ok());
 
-    const obs::MetricsSnapshot snap = engine.MetricsSnapshot();
-    const auto kernel_rows = [&](const std::string& op,
-                                 const std::string& path) {
-      return snap.CounterValue(
-          "onesql_kernel_rows_total",
-          {{"query", "q0"}, {"op", op}, {"path", path}});
-    };
-    // All six bids hit the filter vectorized; price 1 fails the predicate.
-    EXPECT_EQ(kernel_rows("filter", "vectorized"), 6u);
-    EXPECT_EQ(kernel_rows("filter", "scalar"), 0u);
-    // Five passing rows, three expressions: item + price*2 vectorize
-    // (10 rows), price/price goes scalar (5 rows), all blamed on division.
-    EXPECT_EQ(kernel_rows("project", "vectorized"), 10u);
-    EXPECT_EQ(kernel_rows("project", "scalar"), 5u);
-    EXPECT_EQ(snap.CounterValue(
-                  "onesql_kernel_fallback_rows_total",
-                  {{"query", "q0"}, {"op", "project"}, {"reason", "division"}}),
-              5u);
-    EXPECT_EQ(snap.CounterValue("onesql_kernel_fallback_rows_total",
-                                {{"query", "q0"},
-                                 {"op", "project"},
-                                 {"reason", "generic_lane"}}),
-              0u);
-    // Operator row counters share the guarantee.
-    EXPECT_EQ(snap.CounterValue("onesql_operator_rows_in_total",
-                                {{"query", "q0"}, {"op", "filter"}}),
-              6u);
-    EXPECT_EQ(snap.CounterValue("onesql_operator_rows_out_total",
-                                {{"query", "q0"}, {"op", "filter"}}),
-              5u);
-    // Profiling is live (batches flowed) without asserting how many: batch
-    // counts depend on how the feed was chunked.
-    EXPECT_GT(snap.CounterValue("onesql_profile_batches_total",
-                                {{"query", "q0"}, {"op", "filter"}}),
-              0u);
-  }
+  const obs::MetricsSnapshot snap = engine.MetricsSnapshot();
+  const auto kernel_rows = [&](const std::string& op,
+                               const std::string& path) {
+    return snap.CounterValue(
+        "onesql_kernel_rows_total",
+        {{"query", "q0"}, {"op", op}, {"path", path}});
+  };
+  // All six bids hit the filter vectorized; price 1 fails the predicate.
+  EXPECT_EQ(kernel_rows("filter", "vectorized"), 6u);
+  EXPECT_EQ(kernel_rows("filter", "scalar"), 0u);
+  // Five passing rows, three expressions: item + price*2 vectorize
+  // (10 rows), price/price goes scalar (5 rows), all blamed on division.
+  EXPECT_EQ(kernel_rows("project", "vectorized"), 10u);
+  EXPECT_EQ(kernel_rows("project", "scalar"), 5u);
+  EXPECT_EQ(snap.CounterValue(
+                "onesql_kernel_fallback_rows_total",
+                {{"query", "q0"}, {"op", "project"}, {"reason", "division"}}),
+            5u);
+  EXPECT_EQ(snap.CounterValue("onesql_kernel_fallback_rows_total",
+                              {{"query", "q0"},
+                               {"op", "project"},
+                               {"reason", "generic_lane"}}),
+            0u);
+  // Operator row counters share the guarantee.
+  EXPECT_EQ(snap.CounterValue("onesql_operator_rows_in_total",
+                              {{"query", "q0"}, {"op", "filter"}}),
+            6u);
+  EXPECT_EQ(snap.CounterValue("onesql_operator_rows_out_total",
+                              {{"query", "q0"}, {"op", "filter"}}),
+            5u);
+  // Profiling is live (batches flowed) without asserting how many: batch
+  // counts depend on how the feed was chunked.
+  EXPECT_GT(snap.CounterValue("onesql_profile_batches_total",
+                              {{"query", "q0"}, {"op", "filter"}}),
+            0u);
 }
 
 TEST(ObservabilityTest, TraceSpansCoverFeedRouteOperatorSink) {

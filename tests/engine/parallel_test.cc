@@ -1,10 +1,9 @@
-// Every query runs on one chain; ExecutionOptions::shards is accepted but
-// has no effect. These tests run the same scenarios with the setting at
-// N ∈ {1, 2, 8} and compare bit-for-bit — identical stream rendering
-// (StreamRows, including undo/ptime/ver metadata) and identical snapshots,
-// live and replayed into queries executed late (over plain, compacted and
-// restored histories, and with a static table) — and check that every
-// query reports one chain.
+// Every query runs on one chain. These tests run each scenario once live
+// and once replayed into a query executed late (over plain, compacted and
+// restored histories, and with a static table), and compare bit-for-bit —
+// identical stream rendering (StreamRows, including undo/ptime/ver
+// metadata) and identical snapshots — and check that every query reports
+// one chain.
 
 #include <gtest/gtest.h>
 
@@ -147,18 +146,15 @@ struct RunResult {
   std::vector<Row> snapshot;
 };
 
-/// Runs `sql` at the given shard count over `feed`, meeting it as `input`
-/// says.
-RunResult RunBidScenario(const std::string& sql, int shards,
+/// Runs `sql` over `feed`, meeting it as `input` says.
+RunResult RunBidScenario(const std::string& sql,
                          const std::vector<FeedEvent>& feed, Input input) {
   RunResult result;
   auto engine = std::make_unique<Engine>();
   RegisterSources(engine.get());
-  ExecutionOptions options;
-  options.shards = shards;
   ContinuousQuery* query = nullptr;
   auto run = [&] {
-    auto q = engine->Execute(sql, options);
+    auto q = engine->Execute(sql);
     ASSERT_TRUE(q.ok()) << q.status().ToString();
     query = *q;
   };
@@ -237,50 +233,43 @@ void ExpectSameRows(const std::vector<Row>& got, const std::vector<Row>& want,
   }
 }
 
-void ExpectDeterministicAcrossShardCounts(const std::string& sql,
-                                          const std::vector<FeedEvent>& feed) {
-  const RunResult baseline = RunBidScenario(sql, /*shards=*/1, feed,
-                                           Input::kLive);
-  EXPECT_EQ(baseline.shard_count, 1);
-  for (int shards : {2, 8}) {
-    for (Input input : {Input::kLive, Input::kLate}) {
-      SCOPED_TRACE("shards=" + std::to_string(shards) + " " +
-                   InputName(input));
-      const RunResult run = RunBidScenario(sql, shards, feed, input);
-      EXPECT_EQ(run.shard_count, 1);
-      EXPECT_EQ(run.state_bytes, baseline.state_bytes)
-          << "StateBytes() must not depend on the shard setting";
-      ExpectSameRows(run.stream, baseline.stream, "stream rendering");
-      ExpectSameRows(run.snapshot, baseline.snapshot, "snapshot");
-    }
-  }
+/// A late run of `sql` (executed after the feed) must render exactly what
+/// the live run does.
+void ExpectDeterministic(const std::string& sql,
+                         const std::vector<FeedEvent>& feed) {
+  const RunResult live = RunBidScenario(sql, feed, Input::kLive);
+  const RunResult late = RunBidScenario(sql, feed, Input::kLate);
+  EXPECT_EQ(live.shard_count, 1);
+  EXPECT_EQ(late.shard_count, 1);
+  EXPECT_EQ(late.state_bytes, live.state_bytes);
+  ExpectSameRows(late.stream, live.stream, "stream rendering");
+  ExpectSameRows(late.snapshot, live.snapshot, "snapshot");
 }
 
-TEST(ParallelRuntimeTest, KeyedAggregationIsDeterministicAcrossShardCounts) {
-  ExpectDeterministicAcrossShardCounts(kKeyedAgg, MakeBidFeed(600));
+TEST(ParallelRuntimeTest, KeyedAggregationIsDeterministic) {
+  ExpectDeterministic(kKeyedAgg, MakeBidFeed(600));
 }
 
 TEST(ParallelRuntimeTest, KeyedAggregationAfterWatermarkIsDeterministic) {
-  ExpectDeterministicAcrossShardCounts(
-      std::string(kKeyedAgg) + " EMIT STREAM AFTER WATERMARK",
-      MakeBidFeed(600));
+  ExpectDeterministic(std::string(kKeyedAgg) + " EMIT STREAM AFTER WATERMARK",
+                      MakeBidFeed(600));
 }
 
 TEST(ParallelRuntimeTest, KeyedAggregationAfterDelayIsDeterministic) {
-  ExpectDeterministicAcrossShardCounts(
+  ExpectDeterministic(
       std::string(kKeyedAgg) + " EMIT STREAM AFTER DELAY INTERVAL '5' SECONDS",
       MakeBidFeed(600));
 }
 
-TEST(ParallelRuntimeTest, StatelessPipelineIsDeterministicAcrossShardCounts) {
-  ExpectDeterministicAcrossShardCounts(kStateless, MakeBidFeed(400));
+TEST(ParallelRuntimeTest, StatelessPipelineIsDeterministic) {
+  ExpectDeterministic(kStateless, MakeBidFeed(400));
 }
 
 TEST(ParallelRuntimeTest, NonPartitionableShapesFallBackToSequential) {
   // GROUP BY wend only: a plan the N-chain runtime could not key-partition
   // runs on one chain, like every plan.
-  const RunResult run = RunBidScenario(kWindowedMaxByWend, /*shards=*/8,
-                                       MakeBidFeed(200), Input::kLive);
+  const RunResult run =
+      RunBidScenario(kWindowedMaxByWend, MakeBidFeed(200), Input::kLive);
   EXPECT_EQ(run.shard_count, 1);
 }
 
@@ -298,8 +287,7 @@ TEST(ParallelRuntimeTest, SelfJoinFallsBackToSequential) {
       "WHERE Bid.price = MaxBid.maxPrice AND "
       "      Bid.bidtime >= MaxBid.wend - INTERVAL '10' MINUTE AND "
       "      Bid.bidtime < MaxBid.wend";
-  const RunResult run = RunBidScenario(q7, /*shards=*/4, MakeBidFeed(150),
-                                       Input::kLive);
+  const RunResult run = RunBidScenario(q7, MakeBidFeed(150), Input::kLive);
   EXPECT_EQ(run.shard_count, 1);
 }
 
@@ -308,18 +296,14 @@ TEST(ParallelRuntimeTest, LateExecuteAfterRestoreMatchesLiveRun) {
   // executed then must replay it into exactly the live run's output.
   const std::vector<FeedEvent> feed = MakeBidFeed(600);
   for (const char* sql : {kKeyedAgg, kStateless}) {
-    const RunResult live = RunBidScenario(sql, /*shards=*/1, feed,
-                                          Input::kLive);
-    for (int shards : {1, 2}) {
-      SCOPED_TRACE(std::string(sql) + " shards=" + std::to_string(shards));
-      const RunResult run =
-          RunBidScenario(sql, shards, feed, Input::kLateAfterRestore);
-      EXPECT_EQ(run.shard_count, 1);
-      EXPECT_EQ(run.history_size, feed.size());
-      EXPECT_EQ(run.state_bytes, live.state_bytes);
-      ExpectSameRows(run.stream, live.stream, "stream rendering");
-      ExpectSameRows(run.snapshot, live.snapshot, "snapshot");
-    }
+    SCOPED_TRACE(sql);
+    const RunResult live = RunBidScenario(sql, feed, Input::kLive);
+    const RunResult run = RunBidScenario(sql, feed, Input::kLateAfterRestore);
+    EXPECT_EQ(run.shard_count, 1);
+    EXPECT_EQ(run.history_size, feed.size());
+    EXPECT_EQ(run.state_bytes, live.state_bytes);
+    ExpectSameRows(run.stream, live.stream, "stream rendering");
+    ExpectSameRows(run.snapshot, live.snapshot, "snapshot");
   }
 }
 
@@ -330,51 +314,42 @@ TEST(ParallelRuntimeTest, LateExecuteAfterCompactionMatchesLiveRunOfRetained) {
   // retained events produces.
   const std::vector<FeedEvent> feed = MakeBidFeed(4200);
   for (const char* sql : {kKeyedAgg, kStateless}) {
-    RunResult reference;
-    for (int shards : {1, 2}) {
-      SCOPED_TRACE(std::string(sql) + " shards=" + std::to_string(shards));
-      const RunResult run =
-          RunBidScenario(sql, shards, feed, Input::kLateAfterCompaction);
-      ASSERT_LT(run.history_size, feed.size()) << "no compaction happened";
-      EXPECT_EQ(run.shard_count, 1);
-      if (shards == 1) {
-        const std::vector<FeedEvent> retained =
-            RetainedAfterCompaction(feed, run.floor);
-        ASSERT_EQ(retained.size(), run.history_size);
-        reference = RunBidScenario(sql, 1, retained, Input::kLive);
-      }
-      EXPECT_EQ(run.state_bytes, reference.state_bytes);
-      ExpectSameRows(run.stream, reference.stream, "stream rendering");
-      ExpectSameRows(run.snapshot, reference.snapshot, "snapshot");
-    }
+    SCOPED_TRACE(sql);
+    const RunResult run =
+        RunBidScenario(sql, feed, Input::kLateAfterCompaction);
+    ASSERT_LT(run.history_size, feed.size()) << "no compaction happened";
+    EXPECT_EQ(run.shard_count, 1);
+    const std::vector<FeedEvent> retained =
+        RetainedAfterCompaction(feed, run.floor);
+    ASSERT_EQ(retained.size(), run.history_size);
+    const RunResult reference = RunBidScenario(sql, retained, Input::kLive);
+    EXPECT_EQ(run.state_bytes, reference.state_bytes);
+    ExpectSameRows(run.stream, reference.stream, "stream rendering");
+    ExpectSameRows(run.snapshot, reference.snapshot, "snapshot");
   }
 }
 
 TEST(ParallelRuntimeTest, StaticTableJoinMatchesLiveRun) {
   // A stream joined with a static table: the table's rows and its +inf
-  // watermark are pushed before the history, at any shard count and however
-  // the query meets the feed.
+  // watermark are pushed before the history, however the query meets the
+  // feed.
   const std::string sql =
       "SELECT Bid.bidtime, Bid.price, Item.category "
       "FROM Bid, Item WHERE Bid.item = Item.item";
   const std::vector<FeedEvent> feed = MakeBidFeed(400);
-  const RunResult live = RunBidScenario(sql, /*shards=*/1, feed, Input::kLive);
+  const RunResult live = RunBidScenario(sql, feed, Input::kLive);
   ASSERT_FALSE(live.stream.empty());
-  for (int shards : {1, 2}) {
-    for (Input input :
-         {Input::kLive, Input::kLate, Input::kLateAfterRestore}) {
-      SCOPED_TRACE("shards=" + std::to_string(shards) + " " +
-                   InputName(input));
-      const RunResult run = RunBidScenario(sql, shards, feed, input);
-      EXPECT_EQ(run.shard_count, 1);
-      EXPECT_EQ(run.state_bytes, live.state_bytes);
-      ExpectSameRows(run.stream, live.stream, "stream rendering");
-      ExpectSameRows(run.snapshot, live.snapshot, "snapshot");
-    }
+  for (Input input : {Input::kLate, Input::kLateAfterRestore}) {
+    SCOPED_TRACE(InputName(input));
+    const RunResult run = RunBidScenario(sql, feed, input);
+    EXPECT_EQ(run.shard_count, 1);
+    EXPECT_EQ(run.state_bytes, live.state_bytes);
+    ExpectSameRows(run.stream, live.stream, "stream rendering");
+    ExpectSameRows(run.snapshot, live.snapshot, "snapshot");
   }
 }
 
-TEST(ParallelRuntimeTest, TwoSourceEquiJoinIsDeterministicAcrossShardCounts) {
+TEST(ParallelRuntimeTest, TwoSourceEquiJoinIsDeterministic) {
   const std::string sql =
       "SELECT Bid.bidtime, Bid.item, Bid.price, Ask.price "
       "FROM Bid, Ask WHERE Bid.item = Ask.item";
@@ -407,46 +382,39 @@ TEST(ParallelRuntimeTest, TwoSourceEquiJoinIsDeterministicAcrossShardCounts) {
     }
   }
 
-  RunResult baseline;
-  for (int shards : {1, 2, 8}) {
-    SCOPED_TRACE("shards=" + std::to_string(shards));
-    Engine engine;
-    ASSERT_TRUE(engine.RegisterStream("Bid", BidSchema()).ok());
-    ASSERT_TRUE(engine.RegisterStream("Ask", BidSchema()).ok());
-    ExecutionOptions options;
-    options.shards = shards;
-    auto q = engine.Execute(sql, options);
-    ASSERT_TRUE(q.ok()) << q.status().ToString();
-    ASSERT_TRUE(engine.Feed(feed).ok());
-    EXPECT_EQ((*q)->dataflow().shard_count(), 1);
-    auto snapshot = (*q)->CurrentSnapshot();
-    ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
-    if (shards == 1) {
-      baseline.stream = (*q)->StreamRows();
-      baseline.snapshot = *snapshot;
-    } else {
-      ExpectSameRows((*q)->StreamRows(), baseline.stream, "stream rendering");
-      ExpectSameRows(*snapshot, baseline.snapshot, "snapshot");
-    }
-  }
+  // Executed before the feed (live) and after it (a replay of the history).
+  Engine engine;
+  ASSERT_TRUE(engine.RegisterStream("Bid", BidSchema()).ok());
+  ASSERT_TRUE(engine.RegisterStream("Ask", BidSchema()).ok());
+  auto live = engine.Execute(sql);
+  ASSERT_TRUE(live.ok()) << live.status().ToString();
+  ASSERT_TRUE(engine.Feed(feed).ok());
+  auto late = engine.Execute(sql);
+  ASSERT_TRUE(late.ok()) << late.status().ToString();
+  EXPECT_EQ((*live)->dataflow().shard_count(), 1);
+  ASSERT_FALSE((*live)->StreamRows().empty());
+  ExpectSameRows((*late)->StreamRows(), (*live)->StreamRows(),
+                 "stream rendering");
+  auto want = (*live)->CurrentSnapshot();
+  auto got = (*late)->CurrentSnapshot();
+  ASSERT_TRUE(want.ok() && got.ok());
+  ExpectSameRows(*got, *want, "snapshot");
 }
 
 TEST(ParallelRuntimeTest, SingleEventPushesMatchBatchedFeed) {
   // The per-event Insert/AdvanceWatermark path and the batched Feed path
   // must produce the same output.
   const std::vector<FeedEvent> feed = MakeBidFeed(300);
-  ExecutionOptions options;
-  options.shards = 4;  // no effect
 
   Engine batched;
   ASSERT_TRUE(batched.RegisterStream("Bid", BidSchema()).ok());
-  auto qb = batched.Execute(kKeyedAgg, options);
+  auto qb = batched.Execute(kKeyedAgg);
   ASSERT_TRUE(qb.ok()) << qb.status().ToString();
   ASSERT_TRUE(batched.Feed(feed).ok());
 
   Engine single;
   ASSERT_TRUE(single.RegisterStream("Bid", BidSchema()).ok());
-  auto qs = single.Execute(kKeyedAgg, options);
+  auto qs = single.Execute(kKeyedAgg);
   ASSERT_TRUE(qs.ok()) << qs.status().ToString();
   for (const FeedEvent& event : feed) {
     switch (event.kind) {

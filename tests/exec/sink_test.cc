@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <limits>
 #include <optional>
 #include <string>
@@ -502,129 +501,39 @@ TEST(SinkTest, InstantRowDeletedToZeroKeepsItsVerSequence) {
   EXPECT_EQ(live_rows(), 2);
 }
 
-/// An instant-mode key state as older checkpoints saved it: never flushed,
-/// timed or completed, so only `current` and the `ver` counter carry
-/// anything.
-struct OldKeyState {
-  Row key;
-  std::vector<std::pair<Row, int64_t>> current;
-  int64_t next_ver = 0;
-};
-
-/// `blob` (the current layout, no key states) with `states` spliced in as
-/// its key-state section, in key order as older checkpoints wrote them.
-std::string WithOldKeyStates(const std::string& blob,
-                             std::vector<OldKeyState> states) {
-  std::sort(states.begin(), states.end(),
-            [](const OldKeyState& a, const OldKeyState& b) {
-              return RowLess{}(a.key, b.key);
-            });
-  state::Writer section;
-  section.PutVarint(states.size());
-  for (const OldKeyState& state : states) {
-    section.PutRow(state.key);
-    section.PutVarint(0);  // last
-    section.PutVarint(state.current.size());
-    for (const auto& [row, count] : state.current) {
-      section.PutRow(row);
-      section.PutSigned(count);
-    }
-    section.PutBool(false);  // deadline
-    section.PutBool(false);  // completeness
-    section.PutBool(false);  // on_time_fired
-    section.PutBool(false);  // complete
-    section.PutSigned(state.next_ver);
-  }
-  // The key-state count follows the watermark merger, clock and late drops.
-  state::Reader r(blob);
-  const uint64_t ports = *r.ReadVarint();
-  for (uint64_t i = 0; i < ports + 2; ++i) (void)*r.ReadTimestamp();
-  (void)*r.ReadSigned();
-  const size_t at = blob.size() - r.remaining();
-  EXPECT_EQ(*r.ReadVarint(), 0u) << "instant modes save no key states";
-  return blob.substr(0, at) + section.buffer() +
-         blob.substr(blob.size() - r.remaining());
-}
-
-TEST(SinkTest, RestoreRejectsKeyCountsThatDisagreeWithTheEmissions) {
-  // Older checkpoints also saved instant-mode key states. They load when
-  // each equals the emissions' fold restricted to its key, and are dropped.
+TEST(SinkTest, RestoreRejectsInstantModeKeyStates) {
+  // Instant modes keep no key state, so a blob that holds one is damaged.
   const Row a = R(8, 10, 1);
-  const Row b = R(8, 20, 2);
-  const Row c = R(8, 10, 3);
-  struct Case {
-    const char* name;
-    SinkConfig config;
-    std::vector<OldKeyState> states;
-  };
-  // The feed: a, a, b, -b, c. Whole-row keys are the rows; version keys
-  // are the window ends, so a and c share one.
-  const std::vector<Case> cases = {
-      {"instant whole-row",
-       SinkConfig{},
-       {{a, {{a, 2}}, 2}, {b, {}, 2}, {c, {{c, 1}}, 1}}},
-      {"version-keyed",
-       GroupedConfig(),
-       {{{a[0]}, {{a, 2}, {c, 1}}, 3}, {{b[0]}, {}, 2}}}};
-  for (const Case& test : cases) {
-    MaterializationSink sink(test.config);
+  for (const SinkConfig& config : {SinkConfig{}, GroupedConfig()}) {
+    MaterializationSink sink(config);
     ASSERT_TRUE(sink.OnElement(0, Ins(8, 1, a)).ok());
-    ASSERT_TRUE(sink.OnElement(0, Ins(8, 2, a)).ok());
-    ASSERT_TRUE(sink.OnElement(0, Ins(8, 2, b)).ok());
-    ASSERT_TRUE(sink.OnElement(0, Del(8, 3, b)).ok());
-    ASSERT_TRUE(sink.OnElement(0, Ins(8, 3, c)).ok());
     const std::string blob = SavedBlob(sink);
-
-    auto load = [&](const std::vector<OldKeyState>& states) {
-      MaterializationSink restored(test.config);
-      const std::string old_layout = WithOldKeyStates(blob, states);
-      state::Reader r(old_layout);
-      Status s = restored.LoadState(&r);
-      if (s.ok()) {
-        EXPECT_TRUE(r.AtEnd()) << test.name;
-        EXPECT_EQ(SavedBlob(restored), blob) << test.name << " re-saved";
-        EXPECT_EQ(restored.StateBytes(), sink.StateBytes()) << test.name;
-      }
-      return s;
-    };
-    const Status loaded = load(test.states);
-    ASSERT_TRUE(loaded.ok()) << test.name << ": " << loaded.ToString();
-    // A rejected DELETE used to leave an empty key state behind.
-    std::vector<OldKeyState> with_empty = test.states;
-    with_empty.push_back({R(9, 0, 9), {}, 0});
-    if (!test.config.version_key_columns.empty()) {
-      with_empty.back().key = {Value::Time(T(9, 0))};
-    }
-    EXPECT_TRUE(load(with_empty).ok()) << test.name;
-
-    std::vector<std::vector<OldKeyState>> damaged;
-    for (int64_t delta : {-1, 1}) {
-      std::vector<OldKeyState> count = test.states;
-      count[0].current[0].second += delta;
-      damaged.push_back(count);
-      std::vector<OldKeyState> ver = test.states;
-      ver[0].next_ver += delta;
-      damaged.push_back(ver);
-      std::vector<OldKeyState> zero_row_ver = test.states;
-      zero_row_ver[1].next_ver += delta;
-      damaged.push_back(zero_row_ver);
-    }
-    damaged.push_back(std::vector<OldKeyState>(test.states.begin() + 1,
-                                               test.states.end()));
-    std::vector<OldKeyState> missing_row = test.states;
-    missing_row[0].current.pop_back();
-    damaged.push_back(missing_row);
-    std::vector<OldKeyState> deleted_row_live = test.states;
-    deleted_row_live[1].current.push_back({b, 1});
-    damaged.push_back(deleted_row_live);
-    for (size_t i = 0; i < damaged.size(); ++i) {
-      const Status s = load(damaged[i]);
-      ASSERT_FALSE(s.ok()) << test.name << " case " << i;
-      EXPECT_EQ(s.code(), StatusCode::kDataLoss) << s.ToString();
-      EXPECT_NE(s.message().find("disagree with the emissions"),
-                std::string::npos)
-          << s.ToString();
-    }
+    // The key-state count follows the watermark merger, clock and late drops.
+    state::Reader r(blob);
+    const uint64_t ports = *r.ReadVarint();
+    for (uint64_t i = 0; i < ports + 2; ++i) (void)*r.ReadTimestamp();
+    (void)*r.ReadSigned();
+    const size_t at = blob.size() - r.remaining();
+    ASSERT_EQ(*r.ReadVarint(), 0u);
+    state::Writer one_key;
+    one_key.PutVarint(1);
+    one_key.PutRow(config.version_key_columns.empty() ? a : Row{a[0]});
+    one_key.PutVarint(0);  // last
+    one_key.PutVarint(1);  // current
+    one_key.PutRow(a);
+    one_key.PutSigned(1);
+    for (int i = 0; i < 4; ++i) one_key.PutBool(false);
+    one_key.PutSigned(1);  // next_ver
+    const std::string bytes = blob.substr(0, at) + one_key.buffer() +
+                              blob.substr(blob.size() - r.remaining());
+    MaterializationSink restored(config);
+    state::Reader in(bytes);
+    const Status s = restored.LoadState(&in);
+    ASSERT_FALSE(s.ok());
+    EXPECT_EQ(s.code(), StatusCode::kDataLoss) << s.ToString();
+    EXPECT_NE(s.message().find("instant-mode sink key states"),
+              std::string::npos)
+        << s.ToString();
   }
 }
 
@@ -648,59 +557,6 @@ TEST(SinkTest, RestoreRejectsVersNoInstantSinkEmits) {
       const Status s = restored.LoadState(&r);
       ASSERT_FALSE(s.ok()) << ver;
       EXPECT_EQ(s.code(), StatusCode::kDataLoss) << s.ToString();
-    }
-  }
-}
-
-TEST(SinkTest, OldLayoutTrailingChangelogIsCheckedAndDropped) {
-  // Before the log was kept once, the blob ended with the result changelog:
-  // the emissions' projection again.
-  for (const SinkMode& mode : AllModes()) {
-    MaterializationSink sink(mode.config);
-    DriveMixedFeed(&sink);
-    state::Writer w;
-    ASSERT_TRUE(sink.SaveState(&w).ok());
-    const Changelog log = Projection(sink);
-    auto old_layout = [&](const Changelog& changes) {
-      state::Writer tail;
-      tail.PutVarint(changes.size());
-      for (const Change& c : changes) {
-        tail.PutU8(static_cast<uint8_t>(c.kind));
-        tail.PutRow(c.row);
-        tail.PutTimestamp(c.ptime);
-      }
-      return w.buffer() + tail.buffer();
-    };
-
-    {
-      const std::string bytes = old_layout(log);
-      MaterializationSink restored(mode.config);
-      state::Reader r(bytes);
-      ASSERT_TRUE(restored.LoadState(&r).ok()) << mode.name;
-      EXPECT_TRUE(r.AtEnd()) << mode.name;
-      ExpectSnapshotsMatchReplay(restored, mode.name);
-      state::Writer again;
-      ASSERT_TRUE(restored.SaveState(&again).ok());
-      EXPECT_EQ(again.buffer(), w.buffer()) << "re-saved without the log";
-    }
-
-    Changelog flipped = log;
-    flipped.back().kind = flipped.back().kind == ChangeKind::kInsert
-                              ? ChangeKind::kDelete
-                              : ChangeKind::kInsert;
-    Changelog shorter(log.begin(), log.end() - 1);
-    Changelog later = log;
-    later.front().ptime = Timestamp(later.front().ptime.millis() + 1);
-    for (const Changelog* bad : {&flipped, &shorter, &later}) {
-      const std::string bytes = old_layout(*bad);
-      MaterializationSink restored(mode.config);
-      state::Reader r(bytes);
-      const Status s = restored.LoadState(&r);
-      ASSERT_FALSE(s.ok()) << mode.name;
-      EXPECT_EQ(s.code(), StatusCode::kDataLoss) << s.ToString();
-      EXPECT_NE(s.message().find("changelog disagrees with the emissions"),
-                std::string::npos)
-          << s.ToString();
     }
   }
 }

@@ -2,8 +2,7 @@
 // visits only the groups it completes) and the join's purge index (a
 // retraction finds its entry in O(1), a watermark visits only the rows it
 // releases). Each case checks the operator's live state as well as its
-// output, including across checkpoint restores — of one chain, and of the
-// two chain sections the N-chain runtime saved at two shards.
+// output, including across checkpoint restores.
 
 #include <gtest/gtest.h>
 
@@ -135,46 +134,6 @@ void ExpectSameEmissions(const exec::Dataflow& got,
   }
 }
 
-/// Saves `flow`'s runtime and returns its chain and sink sections.
-std::pair<std::string, std::string> ChainAndSink(const exec::Dataflow& flow) {
-  state::Writer w;
-  EXPECT_TRUE(flow.SaveState(&w).ok());
-  state::Reader r(w.buffer());
-  EXPECT_EQ(*r.ReadVarint(), 1u);
-  std::string chain(*r.ReadBlobBytes());
-  std::string sink(*r.ReadBlobBytes());
-  return {std::move(chain), std::move(sink)};
-}
-
-/// The runtime blob the N-chain runtime saved at two shards after
-/// `feed[0, end)`. Chain section s is a chain fed the elements whose `k`
-/// has parity s plus every watermark (a key partition, as one shard owned),
-/// and the sink section is the one-chain run's: the N-chain merge fed the
-/// sink exactly what one chain does. The trailing routing sequence is
-/// nonzero, as an N-chain save recorded it.
-std::string TwoChainBlob(const std::string& sql,
-                         const std::vector<FeedEvent>& feed, size_t end) {
-  state::Writer w;
-  w.PutVarint(2);
-  for (int64_t parity : {0, 1}) {
-    std::vector<FeedEvent> part;
-    for (size_t i = 0; i < end; ++i) {
-      if (feed[i].kind == FeedEvent::Kind::kWatermark ||
-          feed[i].row[1].AsInt64() % 2 == parity) {
-        part.push_back(feed[i]);
-      }
-    }
-    auto shard = Build(sql);
-    EXPECT_TRUE(Push(shard.get(), part).ok());
-    w.PutString(ChainAndSink(*shard).first);
-  }
-  auto one = Build(sql);
-  EXPECT_TRUE(Push(one.get(), feed, 0, end).ok());
-  w.PutString(ChainAndSink(*one).second);
-  w.PutVarint(end);
-  return w.buffer();
-}
-
 constexpr const char* kKeyedSum =
     "SELECT k, wend, SUM(v) AS total "
     "FROM Tumble(data => TABLE(S), timecol => DESCRIPTOR(t), "
@@ -283,27 +242,20 @@ TEST(AggregateCompletionIndexTest, LoadStateRebuildsTheIndex) {
 
   auto saver = Build(kKeyedSum);
   ASSERT_TRUE(Push(saver.get(), feed, 0, half).ok());
-  state::Writer one_chain;
-  ASSERT_TRUE(saver->SaveState(&one_chain).ok());
-  for (int chains : {1, 2}) {
-    SCOPED_TRACE("chains=" + std::to_string(chains));
-    const std::string blob = chains == 1 ? one_chain.buffer()
-                                         : TwoChainBlob(kKeyedSum, feed, half);
-    auto loader = Build(kKeyedSum);
-    state::Reader r(blob);
-    ASSERT_TRUE(loader->LoadState(&r).ok());
-    EXPECT_EQ(NumGroups(*loader), NumGroups(*saver));
-    // Each watermark must complete exactly the groups it completes on
-    // the uninterrupted run, so the restored index holds every group.
-    auto twin = Build(kKeyedSum);
-    ASSERT_TRUE(Push(twin.get(), feed, 0, half).ok());
-    for (size_t i = half; i < feed.size(); ++i) {
-      ASSERT_TRUE(Push(loader.get(), feed, i, i + 1).ok());
-      ASSERT_TRUE(Push(twin.get(), feed, i, i + 1).ok());
-      EXPECT_EQ(NumGroups(*loader), NumGroups(*twin)) << "event " << i;
-    }
-    ExpectSameEmissions(*loader, *reference);
+  state::Writer saved;
+  ASSERT_TRUE(saver->SaveState(&saved).ok());
+  auto loader = Build(kKeyedSum);
+  state::Reader r(saved.buffer());
+  ASSERT_TRUE(loader->LoadState(&r).ok());
+  EXPECT_EQ(NumGroups(*loader), NumGroups(*saver));
+  // Each watermark must complete exactly the groups it completes on the
+  // uninterrupted run, so the restored index holds every group.
+  for (size_t i = half; i < feed.size(); ++i) {
+    ASSERT_TRUE(Push(loader.get(), feed, i, i + 1).ok());
+    ASSERT_TRUE(Push(saver.get(), feed, i, i + 1).ok());
+    EXPECT_EQ(NumGroups(*loader), NumGroups(*saver)) << "event " << i;
   }
+  ExpectSameEmissions(*loader, *reference);
 }
 
 // ---------------------------------------------------------------------------
@@ -373,7 +325,7 @@ TEST(JoinPurgeIndexTest, ManyRowsSharingOneEventTime) {
             static_cast<size_t>(kRows / 4));
 }
 
-TEST(JoinPurgeIndexTest, CheckpointsMoveBetweenShardCounts) {
+TEST(JoinPurgeIndexTest, LoadStateRebuildsTheIndex) {
   // Rows on few event times and keys, with repeats and retractions.
   std::vector<FeedEvent> feed;
   std::vector<Row> live;
@@ -402,35 +354,27 @@ TEST(JoinPurgeIndexTest, CheckpointsMoveBetweenShardCounts) {
   auto saver = Build(kTimedJoin);
   ASSERT_TRUE(Push(saver.get(), feed, 0, half).ok());
   ASSERT_GT(LeftRows(*saver), 0u);
-  state::Writer one_chain;
-  ASSERT_TRUE(saver->SaveState(&one_chain).ok());
-  for (int chains : {1, 2}) {
-    SCOPED_TRACE("chains=" + std::to_string(chains));
-    const std::string blob = chains == 1
-                                 ? one_chain.buffer()
-                                 : TwoChainBlob(kTimedJoin, feed, half);
-    auto loader = Build(kTimedJoin);
-    state::Reader r(blob);
-    ASSERT_TRUE(loader->LoadState(&r).ok());
-    EXPECT_EQ(LeftRows(*loader), LeftRows(*saver));
-    EXPECT_EQ(RightRows(*loader), RightRows(*saver));
-    EXPECT_EQ(loader->StateBytes(), saver->StateBytes());
-    EXPECT_EQ(loader->sink().CurrentSnapshot(),
-              saver->sink().CurrentSnapshot());
+  state::Writer saved;
+  ASSERT_TRUE(saver->SaveState(&saved).ok());
+  auto loader = Build(kTimedJoin);
+  state::Reader r(saved.buffer());
+  ASSERT_TRUE(loader->LoadState(&r).ok());
+  EXPECT_EQ(LeftRows(*loader), LeftRows(*saver));
+  EXPECT_EQ(RightRows(*loader), RightRows(*saver));
+  EXPECT_EQ(loader->StateBytes(), saver->StateBytes());
+  EXPECT_EQ(loader->sink().CurrentSnapshot(), saver->sink().CurrentSnapshot());
 
-    // On one chain, the state re-encodes to the uninterrupted run's bytes:
-    // the encoding depends on the rows, not on how they arrived or how
-    // many chain sections held them.
-    state::Writer again;
-    ASSERT_TRUE(loader->SaveState(&again).ok());
-    EXPECT_EQ(again.buffer(), one_chain.buffer());
+  // The state re-encodes to the saved bytes: the purge index is rebuilt from
+  // the rows, and the encoding depends on the rows alone.
+  state::Writer again;
+  ASSERT_TRUE(loader->SaveState(&again).ok());
+  EXPECT_EQ(again.buffer(), saved.buffer());
 
-    ASSERT_TRUE(Push(loader.get(), feed, half, feed.size()).ok());
-    ExpectSameEmissions(*loader, *reference);
-    EXPECT_EQ(loader->sink().CurrentSnapshot(),
-              reference->sink().CurrentSnapshot());
-    EXPECT_EQ(LeftRows(*loader), LeftRows(*reference));
-  }
+  ASSERT_TRUE(Push(loader.get(), feed, half, feed.size()).ok());
+  ExpectSameEmissions(*loader, *reference);
+  EXPECT_EQ(loader->sink().CurrentSnapshot(),
+            reference->sink().CurrentSnapshot());
+  EXPECT_EQ(LeftRows(*loader), LeftRows(*reference));
 }
 
 }  // namespace

@@ -207,6 +207,69 @@ TEST_F(OptimizerTest, AppendOnlyDetection) {
   EXPECT_TRUE(IsAppendOnlyPipeline(agg.input()));
 }
 
+/// The node kinds from `node` down its single-input chain, until a node
+/// that is not a filter, projection or window, e.g. "Project Window Scan";
+/// each filter is followed by its conjunct count.
+std::string Spine(const LogicalNode& node) {
+  switch (node.kind()) {
+    case LogicalNode::Kind::kFilter: {
+      const auto& filter = static_cast<const FilterNode&>(node);
+      const size_t conjuncts =
+          SplitConjuncts(filter.predicate().Clone()).size();
+      return "Filter" + std::to_string(conjuncts) + " " +
+             Spine(filter.input());
+    }
+    case LogicalNode::Kind::kProject:
+      return "Project " + Spine(static_cast<const ProjectNode&>(node).input());
+    case LogicalNode::Kind::kWindow:
+      return "Window " + Spine(static_cast<const WindowNode&>(node).input());
+    case LogicalNode::Kind::kScan:
+      return "Scan";
+    default:
+      return "Other";
+  }
+}
+
+constexpr const char* kHop =
+    "Hop(data => TABLE(Bid), timecol => DESCRIPTOR(bidtime), "
+    "dur => INTERVAL '10' MINUTES, hopsize => INTERVAL '5' MINUTES) h";
+constexpr const char* kTumble =
+    "Tumble(data => TABLE(Bid), timecol => DESCRIPTOR(bidtime), "
+    "dur => INTERVAL '10' MINUTES) t";
+constexpr const char* kSession =
+    "Session(data => TABLE(Bid), timecol => DESCRIPTOR(bidtime), "
+    "gap => INTERVAL '5' MINUTES, key => DESCRIPTOR(item)) s";
+
+TEST_F(OptimizerTest, FilterOnInputColumnsMovesBelowHopAndTumble) {
+  // Both conjuncts read only Bid's columns, so the whole filter runs once
+  // per bid instead of once per window copy.
+  for (const char* window : {kHop, kTumble}) {
+    QueryPlan plan = MustOptimize(std::string("SELECT * FROM ") + window +
+                                  " WHERE price >= 0 AND item <> 'x'");
+    EXPECT_EQ(Spine(*plan.root), "Project Window Filter2 Scan") << window;
+  }
+}
+
+TEST_F(OptimizerTest, FilterOnWindowBoundsStaysAboveTheWindow) {
+  // wstart/wend exist only above the window: their conjuncts stay there,
+  // and the ones on Bid's columns still move below.
+  QueryPlan bounds = MustOptimize(std::string("SELECT * FROM ") + kHop +
+                                  " WHERE wend > wstart");
+  EXPECT_EQ(Spine(*bounds.root), "Project Filter1 Window Scan");
+  QueryPlan mixed = MustOptimize(
+      std::string("SELECT * FROM ") + kHop +
+      " WHERE price >= 0 AND wend > wstart AND bidtime < wend AND item = 'a'");
+  EXPECT_EQ(Spine(*mixed.root), "Project Filter2 Window Filter2 Scan");
+}
+
+TEST_F(OptimizerTest, FilterOverSessionStaysAbove) {
+  // Dropping rows before a Session window would change the sessions the
+  // remaining rows form.
+  QueryPlan plan = MustOptimize(std::string("SELECT * FROM ") + kSession +
+                                " WHERE price >= 0");
+  EXPECT_EQ(Spine(*plan.root), "Project Filter1 Window Scan");
+}
+
 }  // namespace
 }  // namespace plan
 }  // namespace onesql

@@ -78,19 +78,13 @@ TEST(SerdeTest, ValueRoundTripsEveryTag) {
   EXPECT_TRUE(r.AtEnd());
 }
 
-TEST(SerdeTest, RowAndChangeRoundTrip) {
+TEST(SerdeTest, RowRoundTrip) {
   const Row row = {Value::Time(Timestamp::FromHMS(8, 1)), Value::Int64(13),
                    Value::String("A"), Value::Null()};
-  const Change change{ChangeKind::kDelete, row, Timestamp::FromHMS(8, 2)};
   Writer w;
   w.PutRow(row);
-  // The change layout older sink checkpoints hold: u8 kind, row, ptime.
-  w.PutU8(static_cast<uint8_t>(change.kind));
-  w.PutRow(change.row);
-  w.PutTimestamp(change.ptime);
   Reader r(w.buffer());
   EXPECT_TRUE(RowsEqual(r.ReadRow().value(), row));
-  EXPECT_EQ(r.ReadChange().value(), change);
   EXPECT_TRUE(r.ExpectEnd().ok());
 }
 

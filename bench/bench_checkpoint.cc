@@ -21,7 +21,6 @@
 #include <filesystem>
 #include <string>
 #include <system_error>
-#include <thread>
 #include <vector>
 
 #ifdef _WIN32
@@ -249,65 +248,6 @@ BENCHMARK(BM_RestoreByReplay)
     ->Arg(50000)
     ->Repetitions(kRepetitions)
     ->Unit(benchmark::kMillisecond);
-
-/// Experiment CHECKPOINT §group-commit: aggregate rows/sec of `threads`
-/// feeders each feeding single events (batch=1 — the worst case for
-/// durability, one barrier per event):
-///   range(0) = 0  in-memory (no log)        — the ceiling
-///   range(0) = 2  group-commit log          — feeders share fsyncs
-/// (range(0) = 1 was the synchronous log, removed; the argument values are
-/// kept so result names stay comparable across versions.) The group-commit
-/// claim is that concurrent batch-1 durable feeding approaches the
-/// in-memory rate, because N blocked feeders ride one fsync.
-void BM_ConcurrentDurableFeed(benchmark::State& state) {
-  const int mode = static_cast<int>(state.range(0));
-  const int threads = static_cast<int>(state.range(1));
-  const int kRowsPerThread = 400;
-  // All feeders share one ptime: feed validation requires non-regressing
-  // ptime, and concurrent callers have no cross-thread order to promise.
-  const Timestamp ptime = T(9, 0);
-  int64_t rows_processed = 0;
-  BenchDirs dirs;
-  for (auto _ : state) {
-    state.PauseTiming();
-    Engine engine;
-    if (!engine.RegisterStream("Bid", PaperBidSchema()).ok()) std::abort();
-    if (mode != 0) {
-      if (!engine.EnableDurability(dirs.New("gcfeed")).ok()) std::abort();
-    }
-    auto q = engine.Execute(kKeyedAgg);
-    if (!q.ok()) std::abort();
-    state.ResumeTiming();
-
-    std::vector<std::thread> feeders;
-    feeders.reserve(static_cast<size_t>(threads));
-    for (int t = 0; t < threads; ++t) {
-      feeders.emplace_back([&engine, t, ptime] {
-        for (int i = 0; i < kRowsPerThread; ++i) {
-          FeedEvent e;
-          e.kind = FeedEvent::Kind::kInsert;
-          e.source = "Bid";
-          e.ptime = ptime;
-          e.row = {Value::Time(ptime), Value::Int64(t * 10000 + i),
-                   Value::String("item" + std::to_string(i % 64))};
-          if (!engine.Feed({std::move(e)}).ok()) std::abort();
-        }
-      });
-    }
-    for (auto& f : feeders) f.join();
-    benchmark::DoNotOptimize((*q)->Emissions().size());
-    rows_processed += static_cast<int64_t>(threads) * kRowsPerThread;
-  }
-  state.counters["rows_per_sec"] = benchmark::Counter(
-      static_cast<double>(rows_processed), benchmark::Counter::kIsRate);
-  state.counters["mode"] = mode;
-  state.counters["threads"] = threads;
-}
-BENCHMARK(BM_ConcurrentDurableFeed)
-    ->ArgsProduct({{0, 2}, {1, 4}})
-    ->Repetitions(kRepetitions)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
 
 }  // namespace
 }  // namespace bench

@@ -4,7 +4,6 @@
 # ASan/UBSan sweep of the whole suite (the byte-flip and truncation fault
 # injections run under the sanitizers here — damaged files must fail with a
 # clean Status, never UB), then a TSan pass over the threaded paths: the
-# engine feed lock and group-commit WAL under concurrent feeders, the
 # checkpoint/restore path, the observability suites (the lock-free
 # metrics/trace primitives under a concurrent-registry hammer, and
 # end-to-end metrics), and the standing-query server (socket reader/writer
@@ -71,9 +70,10 @@ run_leg "perf-state-cleanup-run" \
 # the JSON it writes also joins the throughput comparison below.
 run_leg "perf-profile-run" \
   env -C "${PERF_DIR}" ../bench/bench_profile --benchmark_min_time=0.1
-# The durability bench guards the group-commit WAL: a scheduling regression
-# (lost wakeup, fsync no longer amortized) shows up here as a throughput
-# cliff long before anyone reads a latency histogram.
+# The durability bench guards the feed log's one fsync per Feed call: a
+# regression that syncs more often than that shows up here as a throughput
+# cliff on the durable BM_FeedThroughput rows long before anyone reads a
+# latency histogram.
 run_leg "perf-checkpoint-run" \
   env -C "${PERF_DIR}" ../bench/bench_checkpoint --benchmark_min_time=0.1
 # The e2e legs get extra headroom: full-engine NEXMark runs swing harder
@@ -124,26 +124,20 @@ run_leg "tsan-configure" cmake -B build-tsan -S . \
   -DCMAKE_CXX_FLAGS="${WARN_FLAGS} -fsanitize=thread" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
 run_leg "tsan-build" cmake --build build-tsan -j"${JOBS}" \
-  --target engine_test recovery_test group_commit_test obs_test \
-  observability_test server_test state_test
+  --target engine_test recovery_test obs_test observability_test \
+  server_test
 run_leg "tsan-engine" ./build-tsan/tests/engine_test \
   --gtest_filter='ParallelRuntimeTest.*:EngineTest.*'
-# The restore path with the WAL appender thread: recovery equivalence, and
-# the refused older-version checkpoint and its cold-start route.
+# The restore path: recovery equivalence, and the refused older-version
+# checkpoint and its cold-start route.
 run_leg "tsan-recovery" ./build-tsan/tests/recovery_test \
   --gtest_filter='RecoveryEquivalenceTest.*:CheckpointVersionTest.*'
-# Group commit under real contention: N feeder threads racing the engine
-# feed lock, the dispatch turnstile, and the WAL appender thread — plus the
-# multi-producer log test at the state layer.
-run_leg "tsan-group-commit" ./build-tsan/tests/group_commit_test
-run_leg "tsan-wal" ./build-tsan/tests/state_test \
-  --gtest_filter='GroupCommitTest.*'
 # Observability primitives under contention: the sharded-counter /
 # histogram / registry hammer (8 threads racing registration, updates, and
 # snapshots) and the lock-free trace rings.
 run_leg "tsan-obs" ./build-tsan/tests/obs_test \
   --gtest_filter='*Concurrent*:RegistryTest.*'
-# End-to-end metrics, with the WAL appender thread in play.
+# End-to-end metrics, durable feed log included.
 run_leg "tsan-observability" ./build-tsan/tests/observability_test
 # The standing-query server: TCP reader/writer/accept threads against the
 # core's session registry, plus the in-process overflow-teardown path. The

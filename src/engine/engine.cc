@@ -337,11 +337,6 @@ Result<std::unique_ptr<Engine>> Engine::CloneRegistrations() const {
   return clone;
 }
 
-Status Engine::AppendWal(const FeedEvent& event) {
-  if (replaying_wal_ || wal_ == nullptr) return Status::OK();
-  return wal_->Append(state::WalRecord{feed_seq_, event});
-}
-
 Status Engine::Insert(const std::string& stream, Timestamp ptime, Row row) {
   FeedEvent event;
   event.kind = FeedEvent::Kind::kInsert;
@@ -379,15 +374,6 @@ Status Engine::AdvanceWatermark(const std::string& stream, Timestamp ptime,
 Status Engine::Feed(const std::vector<FeedEvent>& events) {
   obs::Span span(obs_ != nullptr ? obs_->trace() : nullptr, "feed", "engine");
   span.set_aux(events.size());
-  // Feed calls serialize on feed_mu_. When durable the lock is dropped for
-  // the durability wait (below), so N feeder threads interleave
-  // validate/enqueue and share fsyncs; otherwise the lock is held end to end
-  // and concurrent Feed degenerates to strict turn-taking.
-  FeedSync& sync = *feed_sync_;
-  std::unique_lock<std::mutex> lock(sync.mu);
-  if (sync.feeds_in_flight == 0) sync.dispatch_next_seq = feed_seq_;
-  ++sync.feeds_in_flight;
-  const uint64_t base_seq = feed_seq_;
   // One fused pass: validate, WAL-append, and record each event straight
   // into the chunked history (validation is order-sensitive — watermark
   // monotonicity and ptime ordering — so it stays event by event). The new
@@ -417,8 +403,7 @@ Status Engine::Feed(const std::vector<FeedEvent>& events) {
   // Backpressure attribution (profiling only): total time this Feed call
   // spent blocked on the feed log — every append plus the sync barrier —
   // recorded as one sample so the histogram is per-feed-call stall time.
-  const bool durable_feed = wal_ != nullptr && !replaying_wal_;
-  const bool profile_wal = engine_profile_ != nullptr && durable_feed;
+  const bool profile_wal = engine_profile_ != nullptr && durable();
   uint64_t wal_stall_us = 0;
   for (const FeedEvent& event : events) {
     Status status = Status::OK();
@@ -485,14 +470,10 @@ Status Engine::Feed(const std::vector<FeedEvent>& events) {
     }
     // Log before mutating engine state: an event the WAL never saw must not
     // become part of the replayable history.
-    if (status.ok()) {
-      if (profile_wal) {
-        const uint64_t t0 = obs::TraceRecorder::NowMicros();
-        status = AppendWal(event);
-        wal_stall_us += obs::TraceRecorder::NowMicros() - t0;
-      } else {
-        status = AppendWal(event);
-      }
+    if (status.ok() && durable()) {
+      const uint64_t t0 = profile_wal ? obs::TraceRecorder::NowMicros() : 0;
+      status = wal_.Append(feed_seq_, event);
+      if (profile_wal) wal_stall_us += obs::TraceRecorder::NowMicros() - t0;
     }
     if (!status.ok()) {
       deferred = std::move(status);
@@ -546,41 +527,21 @@ Status Engine::Feed(const std::vector<FeedEvent>& events) {
   }
   builder.CloseAll();
   history_events_ += accepted;
-  if (accepted == 0) {
-    --sync.feeds_in_flight;
-    return deferred;
-  }
-  const size_t chunk_end = history_.size();
-  const uint64_t end_seq = base_seq + accepted;
+  if (accepted == 0) return deferred;
   // One durability barrier for the whole batch: every recorded event is on
   // disk before any query observes any of them.
-  Status durable_status;
-  const uint64_t sync_t0 = profile_wal ? obs::TraceRecorder::NowMicros() : 0;
-  if (durable_feed) {
-    // Drop the engine lock for the wait: feeders arriving while this group's
-    // fsync is in flight validate and enqueue into the *next* group, which
-    // is exactly how group commit amortizes the sync cost.
-    lock.unlock();
-    durable_status = wal_->WaitDurable(end_seq);
-    lock.lock();
-    // Dispatch turnstile: a shared group fsync wakes every member at once,
-    // but queries must observe feeds in seq order — park until every earlier
-    // feed has dispatched.
-    sync.dispatch_cv.wait(lock,
-                          [&] { return sync.dispatch_next_seq == base_seq; });
+  Status dispatch_status;
+  if (durable()) {
+    const uint64_t sync_t0 = profile_wal ? obs::TraceRecorder::NowMicros() : 0;
+    dispatch_status = wal_.Sync();
+    if (profile_wal) {
+      wal_stall_us += obs::TraceRecorder::NowMicros() - sync_t0;
+      engine_profile_->feed_wal_stall_us->Record(wal_stall_us);
+    }
   }
-  if (profile_wal) {
-    wal_stall_us += obs::TraceRecorder::NowMicros() - sync_t0;
-    engine_profile_->feed_wal_stall_us->Record(wal_stall_us);
-  }
-  Status dispatch_status = durable_status;
   if (dispatch_status.ok()) {
-    // Chunk pointers are resolved only now, under the lock: while a group
-    // wait was in flight other feeders may have grown (and reallocated)
-    // history_. The [first_chunk, chunk_end) index range stays valid; raw
-    // pointers taken before the wait would not.
     const std::vector<const exec::InputChunk*> chunks =
-        ChunkRefs(history_, first_chunk, chunk_end);
+        ChunkRefs(history_, first_chunk, history_.size());
     const uint64_t dispatch_t0 =
         engine_profile_ != nullptr ? obs::TraceRecorder::NowMicros() : 0;
     for (auto& query : queries_) {
@@ -593,15 +554,8 @@ Status Engine::Feed(const std::vector<FeedEvent>& events) {
           obs::TraceRecorder::NowMicros() - dispatch_t0);
     }
   }
-  // Open the turnstile on every path, including failures: a feeder waiting
-  // behind this one must not deadlock because this one errored out.
-  sync.dispatch_next_seq = end_seq;
-  sync.dispatch_cv.notify_all();
-  --sync.feeds_in_flight;
   ONESQL_RETURN_NOT_OK(dispatch_status);
-  // Compaction rebuilds history_, so it must not run while another feeder
-  // still holds chunk indices into it.
-  if (sync.feeds_in_flight == 0) MaybeCompactHistory();
+  MaybeCompactHistory();
   return deferred;
 }
 
@@ -720,23 +674,21 @@ void Engine::CompactHistory() {
 Status Engine::EnableDurability(const std::string& dir) {
   if (durable()) {
     return Status::InvalidArgument("durability is already enabled (log at '" +
-                                   wal_->path() + "')");
+                                   wal_.path() + "')");
   }
   ONESQL_RETURN_NOT_OK(state::EnsureDirectory(dir));
-  ONESQL_ASSIGN_OR_RETURN(std::unique_ptr<state::GroupCommitLog> log,
-                          state::GroupCommitLog::Open(dir + kWalFile));
-  if (log->next_seq() != feed_seq_) {
-    const Status mismatch = Status::InvalidArgument(
-        "feed log at '" + log->path() + "' holds " +
-        std::to_string(log->next_seq()) + " events but the engine has fed " +
+  ONESQL_ASSIGN_OR_RETURN(state::FeedLog log,
+                          state::FeedLog::Open(dir + kWalFile));
+  if (log.next_seq() != feed_seq_) {
+    return Status::InvalidArgument(
+        "feed log at '" + log.path() + "' holds " +
+        std::to_string(log.next_seq()) + " events but the engine has fed " +
         std::to_string(feed_seq_) +
         " — Restore() from this directory first (or start a fresh one)");
-    (void)log->Close();
-    return mismatch;
   }
   wal_ = std::move(log);
   if (obs_ != nullptr && obs_->registry() != nullptr) {
-    wal_->AttachMetrics(obs_->ForWal());
+    wal_.AttachMetrics(obs_->ForWal());
   }
   return Status::OK();
 }
@@ -791,7 +743,7 @@ Status Engine::Checkpoint(const std::string& dir) {
   const uint64_t start_us = engine_metrics_ != nullptr ? MonotonicMicros() : 0;
   // Never let a checkpoint run ahead of the feed log: everything the
   // checkpoint captures must be re-derivable from log replay too.
-  if (wal_ != nullptr) ONESQL_RETURN_NOT_OK(wal_->Sync());
+  if (durable()) ONESQL_RETURN_NOT_OK(wal_.Sync());
   ONESQL_RETURN_NOT_OK(state::EnsureDirectory(dir));
 
   state::CheckpointWriter ckpt;
@@ -961,7 +913,8 @@ Status Engine::Restore(const std::string& dir) {
     // a replay of the feed log, so the route back is a cold start from it.
     return Status::NotImplemented(
         "'" + ckpt_path + "': " + ckpt_or.status().message() +
-        "; to recover, move it aside, register the streams and tables, "
+        "; to recover, move it aside, register the streams, register each "
+        "static table again with its rows (the feed log does not hold them), "
         "Restore() from the feed log (a cold start), then Execute() the "
         "queries again");
   } else if (ckpt_or.status().code() != StatusCode::kNotFound) {
@@ -1004,24 +957,22 @@ Status Engine::Restore(const std::string& dir) {
     for (size_t i = feed_seq_; i < records.size(); ++i) {
       suffix.push_back(std::move(records[i].event));
     }
-    replaying_wal_ = true;
-    Status replayed = Feed(suffix);
-    replaying_wal_ = false;
-    ONESQL_RETURN_NOT_OK(replayed);
+    // The log is attached only after this replay, so its events are not
+    // appended to it a second time.
+    ONESQL_RETURN_NOT_OK(Feed(suffix));
   }
 
   // Re-attach the log so the restored engine keeps appending where the
   // crashed run left off.
   if (have_wal) {
-    ONESQL_ASSIGN_OR_RETURN(std::unique_ptr<state::GroupCommitLog> log,
-                            state::GroupCommitLog::Open(wal_path));
-    if (log->next_seq() != feed_seq_) {
-      (void)log->Close();
+    ONESQL_ASSIGN_OR_RETURN(state::FeedLog log,
+                            state::FeedLog::Open(wal_path));
+    if (log.next_seq() != feed_seq_) {
       return Status::Internal("feed log position diverged during restore");
     }
     wal_ = std::move(log);
     if (obs_ != nullptr && obs_->registry() != nullptr) {
-      wal_->AttachMetrics(obs_->ForWal());
+      wal_.AttachMetrics(obs_->ForWal());
     }
   }
   if (engine_metrics_ != nullptr) {
@@ -1052,7 +1003,7 @@ Status Engine::EnableObservability(const obs::ObsOptions& options) {
   if (obs_->registry() != nullptr) {
     engine_metrics_ = obs_->ForEngine();
     engine_profile_ = obs_->ForEngineProfile();
-    if (wal_ != nullptr) wal_->AttachMetrics(obs_->ForWal());
+    if (durable()) wal_.AttachMetrics(obs_->ForWal());
   }
   for (auto& query : queries_) AttachQueryObs(query.get());
   return Status::OK();

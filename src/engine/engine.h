@@ -1,9 +1,7 @@
 #ifndef ONESQL_ENGINE_ENGINE_H_
 #define ONESQL_ENGINE_ENGINE_H_
 
-#include <condition_variable>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -184,16 +182,17 @@ class Engine {
   /// and then dispatched to every query wholesale (one PushChunks). On a
   /// validation error the valid prefix has already been
   /// dispatched (matching the event-by-event semantics) and the error is
-  /// returned.
+  /// returned. When durable, every accepted event is appended to the feed
+  /// log and one fsync covers them all before any query sees one: one fsync
+  /// per call that accepts an event. If that append or fsync fails, the call
+  /// returns DataLoss and dispatches none of its events, and every later
+  /// Feed and Checkpoint returns the same error.
   ///
-  /// Feed (and Insert/Delete/AdvanceWatermark, which route through it) is
-  /// safe to call from multiple threads: calls serialize on an internal
-  /// mutex, and under durability the lock is released while a feeder waits
-  /// for its group's fsync — so N feeders validate/enqueue
-  /// interleaved and share fsyncs, while dispatch still happens in strict
-  /// feed order (events are seq-ordered across all callers). All *other*
-  /// engine entry points (Execute, Checkpoint, snapshots, …) remain
-  /// feed-boundary-only: call them while no Feed is in flight.
+  /// Not thread-safe, like every other entry point: callers must not call
+  /// Feed (or Insert/Delete/AdvanceWatermark, which route through it)
+  /// concurrently with each other or with any other engine call. A stream is
+  /// one changelog in processing-time order, fed by one caller; the
+  /// standing-query server serializes its sessions' commands.
   Status Feed(const std::vector<FeedEvent>& events);
 
   /// Advances the processing-time clock of every query (fires AFTER DELAY
@@ -208,12 +207,10 @@ class Engine {
   /// directory and file as needed). From this point every accepted feed
   /// event is appended to the log — and fsync'd — *before* it is dispatched
   /// to running queries, so a crash loses nothing the caller was told was
-  /// accepted. The log commits in groups (DESIGN.md §16): a dedicated
-  /// appender thread appends and fsyncs, and a Feed call blocks only until
-  /// the one fsync covering its records completes, so concurrent feeders
-  /// share fsyncs. The log's tail sequence number must match the engine's
-  /// feed position (`feed_seq()`); restore first if the log already holds
-  /// events.
+  /// accepted. A Feed call pays one fsync for all the events it accepts
+  /// (DESIGN.md §16), so larger calls spread that cost over more events.
+  /// The log's tail sequence number must match the engine's feed position
+  /// (`feed_seq()`); restore first if the log already holds events.
   Status EnableDurability(const std::string& dir);
 
   /// Writes a checkpoint of the full engine state — catalog, static table
@@ -234,8 +231,10 @@ class Engine {
   /// Status::DataLoss and leave no partially restored queries behind. A
   /// checkpoint of an older format version is refused with NotImplemented,
   /// the engine untouched; its message names the route back: move the file
-  /// aside, register the streams and tables, Restore() from the feed log
-  /// alone, then Execute() the queries again.
+  /// aside, register the streams, register each static table again with its
+  /// rows (the feed log holds only feed events, so a table's rows live in
+  /// the checkpoint alone), Restore() from the feed log alone, then
+  /// Execute() the queries again.
   Status Restore(const std::string& dir);
 
   /// Number of feed events accepted so far (the WAL sequence position).
@@ -285,7 +284,7 @@ class Engine {
   ContinuousQuery* query(size_t i) { return queries_[i].get(); }
 
   /// True when a write-ahead feed log is attached.
-  bool durable() const { return wal_ != nullptr; }
+  bool durable() const { return wal_.is_open(); }
 
   /// Number of recorded feed events retained for replaying into queries
   /// executed later. Compaction (see CompactHistory) keeps this bounded:
@@ -317,9 +316,6 @@ class Engine {
   void MaybeCompactHistory();
   void CompactHistory();
 
-  /// Enqueues `event` on the attached feed log (no-op when not durable or
-  /// when replaying the log itself).
-  Status AppendWal(const FeedEvent& event);
   /// Serializes the engine-level section of a checkpoint (everything but
   /// the per-query runtime state).
   void SaveEngineSection(state::Writer* w, uint64_t* num_queries) const;
@@ -373,36 +369,11 @@ class Engine {
   size_t compact_at_ = 4096;
 
   // -- Durability state -----------------------------------------------------
-  /// The group-commit feed log (DESIGN.md §16); null when not durable.
-  std::unique_ptr<state::GroupCommitLog> wal_;
+  /// The write-ahead feed log (DESIGN.md §16); closed when not durable.
+  state::FeedLog wal_;
   /// Sequence number of the next feed event (counted whether or not a log
   /// is attached, so checkpoints always record their feed position).
   uint64_t feed_seq_ = 0;
-  /// Set while Restore replays the feed log, so the replayed events are not
-  /// appended to it a second time.
-  bool replaying_wal_ = false;
-
-  // -- Concurrent-feed state ------------------------------------------------
-  /// Heap-allocated so the Engine itself stays movable (moves only happen at
-  /// setup, never with a Feed in flight).
-  struct FeedSync {
-    /// Serializes Feed calls. When durable the lock is dropped while a
-    /// feeder waits for its group's fsync, so validation/enqueue of later
-    /// feeds overlaps the sync; everywhere else Feed holds it end to end.
-    std::mutex mu;
-    /// Turnstile: feed seq of the next batch allowed to dispatch. Feeders
-    /// whose durability wait finished out of order park on dispatch_cv until
-    /// their base seq comes up, keeping dispatch in strict feed order.
-    uint64_t dispatch_next_seq = 0;
-    std::condition_variable dispatch_cv;
-    /// Feed calls past validation but not yet dispatched. History compaction
-    /// is deferred while nonzero: compaction rebuilds history_, which would
-    /// invalidate the chunk ranges concurrent feeders hold (turnstile
-    /// waiters release the mutex inside dispatch_cv.wait, so holding the
-    /// lock alone does not prove exclusivity).
-    int feeds_in_flight = 0;
-  };
-  std::unique_ptr<FeedSync> feed_sync_ = std::make_unique<FeedSync>();
 };
 
 }  // namespace onesql

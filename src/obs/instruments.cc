@@ -168,8 +168,6 @@ const WalMetrics* ObsContext::ForWal() {
         registry_->GetHistogram("onesql_wal_sync_latency_us");
     wal_bundle_->group_size =
         registry_->GetHistogram("onesql_wal_group_size");
-    wal_bundle_->group_wait_us =
-        registry_->GetHistogram("onesql_wal_group_wait_us");
   }
   return wal_bundle_.get();
 }

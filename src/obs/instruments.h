@@ -117,10 +117,9 @@ struct WalMetrics {
   Counter* bytes_written = nullptr;
   Histogram* append_latency_us = nullptr;
   Histogram* sync_latency_us = nullptr;
-  /// Group commit (DESIGN.md §16): records covered by each fsync, and how
-  /// long a feeder blocked waiting for its group's commit.
+  /// Records covered by each fsync (DESIGN.md §16): one fsync per Feed
+  /// call, so this is the number of events the call logged.
   Histogram* group_size = nullptr;
-  Histogram* group_wait_us = nullptr;
 };
 
 /// Engine-level feed and checkpoint metrics.

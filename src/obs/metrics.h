@@ -24,10 +24,10 @@ std::string RenderLabels(const Labels& labels);
 
 /// A monotonically increasing counter. The hot path (Add) is sharded across
 /// cache-line-aligned atomic slots indexed by a thread-local slot id, so
-/// concurrent writers (feeders, the WAL appender, server threads) bumping
-/// the same logical counter never contend on one cache line. Value() sums the slots (monotone but not atomic as a
-/// whole — exact once writers are quiescent, which is when snapshots are
-/// taken).
+/// concurrent writers (the feeding thread, the server's reader and writer
+/// threads) bumping the same logical counter never contend on one cache
+/// line. Value() sums the slots (monotone but not atomic as a whole — exact
+/// once writers are quiescent, which is when snapshots are taken).
 class Counter {
  public:
   static constexpr size_t kSlots = 16;

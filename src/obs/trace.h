@@ -30,10 +30,10 @@ struct TraceEvent {
 /// own fixed-capacity ring buffer, overwriting the oldest entries when full.
 /// Recording is a handful of relaxed atomic stores plus one release store of
 /// the ring head — no locks, no allocation — so it is safe from any thread
-/// (feeders, the WAL appender, server threads) and TSan-clean by
-/// construction. Draining (for the
-/// Chrome trace dump) reads the rings with acquire loads; exact contents are
-/// guaranteed when writers are quiescent, which is when dumps are taken.
+/// (the feeding thread, the server's reader and writer threads) and
+/// TSan-clean by construction. Draining (for the Chrome trace dump) reads
+/// the rings with acquire loads; exact contents are guaranteed when writers
+/// are quiescent, which is when dumps are taken.
 class TraceRecorder {
  public:
   explicit TraceRecorder(size_t ring_capacity = 4096);

@@ -43,10 +43,10 @@ Status CheckHeader(std::string_view payload) {
   return Status::OK();
 }
 
-std::string EncodeRecord(const WalRecord& record) {
+std::string EncodeRecord(uint64_t seq, const FeedEvent& event) {
   Writer w;
-  w.PutVarint(record.seq);
-  w.PutFeedEvent(record.event);
+  w.PutVarint(seq);
+  w.PutFeedEvent(event);
   return w.TakeBuffer();
 }
 
@@ -117,7 +117,9 @@ FeedLog::FeedLog(FeedLog&& other) noexcept
     : path_(std::move(other.path_)),
       file_(other.file_),
       next_seq_(other.next_seq_),
+      synced_seq_(other.synced_seq_),
       dirty_(other.dirty_),
+      error_(std::move(other.error_)),
       metrics_(other.metrics_) {
   other.file_ = nullptr;
   other.dirty_ = false;
@@ -130,7 +132,9 @@ FeedLog& FeedLog::operator=(FeedLog&& other) noexcept {
     path_ = std::move(other.path_);
     file_ = other.file_;
     next_seq_ = other.next_seq_;
+    synced_seq_ = other.synced_seq_;
     dirty_ = other.dirty_;
+    error_ = std::move(other.error_);
     metrics_ = other.metrics_;
     other.file_ = nullptr;
     other.dirty_ = false;
@@ -145,6 +149,7 @@ Result<FeedLog> FeedLog::Open(const std::string& path) {
   if (FileExists(path)) {
     // Validate the whole existing file before trusting its tail position.
     ONESQL_ASSIGN_OR_RETURN(log.next_seq_, ValidateLog(path, nullptr));
+    log.synced_seq_ = log.next_seq_;
     log.file_ = std::fopen(path.c_str(), "ab");
     if (log.file_ == nullptr) {
       return Status::InvalidArgument("cannot open feed log '" + path +
@@ -177,20 +182,27 @@ Result<std::vector<WalRecord>> FeedLog::ReadAll(const std::string& path) {
   return records;
 }
 
-Status FeedLog::Append(const WalRecord& record) {
+Status FeedLog::Fail(Status status) {
+  error_ = status;
+  return status;
+}
+
+Status FeedLog::Append(uint64_t seq, const FeedEvent& event) {
   if (file_ == nullptr) {
     return Status::Internal("feed log is not open");
   }
-  if (record.seq != next_seq_) {
+  if (!error_.ok()) return error_;
+  if (seq != next_seq_) {
     return Status::Internal("feed log append out of order: expected seq " +
                             std::to_string(next_seq_) + ", got " +
-                            std::to_string(record.seq));
+                            std::to_string(seq));
   }
   std::string frame;
-  AppendFrame(&frame, EncodeRecord(record));
+  AppendFrame(&frame, EncodeRecord(seq, event));
   const uint64_t start = metrics_ != nullptr ? MonotonicMicros() : 0;
   if (std::fwrite(frame.data(), 1, frame.size(), file_) != frame.size()) {
-    return Status::DataLoss("failed to append to feed log '" + path_ + "'");
+    return Fail(
+        Status::DataLoss("failed to append to feed log '" + path_ + "'"));
   }
   if (metrics_ != nullptr) {
     metrics_->append_latency_us->Record(MonotonicMicros() - start);
@@ -206,149 +218,29 @@ Status FeedLog::Sync() {
   if (file_ == nullptr) {
     return Status::Internal("feed log is not open");
   }
+  if (!error_.ok()) return error_;
   if (!dirty_) return Status::OK();
   const uint64_t start = metrics_ != nullptr ? MonotonicMicros() : 0;
   if (std::fflush(file_) != 0 || FsyncFile(file_) != 0) {
-    return Status::DataLoss("failed to sync feed log '" + path_ + "'");
+    return Fail(Status::DataLoss("failed to sync feed log '" + path_ + "'"));
   }
   if (metrics_ != nullptr) {
     metrics_->sync_latency_us->Record(MonotonicMicros() - start);
     metrics_->syncs->Increment();
+    metrics_->group_size->Record(next_seq_ - synced_seq_);
   }
+  synced_seq_ = next_seq_;
   dirty_ = false;
   return Status::OK();
 }
 
 Status FeedLog::Close() {
   if (file_ == nullptr) return Status::OK();
-  Status sync = dirty_ ? Sync() : Status::OK();
+  Status sync = dirty_ ? Sync() : error_;
   std::fclose(file_);
   file_ = nullptr;
   dirty_ = false;
   return sync;
-}
-
-// ---------------------------------------------------------------------------
-// GroupCommitLog
-// ---------------------------------------------------------------------------
-
-Result<std::unique_ptr<GroupCommitLog>> GroupCommitLog::Open(
-    const std::string& path) {
-  ONESQL_ASSIGN_OR_RETURN(FeedLog log, FeedLog::Open(path));
-  return std::unique_ptr<GroupCommitLog>(new GroupCommitLog(std::move(log)));
-}
-
-GroupCommitLog::GroupCommitLog(FeedLog log) : log_(std::move(log)) {
-  path_ = log_.path();
-  enqueued_seq_ = log_.next_seq();
-  durable_seq_ = log_.next_seq();
-  appender_ = std::thread([this] { AppenderLoop(); });
-}
-
-GroupCommitLog::~GroupCommitLog() { (void)Close(); }
-
-Status GroupCommitLog::Append(WalRecord record) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (stop_) return Status::Internal("group-commit log is closed");
-  if (!error_.ok()) return error_;
-  if (record.seq != enqueued_seq_) {
-    return Status::Internal("feed log append out of order: expected seq " +
-                            std::to_string(enqueued_seq_) + ", got " +
-                            std::to_string(record.seq));
-  }
-  pending_.push_back(std::move(record));
-  ++enqueued_seq_;
-  work_cv_.notify_one();
-  return Status::OK();
-}
-
-Status GroupCommitLog::WaitDurable(uint64_t up_to_seq) {
-  std::unique_lock<std::mutex> lock(mu_);
-  const obs::WalMetrics* metrics = metrics_;
-  const uint64_t start = metrics != nullptr ? MonotonicMicros() : 0;
-  durable_cv_.wait(
-      lock, [&] { return durable_seq_ >= up_to_seq || !error_.ok(); });
-  Status result = error_;
-  lock.unlock();
-  if (metrics != nullptr) {
-    metrics->group_wait_us->Record(MonotonicMicros() - start);
-  }
-  return result;
-}
-
-Status GroupCommitLog::Sync() {
-  uint64_t target = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    target = enqueued_seq_;
-  }
-  return WaitDurable(target);
-}
-
-Status GroupCommitLog::Close() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stop_) return error_;
-    stop_ = true;
-    work_cv_.notify_one();
-  }
-  if (appender_.joinable()) appender_.join();
-  // The appender has exited; this thread owns the inner log now.
-  Status close_status = log_.Close();
-  std::lock_guard<std::mutex> lock(mu_);
-  if (error_.ok() && !close_status.ok()) error_ = close_status;
-  durable_cv_.notify_all();
-  return error_;
-}
-
-uint64_t GroupCommitLog::next_seq() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return enqueued_seq_;
-}
-
-void GroupCommitLog::AttachMetrics(const obs::WalMetrics* metrics) {
-  std::lock_guard<std::mutex> lock(mu_);
-  metrics_ = metrics;
-  // The inner log picks the pointer up on the appender thread at the top of
-  // its next group (it is the only thread touching log_ while running).
-}
-
-void GroupCommitLog::AppenderLoop() {
-  std::vector<WalRecord> batch;
-  std::unique_lock<std::mutex> lock(mu_);
-  for (;;) {
-    work_cv_.wait(lock, [&] { return stop_ || !pending_.empty(); });
-    if (pending_.empty()) {
-      if (stop_) return;
-      continue;
-    }
-    // Swap out everything enqueued so far: records arriving while the
-    // append+fsync below runs unlocked pile into the *next* group — that
-    // accumulation is what amortizes the fsync across concurrent feeders.
-    batch.clear();
-    batch.swap(pending_);
-    Status status = error_;
-    const obs::WalMetrics* metrics = metrics_;
-    log_.AttachMetrics(metrics);
-    lock.unlock();
-    if (status.ok()) {
-      for (const WalRecord& record : batch) {
-        status = log_.Append(record);
-        if (!status.ok()) break;
-      }
-      if (status.ok()) status = log_.Sync();
-    }
-    lock.lock();
-    if (status.ok()) {
-      durable_seq_ = batch.back().seq + 1;
-      if (metrics != nullptr) {
-        metrics->group_size->Record(batch.size());
-      }
-    } else if (error_.ok()) {
-      error_ = status;
-    }
-    durable_cv_.notify_all();
-  }
 }
 
 }  // namespace state

@@ -286,24 +286,28 @@ TEST(ObservabilityTest, CountersAreCoherentAcrossCheckpointRestore) {
     ASSERT_TRUE(a.Feed(prefix).ok());
     ASSERT_TRUE(a.Checkpoint(dir).ok());
     ASSERT_TRUE(a.Feed(suffix).ok());
+    // Calls that accept no event log nothing and pay no fsync.
+    ASSERT_TRUE(a.Feed({}).ok());
+    EXPECT_FALSE(a.Feed({BidInsert(T(8, 1), T(8, 0), 1, "late")}).ok());
 
     const obs::MetricsSnapshot snap = a.MetricsSnapshot();
     // All ten events hit the WAL, byte for byte (262 bytes of CRC-framed
-    // records for this feed, a figure of the unchanged file format). The log
-    // commits in groups,
-    // and how a Feed call's records split into groups depends on
-    // appender-thread timing, so the fsync count is only bounded: at least
-    // one, at most one per event.
+    // records for this feed, a figure of the unchanged file format). Each of
+    // the two Feed calls that accepted events pays exactly one fsync covering
+    // all its records; the checkpoint finds nothing left to sync.
     EXPECT_EQ(snap.CounterValue("onesql_wal_appends_total"), 10u);
     EXPECT_EQ(snap.CounterValue("onesql_wal_bytes_written_total"),
               262u);
-    const uint64_t syncs = snap.CounterValue("onesql_wal_syncs_total");
-    EXPECT_GE(syncs, 1u);
-    EXPECT_LE(syncs, 10u);
+    EXPECT_EQ(snap.CounterValue("onesql_wal_syncs_total"), 2u);
     const obs::HistogramData* sync_lat =
         snap.HistogramOf("onesql_wal_sync_latency_us");
     ASSERT_NE(sync_lat, nullptr);
-    EXPECT_EQ(sync_lat->TotalCount(), syncs);
+    EXPECT_EQ(sync_lat->TotalCount(), 2u);
+    const obs::HistogramData* group_size =
+        snap.HistogramOf("onesql_wal_group_size");
+    ASSERT_NE(group_size, nullptr);
+    EXPECT_EQ(group_size->TotalCount(), 2u);
+    EXPECT_EQ(group_size->sum, 10u);
     const obs::HistogramData* append_lat =
         snap.HistogramOf("onesql_wal_append_latency_us");
     ASSERT_NE(append_lat, nullptr);

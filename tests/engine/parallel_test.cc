@@ -1,13 +1,14 @@
 // Every query runs on one chain. These tests run each scenario once live
-// and once replayed into a query executed late (over plain, compacted and
-// restored histories, and with a static table), and compare bit-for-bit —
-// identical stream rendering (StreamRows, including undo/ptime/ver
-// metadata) and identical snapshots — and check that every query reports
-// one chain.
+// and once replayed into a query executed late (over plain, compacted,
+// restored and cold-started histories, and with a static table), and
+// compare bit-for-bit — identical stream rendering (StreamRows, including
+// undo/ptime/ver metadata) and identical snapshots — and check that every
+// query reports one chain.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <map>
 #include <memory>
 #include <string>
@@ -116,6 +117,11 @@ enum class Input {
   /// Feed, Checkpoint, Restore into a fresh engine (the history comes back
   /// with synthetic seqs), then Execute.
   kLateAfterRestore,
+  /// Durable Feed and Checkpoint, then the cold-start route Restore names
+  /// for an older checkpoint: the checkpoint set aside, a fresh engine
+  /// registers the stream and the table with its rows, Restores from the
+  /// feed log alone, then Executes.
+  kLateAfterColdStart,
 };
 
 std::string InputName(Input input) {
@@ -128,6 +134,8 @@ std::string InputName(Input input) {
       return "late-after-compaction";
     case Input::kLateAfterRestore:
       return "late-after-restore";
+    case Input::kLateAfterColdStart:
+      return "late-after-cold-start";
   }
   return "?";
 }
@@ -165,13 +173,27 @@ RunResult RunBidScenario(const std::string& sql,
     EXPECT_TRUE(q.ok()) << q.status().ToString();
     if (q.ok()) compactor = *q;
   }
+  const bool cold_start = input == Input::kLateAfterColdStart;
+  std::string dir;
+  if (input == Input::kLateAfterRestore || cold_start) {
+    dir = state::NewTempDir("parallel_restore");
+  }
+  if (cold_start) {
+    EXPECT_TRUE(engine->EnableDurability(dir).ok());
+  }
   EXPECT_TRUE(engine->Feed(feed).ok());
   if (compactor != nullptr) result.floor = compactor->watermark();
-  if (input == Input::kLateAfterRestore) {
-    const std::string dir = state::NewTempDir("parallel_restore");
+  if (!dir.empty()) {
     EXPECT_TRUE(engine->Checkpoint(dir).ok());
     engine = std::make_unique<Engine>();
-    EXPECT_TRUE(engine->Restore(dir).ok());
+    if (cold_start) {
+      EXPECT_EQ(std::rename((dir + "/checkpoint.osql").c_str(),
+                            (dir + "/checkpoint.osql.aside").c_str()),
+                0);
+      RegisterSources(engine.get());
+    }
+    const Status restored = engine->Restore(dir);
+    EXPECT_TRUE(restored.ok()) << restored.ToString();
   }
   if (input != Input::kLive) run();
   if (query == nullptr) return result;
@@ -332,14 +354,17 @@ TEST(ParallelRuntimeTest, LateExecuteAfterCompactionMatchesLiveRunOfRetained) {
 TEST(ParallelRuntimeTest, StaticTableJoinMatchesLiveRun) {
   // A stream joined with a static table: the table's rows and its +inf
   // watermark are pushed before the history, however the query meets the
-  // feed.
+  // feed. The rows are persisted in the checkpoint alone, never in the feed
+  // log, so the cold start brings the join back only because the table is
+  // registered again with its rows.
   const std::string sql =
       "SELECT Bid.bidtime, Bid.price, Item.category "
       "FROM Bid, Item WHERE Bid.item = Item.item";
   const std::vector<FeedEvent> feed = MakeBidFeed(400);
   const RunResult live = RunBidScenario(sql, feed, Input::kLive);
   ASSERT_FALSE(live.stream.empty());
-  for (Input input : {Input::kLate, Input::kLateAfterRestore}) {
+  for (Input input :
+       {Input::kLate, Input::kLateAfterRestore, Input::kLateAfterColdStart}) {
     SCOPED_TRACE(InputName(input));
     const RunResult run = RunBidScenario(sql, feed, input);
     EXPECT_EQ(run.shard_count, 1);

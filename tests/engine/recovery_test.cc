@@ -2,16 +2,19 @@
 // every prefix of the paper's Section 4 dataset, crash, restore, replay the
 // WAL suffix — every rendering must be bit-identical to the uninterrupted
 // run), the one checkpoint format version (an older file is refused, and its
-// cold-start route recovers), WAL-only cold starts, and fault injection on
-// both files.
+// cold-start route recovers), WAL-only cold starts (from a log cut at every
+// commit), and fault injection on both files, including a feed log that
+// cannot be written.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "engine/engine.h"
@@ -20,6 +23,7 @@
 #include "state/checkpoint.h"
 #include "state/frame.h"
 #include "state/wal.h"
+#include "tests/state/file_size_limit.h"
 #include "tests/state/temp_dir.h"
 
 #ifndef ONESQL_ENGINE_TEST_DATA_DIR
@@ -516,11 +520,27 @@ TEST(CheckpointVersionTest, DamagedRuntimeBlobIsDataLoss) {
 TEST(RecoveryTest, WalOnlyColdStart) {
   const std::vector<FeedEvent> feed = PaperFeed();
   const std::string dir = NewTempDir("walonly");
+  // Each durable Feed call is one commit: the events fed so far and the
+  // log's length when the call returned.
+  std::vector<std::pair<size_t, size_t>> commits;
+  std::string wal_bytes;
   {
     Engine engine;
     ASSERT_TRUE(engine.RegisterStream("Bid", BidSchema()).ok());
     ASSERT_TRUE(engine.EnableDurability(dir).ok());
-    ASSERT_TRUE(engine.Feed(feed).ok());
+    // Feed calls of 1, 2, 3 and 4 events.
+    for (size_t fed = 0, n = 1; fed < feed.size(); ++n) {
+      const size_t end = std::min(feed.size(), fed + n);
+      ASSERT_TRUE(engine
+                      .Feed(std::vector<FeedEvent>(feed.begin() + fed,
+                                                   feed.begin() + end))
+                      .ok());
+      fed = end;
+      auto bytes = state::ReadFileToString(dir + "/feed.wal");
+      ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+      wal_bytes = std::move(bytes).value();
+      commits.emplace_back(fed, wal_bytes.size());
+    }
     // Crash with no checkpoint ever taken.
   }
 
@@ -538,6 +558,25 @@ TEST(RecoveryTest, WalOnlyColdStart) {
   auto q = restored.Execute(kKeyedAgg);
   ASSERT_TRUE(q.ok()) << q.status().ToString();
   ExpectSameRendering(Render(*q, T(8, 21)), want);
+
+  // A crash right after any commit leaves the log cut there; a cold start
+  // from it renders like a fresh engine fed exactly that prefix.
+  for (const auto& [fed, length] : commits) {
+    SCOPED_TRACE("crash after " + std::to_string(fed) + " events");
+    const std::string cut_dir = NewTempDir("walonly_cut");
+    ASSERT_TRUE(state::WriteFileAtomic(cut_dir + "/feed.wal",
+                                       wal_bytes.substr(0, length))
+                    .ok());
+    Engine cut;
+    ASSERT_TRUE(cut.RegisterStream("Bid", BidSchema()).ok());
+    ASSERT_TRUE(cut.Restore(cut_dir).ok());
+    EXPECT_EQ(cut.feed_seq(), fed);
+    auto cq = cut.Execute(kKeyedAgg);
+    ASSERT_TRUE(cq.ok()) << cq.status().ToString();
+    const std::vector<FeedEvent> prefix(feed.begin(), feed.begin() + fed);
+    ExpectSameRendering(Render(*cq, T(8, 21)),
+                        Baseline(kKeyedAgg, prefix, T(8, 21)));
+  }
 }
 
 TEST(RecoveryTest, CheckpointWithoutWalRestores) {
@@ -871,6 +910,60 @@ TEST(FaultInjectionTest, WalShorterThanCheckpointIsDataLoss) {
   const Status s = engine.Restore(dir);
   ASSERT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kDataLoss) << s.ToString();
+}
+
+/// Runs in a death-test child: a durable engine whose feed log cannot grow
+/// past what its first Feed wrote. Returns what went wrong, or "" when the
+/// failing Feed dispatched nothing and every later Feed and Checkpoint
+/// returned its error without writing a checkpoint.
+std::string CheckFeedLogFailureIsSticky(const std::string& dir) {
+  const std::vector<FeedEvent> feed = PaperFeed();
+  Engine engine;
+  if (!engine.RegisterStream("Bid", BidSchema()).ok() ||
+      !engine.EnableDurability(dir).ok()) {
+    return "set-up failed";
+  }
+  auto q = engine.Execute(kKeyedAgg);
+  if (!q.ok()) return "execute: " + q.status().ToString();
+  if (!engine.Feed(std::vector<FeedEvent>(feed.begin(), feed.begin() + 4))
+           .ok()) {
+    return "the first Feed failed";
+  }
+  const size_t emitted = (*q)->Emissions().size();
+  auto wal = state::ReadFileToString(dir + "/feed.wal");
+  if (!wal.ok()) return "read: " + wal.status().ToString();
+  state::FileSizeLimit limit(wal->size());
+  if (!limit.ok()) return "cannot lower RLIMIT_FSIZE";
+  const Status failed = engine.Feed(
+      std::vector<FeedEvent>(feed.begin() + 4, feed.begin() + 8));
+  if (failed.code() != StatusCode::kDataLoss) {
+    return "the failing Feed returned " + failed.ToString();
+  }
+  // Writes would succeed again now; only the sticky error refuses them.
+  limit.Lift();
+  for (const Status& later :
+       {engine.Feed(std::vector<FeedEvent>(feed.begin() + 8, feed.end())),
+        engine.Insert("Bid", T(8, 30),
+                      {Value::Time(T(8, 29)), Value::Int64(1),
+                       Value::String("X")}),
+        engine.Checkpoint(dir)}) {
+    if (later.code() != failed.code() || later.message() != failed.message()) {
+      return "a later call returned " + later.ToString() + ", not " +
+             failed.ToString();
+    }
+  }
+  if ((*q)->Emissions().size() != emitted) return "events were dispatched";
+  if (std::FILE* f = std::fopen((dir + "/checkpoint.osql").c_str(), "rb")) {
+    std::fclose(f);
+    return "a checkpoint was written";
+  }
+  return "";
+}
+
+TEST(FaultInjectionTest, FeedLogWriteFailureIsSticky) {
+  const std::string dir = NewTempDir("sticky_wal");
+  state::ExpectPassesInChild(
+      [&] { return CheckFeedLogFailureIsSticky(dir); });
 }
 
 /// Checkpoints `engine` (one query) into a fresh directory and returns the

@@ -1,18 +1,17 @@
 // The write-ahead feed log: append/replay round trips, sequence-number
-// recovery across reopen, and strict DataLoss on truncated or bit-flipped
-// files — the crash model of the durability subsystem.
+// recovery across reopen, strict DataLoss on truncated or bit-flipped
+// files — the crash model of the durability subsystem — and sticky write
+// failures.
 
 #include "state/wal.h"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "state/frame.h"
+#include "tests/state/file_size_limit.h"
 #include "tests/state/temp_dir.h"
 
 namespace onesql {
@@ -21,43 +20,38 @@ namespace {
 
 Timestamp T(int h, int m) { return Timestamp::FromHMS(h, m); }
 
-WalRecord Insert(uint64_t seq, const std::string& source, Timestamp ptime,
-                 Row row) {
-  WalRecord rec;
-  rec.seq = seq;
-  rec.event.kind = FeedEvent::Kind::kInsert;
-  rec.event.source = source;
-  rec.event.ptime = ptime;
-  rec.event.row = std::move(row);
-  return rec;
+FeedEvent Insert(const std::string& source, Timestamp ptime, Row row) {
+  FeedEvent event;
+  event.kind = FeedEvent::Kind::kInsert;
+  event.source = source;
+  event.ptime = ptime;
+  event.row = std::move(row);
+  return event;
 }
 
-WalRecord Watermark(uint64_t seq, const std::string& source, Timestamp ptime,
+FeedEvent Watermark(const std::string& source, Timestamp ptime,
                     Timestamp mark) {
-  WalRecord rec;
-  rec.seq = seq;
-  rec.event.kind = FeedEvent::Kind::kWatermark;
-  rec.event.source = source;
-  rec.event.ptime = ptime;
-  rec.event.watermark = mark;
-  return rec;
+  FeedEvent event;
+  event.kind = FeedEvent::Kind::kWatermark;
+  event.source = source;
+  event.ptime = ptime;
+  event.watermark = mark;
+  return event;
 }
 
 /// Appends three records to a fresh log at `path` and closes it.
 void WriteSampleLog(const std::string& path) {
   auto log = FeedLog::Open(path);
   ASSERT_TRUE(log.ok()) << log.status().ToString();
-  ASSERT_TRUE(
-      log->Append(Insert(0, "Bid", T(8, 1),
-                         {Value::Time(T(8, 0)), Value::Int64(13),
-                          Value::String("A")}))
-          .ok());
-  ASSERT_TRUE(
-      log->Append(Insert(1, "bid", T(8, 2),
-                         {Value::Time(T(8, 1)), Value::Null(),
-                          Value::String("B")}))
-          .ok());
-  ASSERT_TRUE(log->Append(Watermark(2, "Bid", T(8, 3), T(8, 0))).ok());
+  ASSERT_TRUE(log->Append(0, Insert("Bid", T(8, 1),
+                                    {Value::Time(T(8, 0)), Value::Int64(13),
+                                     Value::String("A")}))
+                  .ok());
+  ASSERT_TRUE(log->Append(1, Insert("bid", T(8, 2),
+                                    {Value::Time(T(8, 1)), Value::Null(),
+                                     Value::String("B")}))
+                  .ok());
+  ASSERT_TRUE(log->Append(2, Watermark("Bid", T(8, 3), T(8, 0))).ok());
   ASSERT_TRUE(log->Close().ok());
 }
 
@@ -99,16 +93,16 @@ TEST(WalTest, RecordBytesArePinned) {
   {
     auto log = FeedLog::Open(path);
     ASSERT_TRUE(log.ok()) << log.status().ToString();
-    ASSERT_TRUE(log->Append(Insert(0, "Bid", T(8, 1),
-                                   {Value::Time(T(8, 0)), Value::Int64(13),
-                                    Value::String("A")}))
+    ASSERT_TRUE(log->Append(0, Insert("Bid", T(8, 1),
+                                      {Value::Time(T(8, 0)), Value::Int64(13),
+                                       Value::String("A")}))
                     .ok());
-    WalRecord del = Insert(1, "Bid", T(8, 2),
+    FeedEvent del = Insert("Bid", T(8, 2),
                            {Value::Time(T(8, 1)), Value::Null(),
                             Value::String("B")});
-    del.event.kind = FeedEvent::Kind::kDelete;
-    ASSERT_TRUE(log->Append(del).ok());
-    ASSERT_TRUE(log->Append(Watermark(2, "Bid", T(8, 3), T(8, 0))).ok());
+    del.kind = FeedEvent::Kind::kDelete;
+    ASSERT_TRUE(log->Append(1, del).ok());
+    ASSERT_TRUE(log->Append(2, Watermark("Bid", T(8, 3), T(8, 0))).ok());
     ASSERT_TRUE(log->Close().ok());
   }
   const std::string want(
@@ -138,7 +132,7 @@ TEST(WalTest, ReopenRecoversSequenceAndKeepsAppending) {
   auto log = FeedLog::Open(path);
   ASSERT_TRUE(log.ok()) << log.status().ToString();
   EXPECT_EQ(log->next_seq(), 3u);
-  ASSERT_TRUE(log->Append(Watermark(3, "Bid", T(8, 4), T(8, 2))).ok());
+  ASSERT_TRUE(log->Append(3, Watermark("Bid", T(8, 4), T(8, 2))).ok());
   ASSERT_TRUE(log->Sync().ok());
   ASSERT_TRUE(log->Close().ok());
 
@@ -152,9 +146,55 @@ TEST(WalTest, OutOfOrderAppendIsRejected) {
   const std::string path = NewTempDir("wal") + "/feed.wal";
   auto log = FeedLog::Open(path);
   ASSERT_TRUE(log.ok());
-  EXPECT_FALSE(log->Append(Insert(5, "Bid", T(8, 1), {})).ok());
-  ASSERT_TRUE(log->Append(Insert(0, "Bid", T(8, 1), {})).ok());
-  EXPECT_FALSE(log->Append(Insert(0, "Bid", T(8, 1), {})).ok());
+  EXPECT_FALSE(log->Append(5, Insert("Bid", T(8, 1), {})).ok());
+  ASSERT_TRUE(log->Append(0, Insert("Bid", T(8, 1), {})).ok());
+  EXPECT_FALSE(log->Append(0, Insert("Bid", T(8, 1), {})).ok());
+}
+
+TEST(WalTest, AppendAfterCloseFails) {
+  const std::string path = NewTempDir("wal") + "/feed.wal";
+  auto log = FeedLog::Open(path);
+  ASSERT_TRUE(log.ok());
+  ASSERT_TRUE(log->Close().ok());
+  EXPECT_FALSE(log->Append(0, Insert("Bid", T(8, 1), {})).ok());
+  EXPECT_FALSE(log->Sync().ok());
+  // Close is idempotent.
+  EXPECT_TRUE(log->Close().ok());
+}
+
+/// Runs in a death-test child: appends one record to the header-only log at
+/// `path` while writes past the header fail, then lifts the limit. Returns
+/// what went wrong, or "" when every later call repeated the first error.
+std::string CheckWriteFailureIsSticky(const std::string& path) {
+  auto log = FeedLog::Open(path);
+  if (!log.ok()) return "open: " + log.status().ToString();
+  auto size = ReadFileToString(path);
+  if (!size.ok()) return "read: " + size.status().ToString();
+  FileSizeLimit limit(size->size());
+  if (!limit.ok()) return "cannot lower RLIMIT_FSIZE";
+  // The append only fills the stdio buffer; the sync's flush fails.
+  const Status appended = log->Append(0, Insert("Bid", T(8, 1), {}));
+  const Status failed = appended.ok() ? log->Sync() : appended;
+  if (failed.code() != StatusCode::kDataLoss) {
+    return "first failure: " + failed.ToString();
+  }
+  // With the limit lifted a retried flush would succeed, so only the sticky
+  // error keeps the log from claiming durability again.
+  limit.Lift();
+  for (const Status& later :
+       {log->Append(1, Insert("Bid", T(8, 2), {})), log->Sync(),
+        log->Close()}) {
+    if (later.code() != failed.code() || later.message() != failed.message()) {
+      return "later call returned " + later.ToString() + ", not " +
+             failed.ToString();
+    }
+  }
+  return "";
+}
+
+TEST(WalTest, WriteFailureIsSticky) {
+  const std::string path = NewTempDir("wal") + "/feed.wal";
+  ExpectPassesInChild([&] { return CheckWriteFailureIsSticky(path); });
 }
 
 TEST(WalTest, TruncatedLogIsDataLossAtEveryCut) {
@@ -224,8 +264,8 @@ TEST(WalTest, ManyRecordsSurviveSyncBoundaries) {
     auto log = FeedLog::Open(path);
     ASSERT_TRUE(log.ok());
     for (uint64_t i = 0; i < 500; ++i) {
-      ASSERT_TRUE(log->Append(Insert(i, "Bid", T(8, 0) + Interval::Seconds(i),
-                                     {Value::Int64(static_cast<int64_t>(i))}))
+      ASSERT_TRUE(log->Append(i, Insert("Bid", T(8, 0) + Interval::Seconds(i),
+                                        {Value::Int64(static_cast<int64_t>(i))}))
                       .ok());
       if (i % 37 == 0) {
         ASSERT_TRUE(log->Sync().ok());
@@ -239,140 +279,6 @@ TEST(WalTest, ManyRecordsSurviveSyncBoundaries) {
   for (uint64_t i = 0; i < 500; ++i) {
     EXPECT_EQ((*records)[i].seq, i);
     EXPECT_EQ((*records)[i].event.row[0], Value::Int64(static_cast<int64_t>(i)));
-  }
-}
-
-// ---------------------------------------------------------------------------
-// GroupCommitLog: the async group-commit front end must write the identical
-// file format, keep WaitDurable's guarantee, and make errors sticky.
-// ---------------------------------------------------------------------------
-
-TEST(GroupCommitTest, WritesFeedLogFormat) {
-  const std::string path = NewTempDir("gcwal") + "/feed.wal";
-  auto log = GroupCommitLog::Open(path);
-  ASSERT_TRUE(log.ok()) << log.status().ToString();
-  for (uint64_t i = 0; i < 5; ++i) {
-    ASSERT_TRUE((*log)
-                    ->Append(Insert(i, "Bid", T(8, static_cast<int>(i)),
-                                    {Value::Int64(static_cast<int64_t>(i))}))
-                    .ok());
-  }
-  ASSERT_TRUE((*log)->WaitDurable(5).ok());
-  ASSERT_TRUE((*log)->Close().ok());
-
-  // The plain reader replays it: byte format is FeedLog's, unchanged.
-  auto records = FeedLog::ReadAll(path);
-  ASSERT_TRUE(records.ok()) << records.status().ToString();
-  ASSERT_EQ(records->size(), 5u);
-  for (uint64_t i = 0; i < 5; ++i) {
-    EXPECT_EQ((*records)[i].seq, i);
-    EXPECT_EQ((*records)[i].event.row[0].AsInt64(), static_cast<int64_t>(i));
-  }
-
-  // And the synchronous FeedLog can take over the same file.
-  auto plain = FeedLog::Open(path);
-  ASSERT_TRUE(plain.ok());
-  EXPECT_EQ(plain->next_seq(), 5u);
-}
-
-TEST(GroupCommitTest, ReopenRecoversSequence) {
-  const std::string path = NewTempDir("gcwal") + "/feed.wal";
-  {
-    auto log = GroupCommitLog::Open(path);
-    ASSERT_TRUE(log.ok());
-    ASSERT_TRUE((*log)->Append(Insert(0, "Bid", T(8, 1), {Value::Int64(7)}))
-                    .ok());
-    ASSERT_TRUE((*log)->Sync().ok());
-    ASSERT_TRUE((*log)->Close().ok());
-  }
-  auto log = GroupCommitLog::Open(path);
-  ASSERT_TRUE(log.ok());
-  EXPECT_EQ((*log)->next_seq(), 1u);
-  EXPECT_TRUE((*log)->Append(Insert(1, "Bid", T(8, 2), {Value::Int64(8)}))
-                  .ok());
-  EXPECT_TRUE((*log)->Close().ok());
-  EXPECT_EQ(FeedLog::ReadAll(path)->size(), 2u);
-}
-
-TEST(GroupCommitTest, OutOfOrderAppendIsRejected) {
-  const std::string path = NewTempDir("gcwal") + "/feed.wal";
-  auto log = GroupCommitLog::Open(path);
-  ASSERT_TRUE(log.ok());
-  EXPECT_FALSE((*log)->Append(Insert(3, "Bid", T(8, 1), {Value::Int64(1)}))
-                   .ok());
-  EXPECT_TRUE((*log)->Close().ok());
-}
-
-TEST(GroupCommitTest, CloseDrainsPendingRecords) {
-  // Records enqueued but never explicitly waited on must still hit the disk
-  // before Close returns — Close is a full barrier.
-  const std::string path = NewTempDir("gcwal") + "/feed.wal";
-  auto log = GroupCommitLog::Open(path);
-  ASSERT_TRUE(log.ok());
-  for (uint64_t i = 0; i < 100; ++i) {
-    ASSERT_TRUE((*log)
-                    ->Append(Insert(i, "Bid", T(8, 1),
-                                    {Value::Int64(static_cast<int64_t>(i))}))
-                    .ok());
-  }
-  ASSERT_TRUE((*log)->Close().ok());
-  EXPECT_EQ(FeedLog::ReadAll(path)->size(), 100u);
-}
-
-TEST(GroupCommitTest, AppendAfterCloseFails) {
-  const std::string path = NewTempDir("gcwal") + "/feed.wal";
-  auto log = GroupCommitLog::Open(path);
-  ASSERT_TRUE(log.ok());
-  ASSERT_TRUE((*log)->Close().ok());
-  EXPECT_FALSE((*log)->Append(Insert(0, "Bid", T(8, 1), {Value::Int64(1)}))
-                   .ok());
-  // Close is idempotent.
-  EXPECT_TRUE((*log)->Close().ok());
-}
-
-TEST(GroupCommitTest, ManyProducersShareGroups) {
-  const std::string path = NewTempDir("gcwal") + "/feed.wal";
-  auto log_or = GroupCommitLog::Open(path);
-  ASSERT_TRUE(log_or.ok());
-  GroupCommitLog* log = log_or->get();
-
-  // Producers must enqueue in seq order (the engine's feed lock provides
-  // this); here a mutex stands in for it. The *waits* run fully in
-  // parallel, which is where group sharing happens.
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 50;
-  std::mutex seq_mu;
-  uint64_t next = 0;
-  std::vector<std::thread> threads;
-  std::atomic<int> failures{0};
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < kPerThread; ++i) {
-        uint64_t seq;
-        {
-          std::lock_guard<std::mutex> lk(seq_mu);
-          seq = next++;
-          if (!log->Append(Insert(seq, "Bid", T(8, 1),
-                                  {Value::Int64(static_cast<int64_t>(seq))}))
-                   .ok()) {
-            failures.fetch_add(1);
-            continue;
-          }
-        }
-        if (!log->WaitDurable(seq + 1).ok()) failures.fetch_add(1);
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(failures.load(), 0);
-  ASSERT_TRUE(log->Close().ok());
-
-  auto records = FeedLog::ReadAll(path);
-  ASSERT_TRUE(records.ok()) << records.status().ToString();
-  ASSERT_EQ(records->size(),
-            static_cast<size_t>(kThreads) * kPerThread);
-  for (size_t i = 0; i < records->size(); ++i) {
-    EXPECT_EQ((*records)[i].seq, i);  // strictly contiguous on disk
   }
 }
 

@@ -88,7 +88,7 @@ struct Feed {
 Feed MakeFeed(int n) {
   std::mt19937 rng(3);
   Feed feed;
-  exec::ChunkBuilder builder(&feed.chunks, 0);
+  exec::ChunkBuilder builder(&feed.chunks);
   int64_t event_time = T(8, 0).millis();
   Timestamp ptime = T(8, 0);
   for (int i = 0; i < n; ++i) {
@@ -104,7 +104,6 @@ Feed MakeFeed(int n) {
                            ptime + Interval::Millis(1));
     }
   }
-  builder.CloseAll();
   feed.num_bids = static_cast<size_t>(n);
   for (const exec::InputChunk& chunk : feed.chunks) feed.refs.push_back(&chunk);
   return feed;

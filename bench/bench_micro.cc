@@ -193,7 +193,7 @@ exec::ChangeBatch MakeBidBatch(size_t rows) {
     batch.AppendRow({Value::Time(Timestamp(static_cast<int64_t>(i))),
                      Value::Int64(static_cast<int64_t>(i * 37 % 1000)),
                      Value::String("item")},
-                    +1, Timestamp(static_cast<int64_t>(i)), i);
+                    +1, Timestamp(static_cast<int64_t>(i)));
   }
   return batch;
 }

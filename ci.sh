@@ -4,11 +4,11 @@
 # ASan/UBSan sweep of the whole suite (the byte-flip and truncation fault
 # injections run under the sanitizers here — damaged files must fail with a
 # clean Status, never UB), then a TSan pass over the threaded paths: the
-# checkpoint/restore path, the observability suites (the lock-free
-# metrics/trace primitives under a concurrent-registry hammer, and
-# end-to-end metrics), and the standing-query server (socket reader/writer
-# threads racing the command dispatcher, subscription fan-out, and
-# slow-subscriber teardown).
+# observability suites (the lock-free metrics/trace primitives under a
+# concurrent-registry hammer, and end-to-end metrics) and the
+# standing-query server (socket reader/writer threads racing the command
+# dispatcher, subscription fan-out, and slow-subscriber teardown). The
+# checkpoint/restore path starts no thread, so it has no TSan leg.
 # Every build compiles with -Wall -Wextra -Werror.
 #
 # Fail-fast: `set -e` alone does not fire inside `if`/`&&`/`||` contexts and
@@ -124,14 +124,9 @@ run_leg "tsan-configure" cmake -B build-tsan -S . \
   -DCMAKE_CXX_FLAGS="${WARN_FLAGS} -fsanitize=thread" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
 run_leg "tsan-build" cmake --build build-tsan -j"${JOBS}" \
-  --target engine_test recovery_test obs_test observability_test \
-  server_test
+  --target engine_test obs_test observability_test server_test
 run_leg "tsan-engine" ./build-tsan/tests/engine_test \
   --gtest_filter='ParallelRuntimeTest.*:EngineTest.*'
-# The restore path: recovery equivalence, and the refused older-version
-# checkpoint and its cold-start route.
-run_leg "tsan-recovery" ./build-tsan/tests/recovery_test \
-  --gtest_filter='RecoveryEquivalenceTest.*:CheckpointVersionTest.*'
 # Observability primitives under contention: the sharded-counter /
 # histogram / registry hammer (8 threads racing registration, updates, and
 # snapshots) and the lock-free trace rings.

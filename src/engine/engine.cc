@@ -144,7 +144,7 @@ std::vector<const exec::InputChunk*> ChunkRefs(
   return refs;
 }
 
-/// The feed event at `row` of `chunk` (see exec::ForEachEventInSeqOrder).
+/// The feed event at `row` of `chunk`.
 FeedEvent EventAt(const exec::InputChunk& chunk, size_t row) {
   FeedEvent event;
   event.source = chunk.source;
@@ -164,26 +164,17 @@ FeedEvent EventAt(const exec::InputChunk& chunk, size_t row) {
   return event;
 }
 
-/// The sequence number of the event at `row` of `chunk`.
-uint64_t SeqAt(const exec::InputChunk& chunk, size_t row) {
-  return chunk.kind == exec::InputChunk::Kind::kRows ? chunk.batch.seqs[row]
-                                                     : chunk.seq;
-}
-
-/// Appends `event` to `builder` at its own sequence number `seq`.
-void AddEventAt(exec::ChunkBuilder* builder, uint64_t seq,
-                const FeedEvent& event) {
+/// Appends `event` to `builder`.
+void AddEvent(exec::ChunkBuilder* builder, const FeedEvent& event) {
   switch (event.kind) {
     case FeedEvent::Kind::kInsert:
-      builder->AddElementAt(seq, event.source, nullptr, event.row, +1,
-                            event.ptime);
+      builder->AddElement(event.source, event.row, +1, event.ptime);
       break;
     case FeedEvent::Kind::kDelete:
-      builder->AddElementAt(seq, event.source, nullptr, event.row, -1,
-                            event.ptime);
+      builder->AddElement(event.source, event.row, -1, event.ptime);
       break;
     case FeedEvent::Kind::kWatermark:
-      builder->AddWatermarkAt(seq, event.source, event.watermark, event.ptime);
+      builder->AddWatermark(event.source, event.watermark, event.ptime);
       break;
   }
 }
@@ -225,6 +216,10 @@ Result<ContinuousQuery*> Engine::Execute(const std::string& sql) {
 
 Result<ContinuousQuery*> Engine::Execute(const std::string& sql,
                                          const ExecutionOptions& options) {
+  // After a failed feed log write the history holds events that never
+  // became durable; replaying them would run ahead of the log, so the log's
+  // sticky error refuses the query as it refuses Feed and Checkpoint.
+  if (durable()) ONESQL_RETURN_NOT_OK(wal_.Sync());
   ONESQL_ASSIGN_OR_RETURN(plan::QueryPlan plan, Plan(sql));
   if (options.allowed_lateness.millis() < 0) {
     return Status::InvalidArgument("allowed lateness must be non-negative");
@@ -264,7 +259,7 @@ Result<ContinuousQuery*> Engine::Execute(const std::string& sql,
   // or two engines with identical registrations could interleave multi-table
   // replays differently (observable through join emission order).
   std::vector<exec::InputChunk> tables;
-  exec::ChunkBuilder builder(&tables, 0);
+  exec::ChunkBuilder builder(&tables);
   for (const auto& it : SortedByName(table_rows_)) {
     const std::string& name = it->first;
     if (!query->flow_->ReadsSource(name)) continue;
@@ -273,7 +268,6 @@ Result<ContinuousQuery*> Engine::Execute(const std::string& sql,
     }
     builder.AddWatermark(name, Timestamp::Max(), Timestamp::Min());
   }
-  builder.CloseAll();
   ONESQL_RETURN_NOT_OK(
       query->flow_->PushChunks(ChunkRefs(tables, 0, tables.size())));
   ONESQL_RETURN_NOT_OK(query->flow_->PushChunks(HistoryChunks()));
@@ -380,7 +374,7 @@ Status Engine::Feed(const std::vector<FeedEvent>& events) {
   // chunks are then dispatched to every query wholesale: rows were
   // columnarized exactly once, on the way into the history.
   const size_t first_chunk = history_.size();
-  exec::ChunkBuilder builder(&history_, feed_seq_);
+  exec::ChunkBuilder builder(&history_);
   // Per-call validation cache, keyed by the source's exact spelling: the
   // catalog lookup (lower-casing + map walk) happens once per source.
   std::unordered_map<std::string, SourceFeedState> sources;
@@ -525,7 +519,6 @@ Status Engine::Feed(const std::vector<FeedEvent>& events) {
       }
     }
   }
-  builder.CloseAll();
   history_events_ += accepted;
   if (accepted == 0) return deferred;
   // One durability barrier for the whole batch: every recorded event is on
@@ -593,76 +586,62 @@ void Engine::CompactHistory() {
   // Retractions kept past the floor may target inserts dropped below it;
   // collect their rows so the second pass can drop such orphans too, or a
   // replay would retract rows it never inserted.
-  const std::vector<const exec::InputChunk*> chunks = HistoryChunks();
-  auto ptime_at = [](const exec::InputChunk& chunk, size_t row) {
-    return chunk.kind == exec::InputChunk::Kind::kRows ? chunk.batch.ptimes[row]
-                                                       : chunk.ptime;
-  };
-  std::unordered_map<std::string, uint64_t> last_dominated;  // source -> seq
+  std::unordered_map<std::string, const exec::InputChunk*> last_dominated;
   // source -> row -> dropped inserts not yet matched by a retraction.
   std::unordered_map<std::string,
                      std::unordered_map<Row, int64_t, RowHash, RowEq>>
       dropped_inserts;
-  (void)exec::ForEachEventInSeqOrder(
-      chunks, [&](size_t i, size_t row) {
-        const exec::InputChunk& chunk = *chunks[i];
-        if (chunk.kind == exec::InputChunk::Kind::kWatermark) {
-          if (chunk.watermark <= floor) {
-            last_dominated[chunk.source_lower] = chunk.seq;
-          }
-        } else if (ptime_at(chunk, row) > floor) {
-          const FeedEvent event = EventAt(chunk, row);
-          if (event.kind == FeedEvent::Kind::kDelete) {
-            dropped_inserts[chunk.source_lower][event.row] = 0;
-          }
-        }
-        return Status::OK();
-      });
+  for (const exec::InputChunk& chunk : history_) {
+    if (chunk.kind == exec::InputChunk::Kind::kWatermark) {
+      if (chunk.watermark <= floor) last_dominated[chunk.source_lower] = &chunk;
+      continue;
+    }
+    for (size_t row = 0; row < chunk.batch.num_rows; ++row) {
+      if (chunk.batch.ptimes[row] > floor && chunk.batch.weights[row] < 0) {
+        dropped_inserts[chunk.source_lower][chunk.batch.RowAt(row)] = 0;
+      }
+    }
+  }
 
-  // Rebuild the chunk list from the kept events, preserving their original
-  // sequence numbers so cross-source merge order is unchanged.
+  // Rebuild the chunk list from the kept events, in feed order.
   std::vector<exec::InputChunk> kept;
-  exec::ChunkBuilder builder(&kept, 0);
+  exec::ChunkBuilder builder(&kept);
   size_t kept_events = 0;
-  (void)exec::ForEachEventInSeqOrder(
-      chunks, [&](size_t i, size_t row) {
-        const exec::InputChunk& chunk = *chunks[i];
-        const uint64_t seq = SeqAt(chunk, row);
-        if (chunk.kind == exec::InputChunk::Kind::kWatermark) {
-          auto it = last_dominated.find(chunk.source_lower);
-          if (chunk.watermark > floor ||
-              (it != last_dominated.end() && it->second == seq)) {
-            AddEventAt(&builder, seq, EventAt(chunk, row));
-            ++kept_events;
-          }
-          return Status::OK();
-        }
-        const bool below = ptime_at(chunk, row) <= floor;
-        auto source = dropped_inserts.find(chunk.source_lower);
-        if (below && source == dropped_inserts.end()) return Status::OK();
-        const FeedEvent event = EventAt(chunk, row);
-        int64_t* dropped = nullptr;
-        if (source != dropped_inserts.end()) {
-          auto it = source->second.find(event.row);
-          if (it != source->second.end()) dropped = &it->second;
-        }
-        const bool retraction = event.kind == FeedEvent::Kind::kDelete;
-        if (below) {
-          if (dropped != nullptr) {
-            if (!retraction) ++*dropped;
-            if (retraction && *dropped > 0) --*dropped;
-          }
-          return Status::OK();
-        }
-        if (retraction && dropped != nullptr && *dropped > 0) {
-          --*dropped;  // an orphan: its insert was dropped
-          return Status::OK();
-        }
-        AddEventAt(&builder, seq, event);
+  for (const exec::InputChunk& chunk : history_) {
+    if (chunk.kind == exec::InputChunk::Kind::kWatermark) {
+      if (chunk.watermark > floor ||
+          last_dominated.at(chunk.source_lower) == &chunk) {
+        AddEvent(&builder, EventAt(chunk, 0));
         ++kept_events;
-        return Status::OK();
-      });
-  builder.CloseAll();
+      }
+      continue;
+    }
+    auto source = dropped_inserts.find(chunk.source_lower);
+    for (size_t row = 0; row < chunk.batch.num_rows; ++row) {
+      const bool below = chunk.batch.ptimes[row] <= floor;
+      if (below && source == dropped_inserts.end()) continue;
+      const FeedEvent event = EventAt(chunk, row);
+      int64_t* dropped = nullptr;
+      if (source != dropped_inserts.end()) {
+        auto it = source->second.find(event.row);
+        if (it != source->second.end()) dropped = &it->second;
+      }
+      const bool retraction = event.kind == FeedEvent::Kind::kDelete;
+      if (below) {
+        if (dropped != nullptr) {
+          if (!retraction) ++*dropped;
+          if (retraction && *dropped > 0) --*dropped;
+        }
+        continue;
+      }
+      if (retraction && dropped != nullptr && *dropped > 0) {
+        --*dropped;  // an orphan: its insert was dropped
+        continue;
+      }
+      AddEvent(&builder, event);
+      ++kept_events;
+    }
+  }
   history_ = std::move(kept);
   history_events_ = kept_events;
 }
@@ -724,14 +703,14 @@ void Engine::SaveEngineSection(state::Writer* w, uint64_t* num_queries) const {
   }
 
   // Retained (possibly compacted) history, replayed into queries executed
-  // after the restore. Serialized as the scalar event stream, in global
-  // sequence order, with the feed-event codec the WAL records share.
+  // after the restore. Serialized as the scalar event stream, in feed
+  // order, with the feed-event codec the WAL records share.
   w->PutVarint(history_events_);
-  const std::vector<const exec::InputChunk*> chunks = HistoryChunks();
-  (void)exec::ForEachEventInSeqOrder(chunks, [&](size_t i, size_t row) {
-    w->PutFeedEvent(EventAt(*chunks[i], row));
-    return Status::OK();
-  });
+  for (const exec::InputChunk& chunk : history_) {
+    for (size_t row = 0; row < chunk.NumEvents(); ++row) {
+      w->PutFeedEvent(EventAt(chunk, row));
+    }
+  }
 
   *num_queries = queries_.size();
   w->PutVarint(queries_.size());
@@ -827,15 +806,12 @@ Status Engine::LoadEngineSection(state::Reader* r, uint64_t* num_queries,
   if (nhistory > r->remaining()) {
     return Status::DataLoss("impossible history size in checkpoint");
   }
-  // Re-chunk the decoded event stream. Synthetic sequence numbers 0..H-1
-  // preserve the serialized order; they stay below feed_seq_ (compaction
-  // only shrinks the history), so post-restore feeds keep seqs ascending.
-  exec::ChunkBuilder builder(&history_, 0);
+  // Re-chunk the decoded event stream, in its serialized (feed) order.
+  exec::ChunkBuilder builder(&history_);
   for (uint64_t i = 0; i < nhistory; ++i) {
     ONESQL_ASSIGN_OR_RETURN(FeedEvent event, r->ReadFeedEvent());
-    AddEventAt(&builder, i, event);
+    AddEvent(&builder, event);
   }
-  builder.CloseAll();
   history_events_ = nhistory;
 
   ONESQL_ASSIGN_OR_RETURN(*num_queries, r->ReadVarint());

@@ -133,7 +133,8 @@ class Engine {
 
   /// Parses, binds, optimizes, and starts a continuous query. The recorded
   /// history is replayed into it, so its result reflects all data so far.
-  /// The returned pointer remains owned by the engine.
+  /// The returned pointer remains owned by the engine. After a failed feed
+  /// log write it returns the log's DataLoss, as Feed and Checkpoint do.
   Result<ContinuousQuery*> Execute(const std::string& sql);
   Result<ContinuousQuery*> Execute(const std::string& sql,
                                    const ExecutionOptions& options);
@@ -178,7 +179,8 @@ class Engine {
   Status AdvanceWatermark(const std::string& stream, Timestamp ptime,
                           Timestamp watermark);
 
-  /// Feeds a whole recorded dataset. The batch is validated event by event
+  /// Feeds a whole recorded dataset. The batch is validated event by event,
+  /// recorded into the history as runs of consecutive events of one source,
   /// and then dispatched to every query wholesale (one PushChunks). On a
   /// validation error the valid prefix has already been
   /// dispatched (matching the event-by-event semantics) and the error is
@@ -186,7 +188,7 @@ class Engine {
   /// log and one fsync covers them all before any query sees one: one fsync
   /// per call that accepts an event. If that append or fsync fails, the call
   /// returns DataLoss and dispatches none of its events, and every later
-  /// Feed and Checkpoint returns the same error.
+  /// Feed, Execute and Checkpoint returns the same error.
   ///
   /// Not thread-safe, like every other entry point: callers must not call
   /// Feed (or Insert/Delete/AdvanceWatermark, which route through it)
@@ -356,9 +358,8 @@ class Engine {
   /// The recorded feed, retained in chunked columnar form — the exact form
   /// the runtimes consume (PushChunks), so the hot Feed path appends each
   /// event once and dispatches the same chunks to every query without
-  /// re-materializing rows. Chunk seqs are the events' feed positions
-  /// (synthetic but order-preserving after a checkpoint restore), strictly
-  /// ascending across the vector.
+  /// re-materializing rows. The chunks are runs that never interleave:
+  /// reading them in order, row after row, reads the feed in order.
   std::vector<exec::InputChunk> history_;
   /// Number of feed events the chunks carry (chunk count ≠ event count).
   size_t history_events_ = 0;

@@ -7,7 +7,6 @@
 
 #include "common/changelog.h"
 #include "common/row.h"
-#include "common/status.h"
 #include "common/timestamp.h"
 #include "common/value.h"
 
@@ -99,14 +98,12 @@ class ColumnVector {
 };
 
 /// A column-oriented batch of changelog entries: one ColumnVector per row
-/// column, plus a retraction/weight column (+1 INSERT, -1 DELETE), per-row
-/// processing times, and optional per-row sequence numbers (populated by the
-/// feed path, which orders events across chunks by them).
+/// column, plus a retraction/weight column (+1 INSERT, -1 DELETE) and
+/// per-row processing times.
 struct ChangeBatch {
   std::vector<ColumnVector> columns;
   std::vector<int8_t> weights;
   std::vector<Timestamp> ptimes;
-  std::vector<uint64_t> seqs;
   size_t num_rows = 0;
 
   void Clear();
@@ -122,13 +119,13 @@ struct ChangeBatch {
 
   /// Appends a whole row (column count must match; columns demote as
   /// needed). `weight` is +1 for INSERT, -1 for DELETE.
-  void AppendRow(const Row& row, int8_t weight, Timestamp ptime, uint64_t seq);
+  void AppendRow(const Row& row, int8_t weight, Timestamp ptime);
 
-  /// Copies row `i` of `src` (including weight/ptime/seq) into this batch.
+  /// Copies row `i` of `src` (including weight/ptime) into this batch.
   /// Column layouts must have the same arity.
   void AppendRowFrom(const ChangeBatch& src, size_t i);
 
-  /// Drops the last appended row including its weight/ptime/seq.
+  /// Drops the last appended row including its weight/ptime.
   void PopRow();
 
   Row RowAt(size_t i) const;
@@ -136,8 +133,9 @@ struct ChangeBatch {
   void MaterializeChange(size_t i, Change* out) const;
 };
 
-/// One unit of the chunked feed path. Element runs from a single source are
-/// carried as a columnar batch; watermark advances stay scalar.
+/// One unit of the chunked feed path: a run of consecutive feed events of
+/// one source carried as a columnar batch, or one watermark advance. A
+/// chunk list is in feed order, chunk after chunk and row after row.
 struct InputChunk {
   enum class Kind : uint8_t { kRows, kWatermark };
 
@@ -150,144 +148,61 @@ struct InputChunk {
   // kWatermark:
   Timestamp ptime;
   Timestamp watermark;
-  uint64_t seq = 0;
 
-  /// Sequence number of the first / last event carried by this chunk.
-  uint64_t FirstSeq() const;
-  uint64_t LastSeq() const;
   /// Number of feed events this chunk carries.
   size_t NumEvents() const;
   /// Largest processing time carried by this chunk.
   Timestamp MaxPtime() const;
 };
 
-/// Calls `visit(i, row)` for every event carried by `chunks`, in ascending
-/// sequence order: the event lives in `*chunks[i]`, and `row` indexes a kRows
-/// chunk's batch (0 for watermark chunks). Chunks are ordered by their first seq, but
-/// an open element run interleaves with other sources' chunks, so the sweep
-/// merges on per-event seqs over the small set of chunks still open (at most
-/// one run per source spelling). Stops at the first non-OK status `visit`
-/// returns and returns it. This is the one seq-ordered walk shared by the
-/// runtime's scalar delivery and the engine's history compaction and
-/// checkpointing.
-template <typename Visit>
-Status ForEachEventInSeqOrder(const std::vector<const InputChunk*>& chunks,
-                              Visit&& visit) {
-  struct Cursor {
-    const InputChunk* chunk;
-    size_t index;  // position in `chunks`
-    size_t row;
-  };
-  std::vector<Cursor> active;
-  size_t next = 0;
-  while (true) {
-    size_t best = active.size();
-    uint64_t best_seq = 0;
-    for (size_t i = 0; i < active.size(); ++i) {
-      const Cursor& cursor = active[i];
-      const uint64_t seq = cursor.chunk->kind == InputChunk::Kind::kRows
-                               ? cursor.chunk->batch.seqs[cursor.row]
-                               : cursor.chunk->seq;
-      if (best == active.size() || seq < best_seq) {
-        best = i;
-        best_seq = seq;
-      }
-    }
-    if (next < chunks.size() &&
-        (best == active.size() || chunks[next]->FirstSeq() < best_seq)) {
-      const InputChunk* chunk = chunks[next];
-      if (chunk->NumEvents() > 0) active.push_back(Cursor{chunk, next, 0});
-      ++next;
-      continue;
-    }
-    if (best == active.size()) return Status::OK();
-    Cursor& cursor = active[best];
-    const size_t index = cursor.index;
-    const size_t row = cursor.row++;
-    if (cursor.chunk->kind != InputChunk::Kind::kRows ||
-        cursor.row >= cursor.chunk->batch.num_rows) {
-      active[best] = active.back();
-      active.pop_back();
-    }
-    Status status = visit(index, row);
-    if (!status.ok()) return status;
-  }
-}
-
 /// Per-push failure context for the batch path. Batched operators process a
 /// whole vector before the runtime regains control, so the failing row's
-/// sequence/ptime is reported out of band: the runtime clears the context
-/// before a push and, on error, reads back which row failed (first setter
-/// wins — downstream operators re-reporting the same failure are ignored).
+/// ptime is reported out of band: the runtime clears the context before a
+/// push and, on error, reads back the ptime of the row that failed (first
+/// setter wins — downstream operators re-reporting the same failure are
+/// ignored).
 struct BatchFailure {
   bool has = false;
-  uint64_t seq = 0;
   Timestamp ptime;
 };
 
 /// Clears the thread-local failure context (runtime, before each push).
 void ClearBatchFailure();
 /// Records a failure if none is recorded yet (operators, on first error).
-void SetBatchFailure(uint64_t seq, Timestamp ptime);
+void SetBatchFailure(Timestamp ptime);
 /// Reads the current context (runtime, after a failed push).
 const BatchFailure& GetBatchFailure();
 
-/// Groups a scalar event stream into InputChunks: per-source open batches
-/// that close on that source's own watermark (other sources' watermarks do
-/// not cut a run — relative order across sources is preserved through
-/// per-row sequence numbers, which every consumer merges on). The engine's
-/// Feed path appends with declared column lanes (AddElementTyped); restore,
-/// compaction and static-table replay append scalar events.
+/// Groups a scalar event stream into InputChunks, in feed order. An element
+/// extends the rows chunk this builder appended last only if that chunk is
+/// of the same exact source spelling; any other event — another source's
+/// element, or any watermark — closes the run. A builder never extends a
+/// chunk it did not open, so a run never spans builders (one per Feed
+/// call). The engine's Feed path appends with declared column lanes
+/// (AddElementTyped); restore, compaction and static-table replay append
+/// scalar events.
 class ChunkBuilder {
  public:
-  /// Appends into `out`; `first_seq` numbers the events.
-  ChunkBuilder(std::vector<InputChunk>* out, uint64_t first_seq);
+  /// Appends to `out`.
+  explicit ChunkBuilder(std::vector<InputChunk>* out) : out_(out) {}
 
-  /// Returns the open batch for `source`, creating a new kRows chunk when
-  /// none is open. `decl` (optional) declares column types for typed lanes;
-  /// when null the chunk starts with generic lanes sized on first append.
-  ChangeBatch* OpenRows(const std::string& source,
-                        const std::vector<DataType>* decl, size_t arity,
-                        size_t reserve_hint);
-
-  /// Appends one element event (convenience over OpenRows + AppendRow).
-  /// Column types are inferred from the first row when opening a run; pass
-  /// `decl` (AddElementTyped) when the declared schema is known — typed
-  /// lanes then survive leading NULLs.
+  /// Appends one element event. Column types are inferred from the first
+  /// row when opening a run; pass `decl` (AddElementTyped) when the
+  /// declared schema is known — typed lanes then survive leading NULLs.
   void AddElement(const std::string& source, const Row& row, int8_t weight,
                   Timestamp ptime);
   void AddElementTyped(const std::string& source,
                        const std::vector<DataType>* decl, const Row& row,
                        int8_t weight, Timestamp ptime);
 
-  /// Appends a watermark chunk, closing the source's open rows chunk.
+  /// Appends a watermark chunk, closing the open run.
   void AddWatermark(const std::string& source, Timestamp watermark,
                     Timestamp ptime);
 
-  /// Explicit-sequence variants, for rebuilding a chunk list whose events
-  /// already carry sequence numbers (history compaction). `seq` values must
-  /// be strictly increasing across calls.
-  void AddElementAt(uint64_t seq, const std::string& source,
-                    const std::vector<DataType>* decl, const Row& row,
-                    int8_t weight, Timestamp ptime);
-  void AddWatermarkAt(uint64_t seq, const std::string& source,
-                      Timestamp watermark, Timestamp ptime);
-
-  /// Closes every open rows chunk (end of a push).
-  void CloseAll();
-
-  uint64_t next_seq() const { return next_seq_; }
-
  private:
-  struct OpenEntry {
-    std::string source;        // exact spelling
-    std::string source_lower;  // cached: watermark closing compares lowered
-    size_t chunk_index;
-  };
-
   std::vector<InputChunk>* out_;
-  uint64_t next_seq_;
-  std::vector<OpenEntry> open_;
+  /// True while out_->back() is a rows chunk this builder opened.
+  bool open_ = false;
 };
 
 }  // namespace exec

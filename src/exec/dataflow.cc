@@ -357,108 +357,44 @@ Status Dataflow::PushChunks(const std::vector<const InputChunk*>& chunks) {
   for (const InputChunk* chunk : chunks) nevents += chunk->NumEvents();
   span.set_aux(nevents);
   ClearBatchFailure();
-  if (CanPushWholeBatches(chunks)) return PushChunksWhole(chunks);
-  return PushChunksMerged(chunks);
-}
-
-bool Dataflow::CanPushWholeBatches(
-    const std::vector<const InputChunk*>& chunks) const {
-  // AFTER DELAY timers fire at their deadlines between events. The batch
-  // path advances the sink clock only at watermark chunks and at the batch
-  // end, so it would coalesce updates across a deadline that per-event
-  // delivery separates.
-  if (plan_.emit.has_value() && plan_.emit->delay.has_value()) return false;
-  if (!chain_.fanouts.empty()) return false;
-  if (chain_.sources.size() != 1) return false;
-  if (chain_.sources.begin()->second.size() != 1) return false;
-  const std::string& source = chain_.sources.begin()->first;
-  // Relevant chunks must be strictly seq-ordered: case-variant spellings of
-  // one source open separate chunks whose runs can interleave, and replaying
-  // such chunks whole would reorder events. (Chunks are internally ordered
-  // by construction.)
-  bool any = false;
-  uint64_t last_seq = 0;
+  // The sink advances its clock as changes and watermarks reach it; on an
+  // error it still catches up to the failing event, as it would have had
+  // that event been pushed alone.
+  auto fail = [this](Status status, Timestamp ptime) -> Status {
+    ONESQL_RETURN_NOT_OK(sink_->AdvanceTo(ptime, /*inclusive=*/false));
+    return status;
+  };
+  Change scratch;
   for (const InputChunk* chunk : chunks) {
-    if (chunk->source_lower != source) continue;
-    if (chunk->NumEvents() == 0) continue;
-    if (any && chunk->FirstSeq() <= last_seq) return false;
-    last_seq = chunk->LastSeq();
-    any = true;
-  }
-  return true;
-}
-
-Status Dataflow::PushChunksWhole(const std::vector<const InputChunk*>& chunks) {
-  const std::string& source = chain_.sources.begin()->first;
-  SourceOperator* op = chain_.sources.begin()->second[0].scan;
-  Timestamp max_ptime = Timestamp::Min();
-  for (const InputChunk* chunk : chunks) {
-    const Timestamp chunk_max = chunk->MaxPtime();
-    if (chunk_max > max_ptime) max_ptime = chunk_max;
-    if (chunk->source_lower != source) continue;
-    switch (chunk->kind) {
-      case InputChunk::Kind::kRows: {
-        Status status = op->OnBatch(0, chunk->batch);
-        if (!status.ok()) {
-          // Per-event delivery advances the sink to the failing event's
-          // ptime before delivering it; the batch path reports that row out
-          // of band, so catch the sink up before surfacing the error.
-          const BatchFailure& failure = GetBatchFailure();
-          if (failure.has) {
-            ONESQL_RETURN_NOT_OK(sink_->AdvanceTo(failure.ptime,
-                                                  /*inclusive=*/false));
-          }
-          return status;
-        }
-        break;
+    auto it = chain_.sources.find(chunk->source_lower);
+    // Events of sources the query does not read only move the clock.
+    if (it == chain_.sources.end()) continue;
+    const std::vector<SourceStep>& steps = it->second;
+    if (chunk->kind == InputChunk::Kind::kWatermark) {
+      Status status =
+          chain_.PushWatermark(steps, chunk->watermark, chunk->ptime);
+      if (!status.ok()) return fail(std::move(status), chunk->ptime);
+    } else if (steps.size() == 1) {
+      // One step is always a scan: the whole run goes through the batch
+      // kernels.
+      Status status = steps[0].scan->OnBatch(0, chunk->batch);
+      if (!status.ok()) {
+        const BatchFailure& failure = GetBatchFailure();
+        return fail(std::move(status),
+                    failure.has ? failure.ptime : Timestamp::Min());
       }
-      case InputChunk::Kind::kWatermark:
-        ONESQL_RETURN_NOT_OK(sink_->AdvanceTo(chunk->ptime,
-                                              /*inclusive=*/false));
-        ONESQL_RETURN_NOT_OK(op->OnWatermark(0, chunk->watermark,
-                                             chunk->ptime));
-        break;
+    } else {
+      // Several steps (a self-join, a fan-out replay): each event passes
+      // every step before the next event enters.
+      for (size_t row = 0; row < chunk->batch.num_rows; ++row) {
+        chunk->batch.MaterializeChange(row, &scratch);
+        Status status = chain_.PushElement(steps, scratch);
+        if (!status.ok()) return fail(std::move(status), scratch.ptime);
+      }
     }
   }
-  // Events of unread sources only move the sink's processing-time clock;
-  // one advance to the batch frontier reproduces the per-event timer
-  // firings (each timer flushes at its own deadline, not at the advance
-  // instant).
-  if (max_ptime > Timestamp::Min()) {
-    ONESQL_RETURN_NOT_OK(sink_->AdvanceTo(max_ptime, /*inclusive=*/false));
-  }
-  return Status::OK();
-}
-
-Status Dataflow::PushChunksMerged(
-    const std::vector<const InputChunk*>& chunks) {
-  // Each chunk's source steps are looked up once, not per event.
-  const auto& sources = chain_.sources;
-  std::vector<const std::vector<SourceStep>*> chunk_ops(chunks.size());
-  for (size_t i = 0; i < chunks.size(); ++i) {
-    auto it = sources.find(chunks[i]->source_lower);
-    chunk_ops[i] = it == sources.end() ? nullptr : &it->second;
-  }
-  Change scratch;
-  return ForEachEventInSeqOrder(
-      chunks, [&](size_t i, size_t row) -> Status {
-        const InputChunk& chunk = *chunks[i];
-        const std::vector<SourceStep>* ops = chunk_ops[i];
-        switch (chunk.kind) {
-          case InputChunk::Kind::kRows:
-            ONESQL_RETURN_NOT_OK(sink_->AdvanceTo(chunk.batch.ptimes[row],
-                                                  /*inclusive=*/false));
-            if (ops == nullptr) return Status::OK();
-            chunk.batch.MaterializeChange(row, &scratch);
-            break;
-          case InputChunk::Kind::kWatermark:
-            ONESQL_RETURN_NOT_OK(sink_->AdvanceTo(chunk.ptime,
-                                                  /*inclusive=*/false));
-            if (ops == nullptr) return Status::OK();
-            return chain_.PushWatermark(*ops, chunk.watermark, chunk.ptime);
-        }
-        return chain_.PushElement(*ops, scratch);
-      });
+  // Chunks are in ptime order, so the last one ends the push.
+  return sink_->AdvanceTo(chunks.back()->MaxPtime(), /*inclusive=*/false);
 }
 
 Status Dataflow::AdvanceTo(Timestamp ptime) {

@@ -139,15 +139,16 @@ class Dataflow {
   /// JOIN).
   static Result<std::unique_ptr<Dataflow>> Build(plan::QueryPlan plan);
 
-  /// Pushes pre-chunked input: columnar element runs and watermark
-  /// advances, ordered across chunks by per-event sequence number (see
-  /// ChunkBuilder). Chunks must arrive in non-decreasing ptime order across
-  /// pushes; events of sources the query does not read only move the
-  /// processing-time clock. This is the one ingestion path — live feeds,
-  /// late-query replay and restore alike. Single-scan chains consume whole
-  /// ChangeBatches through the vectorized operator kernels; everything else
-  /// is delivered per event in exact sequence order, so output bytes are
-  /// identical either way.
+  /// Pushes pre-chunked input in feed order: columnar element runs and
+  /// watermark advances (see ChunkBuilder). Chunks must arrive in
+  /// non-decreasing ptime order across pushes; events of sources the query
+  /// does not read only move the processing-time clock. This is the one
+  /// ingestion path — live feeds, late-query replay and restore alike. A run
+  /// of a source read by one scan goes whole through the vectorized
+  /// operator kernels; a source with several steps (a self-join, a fan-out
+  /// replay) is delivered event by event, each event through every step.
+  /// The sink keeps its own clock, so output bytes do not depend on how the
+  /// feed was cut into chunks.
   Status PushChunks(const std::vector<const InputChunk*>& chunks);
 
   /// Advances the processing-time clock to `ptime`, firing all AFTER DELAY
@@ -214,16 +215,6 @@ class Dataflow {
 
  private:
   Dataflow() = default;
-
-  /// True when the chain reads exactly one source through exactly one scan
-  /// and has no fan-out, the sink keeps no AFTER DELAY timers, and the
-  /// chunks relevant to the chain arrive in strictly ascending seq order —
-  /// the conditions under which whole batches flow through OnBatch without
-  /// changing what per-event delivery emits.
-  bool CanPushWholeBatches(
-      const std::vector<const InputChunk*>& chunks) const;
-  Status PushChunksWhole(const std::vector<const InputChunk*>& chunks);
-  Status PushChunksMerged(const std::vector<const InputChunk*>& chunks);
 
   plan::QueryPlan plan_;
   plan::PlanFingerprint fingerprint_;

@@ -129,16 +129,14 @@ class Operator {
 
   /// Batch hook. The default decomposes into per-row ProcessElement calls
   /// (not OnElement — rows_in was already counted once by OnBatch) and
-  /// records the failing row's seq/ptime in the thread-local BatchFailure
+  /// records the failing row's ptime in the thread-local BatchFailure
   /// context on error, preserving the scalar valid-prefix contract.
   virtual Status ProcessBatch(int port, const ChangeBatch& batch) {
-    Change scratch;
     for (size_t i = 0; i < batch.num_rows; ++i) {
-      batch.MaterializeChange(i, &scratch);
-      Status status = ProcessElement(port, scratch);
+      batch.MaterializeChange(i, &batch_scratch_);
+      Status status = ProcessElement(port, batch_scratch_);
       if (!status.ok()) {
-        SetBatchFailure(i < batch.seqs.size() ? batch.seqs[i] : 0,
-                        batch.ptimes[i]);
+        SetBatchFailure(batch.ptimes[i]);
         return status;
       }
     }
@@ -204,6 +202,10 @@ class Operator {
   const obs::OperatorProfileMetrics* profile_ = nullptr;
   int profile_tick_ = 0;
   uint64_t profile_elements_ = 0;  // scalar dispatches not yet published
+  /// The default ProcessBatch's row, reused across batches: a run arrives
+  /// as a batch of a few rows, and a fresh row per batch would cost an
+  /// allocation each.
+  Change batch_scratch_;
 };
 
 /// Helper for operators with `n` input ports: tracks per-port watermarks and

@@ -84,8 +84,7 @@ Status FilterOperator::ProcessBatch(int, const ChangeBatch& batch) {
     Result<bool> pass = EvalPredicate(*predicate_, scratch_row_);
     if (!pass.ok()) {
       ONESQL_RETURN_NOT_OK(EmitBatch(out_batch_));
-      SetBatchFailure(i < batch.seqs.size() ? batch.seqs[i] : 0,
-                      batch.ptimes[i]);
+      SetBatchFailure(batch.ptimes[i]);
       return pass.status();
     }
     if (*pass) out_batch_.AppendRowFrom(batch, i);
@@ -147,8 +146,7 @@ Status ProjectOperator::ProcessBatch(int, const ChangeBatch& batch) {
           }
           FillMetaPrefix(batch, i);
           ONESQL_RETURN_NOT_OK(EmitBatch(out_batch_));
-          SetBatchFailure(i < batch.seqs.size() ? batch.seqs[i] : 0,
-                          batch.ptimes[i]);
+          SetBatchFailure(batch.ptimes[i]);
           return v.status();
         }
         out_batch_.columns[j].Append(*v);
@@ -162,11 +160,6 @@ Status ProjectOperator::ProcessBatch(int, const ChangeBatch& batch) {
 void ProjectOperator::FillMetaPrefix(const ChangeBatch& batch, size_t n) {
   out_batch_.weights.assign(batch.weights.begin(), batch.weights.begin() + n);
   out_batch_.ptimes.assign(batch.ptimes.begin(), batch.ptimes.begin() + n);
-  if (batch.seqs.size() >= n) {
-    out_batch_.seqs.assign(batch.seqs.begin(), batch.seqs.begin() + n);
-  } else {
-    out_batch_.seqs.clear();
-  }
   out_batch_.num_rows = n;
 }
 
@@ -278,7 +271,6 @@ Status WindowOperator::ProcessBatch(int, const ChangeBatch& batch) {
     }
     out_batch_.weights = batch.weights;
     out_batch_.ptimes = batch.ptimes;
-    out_batch_.seqs = batch.seqs;
     out_batch_.num_rows = batch.num_rows;
     return EmitBatch(out_batch_);
   }
@@ -290,8 +282,7 @@ Status WindowOperator::ProcessBatch(int, const ChangeBatch& batch) {
     const Value tv = tc.ValueAt(i);
     if (tv.is_null()) {
       ONESQL_RETURN_NOT_OK(EmitBatch(out_batch_));
-      SetBatchFailure(i < batch.seqs.size() ? batch.seqs[i] : 0,
-                      batch.ptimes[i]);
+      SetBatchFailure(batch.ptimes[i]);
       return Status::ExecutionError(
           "NULL event timestamp in windowing column '" +
           node_->input().schema().field(node_->timecol()).name + "'");
@@ -306,7 +297,6 @@ Status WindowOperator::ProcessBatch(int, const ChangeBatch& batch) {
       out_batch_.columns[arity + 1].Append(Value::Time(start + dur));
       out_batch_.weights.push_back(batch.weights[i]);
       out_batch_.ptimes.push_back(batch.ptimes[i]);
-      if (i < batch.seqs.size()) out_batch_.seqs.push_back(batch.seqs[i]);
       ++out_batch_.num_rows;
     }
   }
@@ -896,8 +886,7 @@ Status AggregateOperator::ProcessBatch(int port, const ChangeBatch& batch) {
     Status status = ApplyRow(kind, key_scratch_, hash_scratch_[i],
                              arg_scratch_.data(), batch.ptimes[i]);
     if (!status.ok()) {
-      SetBatchFailure(i < batch.seqs.size() ? batch.seqs[i] : 0,
-                      batch.ptimes[i]);
+      SetBatchFailure(batch.ptimes[i]);
       return status;
     }
   }

@@ -59,7 +59,7 @@ class ProjectOperator : public Operator {
   const char* Name() const override { return "project"; }
 
  private:
-  /// Copies the first `n` weights/ptimes/seqs of `batch` into out_batch_.
+  /// Copies the first `n` weights/ptimes of `batch` into out_batch_.
   void FillMetaPrefix(const ChangeBatch& batch, size_t n);
 
   const std::vector<plan::BoundExprPtr>* exprs_;

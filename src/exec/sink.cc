@@ -125,6 +125,11 @@ Status MaterializationSink::ApplyInstant(bool is_delete, const Row& row,
 }
 
 Status MaterializationSink::ProcessElement(int, const Change& change) {
+  // Every change and watermark carries the ptime of the feed event that
+  // caused it, and the sink advances its clock (exclusive) to that ptime
+  // before applying it: AFTER DELAY timers fire at the same instants
+  // whether the runtime delivered the event alone or in a batch.
+  ONESQL_RETURN_NOT_OK(AdvanceTo(change.ptime, false));
   if (change.kind == ChangeKind::kUpsert) {
     return Status::ExecutionError("sink cannot consume UPSERT changes");
   }
@@ -191,25 +196,9 @@ Status MaterializationSink::ProcessElement(int, const Change& change) {
   return Status::OK();
 }
 
-Status MaterializationSink::ProcessBatch(int port, const ChangeBatch& batch) {
-  // The scalar runtime advances the sink's processing-time clock before
-  // delivering each event; a batch delivers that interleaving itself, so
-  // AFTER DELAY timers fire at exactly the scalar instants.
-  for (size_t i = 0; i < batch.num_rows; ++i) {
-    ONESQL_RETURN_NOT_OK(AdvanceTo(batch.ptimes[i], false));
-    batch.MaterializeChange(i, &change_scratch_);
-    Status status = ProcessElement(port, change_scratch_);
-    if (!status.ok()) {
-      SetBatchFailure(i < batch.seqs.size() ? batch.seqs[i] : 0,
-                      batch.ptimes[i]);
-      return status;
-    }
-  }
-  return Status::OK();
-}
-
 Status MaterializationSink::ProcessWatermark(int port, Timestamp watermark,
                                    Timestamp ptime) {
+  ONESQL_RETURN_NOT_OK(AdvanceTo(ptime, false));
   if (!merger_.Update(port, watermark)) return Status::OK();
   if (!config_.after_watermark) return Status::OK();
 

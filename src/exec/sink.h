@@ -56,7 +56,6 @@ class MaterializationSink : public Operator {
       : config_(std::move(config)) {}
 
   Status ProcessElement(int port, const Change& change) override;
-  Status ProcessBatch(int port, const ChangeBatch& batch) override;
   Status ProcessWatermark(int port, Timestamp watermark,
                      Timestamp ptime) override;
   const char* Name() const override { return "sink"; }
@@ -85,9 +84,10 @@ class MaterializationSink : public Operator {
   void ZeroObs() const;
 
   /// Advances the sink's processing-time clock, firing AFTER DELAY timers
-  /// with deadline < `now` (exclusive) or <= `now` (inclusive). The engine
-  /// fires exclusively before delivering an event at `now` and inclusively
-  /// before observing results at `now`.
+  /// with deadline < `now` (exclusive) or <= `now` (inclusive). The sink
+  /// fires exclusively before applying each change or watermark it
+  /// receives; the runtime fires exclusively at the end of a push and the
+  /// engine inclusively before observing results at `now`.
   Status AdvanceTo(Timestamp now, bool inclusive);
 
   /// The stream rendering of the result TVR.
@@ -191,7 +191,6 @@ class MaterializationSink : public Operator {
   FlatRowMap<RowEntry> rows_;        // the current table: emissions_ folded
   // Version-keyed instant mode: key -> next `ver`.
   FlatRowMap<int64_t> vers_;
-  Change change_scratch_;  // batch-path scratch
   Row key_scratch_;        // VerCounter's projected version key
   WatermarkMerger merger_{1};
   Timestamp now_ = Timestamp::Min();

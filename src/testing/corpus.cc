@@ -136,6 +136,8 @@ Result<QuerySpec> ParseQueryLine(const std::string& rest) {
       spec.keyed = value == "1";
     } else if (key == "gated") {
       spec.gated = value == "1";
+    } else if (key == "delay") {
+      ONESQL_ASSIGN_OR_RETURN(spec.delay_ms, ParseInt(value, "delay"));
     } else if (key == "filter") {
       if (value == "-") {
         spec.has_filter = false;
@@ -214,7 +216,7 @@ std::string SerializeCase(const FuzzCase& fuzz) {
     out << "query shape=" << QueryShapeToString(q.shape) << " dur=" << q.dur_ms
         << " hop=" << q.hop_ms << " gap=" << q.gap_ms
         << " keyed=" << (q.keyed ? 1 : 0) << " gated=" << (q.gated ? 1 : 0)
-        << " filter=";
+        << " delay=" << q.delay_ms << " filter=";
     if (q.has_filter) {
       out << q.filter_min_v;
     } else {

@@ -109,6 +109,11 @@ QuerySpec GenerateQuerySpec(Rng* rng) {
              AggKind::kMinItem, AggKind::kMaxItem,
              AggKind::kCountDistinctV}));
       }
+      // Feed ptimes step by 0-5 s, so these delays coalesce anywhere from
+      // a couple of updates to most of the feed into one pane.
+      if (rng->Chance(30)) {
+        spec.delay_ms = rng->Pick<int64_t>({1'000, 4'000, 15'000, 60'000});
+      }
       break;
     }
     case QueryShape::kSession:
@@ -276,7 +281,12 @@ std::string RenderSql(const QuerySpec& spec) {
       sql += filter + " GROUP BY ";
       if (spec.keyed) sql += "k, ";
       sql += "wend";
-      if (spec.gated) sql += " EMIT AFTER WATERMARK";
+      if (spec.delay_ms > 0) {
+        sql += " EMIT AFTER DELAY " + IntervalMs(spec.delay_ms);
+        if (spec.gated) sql += " AND AFTER WATERMARK";
+      } else if (spec.gated) {
+        sql += " EMIT AFTER WATERMARK";
+      }
       return sql;
     }
     case QueryShape::kSession:

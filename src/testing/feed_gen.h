@@ -59,6 +59,7 @@ struct QuerySpec {
   int64_t gap_ms = 0;   // Session gap
   bool keyed = false;   // GROUP BY k alongside wend
   bool gated = false;   // EMIT AFTER WATERMARK (Tumble/Hop only)
+  int64_t delay_ms = 0;  // EMIT AFTER DELAY (Tumble/Hop only), 0 = none
   bool has_filter = false;
   int64_t filter_min_v = 0;  // WHERE v >= filter_min_v
   bool extra_proj = false;   // kFilterProject: add "v + k AS x"

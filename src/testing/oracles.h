@@ -56,15 +56,16 @@ struct CaseOutcome {
 ///  1. Duality: at every checked feed prefix, the accumulated EMIT STREAM
 ///     changelog of each query must reconstruct exactly its table snapshot.
 ///  2. Batched feed: re-running the same events through Engine::Feed in
-///     seed-chosen batches of 1-7 events — the whole-batch path where the
-///     chain allows it — must render a bit-identical stream
-///     (undo/ptime/ver included) and snapshot.
+///     seed-chosen batches of 1-7 events — runs of a source read by one
+///     scan go whole through the batch kernels — must render a bit-identical
+///     stream (undo/ptime/ver included) and snapshot.
 ///  3. Crash equivalence: checkpointing at a seed-chosen prefix, restoring
 ///     into a fresh engine, and feeding the suffix must render identically
 ///     to the uninterrupted run.
 ///  4. Reference semantics: the final snapshot must equal the naive
 ///     interpreter's from-scratch evaluation (perfect-watermark modes), and
-///     the CQL baseline's (insert-only tumbling aggregates).
+///     the CQL baseline's (insert-only tumbling aggregates). Neither models
+///     AFTER DELAY, so both skip queries that carry it.
 ///  5. Sharing: serving the case through the standing-query server with two
 ///     sessions riding one shared plan per query (submit {"share": true}),
 ///     every subscriber's pushed delta stream must be byte-identical to the

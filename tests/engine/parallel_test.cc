@@ -111,11 +111,11 @@ void RegisterSources(Engine* engine) {
 enum class Input {
   kLive,  ///< Execute, then Feed: the live path.
   kLate,  ///< Feed, then Execute: replay of the retained history.
-  /// Feed with another query running, so the history is compacted (its seqs
-  /// get gaps), then Execute.
+  /// Feed with another query running, so the history is compacted (events
+  /// below the floor go), then Execute.
   kLateAfterCompaction,
   /// Feed, Checkpoint, Restore into a fresh engine (the history comes back
-  /// with synthetic seqs), then Execute.
+  /// re-chunked from its serialized events), then Execute.
   kLateAfterRestore,
   /// Durable Feed and Checkpoint, then the cold-start route Restore names
   /// for an older checkpoint: the checkpoint set aside, a fresh engine
@@ -290,14 +290,14 @@ TEST(ParallelRuntimeTest, StatelessPipelineIsDeterministic) {
 TEST(ParallelRuntimeTest, NonPartitionableShapesFallBackToSequential) {
   // GROUP BY wend only: a plan the N-chain runtime could not key-partition
   // runs on one chain, like every plan.
-  const RunResult run =
-      RunBidScenario(kWindowedMaxByWend, MakeBidFeed(200), Input::kLive);
-  EXPECT_EQ(run.shard_count, 1);
+  ExpectDeterministic(kWindowedMaxByWend, MakeBidFeed(200));
 }
 
 TEST(ParallelRuntimeTest, SelfJoinFallsBackToSequential) {
-  // The paper's Q7 feeds Bid to both join sides under different keys; it
-  // runs on one chain, like every plan.
+  // The paper's Q7 feeds Bid to both join sides under different keys, so
+  // Bid has two steps. Fed in one call, each Bid event must still pass both
+  // steps before the next one enters: the output is byte-identical to
+  // feeding the events one call each, where every run holds one event.
   const std::string q7 =
       "SELECT MaxBid.wstart, MaxBid.wend, Bid.bidtime, Bid.price, Bid.item "
       "FROM Bid, "
@@ -309,13 +309,37 @@ TEST(ParallelRuntimeTest, SelfJoinFallsBackToSequential) {
       "WHERE Bid.price = MaxBid.maxPrice AND "
       "      Bid.bidtime >= MaxBid.wend - INTERVAL '10' MINUTE AND "
       "      Bid.bidtime < MaxBid.wend";
-  const RunResult run = RunBidScenario(q7, MakeBidFeed(150), Input::kLive);
-  EXPECT_EQ(run.shard_count, 1);
+  const std::vector<FeedEvent> feed = MakeBidFeed(400);
+  auto render = [&](bool one_call) {
+    RunResult result;
+    Engine engine;
+    RegisterSources(&engine);
+    auto q = engine.Execute(q7);
+    EXPECT_TRUE(q.ok()) << q.status().ToString();
+    if (!q.ok()) return result;
+    if (one_call) {
+      EXPECT_TRUE(engine.Feed(feed).ok());
+    } else {
+      for (const FeedEvent& event : feed) {
+        EXPECT_TRUE(engine.Feed({event}).ok());
+      }
+    }
+    result.stream = (*q)->StreamRows();
+    auto snapshot = (*q)->CurrentSnapshot();
+    EXPECT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+    if (snapshot.ok()) result.snapshot = *snapshot;
+    return result;
+  };
+  const RunResult whole = render(true);
+  const RunResult single = render(false);
+  EXPECT_GT(whole.stream.size(), 20u);
+  ExpectSameRows(whole.stream, single.stream, "stream rendering");
+  ExpectSameRows(whole.snapshot, single.snapshot, "snapshot");
 }
 
 TEST(ParallelRuntimeTest, LateExecuteAfterRestoreMatchesLiveRun) {
-  // After Restore the history carries synthetic seqs 0..H-1; a query
-  // executed then must replay it into exactly the live run's output.
+  // After Restore the history is re-chunked from its serialized events; a
+  // query executed then must replay it into exactly the live run's output.
   const std::vector<FeedEvent> feed = MakeBidFeed(600);
   for (const char* sql : {kKeyedAgg, kStateless}) {
     SCOPED_TRACE(sql);
@@ -330,10 +354,9 @@ TEST(ParallelRuntimeTest, LateExecuteAfterRestoreMatchesLiveRun) {
 }
 
 TEST(ParallelRuntimeTest, LateExecuteAfterCompactionMatchesLiveRunOfRetained) {
-  // Compaction drops events below the running queries' watermark floor but
-  // keeps the survivors' original seqs, so the history has gaps. A query
-  // executed afterwards must produce exactly what a live run over the
-  // retained events produces.
+  // Compaction drops events below the running queries' watermark floor and
+  // re-chunks the survivors in feed order. A query executed afterwards must
+  // produce exactly what a live run over the retained events produces.
   const std::vector<FeedEvent> feed = MakeBidFeed(4200);
   for (const char* sql : {kKeyedAgg, kStateless}) {
     SCOPED_TRACE(sql);

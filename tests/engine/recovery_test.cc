@@ -914,8 +914,9 @@ TEST(FaultInjectionTest, WalShorterThanCheckpointIsDataLoss) {
 
 /// Runs in a death-test child: a durable engine whose feed log cannot grow
 /// past what its first Feed wrote. Returns what went wrong, or "" when the
-/// failing Feed dispatched nothing and every later Feed and Checkpoint
-/// returned its error without writing a checkpoint.
+/// failing Feed dispatched nothing and every later Feed, Checkpoint and
+/// Execute returned its error: no checkpoint was written, and no query
+/// replayed the events the log never made durable.
 std::string CheckFeedLogFailureIsSticky(const std::string& dir) {
   const std::vector<FeedEvent> feed = PaperFeed();
   Engine engine;
@@ -946,13 +947,14 @@ std::string CheckFeedLogFailureIsSticky(const std::string& dir) {
         engine.Insert("Bid", T(8, 30),
                       {Value::Time(T(8, 29)), Value::Int64(1),
                        Value::String("X")}),
-        engine.Checkpoint(dir)}) {
+        engine.Checkpoint(dir), engine.Execute(kKeyedAgg).status()}) {
     if (later.code() != failed.code() || later.message() != failed.message()) {
       return "a later call returned " + later.ToString() + ", not " +
              failed.ToString();
     }
   }
   if ((*q)->Emissions().size() != emitted) return "events were dispatched";
+  if (engine.num_queries() != 1) return "a query started on the history";
   if (std::FILE* f = std::fopen((dir + "/checkpoint.osql").c_str(), "rb")) {
     std::fclose(f);
     return "a checkpoint was written";

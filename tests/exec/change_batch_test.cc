@@ -1,6 +1,6 @@
 // Unit coverage for the columnar execution core (DESIGN.md §14): the
 // ColumnVector lane/demotion rules, ChangeBatch row round-trips, the
-// ChunkBuilder's per-source run semantics, and the vectorized kernels'
+// ChunkBuilder's run rule, and the vectorized kernels'
 // exact agreement with the scalar evaluator — including the per-batch
 // scalar-fallback rules. The end-to-end seam (whole-batch versus per-event
 // dispatch) is covered by the fuzz oracles and parallel_test.
@@ -76,21 +76,21 @@ TEST(ColumnVectorTest, AssignToMatchesValueAt) {
   }
 }
 
-TEST(ChangeBatchTest, AppendRowRoundTripsRowsWeightsPtimesSeqs) {
+TEST(ChangeBatchTest, AppendRowRoundTripsRowsWeightsPtimes) {
   ChangeBatch batch;
   batch.ResetForTypes({DataType::kTimestamp, DataType::kBigint,
                        DataType::kVarchar});
   const Row r0 = {Value::Time(Timestamp(5)), Value::Int64(10),
                   Value::String("x")};
   const Row r1 = {Value::Time(Timestamp(6)), Value::Null(), Value::Null()};
-  batch.AppendRow(r0, +1, Timestamp(100), 7);
-  batch.AppendRow(r1, -1, Timestamp(101), 8);
+  batch.AppendRow(r0, +1, Timestamp(100));
+  batch.AppendRow(r1, -1, Timestamp(101));
   ASSERT_EQ(batch.num_rows, 2u);
   EXPECT_TRUE(RowsEqual(batch.RowAt(0), r0));
   EXPECT_TRUE(RowsEqual(batch.RowAt(1), r1));
   EXPECT_EQ(batch.weights[0], 1);
   EXPECT_EQ(batch.weights[1], -1);
-  EXPECT_EQ(batch.seqs[1], 8u);
+  EXPECT_EQ(batch.ptimes[1], Timestamp(101));
 
   Change change;
   batch.MaterializeChange(1, &change);
@@ -105,61 +105,93 @@ TEST(ChangeBatchTest, AppendRowRoundTripsRowsWeightsPtimesSeqs) {
   copy.ResetLike(batch);
   copy.AppendRowFrom(batch, 0);
   EXPECT_TRUE(RowsEqual(copy.RowAt(0), r0));
-  EXPECT_EQ(copy.seqs[0], 7u);
+  EXPECT_EQ(copy.ptimes[0], Timestamp(100));
 }
 
-TEST(ChunkBuilderTest, OwnSourceWatermarkClosesRunOtherSourceDoesNot) {
+TEST(ChunkBuilderTest, AnyWatermarkClosesRun) {
   std::vector<InputChunk> chunks;
-  ChunkBuilder builder(&chunks, 0);
+  ChunkBuilder builder(&chunks);
   const Row row = {Value::Int64(1)};
   builder.AddElement("S", row, +1, Timestamp(1));
   builder.AddElement("S", row, +1, Timestamp(2));
-  // R's watermark must not cut S's run.
+  // Another source's watermark closes S's run, as does S's own.
   builder.AddWatermark("R", Timestamp(50), Timestamp(3));
   builder.AddElement("S", row, +1, Timestamp(4));
-  // S's own watermark (case-insensitive) closes it.
-  builder.AddWatermark("s", Timestamp(60), Timestamp(5));
+  builder.AddWatermark("S", Timestamp(60), Timestamp(5));
   builder.AddElement("S", row, -1, Timestamp(6));
-  builder.CloseAll();
 
-  // Chunks appear in open order: S's run opens at seq 0 and keeps
-  // accumulating across R's watermark (appended after it), so the rows
-  // chunk precedes the watermark that arrived mid-run; per-row seqs carry
-  // the true cross-source order for consumers to merge on.
-  ASSERT_EQ(chunks.size(), 4u);
+  ASSERT_EQ(chunks.size(), 5u);
   EXPECT_EQ(chunks[0].kind, InputChunk::Kind::kRows);
-  EXPECT_EQ(chunks[0].batch.num_rows, 3u);
+  EXPECT_EQ(chunks[0].NumEvents(), 2u);
+  EXPECT_EQ(chunks[0].MaxPtime(), Timestamp(2));
   EXPECT_EQ(chunks[1].kind, InputChunk::Kind::kWatermark);
   EXPECT_EQ(chunks[1].source, "R");
-  EXPECT_EQ(chunks[2].kind, InputChunk::Kind::kWatermark);
-  EXPECT_EQ(chunks[2].source, "s");
-  EXPECT_EQ(chunks[3].kind, InputChunk::Kind::kRows);
-  EXPECT_EQ(chunks[3].batch.num_rows, 1u);
-
-  EXPECT_EQ(chunks[0].batch.seqs, (std::vector<uint64_t>{0, 1, 3}));
-  EXPECT_EQ(chunks[1].seq, 2u);
-  EXPECT_EQ(chunks[2].seq, 4u);
-  EXPECT_EQ(chunks[3].batch.seqs, (std::vector<uint64_t>{5}));
-  EXPECT_EQ(builder.next_seq(), 6u);
-  EXPECT_EQ(chunks[0].FirstSeq(), 0u);
-  EXPECT_EQ(chunks[0].LastSeq(), 3u);
-  EXPECT_EQ(chunks[0].NumEvents(), 3u);
-  EXPECT_EQ(chunks[0].MaxPtime(), Timestamp(4));
+  EXPECT_EQ(chunks[1].NumEvents(), 1u);
+  EXPECT_EQ(chunks[1].MaxPtime(), Timestamp(3));
+  EXPECT_EQ(chunks[2].kind, InputChunk::Kind::kRows);
+  EXPECT_EQ(chunks[2].batch.ptimes, (std::vector<Timestamp>{Timestamp(4)}));
+  EXPECT_EQ(chunks[3].kind, InputChunk::Kind::kWatermark);
+  EXPECT_EQ(chunks[3].source, "S");
+  EXPECT_EQ(chunks[4].kind, InputChunk::Kind::kRows);
+  EXPECT_EQ(chunks[4].batch.weights, (std::vector<int8_t>{-1}));
 }
 
-TEST(ChunkBuilderTest, ExplicitSeqVariantsPreserveGivenNumbers) {
+TEST(ChunkBuilderTest, OtherSourceElementClosesRun) {
   std::vector<InputChunk> chunks;
-  ChunkBuilder builder(&chunks, 0);
+  ChunkBuilder builder(&chunks);
   const Row row = {Value::Int64(1)};
-  builder.AddElementAt(10, "S", nullptr, row, +1, Timestamp(1));
-  builder.AddWatermarkAt(12, "S", Timestamp(9), Timestamp(2));
-  builder.AddElementAt(40, "S", nullptr, row, +1, Timestamp(3));
-  builder.CloseAll();
+  builder.AddElement("S", row, +1, Timestamp(1));
+  builder.AddElement("S", row, +1, Timestamp(2));
+  builder.AddElement("R", row, +1, Timestamp(3));
+  builder.AddElement("S", row, +1, Timestamp(4));
+
+  // Reading the chunks in order, row after row, reads the feed in order.
   ASSERT_EQ(chunks.size(), 3u);
-  EXPECT_EQ(chunks[0].batch.seqs, (std::vector<uint64_t>{10}));
-  EXPECT_EQ(chunks[1].seq, 12u);
-  EXPECT_EQ(chunks[2].batch.seqs, (std::vector<uint64_t>{40}));
-  EXPECT_EQ(builder.next_seq(), 41u);
+  EXPECT_EQ(chunks[0].source, "S");
+  EXPECT_EQ(chunks[0].batch.ptimes,
+            (std::vector<Timestamp>{Timestamp(1), Timestamp(2)}));
+  EXPECT_EQ(chunks[1].source, "R");
+  EXPECT_EQ(chunks[1].batch.ptimes, (std::vector<Timestamp>{Timestamp(3)}));
+  EXPECT_EQ(chunks[2].source, "S");
+  EXPECT_EQ(chunks[2].batch.ptimes, (std::vector<Timestamp>{Timestamp(4)}));
+}
+
+TEST(ChunkBuilderTest, DifferentSpellingClosesRun) {
+  std::vector<InputChunk> chunks;
+  ChunkBuilder builder(&chunks);
+  const Row row = {Value::Int64(1)};
+  builder.AddElement("Bid", row, +1, Timestamp(1));
+  builder.AddElement("bid", row, +1, Timestamp(2));
+  builder.AddElement("bid", row, +1, Timestamp(3));
+  builder.AddElement("Bid", row, +1, Timestamp(4));
+
+  // A chunk keeps its exact spelling (the checkpoint writes it back); all
+  // of them route to the same lower-cased source.
+  ASSERT_EQ(chunks.size(), 3u);
+  EXPECT_EQ(chunks[0].source, "Bid");
+  EXPECT_EQ(chunks[0].NumEvents(), 1u);
+  EXPECT_EQ(chunks[1].source, "bid");
+  EXPECT_EQ(chunks[1].NumEvents(), 2u);
+  EXPECT_EQ(chunks[2].source, "Bid");
+  EXPECT_EQ(chunks[2].NumEvents(), 1u);
+  for (const InputChunk& chunk : chunks) EXPECT_EQ(chunk.source_lower, "bid");
+}
+
+TEST(ChunkBuilderTest, NeverExtendsAnEarlierBuildersChunk) {
+  std::vector<InputChunk> chunks;
+  const Row row = {Value::Int64(1)};
+  {
+    ChunkBuilder first(&chunks);
+    first.AddElement("S", row, +1, Timestamp(1));
+  }
+  ChunkBuilder second(&chunks);
+  second.AddElement("S", row, +1, Timestamp(2));
+  second.AddElement("S", row, +1, Timestamp(3));
+
+  // One builder per Feed call: a run never spans two calls.
+  ASSERT_EQ(chunks.size(), 2u);
+  EXPECT_EQ(chunks[0].NumEvents(), 1u);
+  EXPECT_EQ(chunks[1].NumEvents(), 2u);
 }
 
 // ---------------------------------------------------------------------------
@@ -170,11 +202,11 @@ ChangeBatch TestBatch() {
   ChangeBatch batch;
   batch.ResetForTypes({DataType::kTimestamp, DataType::kBigint,
                        DataType::kDouble, DataType::kVarchar});
-  int64_t seq = 0;
+  int64_t n = 0;
   auto add = [&](int64_t ts, const Value& v, const Value& d, const Value& s) {
-    batch.AppendRow({Value::Time(Timestamp(ts)), v, d, s}, seq % 3 ? +1 : -1,
-                    Timestamp(seq), static_cast<uint64_t>(seq));
-    ++seq;
+    batch.AppendRow({Value::Time(Timestamp(ts)), v, d, s}, n % 3 ? +1 : -1,
+                    Timestamp(n));
+    ++n;
   };
   add(0, Value::Int64(5), Value::Double(1.5), Value::String("a"));
   add(1, Value::Null(), Value::Double(-2.25), Value::Null());
@@ -267,7 +299,7 @@ TEST(VectorKernelTest, FallsBackPerBatchOnDemotedColumnAndPerExprOnDivision) {
   ChangeBatch demoted = TestBatch();
   demoted.AppendRow({Value::Time(Timestamp(9)), Value::Int64(1),
                      Value::Int64(2), Value::Null()},
-                    +1, Timestamp(9), 9);
+                    +1, Timestamp(9));
   ASSERT_EQ(demoted.columns[2].lane(), ColumnVector::Lane::kGeneric);
   EXPECT_FALSE(EvalExprBatch(*expr, demoted, &out));
 

@@ -79,7 +79,7 @@ std::unique_ptr<exec::Dataflow> Build(const std::string& sql,
 Status Push(exec::Dataflow* flow, const std::vector<FeedEvent>& feed,
             size_t begin, size_t end) {
   std::vector<exec::InputChunk> chunks;
-  exec::ChunkBuilder builder(&chunks, begin);
+  exec::ChunkBuilder builder(&chunks);
   for (size_t i = begin; i < end; ++i) {
     const FeedEvent& e = feed[i];
     if (e.kind == FeedEvent::Kind::kWatermark) {
@@ -90,7 +90,6 @@ Status Push(exec::Dataflow* flow, const std::vector<FeedEvent>& feed,
                          e.ptime);
     }
   }
-  builder.CloseAll();
   std::vector<const exec::InputChunk*> refs;
   for (const exec::InputChunk& chunk : chunks) refs.push_back(&chunk);
   return flow->PushChunks(refs);

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <filesystem>
+#include <system_error>
 #include <unordered_map>
 
 #include "exec/expr_eval.h"
@@ -94,14 +96,12 @@ Result<std::vector<Row>> ContinuousQuery::Present(
   return rows;
 }
 
-Result<std::vector<Row>> ContinuousQuery::SnapshotAt(Timestamp ptime) {
-  ONESQL_RETURN_NOT_OK(flow_->AdvanceTo(ptime));
+Result<std::vector<Row>> ContinuousQuery::SnapshotAt(Timestamp ptime) const {
   return Present(flow_->sink().SnapshotAt(ptime));
 }
 
-Result<std::vector<Row>> ContinuousQuery::CurrentSnapshot() {
-  ONESQL_RETURN_NOT_OK(flow_->AdvanceTo(last_ptime_));
-  return Present(flow_->sink().CurrentSnapshot());
+Result<std::vector<Row>> ContinuousQuery::CurrentSnapshot() const {
+  return Present(flow_->sink().SnapshotAt(last_ptime_));
 }
 
 // ---------------------------------------------------------------------------
@@ -122,7 +122,6 @@ uint64_t MonotonicMicros() {
 // -- Durable encodings -------------------------------------------------------
 
 constexpr const char kCheckpointFile[] = "/checkpoint.osql";
-constexpr const char kWalFile[] = "/feed.wal";
 
 /// Sorted (deterministic) view of an unordered name-keyed map.
 template <typename Map>
@@ -656,14 +655,30 @@ Status Engine::EnableDurability(const std::string& dir) {
                                    wal_.path() + "')");
   }
   ONESQL_RETURN_NOT_OK(state::EnsureDirectory(dir));
-  ONESQL_ASSIGN_OR_RETURN(state::FeedLog log,
-                          state::FeedLog::Open(dir + kWalFile));
-  if (log.next_seq() != feed_seq_) {
+  // Segments past seq 0 appear only once a checkpoint in the directory has
+  // replaced the ones before them, so a directory with neither `feed.wal`
+  // nor a checkpoint holds no log: a fresh one is set up without a listing.
+  std::vector<state::WalSegment> segments;
+  std::error_code ec;
+  if (std::filesystem::exists(state::FeedLog::SegmentPath(dir, 0), ec) ||
+      std::filesystem::exists(dir + kCheckpointFile, ec)) {
+    ONESQL_ASSIGN_OR_RETURN(segments, state::FeedLog::ListSegments(dir));
+  }
+  // The tail segment alone is validated: its end is the log's position.
+  state::FeedLog log;
+  uint64_t logged = 0;
+  if (!segments.empty()) {
+    ONESQL_ASSIGN_OR_RETURN(log, state::FeedLog::Open(segments.back()));
+    logged = log.next_seq();
+  }
+  if (logged != feed_seq_) {
     return Status::InvalidArgument(
-        "feed log at '" + log.path() + "' holds " +
-        std::to_string(log.next_seq()) + " events but the engine has fed " +
-        std::to_string(feed_seq_) +
+        "feed log in '" + dir + "' holds " + std::to_string(logged) +
+        " events but the engine has fed " + std::to_string(feed_seq_) +
         " — Restore() from this directory first (or start a fresh one)");
+  }
+  if (segments.empty()) {
+    ONESQL_ASSIGN_OR_RETURN(log, state::FeedLog::Create(dir, 0));
   }
   wal_ = std::move(log);
   if (obs_ != nullptr && obs_->registry() != nullptr) {
@@ -744,6 +759,15 @@ Status Engine::Checkpoint(const std::string& dir) {
   }
   const size_t payload_bytes = ckpt.payload_bytes();
   ONESQL_RETURN_NOT_OK(ckpt.WriteTo(dir + kCheckpointFile));
+  // The checkpoint — file, rename and directory entry — is durable now. In
+  // the log's own directory it covers every record below feed_seq_, so the
+  // log continues in a new segment and the segments before it go
+  // (DESIGN.md §10). A checkpoint anywhere else deletes nothing.
+  std::error_code ec;
+  if (durable() && std::filesystem::equivalent(dir, wal_.dir(), ec)) {
+    ONESQL_RETURN_NOT_OK(wal_.Roll());
+    ONESQL_RETURN_NOT_OK(wal_.DropSegmentsBelow(feed_seq_));
+  }
   if (engine_metrics_ != nullptr) {
     engine_metrics_->checkpoint_saves->Increment();
     engine_metrics_->checkpoint_save_ms->Record(
@@ -845,18 +869,7 @@ Status Engine::RestoreQuerySection(state::Reader* r) {
   return Status::OK();
 }
 
-Status Engine::Restore(const std::string& dir) {
-  if (feed_seq_ != 0 || !history_.empty() || !queries_.empty() || durable()) {
-    return Status::InvalidArgument(
-        "Restore() requires an engine that has not fed events or started "
-        "queries yet");
-  }
-  obs::Span span(obs_ != nullptr ? obs_->trace() : nullptr, "restore",
-                 "engine");
-  const uint64_t start_us = engine_metrics_ != nullptr ? MonotonicMicros() : 0;
-
-  // Load the checkpoint, if one exists.
-  bool ckpt_durable = false;
+Status Engine::LoadCheckpoint(const std::string& dir, bool* was_durable) {
   const std::string ckpt_path = dir + kCheckpointFile;
   auto ckpt_or = state::CheckpointReader::Open(ckpt_path);
   if (ckpt_or.ok()) {
@@ -872,7 +885,7 @@ Status Engine::Restore(const std::string& dir) {
     uint64_t num_queries = 0;
     {
       state::Reader r(ckpt.section(0));
-      ONESQL_RETURN_NOT_OK(LoadEngineSection(&r, &num_queries, &ckpt_durable));
+      ONESQL_RETURN_NOT_OK(LoadEngineSection(&r, &num_queries, was_durable));
     }
     if (ckpt.num_sections() != 1 + num_queries) {
       return Status::DataLoss(
@@ -884,7 +897,9 @@ Status Engine::Restore(const std::string& dir) {
       state::Reader r(ckpt.section(1 + i));
       ONESQL_RETURN_NOT_OK(RestoreQuerySection(&r));
     }
-  } else if (ckpt_or.status().code() == StatusCode::kNotImplemented) {
+    return Status::OK();
+  }
+  if (ckpt_or.status().code() == StatusCode::kNotImplemented) {
     // An intact checkpoint of an older format: operator state is a cache of
     // a replay of the feed log, so the route back is a cold start from it.
     return Status::NotImplemented(
@@ -893,65 +908,122 @@ Status Engine::Restore(const std::string& dir) {
         "static table again with its rows (the feed log does not hold them), "
         "Restore() from the feed log (a cold start), then Execute() the "
         "queries again");
-  } else if (ckpt_or.status().code() != StatusCode::kNotFound) {
-    return ckpt_or.status();
   }
   // No checkpoint: cold start from the feed log alone. The catalog is not
   // in the log, so the caller must have re-registered its streams.
+  if (ckpt_or.status().code() == StatusCode::kNotFound) return Status::OK();
+  return ckpt_or.status();
+}
 
-  // Replay the log suffix past the checkpoint's feed position.
-  const std::string wal_path = dir + kWalFile;
-  bool have_wal = true;
-  std::vector<state::WalRecord> records;
-  {
-    auto records_or = state::FeedLog::ReadAll(wal_path);
-    if (records_or.ok()) {
-      records = std::move(records_or).value();
-    } else if (records_or.status().code() == StatusCode::kNotFound) {
-      have_wal = false;
-    } else {
-      return records_or.status();
-    }
-  }
-  if (!have_wal && ckpt_durable) {
-    // The checkpointed engine had a feed log; its absence now is corruption,
-    // not a cold start.
-    return Status::DataLoss("checkpoint was taken with durability enabled "
-                            "but feed log '" +
-                            wal_path + "' is missing");
-  }
-  if (have_wal && records.size() < feed_seq_) {
+Status Engine::ReadLogSuffix(const std::string& dir, bool ckpt_durable,
+                             std::vector<FeedEvent>* suffix,
+                             std::optional<LogTail>* tail) {
+  ONESQL_ASSIGN_OR_RETURN(std::vector<state::WalSegment> segments,
+                          state::FeedLog::ListSegments(dir));
+  if (segments.empty()) {
+    if (!ckpt_durable) return Status::OK();
+    // The checkpointed engine had a feed log; its absence now is
+    // corruption, not a cold start.
     return Status::DataLoss(
-        "feed log at '" + wal_path + "' holds " +
-        std::to_string(records.size()) +
+        "checkpoint was taken with durability enabled but the feed log in '" +
+        dir + "' is missing");
+  }
+  // The suffix starts in the last segment that starts at or below the feed
+  // position; every segment before it holds only records the checkpoint
+  // covers, so none of them is read.
+  auto first = std::upper_bound(
+      segments.begin(), segments.end(), feed_seq_,
+      [](uint64_t seq, const state::WalSegment& s) {
+        return seq < s.first_seq;
+      });
+  if (first == segments.begin()) {
+    return Status::DataLoss(
+        "feed log in '" + dir + "' starts at record " +
+        std::to_string(first->first_seq) + " but the restore needs it from " +
+        "record " + std::to_string(feed_seq_) +
+        " (segments deleted or from another run)");
+  }
+  --first;
+  state::SegmentEnd end;
+  for (auto it = first; it != segments.end(); ++it) {
+    if (it != first && it->first_seq != end.next_seq) {
+      return Status::DataLoss(
+          "feed log sequence gap: segment '" + it->path + "' starts at " +
+          "record " + std::to_string(it->first_seq) + ", expected " +
+          std::to_string(end.next_seq));
+    }
+    ONESQL_ASSIGN_OR_RETURN(
+        end, state::FeedLog::ReadSegment(*it, feed_seq_, suffix));
+  }
+  if (end.next_seq < feed_seq_) {
+    return Status::DataLoss(
+        "feed log in '" + dir + "' holds " + std::to_string(end.next_seq) +
         " events but the checkpoint was taken at feed position " +
         std::to_string(feed_seq_) + " (log truncated or from another run)");
   }
-  if (records.size() > feed_seq_) {
-    std::vector<FeedEvent> suffix;
-    suffix.reserve(records.size() - feed_seq_);
-    for (size_t i = feed_seq_; i < records.size(); ++i) {
-      suffix.push_back(std::move(records[i].event));
-    }
+  *tail = LogTail{segments.back(), end};
+  return Status::OK();
+}
+
+Status Engine::Restore(const std::string& dir) {
+  if (feed_seq_ != 0 || !history_.empty() || !queries_.empty() || durable()) {
+    return Status::InvalidArgument(
+        "Restore() requires an engine that has not fed events or started "
+        "queries yet");
+  }
+  obs::TraceRecorder* trace = obs_ != nullptr ? obs_->trace() : nullptr;
+  obs::Span span(trace, "restore", "engine");
+  // Three back-to-back phases: checkpoint load, log read and decode, suffix
+  // replay (with re-attaching the log). Each records its wall time.
+  const bool timed = engine_metrics_ != nullptr;
+  const uint64_t start_us = timed ? MonotonicMicros() : 0;
+  uint64_t phase_start_us = start_us;
+  auto end_phase = [&](obs::Histogram* obs::EngineMetrics::*phase_us) {
+    if (!timed) return;
+    const uint64_t now_us = MonotonicMicros();
+    (engine_metrics_->*phase_us)->Record(now_us - phase_start_us);
+    phase_start_us = now_us;
+  };
+
+  bool ckpt_durable = false;
+  {
+    obs::Span phase(trace, "restore_checkpoint_load", "engine");
+    ONESQL_RETURN_NOT_OK(LoadCheckpoint(dir, &ckpt_durable));
+  }
+  end_phase(&obs::EngineMetrics::restore_checkpoint_load_us);
+
+  // The log suffix past the checkpoint's feed position, decoded straight
+  // into the batch the replay feeds.
+  std::vector<FeedEvent> suffix;
+  std::optional<LogTail> tail;
+  {
+    obs::Span phase(trace, "restore_log_read", "engine");
+    ONESQL_RETURN_NOT_OK(ReadLogSuffix(dir, ckpt_durable, &suffix, &tail));
+    phase.set_aux(suffix.size());
+  }
+  end_phase(&obs::EngineMetrics::restore_log_read_us);
+
+  {
+    obs::Span phase(trace, "restore_replay", "engine");
+    phase.set_aux(suffix.size());
     // The log is attached only after this replay, so its events are not
     // appended to it a second time.
-    ONESQL_RETURN_NOT_OK(Feed(suffix));
-  }
-
-  // Re-attach the log so the restored engine keeps appending where the
-  // crashed run left off.
-  if (have_wal) {
-    ONESQL_ASSIGN_OR_RETURN(state::FeedLog log,
-                            state::FeedLog::Open(wal_path));
-    if (log.next_seq() != feed_seq_) {
-      return Status::Internal("feed log position diverged during restore");
-    }
-    wal_ = std::move(log);
-    if (obs_ != nullptr && obs_->registry() != nullptr) {
-      wal_.AttachMetrics(obs_->ForWal());
+    if (!suffix.empty()) ONESQL_RETURN_NOT_OK(Feed(suffix));
+    // Re-attach the tail segment where its read ended, so the restored
+    // engine keeps appending where the crashed run left off.
+    if (tail.has_value()) {
+      if (tail->end.next_seq != feed_seq_) {
+        return Status::Internal("feed log position diverged during restore");
+      }
+      ONESQL_ASSIGN_OR_RETURN(wal_,
+                              state::FeedLog::Attach(tail->segment, tail->end));
+      if (obs_ != nullptr && obs_->registry() != nullptr) {
+        wal_.AttachMetrics(obs_->ForWal());
+      }
     }
   }
-  if (engine_metrics_ != nullptr) {
+  end_phase(&obs::EngineMetrics::restore_replay_us);
+  if (timed) {
     engine_metrics_->checkpoint_restores->Increment();
     engine_metrics_->checkpoint_restore_ms->Record(
         (MonotonicMicros() - start_us) / 1000);

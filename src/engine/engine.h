@@ -2,6 +2,7 @@
 #define ONESQL_ENGINE_ENGINE_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -67,12 +68,15 @@ class ContinuousQuery {
   /// fails otherwise.
   Result<std::vector<Change>> UpsertStream() const;
 
-  /// Table rendering at processing time `ptime` (fires due timers first),
-  /// with ORDER BY / LIMIT applied.
-  Result<std::vector<Row>> SnapshotAt(Timestamp ptime);
+  /// Table rendering at processing time `ptime`, with ORDER BY / LIMIT
+  /// applied. AFTER DELAY panes due by `ptime` are in it, but reading fires
+  /// no timer: the stream is the same whether or not anyone reads the table
+  /// (Engine::AdvanceTo is the call that moves the clock).
+  Result<std::vector<Row>> SnapshotAt(Timestamp ptime) const;
 
-  /// Table rendering as of all input consumed so far.
-  Result<std::vector<Row>> CurrentSnapshot();
+  /// Table rendering as of all input consumed so far; side-effect free like
+  /// SnapshotAt.
+  Result<std::vector<Row>> CurrentSnapshot() const;
 
   /// Current watermark as observed at the query result.
   Timestamp watermark() const { return flow_->sink().watermark(); }
@@ -205,14 +209,15 @@ class Engine {
 
   // -- Durability (see DESIGN.md §10) ---------------------------------------
 
-  /// Attaches a write-ahead feed log at `<dir>/feed.wal` (creating the
-  /// directory and file as needed). From this point every accepted feed
-  /// event is appended to the log — and fsync'd — *before* it is dispatched
-  /// to running queries, so a crash loses nothing the caller was told was
-  /// accepted. A Feed call pays one fsync for all the events it accepts
-  /// (DESIGN.md §16), so larger calls spread that cost over more events.
-  /// The log's tail sequence number must match the engine's feed position
-  /// (`feed_seq()`); restore first if the log already holds events.
+  /// Attaches the write-ahead feed log in `dir` (creating the directory and
+  /// its first segment, `feed.wal`, as needed; DESIGN.md §10). From this
+  /// point every accepted feed event is appended to the log's tail segment —
+  /// and fsync'd — *before* it is dispatched to running queries, so a crash
+  /// loses nothing the caller was told was accepted. A Feed call pays one
+  /// fsync for all the events it accepts (DESIGN.md §16), so larger calls
+  /// spread that cost over more events. The end of the log's tail segment
+  /// must match the engine's feed position (`feed_seq()`); restore first if
+  /// the log already holds events.
   Status EnableDurability(const std::string& dir);
 
   /// Writes a checkpoint of the full engine state — catalog, static table
@@ -220,23 +225,29 @@ class Engine {
   /// operator state — to `<dir>/checkpoint.osql`, atomically. Must be called
   /// at a feed boundary (between Feed/Insert calls). If a feed log is
   /// attached it is synced first, so the checkpoint never runs ahead of the
-  /// log. Restoring replays only the log suffix past this checkpoint.
+  /// log. When `dir` is the log's directory, the durable checkpoint then
+  /// rolls the log to a new segment at its feed position and deletes every
+  /// segment wholly below it, so the log holds only what was fed since;
+  /// restoring reads and replays only that suffix. A checkpoint written
+  /// anywhere else deletes nothing.
   Status Checkpoint(const std::string& dir);
 
   /// Restores engine state from `dir`: loads `checkpoint.osql` if present
   /// (the engine must hold no data or queries yet), rebuilds every query
-  /// with its checkpointed operator state, then
-  /// replays the suffix of `feed.wal` past the checkpoint's feed position
-  /// and re-attaches the log. With no checkpoint file the whole log is
-  /// replayed (streams must be re-registered first in that case). Damaged
-  /// files — truncation, bit flips, sequence gaps — fail with
-  /// Status::DataLoss and leave no partially restored queries behind. A
-  /// checkpoint of an older format version is refused with NotImplemented,
-  /// the engine untouched; its message names the route back: move the file
-  /// aside, register the streams, register each static table again with its
-  /// rows (the feed log holds only feed events, so a table's rows live in
-  /// the checkpoint alone), Restore() from the feed log alone, then
-  /// Execute() the queries again.
+  /// with its checkpointed operator state, then reads the feed log segments
+  /// from the one holding the checkpoint's feed position on, replays the
+  /// records past that position and re-attaches the tail segment. With no
+  /// checkpoint file the log is replayed from seq 0 (streams must be
+  /// re-registered first in that case). Damaged files — truncation, bit
+  /// flips, sequence gaps within or between segments, a log that does not
+  /// reach back to the position — fail with Status::DataLoss. A checkpoint
+  /// of an older format version is refused with NotImplemented, the engine
+  /// untouched; its message names the route back: move the file aside,
+  /// register the streams, register each static table again with its rows
+  /// (the feed log holds only feed events, so a table's rows live in the
+  /// checkpoint alone), Restore() from the feed log alone, then Execute()
+  /// the queries again. This build deletes segments only below its own
+  /// checkpoints, so such a directory still holds the log from seq 0.
   Status Restore(const std::string& dir);
 
   /// Number of feed events accepted so far (the WAL sequence position).
@@ -326,6 +337,22 @@ class Engine {
   /// from one whose log has gone missing (the latter is DataLoss).
   Status LoadEngineSection(state::Reader* r, uint64_t* num_queries,
                            bool* was_durable);
+  /// Restore's first phase: loads `<dir>/checkpoint.osql` if present (the
+  /// engine section, then every query). `was_durable` as for
+  /// LoadEngineSection; false with no checkpoint.
+  Status LoadCheckpoint(const std::string& dir, bool* was_durable);
+  /// The segment the restored engine appends to, and where its read ended.
+  struct LogTail {
+    state::WalSegment segment;
+    state::SegmentEnd end;
+  };
+  /// Restore's second phase: reads the log in `dir` from the segment holding
+  /// feed_seq_ on, checking seq continuity across segments, and decodes the
+  /// records at or past feed_seq_ onto `suffix`. `tail` is left empty when
+  /// the directory holds no log.
+  Status ReadLogSuffix(const std::string& dir, bool ckpt_durable,
+                       std::vector<FeedEvent>* suffix,
+                       std::optional<LogTail>* tail);
   /// Rebuilds one checkpointed query (re-plan, rebuild runtime, load
   /// operator state) and appends it to `queries_`.
   Status RestoreQuerySection(state::Reader* r);

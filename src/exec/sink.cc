@@ -53,25 +53,42 @@ void MaterializationSink::Materialize(const Row& row, bool undo,
   Fold(&rows_, undo, row, hash);
 }
 
+template <typename Apply>
+void MaterializationSink::ForEachPaneChange(const KeyState& state,
+                                            Apply apply) {
+  // Retractions first, then additions (Listing 14's undo-then-insert order).
+  for (const auto& [row, last_count] : state.last) {
+    auto it = state.current.find(row);
+    const int64_t current_count = it == state.current.end() ? 0 : it->second;
+    for (int64_t i = current_count; i < last_count; ++i) apply(row, true);
+  }
+  for (const auto& [row, current_count] : state.current) {
+    auto it = state.last.find(row);
+    const int64_t last_count = it == state.last.end() ? 0 : it->second;
+    for (int64_t i = last_count; i < current_count; ++i) apply(row, false);
+  }
+}
+
+bool MaterializationSink::TimerFlushes(const KeyState& state) const {
+  // Combined EMIT AFTER WATERMARK + AFTER DELAY: the delay timer produces
+  // the *early* panes of the early/on-time/late pattern, but it must still
+  // respect the completeness gate. A grouping whose completeness timestamp
+  // is unknown (NULL so far) has no gate to fire against — in pure
+  // AFTER WATERMARK mode it would stay pending, so the timer must not
+  // materialize it either. (Previously the timer flushed it, leaking an
+  // ungated emission and silently suppressing the eventual on-time flush,
+  // because Flush had already advanced `last` to `current`.)
+  return !config_.after_watermark || state.on_time_fired ||
+         state.completeness.has_value();
+}
+
 Status MaterializationSink::Flush(KeyState* state, Timestamp ptime,
                                   PaneKind pane) {
   obs::Span span(trace_, "sink_flush", "sink", query_tag_);
   const size_t emissions_before = emissions_.size();
-  // Retractions first, then additions (Listing 14's undo-then-insert order).
-  for (const auto& [row, last_count] : state->last) {
-    auto it = state->current.find(row);
-    const int64_t current_count = it == state->current.end() ? 0 : it->second;
-    for (int64_t i = current_count; i < last_count; ++i) {
-      Materialize(row, true, ptime, state->next_ver++, HashRow(row));
-    }
-  }
-  for (const auto& [row, current_count] : state->current) {
-    auto it = state->last.find(row);
-    const int64_t last_count = it == state->last.end() ? 0 : it->second;
-    for (int64_t i = last_count; i < current_count; ++i) {
-      Materialize(row, false, ptime, state->next_ver++, HashRow(row));
-    }
-  }
+  ForEachPaneChange(*state, [&](const Row& row, bool undo) {
+    Materialize(row, undo, ptime, state->next_ver++, HashRow(row));
+  });
   state->last = state->current;
   if (sink_metrics_ != nullptr && emissions_.size() > emissions_before) {
     switch (pane) {
@@ -242,18 +259,7 @@ Status MaterializationSink::AdvanceTo(Timestamp now, bool inclusive) {
     if (it == keys_.end()) continue;
     KeyState& state = it->second;
     state.deadline.reset();
-    // Combined EMIT AFTER WATERMARK + AFTER DELAY: the delay timer produces
-    // the *early* panes of the early/on-time/late pattern, but it must still
-    // respect the completeness gate. A grouping whose completeness timestamp
-    // is unknown (NULL so far) has no gate to fire against — in pure
-    // AFTER WATERMARK mode it would stay pending, so the timer must not
-    // materialize it either. (Previously the timer flushed it, leaking an
-    // ungated emission and silently suppressing the eventual on-time flush,
-    // because Flush had already advanced `last` to `current`.)
-    if (config_.after_watermark && !state.on_time_fired &&
-        !state.completeness.has_value()) {
-      continue;
-    }
+    if (!TimerFlushes(state)) continue;
     // Materialize the coalesced net change at the deadline instant. Under a
     // completeness gate the timer pane is speculative (early) until the
     // on-time pane fires and a late correction afterwards; in pure AFTER
@@ -288,24 +294,48 @@ std::vector<Row> MaterializationSink::SnapshotAt(Timestamp ptime) const {
   // At or past the latest emission the table is the incrementally
   // maintained row map. Only genuinely historical queries fold the log's
   // prefix with ptime <= `ptime` (appends are non-decreasing in ptime).
-  const FlatRowMap<RowEntry>* rows = &rows_;
-  FlatRowMap<RowEntry> history;
   if (!emissions_.empty() && ptime < emissions_.back().ptime) {
     const auto end = std::upper_bound(
         emissions_.begin(), emissions_.end(), ptime,
         [](Timestamp t, const Emission& e) { return t < e.ptime; });
     changelog_entries_scanned_ +=
         static_cast<int64_t>(std::distance(emissions_.begin(), end));
+    FlatRowMap<RowEntry> history;
     for (auto it = emissions_.begin(); it != end; ++it) {
       Fold(&history, it->undo, it->row, HashRow(it->row));
     }
-    rows = &history;
+    return SortedRows(history);
   }
+  // AFTER DELAY timers due by `ptime` that no later event has fired yet: the
+  // table at `ptime` holds their panes, but reading it must not fire them —
+  // an event that arrives later at the same ptime still joins their pane.
+  // Fold each due pane into a copy, as AdvanceTo's Flush would.
+  if (timers_.empty() || timers_.begin()->first > ptime) {
+    return SortedRows(rows_);
+  }
+  FlatRowMap<RowEntry> table = rows_;
+  for (auto t = timers_.begin(); t != timers_.end() && t->first <= ptime;
+       ++t) {
+    auto it = keys_.find(t->second);
+    if (it == keys_.end() || !TimerFlushes(it->second)) continue;
+    ForEachPaneChange(it->second, [&](const Row& row, bool undo) {
+      Fold(&table, undo, row, HashRow(row));
+    });
+  }
+  return SortedRows(table);
+}
+
+std::vector<Row> MaterializationSink::CurrentSnapshot() const {
+  return SortedRows(rows_);
+}
+
+std::vector<Row> MaterializationSink::SortedRows(
+    const FlatRowMap<RowEntry>& rows) {
   // The flat map iterates in insertion-perturbed order; sort slot pointers
   // to reproduce SnapshotOf's canonical RowLess order.
   std::vector<const FlatRowMap<RowEntry>::Slot*> sorted;
-  sorted.reserve(rows->size());
-  for (const auto& slot : rows->slots()) {
+  sorted.reserve(rows.size());
+  for (const auto& slot : rows.slots()) {
     if (slot.value.count > 0) sorted.push_back(&slot);
   }
   std::sort(sorted.begin(), sorted.end(), [](const auto* a, const auto* b) {
@@ -316,10 +346,6 @@ std::vector<Row> MaterializationSink::SnapshotAt(Timestamp ptime) const {
     for (int64_t i = 0; i < slot->value.count; ++i) out.push_back(slot->key);
   }
   return out;
-}
-
-std::vector<Row> MaterializationSink::CurrentSnapshot() const {
-  return SnapshotAt(Timestamp::Max());
 }
 
 namespace {

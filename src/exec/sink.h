@@ -93,12 +93,15 @@ class MaterializationSink : public Operator {
   /// The stream rendering of the result TVR.
   const std::vector<Emission>& emissions() const { return emissions_; }
 
-  /// The table rendering: result rows as of processing time `ptime`
-  /// (all timers <= ptime must have been fired; use Dataflow/Engine APIs).
-  /// Queries at or past the latest materialization are served from the
-  /// incrementally maintained row map in O(result size); only genuinely
-  /// historical (point-in-time) queries fold the emissions up to `ptime`.
+  /// The table rendering: result rows as of processing time `ptime`,
+  /// including the panes of AFTER DELAY timers due by then that no later
+  /// event has fired yet — without firing them, so a read never changes
+  /// the stream. Queries at or past the latest materialization are served
+  /// from the incrementally maintained row map in O(result size); only
+  /// genuinely historical (point-in-time) queries fold the emissions up to
+  /// `ptime`.
   std::vector<Row> SnapshotAt(Timestamp ptime) const;
+  /// The materialized table: the emissions folded, no pending timer.
   std::vector<Row> CurrentSnapshot() const;
 
   Timestamp watermark() const { return merger_.combined(); }
@@ -160,6 +163,13 @@ class MaterializationSink : public Operator {
     return !config_.after_watermark && !config_.delay.has_value();
   }
   Row KeyOf(const Row& row) const;
+  /// Calls `apply(row, undo)` for each change a flush of `state` would
+  /// materialize: `last` turned into `current`, retractions first.
+  template <typename Apply>
+  static void ForEachPaneChange(const KeyState& state, Apply apply);
+  /// False while a due AFTER DELAY timer of `state` must not materialize
+  /// its grouping (the completeness gate has nothing to fire against yet).
+  bool TimerFlushes(const KeyState& state) const;
   Status Flush(KeyState* state, Timestamp ptime, PaneKind pane);
   void MaybeReclaim(const Row& key);
   /// Points each restored key state at its restored timer (LoadState).
@@ -168,6 +178,9 @@ class MaterializationSink : public Operator {
   /// HashRow(row) (hot callers already have it).
   void Materialize(const Row& row, bool undo, Timestamp ptime, int64_t ver,
                    size_t hash);
+  /// The live rows of `rows` in canonical RowLess order, each repeated by
+  /// its count.
+  static std::vector<Row> SortedRows(const FlatRowMap<RowEntry>& rows);
   /// The table's fold step, with SnapshotOf's multiset semantics. A row at
   /// count zero is erased unless its entry carries a ver counter.
   static void Fold(FlatRowMap<RowEntry>* rows, bool undo, const Row& row,

@@ -191,6 +191,12 @@ const EngineMetrics* ObsContext::ForEngine() {
         registry_->GetHistogram("onesql_checkpoint_save_duration_ms");
     engine_bundle_->checkpoint_restore_ms =
         registry_->GetHistogram("onesql_checkpoint_restore_duration_ms");
+    engine_bundle_->restore_checkpoint_load_us = registry_->GetHistogram(
+        "onesql_restore_phase_duration_us", {{"phase", "checkpoint_load"}});
+    engine_bundle_->restore_log_read_us = registry_->GetHistogram(
+        "onesql_restore_phase_duration_us", {{"phase", "log_read"}});
+    engine_bundle_->restore_replay_us = registry_->GetHistogram(
+        "onesql_restore_phase_duration_us", {{"phase", "replay"}});
     engine_bundle_->checkpoint_bytes =
         registry_->GetGauge("onesql_checkpoint_bytes");
     engine_bundle_->queries = registry_->GetGauge("onesql_engine_queries");

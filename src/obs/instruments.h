@@ -131,6 +131,11 @@ struct EngineMetrics {
   Counter* checkpoint_restores = nullptr;
   Histogram* checkpoint_save_ms = nullptr;
   Histogram* checkpoint_restore_ms = nullptr;
+  /// Restore's three phases, in microseconds: checkpoint load, feed log
+  /// read and decode, and suffix replay (re-attaching the log included).
+  Histogram* restore_checkpoint_load_us = nullptr;
+  Histogram* restore_log_read_us = nullptr;
+  Histogram* restore_replay_us = nullptr;
   Gauge* checkpoint_bytes = nullptr;
   Gauge* queries = nullptr;
   /// Live operator instances across all running queries (chain operators

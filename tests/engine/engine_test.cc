@@ -397,5 +397,68 @@ TEST_F(EngineTest, ShardCountIsBoundedByMaxShards) {
   EXPECT_EQ(engine_.num_queries(), 1u);
 }
 
+/// The stream of a keyed Tumble SUM under AFTER DELAY over bids at 0 s, 5 s
+/// and 5 s, the clock then moved to 20 s. With `read`, both table reads run
+/// between the two 5 s bids; `read_table` receives what CurrentSnapshot saw.
+std::vector<Row> DelayedStream(bool read, std::vector<Row>* read_table) {
+  Engine engine;
+  EXPECT_TRUE(engine
+                  .RegisterStream(
+                      "Bid", Schema({{"bidtime", DataType::kTimestamp, true},
+                                     {"price", DataType::kBigint},
+                                     {"item", DataType::kVarchar}}))
+                  .ok());
+  auto q = engine.Execute(
+      "SELECT item, wend, SUM(price) AS total "
+      "FROM Tumble(data => TABLE(Bid), timecol => DESCRIPTOR(bidtime), "
+      "dur => INTERVAL '10' SECONDS) t GROUP BY item, wend "
+      "EMIT STREAM AFTER DELAY INTERVAL '5' SECONDS");
+  EXPECT_TRUE(q.ok()) << q.status().ToString();
+  if (!q.ok()) return {};
+  const Timestamp zero = T(0, 0);
+  auto bid = [&](int64_t seconds, int64_t price) {
+    const Timestamp at = zero + Interval::Seconds(seconds);
+    EXPECT_TRUE(engine
+                    .Insert("Bid", at,
+                            {Value::Time(at), Value::Int64(price),
+                             Value::String("a")})
+                    .ok());
+  };
+  bid(0, 1);
+  bid(5, 2);
+  if (read) {
+    auto table = (*q)->CurrentSnapshot();
+    EXPECT_TRUE(table.ok());
+    if (table.ok()) *read_table = *table;
+    auto at = (*q)->SnapshotAt(zero + Interval::Seconds(5));
+    EXPECT_TRUE(at.ok());
+    if (at.ok()) {
+      EXPECT_EQ(*at, *read_table);
+    }
+  }
+  bid(5, 4);
+  EXPECT_TRUE(engine.AdvanceTo(zero + Interval::Seconds(20)).ok());
+  return (*q)->StreamRows();
+}
+
+TEST(EngineReadTest, ReadingTheTableDoesNotChangeTheStream) {
+  // The pane due at 5 s takes every bid at 5 s, read or not.
+  std::vector<Row> unused;
+  const std::vector<Row> unread = DelayedStream(false, &unused);
+  std::vector<Row> table;
+  const std::vector<Row> read = DelayedStream(true, &table);
+  ASSERT_EQ(unread.size(), 1u);
+  EXPECT_EQ(unread[0][2], Value::Int64(7));
+  EXPECT_EQ(unread[0][4], Value::Time(T(0, 0) + Interval::Seconds(5)));
+  ASSERT_EQ(read.size(), unread.size());
+  for (size_t i = 0; i < read.size(); ++i) {
+    EXPECT_TRUE(RowsEqual(read[i], unread[i]))
+        << RowToString(read[i]) << " vs " << RowToString(unread[i]);
+  }
+  // The read saw the pane due at 5 s as it stood then: the first two bids.
+  ASSERT_EQ(table.size(), 1u);
+  EXPECT_EQ(table[0][2], Value::Int64(3));
+}
+
 }  // namespace
 }  // namespace onesql

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 #include <vector>
 
@@ -381,6 +382,71 @@ TEST(ObservabilityTest, CountersAreCoherentAcrossCheckpointRestore) {
   EXPECT_EQ(after.CounterValue("onesql_source_rows_total",
                                {{"source", "bid"}}),
             4u);
+}
+
+TEST(ObservabilityTest, RestorePhasesAddUpToTheRestore) {
+  // Checkpoint load, log read and decode, and suffix replay run back to
+  // back: their histograms and their child spans of `restore` each account
+  // for the whole restore, within 15%.
+  const std::string dir = NewTempDir("obs_restore_phases");
+  std::vector<FeedEvent> feed;
+  for (int i = 0; i < 3000; ++i) {
+    const Timestamp ptime = T(9, 0) + Interval::Seconds(i);
+    feed.push_back(BidInsert(ptime, ptime - Interval::Seconds(i % 97), i % 50,
+                             "item" + std::to_string(i % 41)));
+  }
+  {
+    Engine a;
+    ASSERT_TRUE(a.RegisterStream("Bid", BidSchema()).ok());
+    ASSERT_TRUE(a.EnableDurability(dir).ok());
+    ASSERT_TRUE(
+        a.Execute("SELECT item, wend, SUM(price) AS total "
+                  "FROM Tumble(data => TABLE(Bid), timecol => "
+                  "DESCRIPTOR(bidtime), dur => INTERVAL '10' MINUTES) t "
+                  "GROUP BY item, wend")
+            .ok());
+    ASSERT_TRUE(
+        a.Feed(std::vector<FeedEvent>(feed.begin(), feed.begin() + 1000)).ok());
+    ASSERT_TRUE(a.Checkpoint(dir).ok());
+    ASSERT_TRUE(
+        a.Feed(std::vector<FeedEvent>(feed.begin() + 1000, feed.end())).ok());
+  }
+  Engine b;
+  ASSERT_TRUE(b.EnableObservability(MetricsAndTracing()).ok());
+  ASSERT_TRUE(b.Restore(dir).ok());
+  EXPECT_EQ(b.feed_seq(), feed.size());
+
+  uint64_t restore_us = 0;
+  std::map<std::string, uint64_t> span_us;
+  for (const obs::TraceEvent& event : b.obs()->trace()->Drain()) {
+    const std::string name = event.name;
+    if (name == "restore") restore_us = event.dur_us;
+    if (name.rfind("restore_", 0) == 0) span_us[name] += event.dur_us;
+  }
+  ASSERT_GT(restore_us, 0u);
+  ASSERT_EQ(span_us.size(), 3u);
+  uint64_t spans_total = 0;
+  for (const auto& [name, us] : span_us) spans_total += us;
+
+  const obs::MetricsSnapshot snap = b.MetricsSnapshot();
+  uint64_t phases_total = 0;
+  for (const char* phase : {"checkpoint_load", "log_read", "replay"}) {
+    const obs::HistogramData* h = snap.HistogramOf(
+        "onesql_restore_phase_duration_us", {{"phase", phase}});
+    ASSERT_NE(h, nullptr) << phase;
+    EXPECT_EQ(h->TotalCount(), 1u) << phase;
+    phases_total += h->sum;
+  }
+  for (uint64_t total : {phases_total, spans_total}) {
+    EXPECT_LE(total, restore_us);
+    EXPECT_GE(static_cast<double>(total),
+              0.85 * static_cast<double>(restore_us))
+        << "phases " << total << " us of a " << restore_us << " us restore";
+  }
+  // The replay feeds the suffix alone.
+  EXPECT_EQ(snap.CounterValue("onesql_engine_feed_events_total",
+                              {{"kind", "insert"}}),
+            2000u);
 }
 
 }  // namespace

@@ -3,14 +3,17 @@
 // WAL suffix — every rendering must be bit-identical to the uninterrupted
 // run), the one checkpoint format version (an older file is refused, and its
 // cold-start route recovers), WAL-only cold starts (from a log cut at every
-// commit), and fault injection on both files, including a feed log that
-// cannot be written.
+// commit), the segmented log a checkpoint truncates (a crash at every step of
+// Checkpoint, and a log that stays flat over repeated checkpoints), and fault
+// injection on both files, including a feed log that cannot be written.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -731,6 +734,25 @@ TEST(RecoveryTest, EnableDurabilityRejectsForeignLog) {
   ASSERT_TRUE(engine.RegisterStream("Bid", BidSchema()).ok());
   EXPECT_EQ(engine.EnableDurability(dir).code(),
             StatusCode::kInvalidArgument);
+
+  // Nor after a checkpoint deleted `feed.wal`: the log's tail is the
+  // segment the checkpoint started.
+  const std::string rolled = NewTempDir("foreign_rolled");
+  {
+    Engine a;
+    ASSERT_TRUE(a.RegisterStream("Bid", BidSchema()).ok());
+    ASSERT_TRUE(a.EnableDurability(rolled).ok());
+    ASSERT_TRUE(a.Feed(PaperFeed()).ok());
+    ASSERT_TRUE(a.Checkpoint(rolled).ok());
+  }
+  Engine b;
+  ASSERT_TRUE(b.RegisterStream("Bid", BidSchema()).ok());
+  EXPECT_EQ(b.EnableDurability(rolled).code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(b.durable());
+  // An engine at the log's position attaches to that tail.
+  Engine c;
+  ASSERT_TRUE(c.Restore(rolled).ok());
+  EXPECT_TRUE(c.durable());
 }
 
 TEST(RecoveryTest, RestoredEngineEnforcesPtimeOrder) {
@@ -852,6 +874,13 @@ TEST(FaultInjectionTest, UnknownVersionIsDataLoss) {
   }
 }
 
+/// The feed log segments in `dir`, in seq order.
+std::vector<state::WalSegment> Segments(const std::string& dir) {
+  auto segments = state::FeedLog::ListSegments(dir);
+  EXPECT_TRUE(segments.ok()) << segments.status().ToString();
+  return segments.ok() ? *segments : std::vector<state::WalSegment>{};
+}
+
 TEST(FaultInjectionTest, DamagedWalFailsRestoreCleanly) {
   const std::string dir = NewTempDir("flip_wal");
   {
@@ -865,18 +894,26 @@ TEST(FaultInjectionTest, DamagedWalFailsRestoreCleanly) {
     // Feed past the checkpoint so the suffix matters.
     ASSERT_TRUE(engine.Feed({BidInsert(T(8, 22), T(8, 21), 7, "G")}).ok());
   }
-  auto wal_bytes = state::ReadFileToString(dir + "/feed.wal");
-  ASSERT_TRUE(wal_bytes.ok());
-
-  for (size_t byte = 0; byte < wal_bytes->size(); byte += 7) {
-    std::string damaged = *wal_bytes;
-    damaged[byte] = static_cast<char>(damaged[byte] ^ 0x08);
-    ASSERT_TRUE(state::WriteFileAtomic(dir + "/feed.wal", damaged).ok());
-    Engine engine;
-    const Status s = engine.Restore(dir);
-    ASSERT_FALSE(s.ok()) << "flip at byte " << byte;
-    EXPECT_EQ(s.code(), StatusCode::kDataLoss) << s.ToString();
+  // The checkpoint deleted `feed.wal`; damage every segment left on disk.
+  const std::vector<state::WalSegment> segments = Segments(dir);
+  ASSERT_EQ(segments.size(), 1u);
+  EXPECT_EQ(segments[0].first_seq, PaperFeed().size());
+  for (const state::WalSegment& segment : segments) {
+    auto wal_bytes = state::ReadFileToString(segment.path);
+    ASSERT_TRUE(wal_bytes.ok());
+    for (size_t byte = 0; byte < wal_bytes->size(); byte += 7) {
+      std::string damaged = *wal_bytes;
+      damaged[byte] = static_cast<char>(damaged[byte] ^ 0x08);
+      ASSERT_TRUE(state::WriteFileAtomic(segment.path, damaged).ok());
+      Engine engine;
+      const Status s = engine.Restore(dir);
+      ASSERT_FALSE(s.ok()) << segment.path << " flip at byte " << byte;
+      EXPECT_EQ(s.code(), StatusCode::kDataLoss) << s.ToString();
+    }
+    ASSERT_TRUE(state::WriteFileAtomic(segment.path, *wal_bytes).ok());
   }
+  Engine engine;
+  EXPECT_TRUE(engine.Restore(dir).ok());
 }
 
 TEST(FaultInjectionTest, WalShorterThanCheckpointIsDataLoss) {
@@ -884,6 +921,7 @@ TEST(FaultInjectionTest, WalShorterThanCheckpointIsDataLoss) {
   // byte: a log that does not cover the checkpoint's feed position is
   // corruption (checkpoints never run ahead of the log by construction).
   const std::string dir = NewTempDir("short_wal");
+  std::string whole_log;  // `feed.wal` as the checkpoint found it
   {
     Engine engine;
     ASSERT_TRUE(engine.RegisterStream("Bid", BidSchema()).ok());
@@ -891,17 +929,39 @@ TEST(FaultInjectionTest, WalShorterThanCheckpointIsDataLoss) {
     auto q = engine.Execute(kKeyedAgg);
     ASSERT_TRUE(q.ok());
     ASSERT_TRUE(engine.Feed(PaperFeed()).ok());
+    auto bytes = state::ReadFileToString(dir + "/feed.wal");
+    ASSERT_TRUE(bytes.ok());
+    whole_log = *bytes;
     ASSERT_TRUE(engine.Checkpoint(dir).ok());
   }
-  auto wal_bytes = state::ReadFileToString(dir + "/feed.wal");
-  ASSERT_TRUE(wal_bytes.ok());
-  for (size_t cut = 0; cut < wal_bytes->size(); cut += 9) {
-    ASSERT_TRUE(
-        state::WriteFileAtomic(dir + "/feed.wal", wal_bytes->substr(0, cut))
-            .ok());
+  // Every segment still on disk (the header-only one the checkpoint
+  // started), cut short.
+  const std::vector<state::WalSegment> segments = Segments(dir);
+  ASSERT_EQ(segments.size(), 1u);
+  for (const state::WalSegment& segment : segments) {
+    auto wal_bytes = state::ReadFileToString(segment.path);
+    ASSERT_TRUE(wal_bytes.ok());
+    for (size_t cut = 0; cut < wal_bytes->size(); cut += 9) {
+      ASSERT_TRUE(
+          state::WriteFileAtomic(segment.path, wal_bytes->substr(0, cut)).ok());
+      Engine engine;
+      const Status s = engine.Restore(dir);
+      ASSERT_FALSE(s.ok()) << segment.path << " cut at " << cut;
+      EXPECT_EQ(s.code(), StatusCode::kDataLoss) << s.ToString();
+    }
+  }
+  // The deleted `feed.wal` back in the segments' place, cut at every byte:
+  // a log that ends below the checkpoint's feed position.
+  for (const state::WalSegment& segment : segments) {
+    ASSERT_EQ(std::remove(segment.path.c_str()), 0);
+  }
+  for (size_t cut = 0; cut < whole_log.size(); cut += 9) {
+    ASSERT_TRUE(state::WriteFileAtomic(dir + "/feed.wal",
+                                       whole_log.substr(0, cut))
+                    .ok());
     Engine engine;
     const Status s = engine.Restore(dir);
-    ASSERT_FALSE(s.ok()) << "cut at " << cut;
+    ASSERT_FALSE(s.ok()) << "feed.wal cut at " << cut;
     EXPECT_EQ(s.code(), StatusCode::kDataLoss) << s.ToString();
   }
   // A missing log with a checkpointed feed position is equally DataLoss.
@@ -910,6 +970,310 @@ TEST(FaultInjectionTest, WalShorterThanCheckpointIsDataLoss) {
   const Status s = engine.Restore(dir);
   ASSERT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kDataLoss) << s.ToString();
+}
+
+// ---------------------------------------------------------------------------
+// The segmented log: a checkpoint in the log's directory writes itself into
+// place, starts a segment at its feed position, syncs the directory, then
+// deletes the segments it covers. A crash after any of those steps restores
+// bit-identically.
+// ---------------------------------------------------------------------------
+
+/// Every file in `dir`, by name.
+std::map<std::string, std::string> DirFiles(const std::string& dir) {
+  std::map<std::string, std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    auto bytes = state::ReadFileToString(entry.path().string());
+    EXPECT_TRUE(bytes.ok()) << bytes.status().ToString();
+    files[entry.path().filename().string()] = bytes.ok() ? *bytes : "";
+  }
+  return files;
+}
+
+/// A fresh directory holding exactly `files`.
+std::string DirOf(const std::map<std::string, std::string>& files) {
+  const std::string dir = NewTempDir("crash_state");
+  for (const auto& [name, bytes] : files) {
+    EXPECT_TRUE(state::WriteFileAtomic(dir + "/" + name, bytes).ok()) << name;
+  }
+  return dir;
+}
+
+/// The directory states a crash during one Checkpoint can leave, given the
+/// directory before and after it, each named by the last step that
+/// reached the disk. The checkpoint rename and the new segment are durable
+/// (file and directory fsynced) before any deletion starts; the deletions
+/// are synced together at the end, so any subset of them may survive.
+std::vector<std::pair<std::string, std::map<std::string, std::string>>>
+CrashStates(const std::map<std::string, std::string>& before,
+            const std::map<std::string, std::string>& after) {
+  std::vector<std::pair<std::string, std::map<std::string, std::string>>> out;
+  std::map<std::string, std::string> state = before;
+  state["checkpoint.osql"] = after.at("checkpoint.osql");
+  out.emplace_back("checkpoint renamed into place", state);
+  for (const auto& [name, bytes] : after) {
+    if (before.count(name) == 0 && name != "checkpoint.osql") {
+      state[name] = bytes;
+    }
+  }
+  out.emplace_back("new segment created and directory synced", state);
+  std::vector<std::string> deleted;
+  for (const auto& [name, bytes] : before) {
+    if (after.count(name) == 0) deleted.push_back(name);
+  }
+  const std::map<std::string, std::string> synced = state;
+  for (const std::string& name : deleted) {
+    state.erase(name);
+    out.emplace_back("deleted up to " + name, state);
+    std::map<std::string, std::string> alone = synced;
+    alone.erase(name);
+    out.emplace_back("deleted only " + name, alone);
+  }
+  EXPECT_EQ(state, after) << "Checkpoint did more than the model's steps";
+  return out;
+}
+
+/// Overwrites every segment in `dir` that lies wholly below `position` with
+/// bytes no log holds: a restore from a checkpoint at `position` must never
+/// read them.
+void GarbleSegmentsBelow(const std::string& dir, uint64_t position) {
+  const std::vector<state::WalSegment> segments = Segments(dir);
+  for (size_t i = 0;
+       i + 1 < segments.size() && segments[i + 1].first_seq <= position; ++i) {
+    ASSERT_TRUE(
+        state::WriteFileAtomic(segments[i].path, "not a feed log").ok());
+  }
+}
+
+/// Restores `dir` (taken at feed position `at`), checks it renders like an
+/// uninterrupted run of `feed[0, at)`, feeds the rest, checkpoints and
+/// restores once more.
+void ExpectRestoresAndContinues(const std::string& dir,
+                                const std::vector<FeedEvent>& feed, size_t at) {
+  const Timestamp end = feed.back().ptime;
+  const std::vector<FeedEvent> prefix(feed.begin(), feed.begin() + at);
+  Engine engine;
+  const Status s = engine.Restore(dir);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(engine.feed_seq(), at);
+  ASSERT_EQ(engine.num_queries(), 1u);
+  ExpectSameRendering(Render(engine.query(0), end),
+                      Baseline(kKeyedAgg, prefix, end));
+  ASSERT_TRUE(
+      engine.Feed(std::vector<FeedEvent>(feed.begin() + at, feed.end())).ok());
+  const Rendering want = Baseline(kKeyedAgg, feed, end);
+  ExpectSameRendering(Render(engine.query(0), end), want);
+  ASSERT_TRUE(engine.Checkpoint(dir).ok());
+  const std::vector<state::WalSegment> left = Segments(dir);
+  ASSERT_EQ(left.size(), 1u);
+  EXPECT_EQ(left[0].first_seq, feed.size());
+  Engine again;
+  ASSERT_TRUE(again.Restore(dir).ok());
+  ASSERT_EQ(again.num_queries(), 1u);
+  ExpectSameRendering(Render(again.query(0), end), want);
+}
+
+TEST(FaultInjectionTest, CrashAtEveryCheckpointStepRestoresBitIdentically) {
+  const std::vector<FeedEvent> feed = BigFeed(150);
+  const size_t first = 50;
+  const size_t second = 110;
+  // The first checkpoint of a durable run.
+  const std::string dir = NewTempDir("crash_ckpt");
+  std::map<std::string, std::string> before, after;
+  {
+    Engine engine;
+    ASSERT_TRUE(engine.RegisterStream("Bid", BidSchema()).ok());
+    ASSERT_TRUE(engine.EnableDurability(dir).ok());
+    ASSERT_TRUE(engine.Execute(kKeyedAgg).ok());
+    ASSERT_TRUE(engine
+                    .Feed(std::vector<FeedEvent>(feed.begin(),
+                                                 feed.begin() + first))
+                    .ok());
+    before = DirFiles(dir);
+    ASSERT_TRUE(engine.Checkpoint(dir).ok());
+    after = DirFiles(dir);
+  }
+  EXPECT_EQ(after.size(), 2u);
+  EXPECT_EQ(after.count("feed.wal"), 0u);
+  const std::string first_segment =
+      "feed.000000000000000000" + std::to_string(first) + ".wal";
+  ASSERT_EQ(after.count(first_segment), 1u);
+  const auto first_states = CrashStates(before, after);
+  for (const auto& [step, files] : first_states) {
+    SCOPED_TRACE("first checkpoint, crash after: " + step);
+    ExpectRestoresAndContinues(DirOf(files), feed, first);
+    // Whatever the crash left below the checkpoint is never read.
+    const std::string garbled = DirOf(files);
+    GarbleSegmentsBelow(garbled, first);
+    ExpectRestoresAndContinues(garbled, feed, first);
+  }
+
+  // A crash that left `feed.wal` behind, a restore from it, more feed, and
+  // the next checkpoint, which deletes both segments below it.
+  const std::string dir2 = DirOf(first_states[1].second);
+  {
+    Engine engine;
+    ASSERT_TRUE(engine.Restore(dir2).ok());
+    ASSERT_TRUE(engine
+                    .Feed(std::vector<FeedEvent>(feed.begin() + first,
+                                                 feed.begin() + second))
+                    .ok());
+    before = DirFiles(dir2);
+    ASSERT_TRUE(engine.Checkpoint(dir2).ok());
+    after = DirFiles(dir2);
+  }
+  ASSERT_EQ(before.size(), 3u);
+  ASSERT_EQ(after.size(), 2u);
+  const auto second_states = CrashStates(before, after);
+  EXPECT_EQ(second_states.size(), 6u);
+  for (const auto& [step, files] : second_states) {
+    SCOPED_TRACE("second checkpoint, crash after: " + step);
+    ExpectRestoresAndContinues(DirOf(files), feed, second);
+    const std::string garbled = DirOf(files);
+    GarbleSegmentsBelow(garbled, second);
+    ExpectRestoresAndContinues(garbled, feed, second);
+  }
+}
+
+TEST(FaultInjectionTest, DamagedOrMissingMiddleSegmentIsDataLoss) {
+  // An older checkpoint with the two segments its suffix spans: the first
+  // is a middle segment, read whole and checked for continuity into the
+  // next.
+  const std::vector<FeedEvent> feed = BigFeed(120);
+  const size_t a = 40;
+  const size_t b = 80;
+  const std::string dir = NewTempDir("middle");
+  std::string ckpt_a, middle;
+  std::string middle_name;
+  {
+    Engine engine;
+    ASSERT_TRUE(engine.RegisterStream("Bid", BidSchema()).ok());
+    ASSERT_TRUE(engine.EnableDurability(dir).ok());
+    ASSERT_TRUE(engine.Execute(kKeyedAgg).ok());
+    ASSERT_TRUE(
+        engine.Feed(std::vector<FeedEvent>(feed.begin(), feed.begin() + a))
+            .ok());
+    ASSERT_TRUE(engine.Checkpoint(dir).ok());
+    ckpt_a = *state::ReadFileToString(dir + "/checkpoint.osql");
+    ASSERT_TRUE(engine
+                    .Feed(std::vector<FeedEvent>(feed.begin() + a,
+                                                 feed.begin() + b))
+                    .ok());
+    const std::vector<state::WalSegment> segments = Segments(dir);
+    ASSERT_EQ(segments.size(), 1u);
+    middle_name = segments[0].path;
+    middle = *state::ReadFileToString(middle_name);
+    ASSERT_TRUE(engine.Checkpoint(dir).ok());
+    ASSERT_TRUE(
+        engine.Feed(std::vector<FeedEvent>(feed.begin() + b, feed.end())).ok());
+  }
+  ASSERT_TRUE(state::WriteFileAtomic(dir + "/checkpoint.osql", ckpt_a).ok());
+  ASSERT_TRUE(state::WriteFileAtomic(middle_name, middle).ok());
+  ASSERT_EQ(Segments(dir).size(), 2u);
+  {
+    // Intact, the two segments restore the whole feed.
+    Engine engine;
+    ASSERT_TRUE(engine.Restore(dir).ok());
+    EXPECT_EQ(engine.feed_seq(), feed.size());
+    const Timestamp end = feed.back().ptime;
+    ExpectSameRendering(Render(engine.query(0), end),
+                        Baseline(kKeyedAgg, feed, end));
+  }
+  auto expect_data_loss = [&](const std::string& what) {
+    Engine engine;
+    const Status s = engine.Restore(dir);
+    ASSERT_FALSE(s.ok()) << what;
+    EXPECT_EQ(s.code(), StatusCode::kDataLoss) << what << ": " << s.ToString();
+  };
+  for (size_t cut = 0; cut < middle.size(); cut += 9) {
+    ASSERT_TRUE(
+        state::WriteFileAtomic(middle_name, middle.substr(0, cut)).ok());
+    expect_data_loss("middle segment cut at " + std::to_string(cut));
+  }
+  for (size_t byte = 0; byte < middle.size(); byte += 7) {
+    std::string damaged = middle;
+    damaged[byte] = static_cast<char>(damaged[byte] ^ 0x08);
+    ASSERT_TRUE(state::WriteFileAtomic(middle_name, damaged).ok());
+    expect_data_loss("middle segment flip at byte " + std::to_string(byte));
+  }
+  ASSERT_EQ(std::remove(middle_name.c_str()), 0);
+  expect_data_loss("middle segment deleted");
+}
+
+TEST(FlatWalTest, LogHoldsOnlyTheSuffixPastEachCheckpoint) {
+  // Feed, checkpoint and feed again, five times: after each checkpoint the
+  // directory holds only segments at or past it, their bytes are one header
+  // plus what was fed since, and a restore right then decodes nothing.
+  const std::vector<FeedEvent> feed = BigFeed(250);
+  constexpr int kRounds = 5;
+  const size_t step = feed.size() / kRounds;
+  const std::string dir = NewTempDir("flat_wal");
+  obs::ObsOptions metrics;
+  metrics.metrics = true;
+  Engine engine;
+  ASSERT_TRUE(engine.RegisterStream("Bid", BidSchema()).ok());
+  ASSERT_TRUE(engine.EnableObservability(metrics).ok());
+  ASSERT_TRUE(engine.EnableDurability(dir).ok());
+  ASSERT_TRUE(engine.Execute(kKeyedAgg).ok());
+  auto header_bytes = state::ReadFileToString(dir + "/feed.wal");
+  ASSERT_TRUE(header_bytes.ok());
+  const uint64_t header = header_bytes->size();
+  auto log_bytes = [&] {
+    uint64_t total = 0;
+    for (const state::WalSegment& segment : Segments(dir)) {
+      total += std::filesystem::file_size(segment.path);
+    }
+    return total;
+  };
+  auto written = [&] {
+    return engine.MetricsSnapshot().CounterValue(
+        "onesql_wal_bytes_written_total");
+  };
+  size_t pos = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    const size_t cut = step * (round + 1);
+    ASSERT_TRUE(engine
+                    .Feed(std::vector<FeedEvent>(feed.begin() + pos,
+                                                 feed.begin() + cut))
+                    .ok());
+    pos = cut;
+    ASSERT_TRUE(engine.Checkpoint(dir).ok());
+    const uint64_t at_checkpoint = written();
+    for (const state::WalSegment& segment : Segments(dir)) {
+      EXPECT_GE(segment.first_seq, engine.feed_seq()) << segment.path;
+    }
+    EXPECT_EQ(log_bytes(), header);
+
+    // Restored right after the checkpoint (from a copy: one engine appends
+    // to a log at a time), nothing is decoded or replayed.
+    {
+      obs::ObsOptions tracing;
+      tracing.tracing = true;
+      Engine restored;
+      ASSERT_TRUE(restored.EnableObservability(tracing).ok());
+      ASSERT_TRUE(restored.Restore(DirOf(DirFiles(dir))).ok());
+      EXPECT_EQ(restored.feed_seq(), engine.feed_seq());
+      bool saw_read = false;
+      for (const obs::TraceEvent& event : restored.obs()->trace()->Drain()) {
+        if (std::string(event.name) == "restore_log_read") {
+          saw_read = true;
+          EXPECT_EQ(event.aux, 0u) << "records decoded";
+        }
+      }
+      EXPECT_TRUE(saw_read);
+    }
+
+    // Fed again, the log is the header plus exactly the records since.
+    const size_t more = std::min<size_t>(7, feed.size() - pos);
+    ASSERT_TRUE(engine
+                    .Feed(std::vector<FeedEvent>(feed.begin() + pos,
+                                                 feed.begin() + pos + more))
+                    .ok());
+    pos += more;
+    EXPECT_EQ(log_bytes(), header + (written() - at_checkpoint));
+    EXPECT_EQ(written() > at_checkpoint, more > 0);
+  }
 }
 
 /// Runs in a death-test child: a durable engine whose feed log cannot grow

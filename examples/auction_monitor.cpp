@@ -62,18 +62,7 @@ int main(int argc, char** argv) {
   // materializes (push semantics — no polling).
   size_t delivered = 0;
   for (const onesql::FeedEvent& event : feed) {
-    switch (event.kind) {
-      case onesql::FeedEvent::Kind::kInsert:
-        st = engine.Insert(event.source, event.ptime, event.row);
-        break;
-      case onesql::FeedEvent::Kind::kDelete:
-        st = engine.Delete(event.source, event.ptime, event.row);
-        break;
-      case onesql::FeedEvent::Kind::kWatermark:
-        st = engine.AdvanceWatermark(event.source, event.ptime,
-                                     event.watermark);
-        break;
-    }
+    st = engine.Feed({event});
     if (!st.ok()) {
       std::fprintf(stderr, "%s\n", st.ToString().c_str());
       return 1;

@@ -42,13 +42,20 @@ using Changelog = std::vector<Change>;
 /// One event of a processing-time-ordered feed: exactly the shape of the
 /// paper's Section 4 example dataset — INSERTs, DELETEs and watermark
 /// advances, each tagged with the processing time at which the system became
-/// aware of them. The engine's feed API, the write-ahead log and the
-/// checkpoint history all carry this one struct; the kind values are the
-/// on-disk tags (see state::Writer::PutFeedEvent).
+/// aware of them — plus moves of the processing-time clock itself
+/// (Engine::AdvanceTo), which fire AFTER DELAY timers due at or before their
+/// ptime and have no source. The engine's feed API, the write-ahead log and
+/// the checkpoint history all carry this one struct; the kind values are
+/// the on-disk tags (see state::Writer::PutFeedEvent).
 struct FeedEvent {
-  enum class Kind : uint8_t { kInsert = 0, kDelete = 1, kWatermark = 2 };
+  enum class Kind : uint8_t {
+    kInsert = 0,
+    kDelete = 1,
+    kWatermark = 2,
+    kClock = 3,
+  };
   Kind kind = Kind::kInsert;
-  std::string source;
+  std::string source;   // empty for kClock
   Timestamp ptime;
   Row row;              // kInsert / kDelete
   Timestamp watermark;  // kWatermark

@@ -159,6 +159,10 @@ FeedEvent EventAt(const exec::InputChunk& chunk, size_t row) {
       event.ptime = chunk.ptime;
       event.watermark = chunk.watermark;
       break;
+    case exec::InputChunk::Kind::kClock:
+      event.kind = FeedEvent::Kind::kClock;
+      event.ptime = chunk.ptime;
+      break;
   }
   return event;
 }
@@ -174,6 +178,9 @@ void AddEvent(exec::ChunkBuilder* builder, const FeedEvent& event) {
       break;
     case FeedEvent::Kind::kWatermark:
       builder->AddWatermark(event.source, event.watermark, event.ptime);
+      break;
+    case FeedEvent::Kind::kClock:
+      builder->AddClock(event.ptime);
       break;
   }
 }
@@ -230,19 +237,8 @@ Result<ContinuousQuery*> Engine::Execute(const std::string& sql,
                                    ", got " + std::to_string(options.shards));
   }
   plan.allowed_lateness = options.allowed_lateness;
-  // Building first costs little and yields the fingerprint from the same
-  // subtree texts the chain was compiled by.
   ONESQL_ASSIGN_OR_RETURN(std::unique_ptr<exec::Dataflow> flow,
                           exec::Dataflow::Build(std::move(plan)));
-  if (options.share && FindQuery(flow->fingerprint()) != nullptr) {
-    // The caller opted into sharing: an identical standing query is already
-    // running, so starting a second operator tree would be pure waste.
-    // Attach to the running one via FindQuery + RefQuery instead.
-    return Status::AlreadyExists(
-        "an identical standing query is already running (fingerprint " +
-        flow->fingerprint().ToHex() + ")");
-  }
-
   auto query = std::unique_ptr<ContinuousQuery>(
       new ContinuousQuery(std::move(flow)));
   query->obs_label_ = next_query_label_++;
@@ -278,27 +274,9 @@ Result<ContinuousQuery*> Engine::Execute(const std::string& sql,
   return out;
 }
 
-ContinuousQuery* Engine::FindQuery(const plan::PlanFingerprint& fingerprint) {
-  for (auto& query : queries_) {
-    if (query->plan_fingerprint() == fingerprint) return query.get();
-  }
-  return nullptr;
-}
-
-Status Engine::RefQuery(ContinuousQuery* query) {
-  for (auto& q : queries_) {
-    if (q.get() == query) {
-      ++query->refs_;
-      return Status::OK();
-    }
-  }
-  return Status::NotFound("query is not running on this engine");
-}
-
 Status Engine::DropQuery(ContinuousQuery* query) {
   for (auto it = queries_.begin(); it != queries_.end(); ++it) {
     if (it->get() == query) {
-      if (--query->refs_ > 0) return Status::OK();
       // Zero the sampled gauges before destruction, or the exposition would
       // keep reporting the dead tree's last state bytes and queue depths
       // forever (counters stay — totals are cumulative by design).
@@ -364,6 +342,13 @@ Status Engine::AdvanceWatermark(const std::string& stream, Timestamp ptime,
   return Feed(events);
 }
 
+Status Engine::AdvanceTo(Timestamp ptime) {
+  FeedEvent event;
+  event.kind = FeedEvent::Kind::kClock;
+  event.ptime = ptime;
+  return Feed({event});
+}
+
 Status Engine::Feed(const std::vector<FeedEvent>& events) {
   obs::Span span(obs_ != nullptr ? obs_->trace() : nullptr, "feed", "engine");
   span.set_aux(events.size());
@@ -401,7 +386,7 @@ Status Engine::Feed(const std::vector<FeedEvent>& events) {
   for (const FeedEvent& event : events) {
     Status status = Status::OK();
     SourceFeedState* state = nullptr;
-    {
+    if (event.kind != FeedEvent::Kind::kClock) {  // a clock move has no source
       auto state_or = source_state(event.source);
       if (state_or.ok()) {
         state = state_or.value();
@@ -454,6 +439,8 @@ Status Engine::Feed(const std::vector<FeedEvent>& events) {
           *state->watermark = event.watermark;
           break;
         }
+        case FeedEvent::Kind::kClock:
+          break;
       }
     }
     if (status.ok() && event.ptime < last_ptime_) {
@@ -487,13 +474,16 @@ Status Engine::Feed(const std::vector<FeedEvent>& events) {
       case FeedEvent::Kind::kWatermark:
         builder.AddWatermark(event.source, event.watermark, event.ptime);
         break;
+      case FeedEvent::Kind::kClock:
+        builder.AddClock(event.ptime);
+        break;
     }
     ++accepted;
     // Feed metrics run on the logical feed clock (event ptimes), so they are
     // exact and deterministic. WAL-suffix replay during
     // Restore() goes through here too: a restored engine counts the replayed
     // suffix as processing (which it is) and nothing before the checkpoint.
-    if (engine_metrics_ != nullptr) {
+    if (engine_metrics_ != nullptr && state != nullptr) {
       const obs::SourceMetrics* src = SourceObs(event.source);
       switch (event.kind) {
         case FeedEvent::Kind::kInsert:
@@ -515,6 +505,8 @@ Status Engine::Feed(const std::vector<FeedEvent>& events) {
           src->watermark_lag_current_ms->Set(lag_ms);
           break;
         }
+        case FeedEvent::Kind::kClock:
+          break;
       }
     }
   }
@@ -595,6 +587,7 @@ void Engine::CompactHistory() {
       if (chunk.watermark <= floor) last_dominated[chunk.source_lower] = &chunk;
       continue;
     }
+    if (chunk.kind == exec::InputChunk::Kind::kClock) continue;
     for (size_t row = 0; row < chunk.batch.num_rows; ++row) {
       if (chunk.batch.ptimes[row] > floor && chunk.batch.weights[row] < 0) {
         dropped_inserts[chunk.source_lower][chunk.batch.RowAt(row)] = 0;
@@ -611,6 +604,14 @@ void Engine::CompactHistory() {
       if (chunk.watermark > floor ||
           last_dominated.at(chunk.source_lower) == &chunk) {
         AddEvent(&builder, EventAt(chunk, 0));
+        ++kept_events;
+      }
+      continue;
+    }
+    if (chunk.kind == exec::InputChunk::Kind::kClock) {
+      // Like the rows beside it: kept above the floor, dropped at or below.
+      if (chunk.ptime > floor) {
+        builder.AddClock(chunk.ptime);
         ++kept_events;
       }
       continue;
@@ -971,6 +972,30 @@ Status Engine::Restore(const std::string& dir) {
         "Restore() requires an engine that has not fed events or started "
         "queries yet");
   }
+  // A pristine engine holds nothing but its registrations, so on any error
+  // putting them back and clearing the rest leaves it as it was found.
+  plan::Catalog catalog = catalog_;
+  auto table_rows = table_rows_;
+  const Status status = RestorePhases(dir);
+  if (!status.ok()) {
+    if (obs_ != nullptr && obs_->registry() != nullptr) {
+      for (auto& query : queries_) query->flow_->ZeroObsGauges();
+    }
+    queries_.clear();
+    history_.clear();
+    history_events_ = 0;
+    stream_watermarks_.clear();
+    last_ptime_ = Timestamp::Min();
+    compact_at_ = 4096;
+    feed_seq_ = 0;
+    wal_ = state::FeedLog();
+    catalog_ = std::move(catalog);
+    table_rows_ = std::move(table_rows);
+  }
+  return status;
+}
+
+Status Engine::RestorePhases(const std::string& dir) {
   obs::TraceRecorder* trace = obs_ != nullptr ? obs_->trace() : nullptr;
   obs::Span span(trace, "restore", "engine");
   // Three back-to-back phases: checkpoint load, log read and decode, suffix
@@ -1104,18 +1129,6 @@ obs::MetricsSnapshot Engine::MetricsSnapshot() {
 std::string Engine::DumpTraceJson() const {
   if (obs_ == nullptr || obs_->trace() == nullptr) return "[]";
   return obs_->trace()->DumpChromeJson();
-}
-
-Status Engine::AdvanceTo(Timestamp ptime) {
-  if (ptime < last_ptime_) {
-    return Status::InvalidArgument("cannot advance the clock backwards");
-  }
-  last_ptime_ = ptime;
-  for (auto& query : queries_) {
-    query->last_ptime_ = ptime;
-    ONESQL_RETURN_NOT_OK(query->flow_->AdvanceTo(ptime));
-  }
-  return Status::OK();
 }
 
 }  // namespace onesql

@@ -20,7 +20,10 @@
 
 namespace onesql {
 
-/// Per-query execution options that are not part of the SQL text.
+/// Per-query execution options that are not part of the SQL text. Execute
+/// always starts a new query with them: sharing one running query among
+/// many subscribers is the standing-query server's (DESIGN.md §13), which
+/// finds a running query by its plan fingerprint and counts its handles.
 struct ExecutionOptions {
   /// Extension 2's "configurable amount of allowed lateness": groupings
   /// accept late inputs (emitting corrections — the late pane) until the
@@ -31,15 +34,6 @@ struct ExecutionOptions {
   /// Has no effect: every query runs on one operator chain. Still
   /// range-checked to [1, exec::kMaxShards]; Execute rejects other values.
   int shards = 1;
-
-  /// Opt into multi-query sharing (DESIGN.md §13): when a query with the same
-  /// plan fingerprint is already running, Execute returns
-  /// Status::AlreadyExists instead of silently starting a second identical
-  /// operator tree. The caller then locates the running query via
-  /// Engine::FindQuery and attaches to it with Engine::RefQuery — this is how
-  /// the standing-query server routes 10k subscribers of one Q7 variant onto
-  /// a single windowed-aggregation operator.
-  bool share = false;
 };
 
 /// A running continuous query: both renderings of its result TVR are
@@ -93,10 +87,6 @@ class ContinuousQuery {
     return flow_->fingerprint();
   }
 
-  /// Number of callers holding this query alive (Engine::RefQuery /
-  /// Engine::DropQuery). A freshly executed query has one reference.
-  int refs() const { return refs_; }
-
   /// The underlying runtime.
   const exec::Dataflow& dataflow() const { return *flow_; }
 
@@ -109,7 +99,6 @@ class ContinuousQuery {
 
   std::unique_ptr<exec::Dataflow> flow_;
   Timestamp last_ptime_ = Timestamp::Min();
-  int refs_ = 1;
 
   // Recorded so Engine::Checkpoint can rebuild this query at restore time:
   // the SQL text is re-planned (plans hold pointers, not bytes) and the
@@ -146,21 +135,11 @@ class Engine {
   /// Compiles a query without starting it (plan inspection).
   Result<plan::QueryPlan> Plan(const std::string& sql) const;
 
-  /// Returns the running query with this plan fingerprint, or nullptr. When
-  /// several identical queries run (duplicates executed without `share`),
-  /// the earliest one wins.
-  ContinuousQuery* FindQuery(const plan::PlanFingerprint& fingerprint);
-
-  /// Adds a reference to a running query (multi-query sharing: one engine
-  /// query, many subscribers). Fails if `query` is not running here.
-  Status RefQuery(ContinuousQuery* query);
-
-  /// Releases one reference to `query`. When the last reference drops, the
-  /// query is stopped and destroyed: its operator state is released, its
+  /// Stops and destroys `query` at once: its operator state is released, its
   /// observability gauges are zeroed (counters are process-lifetime and
   /// remain), and later Execute calls may reuse nothing from it. Pointers to
-  /// the query are invalid after the final drop. Fails with NotFound if
-  /// `query` is not running here.
+  /// the query are invalid afterwards. Fails with NotFound if `query` is not
+  /// running here.
   Status DropQuery(ContinuousQuery* query);
 
   /// Returns a fresh engine carrying the same registrations — every stream
@@ -183,7 +162,9 @@ class Engine {
   Status AdvanceWatermark(const std::string& stream, Timestamp ptime,
                           Timestamp watermark);
 
-  /// Feeds a whole recorded dataset. The batch is validated event by event,
+  /// Feeds a whole recorded dataset: inserts, deletes, watermark advances and
+  /// clock moves (FeedEvent::Kind::kClock, what AdvanceTo feeds). The batch
+  /// is validated event by event,
   /// recorded into the history as runs of consecutive events of one source,
   /// and then dispatched to every query wholesale (one PushChunks). On a
   /// validation error the valid prefix has already been
@@ -201,8 +182,12 @@ class Engine {
   /// standing-query server serializes its sessions' commands.
   Status Feed(const std::vector<FeedEvent>& events);
 
-  /// Advances the processing-time clock of every query (fires AFTER DELAY
-  /// timers); call before observing results at `ptime`.
+  /// Moves the processing-time clock to `ptime`, firing every AFTER DELAY
+  /// timer due at or before it: a one-event Feed of a clock move, so the
+  /// move is checked against the ptime order, logged when durable, and kept
+  /// in the history. A query executed later, and an engine restored from a
+  /// checkpoint or the log, therefore see the clock move where the running
+  /// queries saw it and render the same stream.
   Status AdvanceTo(Timestamp ptime);
 
   const plan::Catalog& catalog() const { return catalog_; }
@@ -240,7 +225,10 @@ class Engine {
   /// checkpoint file the log is replayed from seq 0 (streams must be
   /// re-registered first in that case). Damaged files — truncation, bit
   /// flips, sequence gaps within or between segments, a log that does not
-  /// reach back to the position — fail with Status::DataLoss. A checkpoint
+  /// reach back to the position — fail with Status::DataLoss. On any error
+  /// the engine is left as Restore found it: its registrations are kept and
+  /// whatever was half restored is cleared, so a later Restore (from a
+  /// repaired directory, say) may run on it. A checkpoint
   /// of an older format version is refused with NotImplemented, the engine
   /// untouched; its message names the route back: move the file aside,
   /// register the streams, register each static table again with its rows
@@ -353,6 +341,9 @@ class Engine {
   Status ReadLogSuffix(const std::string& dir, bool ckpt_durable,
                        std::vector<FeedEvent>* suffix,
                        std::optional<LogTail>* tail);
+  /// Restore's three phases on a pristine engine; on error they may leave
+  /// it half restored, which Restore then undoes.
+  Status RestorePhases(const std::string& dir);
   /// Rebuilds one checkpointed query (re-plan, rebuild runtime, load
   /// operator state) and appends it to `queries_`.
   Status RestoreQuerySection(state::Reader* r);

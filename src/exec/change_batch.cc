@@ -349,5 +349,12 @@ void ChunkBuilder::AddWatermark(const std::string& source, Timestamp watermark,
   open_ = false;
 }
 
+void ChunkBuilder::AddClock(Timestamp ptime) {
+  out_->emplace_back();
+  out_->back().kind = InputChunk::Kind::kClock;
+  out_->back().ptime = ptime;
+  open_ = false;
+}
+
 }  // namespace exec
 }  // namespace onesql

@@ -134,10 +134,11 @@ struct ChangeBatch {
 };
 
 /// One unit of the chunked feed path: a run of consecutive feed events of
-/// one source carried as a columnar batch, or one watermark advance. A
-/// chunk list is in feed order, chunk after chunk and row after row.
+/// one source carried as a columnar batch, one watermark advance, or one
+/// move of the processing-time clock (no source). A chunk list is in feed
+/// order, chunk after chunk and row after row.
 struct InputChunk {
-  enum class Kind : uint8_t { kRows, kWatermark };
+  enum class Kind : uint8_t { kRows, kWatermark, kClock };
 
   Kind kind = Kind::kRows;
   std::string source;        // original spelling (checkpoint fidelity)
@@ -145,9 +146,9 @@ struct InputChunk {
 
   ChangeBatch batch;  // kRows
 
-  // kWatermark:
+  // kWatermark and kClock:
   Timestamp ptime;
-  Timestamp watermark;
+  Timestamp watermark;  // kWatermark
 
   /// Number of feed events this chunk carries.
   size_t NumEvents() const;
@@ -198,6 +199,9 @@ class ChunkBuilder {
   /// Appends a watermark chunk, closing the open run.
   void AddWatermark(const std::string& source, Timestamp watermark,
                     Timestamp ptime);
+
+  /// Appends a clock chunk, closing the open run.
+  void AddClock(Timestamp ptime);
 
  private:
   std::vector<InputChunk>* out_;

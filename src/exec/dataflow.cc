@@ -366,6 +366,11 @@ Status Dataflow::PushChunks(const std::vector<const InputChunk*>& chunks) {
   };
   Change scratch;
   for (const InputChunk* chunk : chunks) {
+    if (chunk->kind == InputChunk::Kind::kClock) {
+      // A clock move fires the AFTER DELAY timers due at or before it.
+      ONESQL_RETURN_NOT_OK(sink_->AdvanceTo(chunk->ptime, /*inclusive=*/true));
+      continue;
+    }
     auto it = chain_.sources.find(chunk->source_lower);
     // Events of sources the query does not read only move the clock.
     if (it == chain_.sources.end()) continue;
@@ -395,10 +400,6 @@ Status Dataflow::PushChunks(const std::vector<const InputChunk*>& chunks) {
   }
   // Chunks are in ptime order, so the last one ends the push.
   return sink_->AdvanceTo(chunks.back()->MaxPtime(), /*inclusive=*/false);
-}
-
-Status Dataflow::AdvanceTo(Timestamp ptime) {
-  return sink_->AdvanceTo(ptime, /*inclusive=*/true);
 }
 
 bool Dataflow::ReadsSource(const std::string& source) const {

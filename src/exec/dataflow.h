@@ -139,10 +139,12 @@ class Dataflow {
   /// JOIN).
   static Result<std::unique_ptr<Dataflow>> Build(plan::QueryPlan plan);
 
-  /// Pushes pre-chunked input in feed order: columnar element runs and
-  /// watermark advances (see ChunkBuilder). Chunks must arrive in
-  /// non-decreasing ptime order across pushes; events of sources the query
-  /// does not read only move the processing-time clock. This is the one
+  /// Pushes pre-chunked input in feed order: columnar element runs,
+  /// watermark advances and clock moves (see ChunkBuilder). Chunks must
+  /// arrive in non-decreasing ptime order across pushes; events of sources
+  /// the query does not read only move the processing-time clock, and a
+  /// clock move fires the AFTER DELAY timers due at or before its ptime,
+  /// any other event only those due before its ptime. This is the one
   /// ingestion path — live feeds, late-query replay and restore alike. A run
   /// of a source read by one scan goes whole through the vectorized
   /// operator kernels; a source with several steps (a self-join, a fan-out
@@ -150,10 +152,6 @@ class Dataflow {
   /// The sink keeps its own clock, so output bytes do not depend on how the
   /// feed was cut into chunks.
   Status PushChunks(const std::vector<const InputChunk*>& chunks);
-
-  /// Advances the processing-time clock to `ptime`, firing all AFTER DELAY
-  /// timers due at or before it. Call before observing results at `ptime`.
-  Status AdvanceTo(Timestamp ptime);
 
   /// True if this query reads `source`.
   bool ReadsSource(const std::string& source) const;

@@ -9,47 +9,6 @@ namespace plan {
 
 namespace {
 
-bool ContainsCurrentTime(const sql::Expr& expr) {
-  switch (expr.kind()) {
-    case sql::Expr::Kind::kCurrentTime:
-      return true;
-    case sql::Expr::Kind::kUnary:
-      return ContainsCurrentTime(
-          static_cast<const sql::UnaryExpr&>(expr).operand());
-    case sql::Expr::Kind::kBinary: {
-      const auto& bin = static_cast<const sql::BinaryExpr&>(expr);
-      return ContainsCurrentTime(bin.left()) ||
-             ContainsCurrentTime(bin.right());
-    }
-    case sql::Expr::Kind::kCast:
-      return ContainsCurrentTime(
-          static_cast<const sql::CastExpr&>(expr).operand());
-    case sql::Expr::Kind::kIsNull:
-      return ContainsCurrentTime(
-          static_cast<const sql::IsNullExpr&>(expr).operand());
-    case sql::Expr::Kind::kCase: {
-      const auto& c = static_cast<const sql::CaseExpr&>(expr);
-      for (const auto& w : c.whens()) {
-        if (ContainsCurrentTime(*w.condition) ||
-            ContainsCurrentTime(*w.result)) {
-          return true;
-        }
-      }
-      return c.else_result() != nullptr &&
-             ContainsCurrentTime(*c.else_result());
-    }
-    case sql::Expr::Kind::kFunctionCall: {
-      const auto& call = static_cast<const sql::FunctionCallExpr&>(expr);
-      for (const auto& arg : call.args()) {
-        if (ContainsCurrentTime(*arg)) return true;
-      }
-      return false;
-    }
-    default:
-      return false;
-  }
-}
-
 void CollectAstConjuncts(const sql::Expr& expr,
                          std::vector<const sql::Expr*>* out) {
   if (expr.kind() == sql::Expr::Kind::kBinary) {
@@ -102,50 +61,97 @@ bool IsComparable(DataType a, DataType b) {
   return a == b;
 }
 
-}  // namespace
+/// The type that CASE branches or COALESCE arguments of types `a` and `b`
+/// share: NULL gives way to the other type and numerics widen. nullopt when
+/// they share none.
+std::optional<DataType> CommonType(DataType a, DataType b) {
+  if (a == DataType::kNull || a == b) return b;
+  if (b == DataType::kNull) return a;
+  if (IsNumericOrNull(a) && IsNumericOrNull(b)) return CommonNumeric(a, b);
+  return std::nullopt;
+}
 
-bool IsAggregateFunctionName(const std::string& name) {
+/// The direct subexpressions of `expr`, in the order its bound form takes
+/// them as operands: a CASE's conditions and results alternate, ELSE last.
+std::vector<const sql::Expr*> Children(const sql::Expr& expr) {
+  std::vector<const sql::Expr*> out;
+  switch (expr.kind()) {
+    case sql::Expr::Kind::kUnary:
+      out.push_back(&static_cast<const sql::UnaryExpr&>(expr).operand());
+      break;
+    case sql::Expr::Kind::kBinary: {
+      const auto& bin = static_cast<const sql::BinaryExpr&>(expr);
+      out = {&bin.left(), &bin.right()};
+      break;
+    }
+    case sql::Expr::Kind::kCast:
+      out.push_back(&static_cast<const sql::CastExpr&>(expr).operand());
+      break;
+    case sql::Expr::Kind::kIsNull:
+      out.push_back(&static_cast<const sql::IsNullExpr&>(expr).operand());
+      break;
+    case sql::Expr::Kind::kCase: {
+      const auto& c = static_cast<const sql::CaseExpr&>(expr);
+      for (const auto& w : c.whens()) {
+        out.push_back(w.condition.get());
+        out.push_back(w.result.get());
+      }
+      if (c.else_result() != nullptr) out.push_back(c.else_result());
+      break;
+    }
+    case sql::Expr::Kind::kFunctionCall:
+      for (const auto& arg :
+           static_cast<const sql::FunctionCallExpr&>(expr).args()) {
+        out.push_back(arg.get());
+      }
+      break;
+    default:  // literals, column references, '*', CURRENT_TIME
+      break;
+  }
+  return out;
+}
+
+/// True if `pred` holds for `expr` or any of its subexpressions.
+template <typename Pred>
+bool AnySubexpr(const sql::Expr& expr, const Pred& pred) {
+  if (pred(expr)) return true;
+  for (const sql::Expr* child : Children(expr)) {
+    if (AnySubexpr(*child, pred)) return true;
+  }
+  return false;
+}
+
+bool IsAggregateCall(const sql::Expr& expr) {
+  if (expr.kind() != sql::Expr::Kind::kFunctionCall) return false;
+  const std::string& name = static_cast<const sql::FunctionCallExpr&>(expr).name();
   return IdentEquals(name, "COUNT") || IdentEquals(name, "SUM") ||
          IdentEquals(name, "MIN") || IdentEquals(name, "MAX") ||
          IdentEquals(name, "AVG");
 }
 
 bool ContainsAggregate(const sql::Expr& expr) {
-  switch (expr.kind()) {
-    case sql::Expr::Kind::kFunctionCall: {
-      const auto& call = static_cast<const sql::FunctionCallExpr&>(expr);
-      if (IsAggregateFunctionName(call.name())) return true;
-      for (const auto& arg : call.args()) {
-        if (ContainsAggregate(*arg)) return true;
-      }
-      return false;
-    }
-    case sql::Expr::Kind::kUnary:
-      return ContainsAggregate(
-          static_cast<const sql::UnaryExpr&>(expr).operand());
-    case sql::Expr::Kind::kBinary: {
-      const auto& bin = static_cast<const sql::BinaryExpr&>(expr);
-      return ContainsAggregate(bin.left()) || ContainsAggregate(bin.right());
-    }
-    case sql::Expr::Kind::kCase: {
-      const auto& c = static_cast<const sql::CaseExpr&>(expr);
-      for (const auto& w : c.whens()) {
-        if (ContainsAggregate(*w.condition) || ContainsAggregate(*w.result)) {
-          return true;
-        }
-      }
-      return c.else_result() != nullptr && ContainsAggregate(*c.else_result());
-    }
-    case sql::Expr::Kind::kCast:
-      return ContainsAggregate(
-          static_cast<const sql::CastExpr&>(expr).operand());
-    case sql::Expr::Kind::kIsNull:
-      return ContainsAggregate(
-          static_cast<const sql::IsNullExpr&>(expr).operand());
-    default:
-      return false;
-  }
+  return AnySubexpr(expr, IsAggregateCall);
 }
+
+/// The output column `name` computed by `expr` over `input`. A verbatim
+/// forward (an InputRef) keeps its source column's event-time mark and
+/// window role, and its name when `name` is empty; a computed column is
+/// plain (Section 5 / Appendix B.2).
+Field OutputField(const BoundExpr& expr, const Schema& input,
+                  std::string name) {
+  Field f;
+  f.name = std::move(name);
+  f.type = expr.type;
+  if (expr.kind == BoundExpr::Kind::kInputRef) {
+    const Field& src = input.field(expr.input_index);
+    f.is_event_time = src.is_event_time;
+    f.window_role = src.window_role;
+    if (f.name.empty()) f.name = src.name;
+  }
+  return f;
+}
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // Scope
@@ -399,21 +405,34 @@ Result<BoundExprPtr> Binder::MakeScalarFunction(
     }
     DataType common = DataType::kNull;
     for (const auto& arg : args) {
-      if (arg->type == DataType::kNull) continue;
-      if (common == DataType::kNull) {
-        common = arg->type;
-      } else if (arg->type != common) {
-        if (IsNumericOrNull(arg->type) && IsNumericOrNull(common)) {
-          common = CommonNumeric(arg->type, common);
-        } else {
-          return Status::BindError("COALESCE arguments have incompatible "
-                                   "types");
-        }
+      const std::optional<DataType> widened = CommonType(common, arg->type);
+      if (!widened.has_value()) {
+        return Status::BindError("COALESCE arguments have incompatible types");
       }
+      common = *widened;
     }
     return BoundExpr::Op(ScalarOp::kCoalesce, common, std::move(args));
   }
   return Status::BindError("unknown function '" + name + "'");
+}
+
+Result<BoundExprPtr> Binder::MakeCase(std::vector<BoundExprPtr> children) {
+  DataType result_type = DataType::kNull;
+  for (size_t i = 0; i < children.size(); ++i) {
+    const DataType t = children[i]->type;
+    if (i % 2 == 0 && i + 1 < children.size()) {  // a WHEN condition
+      if (t != DataType::kBoolean && t != DataType::kNull) {
+        return Status::BindError("CASE WHEN condition must be BOOLEAN");
+      }
+      continue;
+    }
+    const std::optional<DataType> widened = CommonType(result_type, t);
+    if (!widened.has_value()) {
+      return Status::BindError("CASE branches have incompatible types");
+    }
+    result_type = *widened;
+  }
+  return BoundExpr::Op(ScalarOp::kCase, result_type, std::move(children));
 }
 
 Result<AggregateCall> Binder::MakeAggregateCall(
@@ -484,7 +503,42 @@ Result<AggregateCall> Binder::MakeAggregateCall(
 // ---------------------------------------------------------------------------
 
 Result<BoundExprPtr> Binder::BindScalar(const sql::Expr& expr,
-                                        const Scope& scope) {
+                                        const Scope& scope,
+                                        Grouping* grouping) {
+  if (grouping != nullptr) {
+    // Aggregate context: an aggregate call, a subtree equal to a grouping
+    // key, or a constant binds to what it is over the Aggregate node's
+    // output; anything else recurses below, with the same rules as scalar
+    // context.
+    if (IsAggregateCall(expr)) {
+      ONESQL_ASSIGN_OR_RETURN(
+          AggregateCall agg,
+          MakeAggregateCall(static_cast<const sql::FunctionCallExpr&>(expr),
+                            scope));
+      std::vector<AggregateCall>& aggs = grouping->aggs;
+      size_t idx = 0;
+      while (idx < aggs.size() && !AggregateCallEquals(aggs[idx], agg)) ++idx;
+      if (idx == aggs.size()) aggs.push_back(std::move(agg));
+      return BoundExpr::InputRef(grouping->keys.size() + idx,
+                                 aggs[idx].result_type);
+    }
+    Result<BoundExprPtr> over_input = BindScalar(expr, scope);
+    if (over_input.ok()) {
+      for (size_t i = 0; i < grouping->keys.size(); ++i) {
+        if (BoundExprEquals(**over_input, *grouping->keys[i])) {
+          return BoundExpr::InputRef(i, grouping->key_fields[i].type);
+        }
+      }
+      if (!ReferencesInput(**over_input)) return over_input;
+    }
+    if (expr.kind() == sql::Expr::Kind::kColumnRef) {
+      return Status::BindError(
+          "column '" + expr.ToString() +
+          "' must appear in the GROUP BY clause or be used in an aggregate "
+          "function");
+    }
+  }
+
   switch (expr.kind()) {
     case sql::Expr::Kind::kLiteral:
       return BoundExpr::Literal(
@@ -504,218 +558,49 @@ Result<BoundExprPtr> Binder::BindScalar(const sql::Expr& expr,
           "expressions)");
     case sql::Expr::Kind::kFunctionCall: {
       const auto& call = static_cast<const sql::FunctionCallExpr&>(expr);
-      if (IsAggregateFunctionName(call.name())) {
+      if (IsAggregateCall(call)) {
         return Status::BindError("aggregate function " + call.name() +
                                  " is not allowed in this context");
       }
       if (call.distinct()) {
         return Status::BindError("DISTINCT is only valid in aggregates");
       }
-      std::vector<BoundExprPtr> args;
-      for (const auto& arg : call.args()) {
-        ONESQL_ASSIGN_OR_RETURN(BoundExprPtr bound, BindScalar(*arg, scope));
-        args.push_back(std::move(bound));
-      }
-      return MakeScalarFunction(call.name(), std::move(args));
-    }
-    case sql::Expr::Kind::kUnary: {
-      const auto& un = static_cast<const sql::UnaryExpr&>(expr);
-      ONESQL_ASSIGN_OR_RETURN(BoundExprPtr operand,
-                              BindScalar(un.operand(), scope));
-      return MakeUnary(un.op(), std::move(operand));
-    }
-    case sql::Expr::Kind::kBinary: {
-      const auto& bin = static_cast<const sql::BinaryExpr&>(expr);
-      ONESQL_ASSIGN_OR_RETURN(BoundExprPtr left, BindScalar(bin.left(), scope));
-      ONESQL_ASSIGN_OR_RETURN(BoundExprPtr right,
-                              BindScalar(bin.right(), scope));
-      return MakeBinary(bin.op(), std::move(left), std::move(right));
-    }
-    case sql::Expr::Kind::kCase: {
-      const auto& c = static_cast<const sql::CaseExpr&>(expr);
-      std::vector<BoundExprPtr> children;
-      DataType result_type = DataType::kNull;
-      for (const auto& w : c.whens()) {
-        ONESQL_ASSIGN_OR_RETURN(BoundExprPtr cond,
-                                BindScalar(*w.condition, scope));
-        if (cond->type != DataType::kBoolean &&
-            cond->type != DataType::kNull) {
-          return Status::BindError("CASE WHEN condition must be BOOLEAN");
-        }
-        ONESQL_ASSIGN_OR_RETURN(BoundExprPtr res, BindScalar(*w.result, scope));
-        if (result_type == DataType::kNull) {
-          result_type = res->type;
-        } else if (res->type != DataType::kNull && res->type != result_type) {
-          if (IsNumericOrNull(res->type) && IsNumericOrNull(result_type)) {
-            result_type = CommonNumeric(res->type, result_type);
-          } else {
-            return Status::BindError("CASE branches have incompatible types");
-          }
-        }
-        children.push_back(std::move(cond));
-        children.push_back(std::move(res));
-      }
-      if (c.else_result() != nullptr) {
-        ONESQL_ASSIGN_OR_RETURN(BoundExprPtr els,
-                                BindScalar(*c.else_result(), scope));
-        if (els->type != DataType::kNull && els->type != result_type &&
-            !(IsNumericOrNull(els->type) && IsNumericOrNull(result_type))) {
-          return Status::BindError("CASE branches have incompatible types");
-        }
-        children.push_back(std::move(els));
-      }
-      return BoundExpr::Op(ScalarOp::kCase, result_type, std::move(children));
-    }
-    case sql::Expr::Kind::kCast: {
-      const auto& cast = static_cast<const sql::CastExpr&>(expr);
-      ONESQL_ASSIGN_OR_RETURN(BoundExprPtr operand,
-                              BindScalar(cast.operand(), scope));
-      return MakeCast(std::move(operand), cast.target());
-    }
-    case sql::Expr::Kind::kIsNull: {
-      const auto& in = static_cast<const sql::IsNullExpr&>(expr);
-      ONESQL_ASSIGN_OR_RETURN(BoundExprPtr operand,
-                              BindScalar(in.operand(), scope));
-      std::vector<BoundExprPtr> children;
-      children.push_back(std::move(operand));
-      return BoundExpr::Op(
-          in.negated() ? ScalarOp::kIsNotNull : ScalarOp::kIsNull,
-          DataType::kBoolean, std::move(children));
-    }
-  }
-  return Status::Internal("unreachable expression kind");
-}
-
-Result<BoundExprPtr> Binder::BindAggregateContext(
-    const sql::Expr& expr, const Scope& input_scope,
-    const std::vector<BoundExprPtr>& keys,
-    const std::vector<Field>& key_fields, std::vector<AggregateCall>* aggs) {
-  // Aggregate function call: becomes a reference to an aggregate output.
-  if (expr.kind() == sql::Expr::Kind::kFunctionCall) {
-    const auto& call = static_cast<const sql::FunctionCallExpr&>(expr);
-    if (IsAggregateFunctionName(call.name())) {
-      ONESQL_ASSIGN_OR_RETURN(AggregateCall agg,
-                              MakeAggregateCall(call, input_scope));
-      size_t idx = aggs->size();
-      for (size_t i = 0; i < aggs->size(); ++i) {
-        if (AggregateCallEquals((*aggs)[i], agg)) {
-          idx = i;
-          break;
-        }
-      }
-      if (idx == aggs->size()) aggs->push_back(agg.Clone());
-      return BoundExpr::InputRef(keys.size() + idx, agg.result_type);
-    }
-  }
-
-  // Try matching the whole expression against a grouping key.
-  {
-    auto attempt = BindScalar(expr, input_scope);
-    if (attempt.ok()) {
-      for (size_t i = 0; i < keys.size(); ++i) {
-        if (BoundExprEquals(**attempt, *keys[i])) {
-          return BoundExpr::InputRef(i, key_fields[i].type);
-        }
-      }
-      if (!ReferencesInput(**attempt)) {
-        return std::move(*attempt);  // constant expression
-      }
-    }
-  }
-
-  switch (expr.kind()) {
-    case sql::Expr::Kind::kColumnRef: {
-      const auto& ref = static_cast<const sql::ColumnRefExpr&>(expr);
-      return Status::BindError(
-          "column '" + ref.ToString() +
-          "' must appear in the GROUP BY clause or be used in an aggregate "
-          "function");
-    }
-    case sql::Expr::Kind::kLiteral:
-      return BoundExpr::Literal(
-          static_cast<const sql::LiteralExpr&>(expr).value());
-    case sql::Expr::Kind::kUnary: {
-      const auto& un = static_cast<const sql::UnaryExpr&>(expr);
-      ONESQL_ASSIGN_OR_RETURN(
-          BoundExprPtr operand,
-          BindAggregateContext(un.operand(), input_scope, keys, key_fields,
-                               aggs));
-      return MakeUnary(un.op(), std::move(operand));
-    }
-    case sql::Expr::Kind::kBinary: {
-      const auto& bin = static_cast<const sql::BinaryExpr&>(expr);
-      ONESQL_ASSIGN_OR_RETURN(
-          BoundExprPtr left,
-          BindAggregateContext(bin.left(), input_scope, keys, key_fields,
-                               aggs));
-      ONESQL_ASSIGN_OR_RETURN(
-          BoundExprPtr right,
-          BindAggregateContext(bin.right(), input_scope, keys, key_fields,
-                               aggs));
-      return MakeBinary(bin.op(), std::move(left), std::move(right));
-    }
-    case sql::Expr::Kind::kCase: {
-      const auto& c = static_cast<const sql::CaseExpr&>(expr);
-      std::vector<BoundExprPtr> children;
-      DataType result_type = DataType::kNull;
-      for (const auto& w : c.whens()) {
-        ONESQL_ASSIGN_OR_RETURN(
-            BoundExprPtr cond,
-            BindAggregateContext(*w.condition, input_scope, keys, key_fields,
-                                 aggs));
-        ONESQL_ASSIGN_OR_RETURN(
-            BoundExprPtr res,
-            BindAggregateContext(*w.result, input_scope, keys, key_fields,
-                                 aggs));
-        if (result_type == DataType::kNull) result_type = res->type;
-        children.push_back(std::move(cond));
-        children.push_back(std::move(res));
-      }
-      if (c.else_result() != nullptr) {
-        ONESQL_ASSIGN_OR_RETURN(
-            BoundExprPtr els,
-            BindAggregateContext(*c.else_result(), input_scope, keys,
-                                 key_fields, aggs));
-        children.push_back(std::move(els));
-      }
-      return BoundExpr::Op(ScalarOp::kCase, result_type, std::move(children));
-    }
-    case sql::Expr::Kind::kCast: {
-      const auto& cast = static_cast<const sql::CastExpr&>(expr);
-      ONESQL_ASSIGN_OR_RETURN(
-          BoundExprPtr operand,
-          BindAggregateContext(cast.operand(), input_scope, keys, key_fields,
-                               aggs));
-      return MakeCast(std::move(operand), cast.target());
-    }
-    case sql::Expr::Kind::kIsNull: {
-      const auto& in = static_cast<const sql::IsNullExpr&>(expr);
-      ONESQL_ASSIGN_OR_RETURN(
-          BoundExprPtr operand,
-          BindAggregateContext(in.operand(), input_scope, keys, key_fields,
-                               aggs));
-      std::vector<BoundExprPtr> children;
-      children.push_back(std::move(operand));
-      return BoundExpr::Op(
-          in.negated() ? ScalarOp::kIsNotNull : ScalarOp::kIsNull,
-          DataType::kBoolean, std::move(children));
-    }
-    case sql::Expr::Kind::kFunctionCall: {
-      // Aggregate calls were handled at the top; this is a scalar function
-      // over aggregate-context arguments, e.g. ABS(SUM(x)).
-      const auto& call = static_cast<const sql::FunctionCallExpr&>(expr);
-      std::vector<BoundExprPtr> args;
-      for (const auto& arg : call.args()) {
-        ONESQL_ASSIGN_OR_RETURN(
-            BoundExprPtr bound,
-            BindAggregateContext(*arg, input_scope, keys, key_fields, aggs));
-        args.push_back(std::move(bound));
-      }
-      return MakeScalarFunction(call.name(), std::move(args));
+      break;
     }
     default:
-      return Status::BindError("unsupported expression in aggregate query: " +
-                               expr.ToString());
+      break;
+  }
+
+  std::vector<BoundExprPtr> operands;
+  for (const sql::Expr* child : Children(expr)) {
+    ONESQL_ASSIGN_OR_RETURN(BoundExprPtr bound,
+                            BindScalar(*child, scope, grouping));
+    operands.push_back(std::move(bound));
+  }
+  switch (expr.kind()) {
+    case sql::Expr::Kind::kUnary:
+      return MakeUnary(static_cast<const sql::UnaryExpr&>(expr).op(),
+                       std::move(operands[0]));
+    case sql::Expr::Kind::kBinary:
+      return MakeBinary(static_cast<const sql::BinaryExpr&>(expr).op(),
+                        std::move(operands[0]), std::move(operands[1]));
+    case sql::Expr::Kind::kCast:
+      return MakeCast(std::move(operands[0]),
+                      static_cast<const sql::CastExpr&>(expr).target());
+    case sql::Expr::Kind::kIsNull:
+      return BoundExpr::Op(
+          static_cast<const sql::IsNullExpr&>(expr).negated()
+              ? ScalarOp::kIsNotNull
+              : ScalarOp::kIsNull,
+          DataType::kBoolean, std::move(operands));
+    case sql::Expr::Kind::kCase:
+      return MakeCase(std::move(operands));
+    case sql::Expr::Kind::kFunctionCall:
+      return MakeScalarFunction(
+          static_cast<const sql::FunctionCallExpr&>(expr).name(),
+          std::move(operands));
+    default:
+      return Status::Internal("unreachable expression kind");
   }
 }
 
@@ -1002,7 +887,9 @@ Result<Binder::BoundSelect> Binder::BindSelect(const sql::SelectStmt& stmt,
     CollectAstConjuncts(*stmt.where, &conjuncts);
     std::vector<BoundExprPtr> regular;
     for (const sql::Expr* conjunct : conjuncts) {
-      if (ContainsCurrentTime(*conjunct)) {
+      if (AnySubexpr(*conjunct, [](const sql::Expr& e) {
+            return e.kind() == sql::Expr::Kind::kCurrentTime;
+          })) {
         const auto* bin =
             conjunct->kind() == sql::Expr::Kind::kBinary
                 ? static_cast<const sql::BinaryExpr*>(conjunct)
@@ -1086,21 +973,14 @@ Result<Binder::BoundSelect> Binder::BindSelect(const sql::SelectStmt& stmt,
 
   if (aggregated) {
     // Bind grouping keys.
-    std::vector<BoundExprPtr> keys;
-    std::vector<Field> key_fields;
+    Grouping grouping;
+    std::vector<BoundExprPtr>& keys = grouping.keys;
+    std::vector<Field>& key_fields = grouping.key_fields;
     auto add_key = [&](BoundExprPtr key, std::string name) {
       for (const auto& existing : keys) {
         if (BoundExprEquals(*existing, *key)) return;
       }
-      Field kf;
-      kf.type = key->type;
-      kf.name = std::move(name);
-      if (key->kind == BoundExpr::Kind::kInputRef) {
-        const Field& src = input_schema.field(key->input_index);
-        kf.is_event_time = src.is_event_time;
-        kf.window_role = src.window_role;
-        if (kf.name.empty()) kf.name = src.name;
-      }
+      Field kf = OutputField(*key, input_schema, std::move(name));
       if (kf.name.empty()) {
         kf.name = "$key" + std::to_string(keys.size());
       }
@@ -1162,7 +1042,7 @@ Result<Binder::BoundSelect> Binder::BindSelect(const sql::SelectStmt& stmt,
     }
 
     // Bind select list and HAVING, accumulating aggregate calls.
-    std::vector<AggregateCall> aggs;
+    std::vector<AggregateCall>& aggs = grouping.aggs;
     std::vector<std::string> out_names;
     std::vector<BoundExprPtr> out_exprs;
     for (size_t i = 0; i < stmt.select_list.size(); ++i) {
@@ -1171,17 +1051,15 @@ Result<Binder::BoundSelect> Binder::BindSelect(const sql::SelectStmt& stmt,
         return Status::BindError(
             "SELECT * cannot be combined with GROUP BY or aggregates");
       }
-      ONESQL_ASSIGN_OR_RETURN(
-          BoundExprPtr bound,
-          BindAggregateContext(*item.expr, scope, keys, key_fields, &aggs));
+      ONESQL_ASSIGN_OR_RETURN(BoundExprPtr bound,
+                              BindScalar(*item.expr, scope, &grouping));
       out_names.push_back(output_name(item, i));
       out_exprs.push_back(std::move(bound));
     }
     BoundExprPtr having_bound;
     if (stmt.having != nullptr) {
-      ONESQL_ASSIGN_OR_RETURN(
-          having_bound,
-          BindAggregateContext(*stmt.having, scope, keys, key_fields, &aggs));
+      ONESQL_ASSIGN_OR_RETURN(having_bound,
+                              BindScalar(*stmt.having, scope, &grouping));
       if (having_bound->type != DataType::kBoolean &&
           having_bound->type != DataType::kNull) {
         return Status::BindError("HAVING clause must be BOOLEAN");
@@ -1206,20 +1084,13 @@ Result<Binder::BoundSelect> Binder::BindSelect(const sql::SelectStmt& stmt,
 
     const size_t num_keys = key_fields.size();
     for (size_t i = 0; i < out_exprs.size(); ++i) {
-      Field f;
-      f.name = out_names[i];
-      f.type = out_exprs[i]->type;
-      int64_t origin = -1;
-      if (out_exprs[i]->kind == BoundExpr::Kind::kInputRef) {
-        const size_t idx = out_exprs[i]->input_index;
-        const Field& src = agg_schema.field(idx);
-        f.is_event_time = src.is_event_time;
-        f.window_role = src.window_role;
-        if (idx < num_keys) origin = static_cast<int64_t>(idx);
-      }
-      project_schema.AddField(std::move(f));
+      const BoundExpr& out = *out_exprs[i];
+      project_schema.AddField(OutputField(out, agg_schema, out_names[i]));
+      const bool forwards_key = out.kind == BoundExpr::Kind::kInputRef &&
+                                out.input_index < num_keys;
+      group_key_origin.push_back(
+          forwards_key ? static_cast<int64_t>(out.input_index) : -1);
       project_exprs.push_back(std::move(out_exprs[i]));
-      group_key_origin.push_back(origin);
     }
   } else {
     // Non-aggregated: expand stars, bind scalars.
@@ -1250,15 +1121,8 @@ Result<Binder::BoundSelect> Binder::BindSelect(const sql::SelectStmt& stmt,
       }
       ONESQL_ASSIGN_OR_RETURN(BoundExprPtr bound,
                               BindScalar(*item.expr, scope));
-      Field f;
-      f.name = output_name(item, i);
-      f.type = bound->type;
-      if (bound->kind == BoundExpr::Kind::kInputRef) {
-        const Field& src = input_schema.field(bound->input_index);
-        f.is_event_time = src.is_event_time;
-        f.window_role = src.window_role;
-      }
-      project_schema.AddField(std::move(f));
+      project_schema.AddField(
+          OutputField(*bound, input_schema, output_name(item, i)));
       project_exprs.push_back(std::move(bound));
       group_key_origin.push_back(-1);
     }

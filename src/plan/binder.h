@@ -69,20 +69,32 @@ class Binder {
   Result<BoundTable> BindTableRef(const sql::TableRef& ref);
   Result<BoundTable> BindTvf(const sql::TvfRef& tvf);
 
-  // Scalar expression binding over a scope.
-  Result<BoundExprPtr> BindScalar(const sql::Expr& expr, const Scope& scope);
-  // Aggregate-context binding: rewrites group-key matches and aggregate
-  // calls into references over the Aggregate node's output.
-  Result<BoundExprPtr> BindAggregateContext(
-      const sql::Expr& expr, const Scope& input_scope,
-      const std::vector<BoundExprPtr>& keys,
-      const std::vector<Field>& key_fields, std::vector<AggregateCall>* aggs);
+  /// What aggregate context binds against: the grouping keys with their
+  /// output fields, and the aggregate calls collected so far. Over the
+  /// Aggregate node's output, key i is column i and call j is column
+  /// keys.size() + j.
+  struct Grouping {
+    std::vector<BoundExprPtr> keys;
+    std::vector<Field> key_fields;
+    std::vector<AggregateCall> aggs;
+  };
+
+  /// Binds an expression over `scope`. With `grouping`, binds in aggregate
+  /// context, which differs only at its leaves: an aggregate call becomes
+  /// its output column (collected into `grouping->aggs`), a subtree equal
+  /// to a grouping key becomes the key's column, a constant stays a
+  /// constant, and any other bare column is an error. Every other node is
+  /// type-checked by the same rules in both contexts.
+  Result<BoundExprPtr> BindScalar(const sql::Expr& expr, const Scope& scope,
+                                  Grouping* grouping = nullptr);
 
   // Shared type-checked operator construction.
   Result<BoundExprPtr> MakeUnary(sql::UnaryOp op, BoundExprPtr operand);
   Result<BoundExprPtr> MakeBinary(sql::BinaryOp op, BoundExprPtr left,
                                   BoundExprPtr right);
   Result<BoundExprPtr> MakeCast(BoundExprPtr operand, DataType target);
+  /// CASE over `children` (conditions and results alternating, ELSE last).
+  Result<BoundExprPtr> MakeCase(std::vector<BoundExprPtr> children);
   Result<BoundExprPtr> MakeScalarFunction(const std::string& name,
                                           std::vector<BoundExprPtr> args);
   Result<AggregateCall> MakeAggregateCall(const sql::FunctionCallExpr& call,
@@ -90,12 +102,6 @@ class Binder {
 
   const Catalog* catalog_;
 };
-
-/// True if `name` is one of the supported aggregate functions.
-bool IsAggregateFunctionName(const std::string& name);
-
-/// True if the AST expression contains an aggregate function call.
-bool ContainsAggregate(const sql::Expr& expr);
 
 }  // namespace plan
 }  // namespace onesql

@@ -110,15 +110,13 @@ void ServerCore::AdoptEngineQueries() {
     entry.fp_hex = query->plan_fingerprint().ToHex();
     entry.canonical = query->plan_fingerprint().canonical;
     entry.handles = 0;
-    // Restored (or pre-executed) queries are resident: the engine reference
-    // they were created with belongs to the server, so they survive with
+    // Restored (or pre-executed) queries are resident: they survive with
     // zero subscribers and are checkpointed for the next restart.
     entry.resident = true;
     if (engine_->obs() != nullptr) {
       entry.metrics =
           engine_->obs()->ForSharedPlan("p" + std::to_string(entry.id));
     }
-    share_index_.emplace(entry.canonical, entry.id);
     plans_.emplace(entry.id, std::move(entry));
   }
 }
@@ -189,17 +187,11 @@ Status ServerCore::ReleaseHandle(Session* session, uint64_t plan_id) {
       }
     }
   }
-  --entry.handles;
-  ONESQL_RETURN_NOT_OK(engine_->DropQuery(entry.query));
-  if (entry.handles == 0 && !entry.resident) {
-    // Last subscriber of a non-resident plan: the DropQuery above released
-    // the final engine reference, so the operator tree is gone. Retire the
-    // cache entry and every remaining subscription riding it.
+  if (--entry.handles == 0 && !entry.resident) {
+    // Last subscriber of a non-resident plan: stop the query, then retire
+    // the cache entry and every remaining subscription riding it.
+    ONESQL_RETURN_NOT_OK(engine_->DropQuery(entry.query));
     if (entry.metrics != nullptr) entry.metrics->subscribers->Set(0);
-    auto share_it = share_index_.find(entry.canonical);
-    if (share_it != share_index_.end() && share_it->second == plan_id) {
-      share_index_.erase(share_it);
-    }
     for (auto it = subs_.begin(); it != subs_.end();) {
       if (it->second.plan == plan_id) {
         it = EraseSub(it);
@@ -475,11 +467,8 @@ Json ServerCore::CmdSubmit(Session* session, const Json& request) {
   ExecutionOptions opts;
   opts.allowed_lateness = Interval(lateness.value());
   opts.shards = static_cast<int>(shards.value());
-  opts.share = share.value();
 
   auto attach = [&](PlanEntry& entry) -> Json {
-    Status ref = engine_->RefQuery(entry.query);
-    if (!ref.ok()) return Error(request, ref);
     ++entry.handles;
     ++session->handles[entry.id];
     if (metrics_ != nullptr) metrics_->shared_hits->Increment();
@@ -493,17 +482,17 @@ Json ServerCore::CmdSubmit(Session* session, const Json& request) {
     return out;
   };
 
-  if (opts.share) {
-    // Fingerprint the canonicalized plan and route onto a running identical
-    // query when one exists — the multi-tenant sharing fast path.
+  if (share.value()) {
+    // Fingerprint the canonicalized plan and route onto the earliest running
+    // identical query, if any — the multi-tenant sharing fast path. The
+    // scan is bounded by max_queries.
     Result<plan::QueryPlan> planned = engine_->Plan(sql.value());
     if (!planned.ok()) return Error(request, planned.status());
     plan::QueryPlan plan = std::move(planned).value();
     plan.allowed_lateness = opts.allowed_lateness;
     const plan::PlanFingerprint fp = plan::FingerprintPlan(plan);
-    auto it = share_index_.find(fp.canonical);
-    if (it != share_index_.end()) {
-      return attach(plans_.at(it->second));
+    for (auto& [id, entry] : plans_) {
+      if (entry.canonical == fp.canonical) return attach(entry);
     }
   }
 
@@ -514,23 +503,7 @@ Json ServerCore::CmdSubmit(Session* session, const Json& request) {
                                     " live queries)"));
   }
   Result<ContinuousQuery*> executed = engine_->Execute(sql.value(), opts);
-  if (!executed.ok()) {
-    if (executed.status().code() == StatusCode::kAlreadyExists) {
-      // A duplicate is running that the share index missed (e.g. raced in
-      // on another path). Locate it by fingerprint and attach.
-      Result<plan::QueryPlan> planned = engine_->Plan(sql.value());
-      if (planned.ok()) {
-        plan::QueryPlan plan = std::move(planned).value();
-        plan.allowed_lateness = opts.allowed_lateness;
-        ContinuousQuery* existing =
-            engine_->FindQuery(plan::FingerprintPlan(plan));
-        for (auto& [id, entry] : plans_) {
-          if (entry.query == existing) return attach(entry);
-        }
-      }
-    }
-    return Error(request, executed.status());
-  }
+  if (!executed.ok()) return Error(request, executed.status());
 
   ContinuousQuery* query = executed.value();
   PlanEntry entry;
@@ -544,7 +517,6 @@ Json ServerCore::CmdSubmit(Session* session, const Json& request) {
         engine_->obs()->ForSharedPlan("p" + std::to_string(entry.id));
   }
   ++session->handles[entry.id];
-  share_index_.emplace(entry.canonical, entry.id);  // first submission wins
   Json out = Ok(request);
   out.Set("query", Json::Str("p" + std::to_string(entry.id)));
   out.Set("fingerprint", Json::Str(entry.fp_hex));

@@ -118,8 +118,8 @@ class ServerCore {
  private:
   struct Session {
     uint64_t id = 0;
-    /// Plan handles held (entry id -> count). Each handle is one engine
-    /// reference; submit/attach adds one, `drop` or session close releases.
+    /// Plan handles held (entry id -> count); submit/attach adds one, `drop`
+    /// or session close releases one.
     std::map<uint64_t, int> handles;
     const obs::SessionMetrics* metrics = nullptr;
 
@@ -136,11 +136,11 @@ class ServerCore {
     uint64_t id = 0;  // wire name "p<id>"
     ContinuousQuery* query = nullptr;
     std::string fp_hex;
-    std::string canonical;  // share-cache key (full canonical plan text)
-    int handles = 0;        // session handles == engine references held
-    /// Restored from a checkpoint: the entry owns one extra engine
-    /// reference, so the query survives with zero subscribers (it is part
-    /// of the durable state and must be there after the next restart).
+    std::string canonical;  // sharing key (full canonical plan text)
+    int handles = 0;        // session handles on this plan, summed
+    /// Restored from a checkpoint (or pre-executed on an injected engine):
+    /// the query survives with zero handles (it is part of the durable
+    /// state and must be there after the next restart).
     bool resident = false;
     /// Changelog length at the last fan-out. Every live subscription sits at
     /// this cursor between commands (subscribe delivers its backlog
@@ -214,8 +214,8 @@ class ServerCore {
   void PushLine(Session* session, std::shared_ptr<const std::string> line);
 
   /// Releases one handle on `plan_id` held by `session`, retiring the plan
-  /// (engine drop, cache erase, subscription cancel) when the last
-  /// reference goes. Caller holds mu_.
+  /// (engine drop, cache erase, subscription cancel) when the last handle
+  /// on a non-resident plan goes. Caller holds mu_.
   Status ReleaseHandle(Session* session, uint64_t plan_id);
 
   PlanEntry* FindPlanByName(const std::string& name);
@@ -232,7 +232,6 @@ class ServerCore {
   std::mutex mu_;
   std::unordered_map<uint64_t, std::shared_ptr<Session>> sessions_;
   std::map<uint64_t, PlanEntry> plans_;  // ordered: deterministic pump order
-  std::unordered_map<std::string, uint64_t> share_index_;  // canonical -> id
   std::map<uint64_t, Subscription> subs_;
   /// Plan id -> its subscription ids, kept in lockstep with subs_ so the
   /// fan-out never scans subscriptions of other plans.

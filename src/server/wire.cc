@@ -148,6 +148,10 @@ Json EncodeFeedEvent(const FeedEvent& event) {
     case FeedEvent::Kind::kWatermark:
       out.Set("kind", Json::Str("watermark"));
       break;
+    case FeedEvent::Kind::kClock:
+      out.Set("kind", Json::Str("clock"));
+      out.Set("ptime", Json::Int(event.ptime.millis()));
+      return out;
   }
   out.Set("source", Json::Str(event.source));
   out.Set("ptime", Json::Int(event.ptime.millis()));
@@ -167,12 +171,18 @@ Result<FeedEvent> DecodeFeedEvent(const Json& j,
   const Json* kind = j.Find("kind");
   const Json* source = j.Find("source");
   const Json* ptime = j.Find("ptime");
+  FeedEvent event;
+  if (kind != nullptr && kind->is_string() && kind->AsString() == "clock" &&
+      ptime != nullptr && ptime->is_int()) {
+    event.kind = FeedEvent::Kind::kClock;
+    event.ptime = Timestamp(ptime->AsInt());
+    return event;
+  }
   if (kind == nullptr || !kind->is_string() || source == nullptr ||
       !source->is_string() || ptime == nullptr || !ptime->is_int()) {
     return Status::InvalidArgument(
         "feed event needs string \"kind\", string \"source\", int \"ptime\"");
   }
-  FeedEvent event;
   event.source = source->AsString();
   event.ptime = Timestamp(ptime->AsInt());
   const std::string& k = kind->AsString();

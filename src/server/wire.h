@@ -42,7 +42,8 @@ Result<Schema> DecodeSchema(const Json& j);
 Result<DataType> ParseDataType(const std::string& name);
 
 /// Feed events: {"kind": "insert"|"delete"|"watermark", "source": ...,
-/// "ptime": ms, "row": [...] | "watermark": ms}.
+/// "ptime": ms, "row": [...] | "watermark": ms}, or a clock move
+/// {"kind": "clock", "ptime": ms} (what `advance` feeds).
 Json EncodeFeedEvent(const FeedEvent& event);
 Result<FeedEvent> DecodeFeedEvent(const Json& j, const plan::Catalog& catalog);
 

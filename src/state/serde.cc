@@ -102,6 +102,10 @@ void Writer::PutSchema(const Schema& schema) {
 
 void Writer::PutFeedEvent(const FeedEvent& event) {
   PutU8(static_cast<uint8_t>(event.kind));
+  if (event.kind == FeedEvent::Kind::kClock) {
+    PutTimestamp(event.ptime);
+    return;
+  }
   PutString(event.source);
   PutTimestamp(event.ptime);
   if (event.kind == FeedEvent::Kind::kWatermark) {
@@ -242,12 +246,16 @@ Result<Schema> Reader::ReadSchema() {
 
 Result<FeedEvent> Reader::ReadFeedEvent() {
   ONESQL_ASSIGN_OR_RETURN(uint8_t kind, ReadU8());
-  if (kind > static_cast<uint8_t>(FeedEvent::Kind::kWatermark)) {
+  if (kind > static_cast<uint8_t>(FeedEvent::Kind::kClock)) {
     return Status::DataLoss("unknown feed event kind " + std::to_string(kind) +
                             " in serialized state");
   }
   FeedEvent event;
   event.kind = static_cast<FeedEvent::Kind>(kind);
+  if (event.kind == FeedEvent::Kind::kClock) {
+    ONESQL_ASSIGN_OR_RETURN(event.ptime, ReadTimestamp());
+    return event;
+  }
   ONESQL_ASSIGN_OR_RETURN(event.source, ReadString());
   ONESQL_ASSIGN_OR_RETURN(event.ptime, ReadTimestamp());
   if (event.kind == FeedEvent::Kind::kWatermark) {

@@ -170,11 +170,16 @@ Result<QuerySpec> ParseQueryLine(const std::string& rest) {
 Result<FeedEvent> ParseEventLine(std::istringstream* line) {
   FeedEvent event;
   std::string kind, ptime;
-  if (!(*line >> kind >> event.source >> ptime)) {
+  if (!(*line >> kind)) return Status::InvalidArgument("empty event line");
+  if (kind == "clock") {
+    event.kind = FeedEvent::Kind::kClock;
+  } else if (!(*line >> event.source)) {
     return Status::InvalidArgument("truncated event line");
   }
+  if (!(*line >> ptime)) return Status::InvalidArgument("truncated event line");
   ONESQL_ASSIGN_OR_RETURN(int64_t ptime_ms, ParseInt(ptime, "ptime"));
   event.ptime = Timestamp(ptime_ms);
+  if (kind == "clock") return event;
   if (kind == "watermark") {
     event.kind = FeedEvent::Kind::kWatermark;
     std::string wm;
@@ -235,6 +240,10 @@ std::string SerializeCase(const FuzzCase& fuzz) {
     out << " sql=" << q.sql << "\n";
   }
   for (const FeedEvent& event : fuzz.events) {
+    if (event.kind == FeedEvent::Kind::kClock) {
+      out << "event clock " << event.ptime.millis() << "\n";
+      continue;
+    }
     if (event.kind == FeedEvent::Kind::kWatermark) {
       out << "event watermark " << event.source << " "
           << event.ptime.millis() << " " << event.watermark.millis() << "\n";

@@ -26,6 +26,7 @@ namespace testing {
 ///   event insert <source> <ptime_ms> <ts_ms> <k|N> <v|N> <d_hex|N> <item|N>
 ///   event delete <source> ...same columns...
 ///   event watermark <source> <ptime_ms> <wm_ms>
+///   event clock <ptime_ms>
 ///   end
 std::string SerializeCase(const FuzzCase& fuzz);
 

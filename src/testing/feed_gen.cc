@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
 
 namespace onesql {
 namespace testing {
@@ -203,6 +204,55 @@ bool NeedsK(const FuzzCase& fuzz) {
       fuzz.queries.begin(), fuzz.queries.end(), [](const QuerySpec& q) {
         return q.shape == QueryShape::kJoin || q.shape == QueryShape::kSession;
       });
+}
+
+
+/// Draws clock moves (Engine::AdvanceTo) into the feed of a case with an
+/// AFTER DELAY query, so every oracle replays timers fired by the clock as
+/// well as by events. Before about one event in five the clock moves to
+/// that event's ptime or to a point since the event before, and half those
+/// moves go to the due time of a pane an earlier row may have opened, with
+/// the event then arriving at that same ptime half the time (a clock move
+/// fires the pane first; an event at its due time alone would join it).
+/// Half the cases end with a move past the last event. Its own random
+/// stream leaves the rest of the case as the seed drew it.
+void DrawClockMoves(uint64_t salt, FuzzCase* fuzz) {
+  std::vector<int64_t> delays;
+  for (const QuerySpec& spec : fuzz->queries) {
+    if (spec.delay_ms > 0) delays.push_back(spec.delay_ms);
+  }
+  if (delays.empty() || fuzz->events.empty()) return;
+  Rng rng(salt);
+  auto clock = [](int64_t ptime_ms) {
+    FeedEvent event;
+    event.kind = FeedEvent::Kind::kClock;
+    event.ptime = Timestamp(ptime_ms);
+    return event;
+  };
+  std::set<int64_t> due;  // ptime + delay of every row so far
+  std::vector<FeedEvent> events;
+  int64_t prev_ms = 0;
+  for (FeedEvent& event : fuzz->events) {
+    int64_t at_ms = event.ptime.millis();
+    if (rng.Chance(20)) {
+      int64_t move_ms = rng.Chance(50) ? at_ms : rng.Range(prev_ms, at_ms);
+      const auto pane = due.lower_bound(prev_ms);
+      if (pane != due.end() && *pane <= at_ms && rng.Chance(50)) {
+        move_ms = *pane;
+        if (rng.Chance(50)) at_ms = move_ms;
+      }
+      events.push_back(clock(move_ms));
+    }
+    event.ptime = Timestamp(at_ms);
+    if (event.kind != FeedEvent::Kind::kWatermark) {
+      const int64_t last = static_cast<int64_t>(delays.size()) - 1;
+      due.insert(at_ms + delays[static_cast<size_t>(rng.Range(0, last))]);
+    }
+    prev_ms = at_ms;
+    events.push_back(std::move(event));
+  }
+  if (rng.Chance(50)) events.push_back(clock(prev_ms + rng.Range(0, 60'000)));
+  fuzz->events = std::move(events);
 }
 
 }  // namespace
@@ -424,6 +474,7 @@ FuzzCase GenerateCase(uint64_t seed) {
       fuzz.events.push_back(std::move(mark));
     }
   }
+  DrawClockMoves(seed * 0xD1B54A32D192ED03ULL + 0xC10C, &fuzz);
   return fuzz;
 }
 
@@ -710,6 +761,8 @@ void RepairFeed(std::vector<FeedEvent>* events) {
         last_wm[event.source] = event.watermark;
         break;
       }
+      case FeedEvent::Kind::kClock:
+        break;
     }
     if (event.ptime < last_ptime) event.ptime = last_ptime;
     last_ptime = event.ptime;

@@ -106,7 +106,9 @@ inline const char* kFuzzStreamR = "R";
 /// Renders spec into its SQL text (does not touch spec.sql).
 std::string RenderSql(const QuerySpec& spec);
 
-/// Deterministically expands one seed into a full case. The SQL of every
+/// Deterministically expands one seed into a full case. A case with an
+/// AFTER DELAY query also moves the clock between events (FeedEvent::kClock,
+/// Engine::AdvanceTo). The SQL of every
 /// query is validated against Engine::Plan; a spec the planner rejects is
 /// replaced by a trivial known-good projection (this keeps the generator
 /// total — a planner regression then shows up as mass fallback, caught by

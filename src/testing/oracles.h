@@ -53,12 +53,17 @@ struct CaseOutcome {
 
 /// Runs one case through every applicable oracle:
 ///
-///  1. Duality: at every checked feed prefix, the accumulated EMIT STREAM
-///     changelog of each query must reconstruct exactly its table snapshot.
-///  2. Batched feed: re-running the same events through Engine::Feed in
-///     seed-chosen batches of 1-7 events — runs of a source read by one
-///     scan go whole through the batch kernels — must render a bit-identical
-///     stream (undo/ptime/ver included) and snapshot.
+///  1. Duality: the table of each query read at every checked feed prefix
+///     must equal the accumulated EMIT STREAM changelog up to the read's
+///     ptime — once the clock has passed the end of the feed, so that the
+///     AFTER DELAY panes due at that ptime, already in the table, have
+///     entered the stream too.
+///  2. Batched feed and late execution: re-running the same events through
+///     Engine::Feed in seed-chosen batches of 1-7 events — runs of a source
+///     read by one scan go whole through the batch kernels — with the
+///     queries executed after a seed-chosen prefix, which they replay from
+///     the history, must render a bit-identical stream (undo/ptime/ver
+///     included) and snapshot.
 ///  3. Crash equivalence: checkpointing at a seed-chosen prefix, restoring
 ///     into a fresh engine, and feeding the suffix must render identically
 ///     to the uninterrupted run.

@@ -86,18 +86,7 @@ Rendering RunFeed(const std::string& sql, const std::vector<FeedEvent>& events,
     out.feed_status = engine.Feed(events);
   } else {
     for (const FeedEvent& event : events) {
-      switch (event.kind) {
-        case FeedEvent::Kind::kInsert:
-          out.feed_status = engine.Insert(event.source, event.ptime, event.row);
-          break;
-        case FeedEvent::Kind::kDelete:
-          out.feed_status = engine.Delete(event.source, event.ptime, event.row);
-          break;
-        case FeedEvent::Kind::kWatermark:
-          out.feed_status = engine.AdvanceWatermark(event.source, event.ptime,
-                                                    event.watermark);
-          break;
-      }
+      out.feed_status = engine.Feed({event});
       if (!out.feed_status.ok()) break;
     }
   }

@@ -462,19 +462,7 @@ TEST(ParallelRuntimeTest, SingleEventPushesMatchBatchedFeed) {
   auto qs = single.Execute(kKeyedAgg);
   ASSERT_TRUE(qs.ok()) << qs.status().ToString();
   for (const FeedEvent& event : feed) {
-    switch (event.kind) {
-      case FeedEvent::Kind::kInsert:
-        ASSERT_TRUE(single.Insert(event.source, event.ptime, event.row).ok());
-        break;
-      case FeedEvent::Kind::kDelete:
-        ASSERT_TRUE(single.Delete(event.source, event.ptime, event.row).ok());
-        break;
-      case FeedEvent::Kind::kWatermark:
-        ASSERT_TRUE(
-            single.AdvanceWatermark(event.source, event.ptime, event.watermark)
-                .ok());
-        break;
-    }
+    ASSERT_TRUE(single.Feed({event}).ok());
   }
 
   ExpectSameRows((*qb)->StreamRows(), (*qs)->StreamRows(),

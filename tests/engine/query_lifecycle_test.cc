@@ -1,9 +1,7 @@
-// Refcounted standing-query lifecycle (Engine::RefQuery / DropQuery /
-// FindQuery) — the engine half of the server's multi-tenant plan sharing.
-// A query must stay alive and keep materializing while any reference holds
-// it, release its operator state and observability gauges when the last
-// reference drops, and be discoverable by canonical fingerprint so a second
-// tenant can attach instead of duplicating the operator tree.
+// Standing-query lifecycle (Engine::Execute / DropQuery): a dropped query
+// releases its operator state and observability gauges at once, and the
+// queries beside it keep materializing. Sharing one query among many
+// subscribers is counted by the standing-query server (server_core_test).
 
 #include <gtest/gtest.h>
 
@@ -48,7 +46,6 @@ TEST(QueryLifecycleTest, DropReleasesTheQuery) {
   auto pass = engine.Execute(kPassThrough);
   ASSERT_TRUE(agg.ok() && pass.ok());
   EXPECT_EQ(engine.num_queries(), 2u);
-  EXPECT_EQ((*agg)->refs(), 1);
 
   ASSERT_TRUE(engine.DropQuery(*agg).ok());
   EXPECT_EQ(engine.num_queries(), 1u);
@@ -56,27 +53,6 @@ TEST(QueryLifecycleTest, DropReleasesTheQuery) {
   // The survivor keeps materializing.
   ASSERT_TRUE(engine.Feed({Insert(10, 5, 7)}).ok());
   EXPECT_EQ((*pass)->Emissions().size(), 1u);
-}
-
-TEST(QueryLifecycleTest, RefsKeepTheQueryAliveUntilTheLastDrop) {
-  Engine engine;
-  ASSERT_TRUE(engine.RegisterStream("Bid", BidSchema()).ok());
-  auto q = engine.Execute(kPassThrough);
-  ASSERT_TRUE(q.ok());
-
-  ASSERT_TRUE(engine.RefQuery(*q).ok());
-  ASSERT_TRUE(engine.RefQuery(*q).ok());
-  EXPECT_EQ((*q)->refs(), 3);
-
-  ASSERT_TRUE(engine.DropQuery(*q).ok());
-  ASSERT_TRUE(engine.DropQuery(*q).ok());
-  EXPECT_EQ(engine.num_queries(), 1u);
-  EXPECT_EQ((*q)->refs(), 1);
-  ASSERT_TRUE(engine.Feed({Insert(10, 5, 7)}).ok());
-  EXPECT_EQ((*q)->Emissions().size(), 1u);
-
-  ASSERT_TRUE(engine.DropQuery(*q).ok());
-  EXPECT_EQ(engine.num_queries(), 0u);
 }
 
 TEST(QueryLifecycleTest, DropOfAForeignQueryIsNotFound) {
@@ -87,46 +63,6 @@ TEST(QueryLifecycleTest, DropOfAForeignQueryIsNotFound) {
   auto qa = a.Execute(kPassThrough);
   ASSERT_TRUE(qa.ok());
   EXPECT_EQ(b.DropQuery(*qa).code(), StatusCode::kNotFound);
-  EXPECT_EQ(b.RefQuery(*qa).code(), StatusCode::kNotFound);
-}
-
-TEST(QueryLifecycleTest, FindQueryLocatesByFingerprint) {
-  Engine engine;
-  ASSERT_TRUE(engine.RegisterStream("Bid", BidSchema()).ok());
-  auto agg = engine.Execute(kTumbleMax);
-  auto pass = engine.Execute(kPassThrough);
-  ASSERT_TRUE(agg.ok() && pass.ok());
-
-  EXPECT_EQ(engine.FindQuery((*agg)->plan_fingerprint()), *agg);
-  EXPECT_EQ(engine.FindQuery((*pass)->plan_fingerprint()), *pass);
-
-  ASSERT_TRUE(engine.DropQuery(*agg).ok());
-  EXPECT_EQ(engine.FindQuery((*pass)->plan_fingerprint()), *pass);
-}
-
-TEST(QueryLifecycleTest, ShareOptInRejectsDuplicates) {
-  Engine engine;
-  ASSERT_TRUE(engine.RegisterStream("Bid", BidSchema()).ok());
-  ExecutionOptions share;
-  share.share = true;
-  auto first = engine.Execute(kTumbleMax, share);
-  ASSERT_TRUE(first.ok());
-
-  // An identical statement — modulo aliases — is refused so the caller can
-  // attach to the running query instead.
-  auto duplicate = engine.Execute(
-      "SELECT wstart, wend, MAX(price) AS other "
-      "FROM Tumble(data => TABLE(Bid), timecol => DESCRIPTOR(bidtime), "
-      "dur => INTERVAL '10' MINUTES) u GROUP BY wend "
-      "EMIT STREAM",
-      share);
-  EXPECT_EQ(duplicate.status().code(), StatusCode::kAlreadyExists);
-  EXPECT_EQ(engine.num_queries(), 1u);
-
-  // Without the opt-in, duplicates are allowed (dedicated instances).
-  auto dedicated = engine.Execute(kTumbleMax);
-  ASSERT_TRUE(dedicated.ok());
-  EXPECT_EQ(engine.num_queries(), 2u);
 }
 
 TEST(QueryLifecycleTest, DropZeroesObsGaugesAndOperatorCount) {

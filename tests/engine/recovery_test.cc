@@ -779,9 +779,64 @@ TEST(RecoveryTest, RestoredEngineEnforcesPtimeOrder) {
 }
 
 // ---------------------------------------------------------------------------
+// Clock moves are feed events: a query executed later and an engine
+// restored from a checkpoint see each move where the running query saw it.
+// ---------------------------------------------------------------------------
+
+constexpr const char* kDelayedSum =
+    "SELECT item, wend, SUM(price) AS total "
+    "FROM Tumble(data => TABLE(Bid), timecol => DESCRIPTOR(bidtime), "
+    "dur => INTERVAL '10' SECONDS) t GROUP BY item, wend "
+    "EMIT STREAM AFTER DELAY INTERVAL '5' SECONDS";
+
+TEST(ClockReplayTest, LiveLateAndRestoredStreamsAgreeAcrossAdvanceTo) {
+  const std::string dir = NewTempDir("clock_replay");
+  auto at = [](int64_t seconds) { return T(0, 0) + Interval::Seconds(seconds); };
+  std::vector<Row> live;
+  {
+    Engine engine;
+    ASSERT_TRUE(engine.RegisterStream("Bid", BidSchema()).ok());
+    ASSERT_TRUE(engine.EnableDurability(dir).ok());
+    auto q = engine.Execute(kDelayedSum);
+    ASSERT_TRUE(q.ok()) << q.status().ToString();
+    ASSERT_TRUE(engine.Feed({BidInsert(at(0), at(0), 3, "a")}).ok());
+    ASSERT_TRUE(engine.Checkpoint(dir).ok());
+    ASSERT_TRUE(engine.AdvanceTo(at(5)).ok());
+    ASSERT_TRUE(engine.Feed({BidInsert(at(5), at(5), 4, "a")}).ok());
+    ASSERT_TRUE(engine.AdvanceTo(at(20)).ok());
+    live = (*q)->StreamRows();
+    // The move to 5 s fired the first pane before the second bid arrived;
+    // the pane due at 10 s revises it.
+    ASSERT_EQ(live.size(), 3u);
+    EXPECT_EQ(live[0][2], Value::Int64(3));
+    EXPECT_EQ(live[0][4], Value::Time(at(5)));
+    EXPECT_EQ(live[2][2], Value::Int64(7));
+    EXPECT_EQ(live[2][4], Value::Time(at(10)));
+
+    auto late = engine.Execute(kDelayedSum);
+    ASSERT_TRUE(late.ok()) << late.status().ToString();
+    ExpectSameRows((*late)->StreamRows(), live, "late-executed stream");
+  }
+  Engine restored;
+  ASSERT_TRUE(restored.Restore(dir).ok());
+  ASSERT_EQ(restored.num_queries(), 1u);  // the late query was never saved
+  ExpectSameRows(restored.query(0)->StreamRows(), live, "restored stream");
+}
+
+// ---------------------------------------------------------------------------
 // Fault injection: damaged files must fail Restore with DataLoss — never
 // crash, never partially restore.
 // ---------------------------------------------------------------------------
+
+/// After a failed Restore the engine is as Restore found it: `registered`
+/// relations, and no query, history, feed position or log.
+void ExpectUntouched(const Engine& engine, size_t registered = 0) {
+  EXPECT_EQ(engine.catalog().tables().size(), registered);
+  EXPECT_EQ(engine.num_queries(), 0u);
+  EXPECT_EQ(engine.history_size(), 0u);
+  EXPECT_EQ(engine.feed_seq(), 0u);
+  EXPECT_FALSE(engine.durable());
+}
 
 /// Writes a checkpoint (one running query, mid-feed) into `dir` and returns
 /// the checkpoint file's bytes.
@@ -807,6 +862,7 @@ TEST(FaultInjectionTest, TruncatedCheckpointFailsRestoreCleanly) {
                     .ok());
     Engine engine;
     const Status s = engine.Restore(dir);
+    ExpectUntouched(engine);
     ASSERT_FALSE(s.ok()) << "cut at " << cut;
     EXPECT_EQ(s.code(), StatusCode::kDataLoss)
         << "cut at " << cut << ": " << s.ToString();
@@ -825,6 +881,7 @@ TEST(FaultInjectionTest, BitFlippedCheckpointFailsRestoreCleanly) {
         state::WriteFileAtomic(dir + "/checkpoint.osql", damaged).ok());
     Engine engine;
     const Status s = engine.Restore(dir);
+    ExpectUntouched(engine);
     ASSERT_FALSE(s.ok()) << "flip at byte " << byte;
     EXPECT_EQ(s.code(), StatusCode::kDataLoss) << s.ToString();
   }
@@ -853,6 +910,7 @@ TEST(FaultInjectionTest, OlderVersionHeaderIsRefusedNotDataLoss) {
   RewriteAtVersion(dir + "/checkpoint.osql", 1);
   Engine engine;
   const Status s = engine.Restore(dir);
+  ExpectUntouched(engine);
   EXPECT_EQ(s.code(), StatusCode::kNotImplemented) << s.ToString();
   EXPECT_NE(s.message().find("move it aside"), std::string::npos)
       << s.ToString();
@@ -866,12 +924,95 @@ TEST(FaultInjectionTest, UnknownVersionIsDataLoss) {
     RewriteAtVersion(dir + "/checkpoint.osql", version);
     Engine engine;
     const Status s = engine.Restore(dir);
+    ExpectUntouched(engine);
     EXPECT_EQ(s.code(), StatusCode::kDataLoss) << s.ToString();
     EXPECT_NE(s.message().find("unsupported checkpoint format version"),
               std::string::npos)
         << s.ToString();
     EXPECT_EQ(engine.num_queries(), 0u);
   }
+}
+
+TEST(FaultInjectionTest, FailedRestoreLeavesTheEngineAsItFoundIt) {
+  // The checkpoint phase restores the catalog and the query; then the log
+  // phase meets a flipped byte.
+  const std::string dir = NewTempDir("failed_restore");
+  const Timestamp end = T(8, 30);
+  Rendering want;
+  {
+    Engine engine;
+    ASSERT_TRUE(engine.RegisterStream("Bid", BidSchema()).ok());
+    ASSERT_TRUE(engine.EnableDurability(dir).ok());
+    auto q = engine.Execute(kKeyedAgg);
+    ASSERT_TRUE(q.ok());
+    ASSERT_TRUE(engine.Feed(PaperFeed()).ok());
+    ASSERT_TRUE(engine.Checkpoint(dir).ok());
+    ASSERT_TRUE(engine.Feed({BidInsert(T(8, 22), T(8, 21), 7, "G")}).ok());
+    want = Render(*q, end);
+  }
+  auto segments = state::FeedLog::ListSegments(dir);
+  ASSERT_TRUE(segments.ok() && segments->size() == 1u);
+  const std::string path = segments->front().path;
+  auto bytes = state::ReadFileToString(path);
+  ASSERT_TRUE(bytes.ok());
+  std::string damaged = *bytes;
+  damaged.back() = static_cast<char>(damaged.back() ^ 0x08);
+  ASSERT_TRUE(state::WriteFileAtomic(path, damaged).ok());
+
+  Engine engine;
+  obs::ObsOptions obs_options;
+  obs_options.metrics = true;
+  ASSERT_TRUE(engine.EnableObservability(obs_options).ok());
+  EXPECT_EQ(engine.Restore(dir).code(), StatusCode::kDataLoss);
+  ExpectUntouched(engine);
+  // The half-restored query's gauges went with it.
+  EXPECT_EQ(engine.MetricsSnapshot().GaugeValue("onesql_engine_operators"),
+            0);
+  // Repaired, the same engine restores like an uninterrupted run.
+  ASSERT_TRUE(state::WriteFileAtomic(path, *bytes).ok());
+  ASSERT_TRUE(engine.Restore(dir).ok());
+  ASSERT_EQ(engine.num_queries(), 1u);
+  ExpectSameRendering(Render(engine.query(0), end), want);
+}
+
+TEST(FaultInjectionTest, FailedColdStartKeepsTheRegistrations) {
+  const std::string dir = NewTempDir("failed_cold_start");
+  const Schema category({{"id", DataType::kBigint},
+                         {"name", DataType::kVarchar}});
+  const std::vector<Row> rows = {{Value::Int64(1), Value::String("x")}};
+  auto registered = [&](Engine* engine) {
+    ASSERT_TRUE(engine->RegisterStream("Bid", BidSchema()).ok());
+    ASSERT_TRUE(engine->RegisterTable("Category", category, rows).ok());
+  };
+  {
+    Engine engine;
+    registered(&engine);
+    ASSERT_TRUE(engine.EnableDurability(dir).ok());
+    ASSERT_TRUE(engine.Feed(PaperFeed()).ok());
+  }
+  const std::string path = dir + "/feed.wal";
+  auto bytes = state::ReadFileToString(path);
+  ASSERT_TRUE(bytes.ok());
+  std::string damaged = *bytes;
+  damaged[damaged.size() / 2] = static_cast<char>(damaged[damaged.size() / 2] ^ 0x08);
+  ASSERT_TRUE(state::WriteFileAtomic(path, damaged).ok());
+
+  Engine engine;
+  registered(&engine);
+  EXPECT_EQ(engine.Restore(dir).code(), StatusCode::kDataLoss);
+  ExpectUntouched(engine, /*registered=*/2);
+  ASSERT_TRUE(state::WriteFileAtomic(path, *bytes).ok());
+  ASSERT_TRUE(engine.Restore(dir).ok());
+  EXPECT_EQ(engine.feed_seq(), PaperFeed().size());
+  auto q = engine.Execute(kKeyedAgg);
+  ASSERT_TRUE(q.ok());
+  const Timestamp end = PaperFeed().back().ptime;
+  ExpectSameRendering(Render(*q, end), Baseline(kKeyedAgg, PaperFeed(), end));
+  auto names = engine.Execute("SELECT name FROM Category");
+  ASSERT_TRUE(names.ok());
+  auto table = (*names)->CurrentSnapshot();
+  ASSERT_TRUE(table.ok());
+  ASSERT_EQ(table->size(), 1u);
 }
 
 /// The feed log segments in `dir`, in seq order.
@@ -907,6 +1048,7 @@ TEST(FaultInjectionTest, DamagedWalFailsRestoreCleanly) {
       ASSERT_TRUE(state::WriteFileAtomic(segment.path, damaged).ok());
       Engine engine;
       const Status s = engine.Restore(dir);
+      ExpectUntouched(engine);
       ASSERT_FALSE(s.ok()) << segment.path << " flip at byte " << byte;
       EXPECT_EQ(s.code(), StatusCode::kDataLoss) << s.ToString();
     }
@@ -946,6 +1088,7 @@ TEST(FaultInjectionTest, WalShorterThanCheckpointIsDataLoss) {
           state::WriteFileAtomic(segment.path, wal_bytes->substr(0, cut)).ok());
       Engine engine;
       const Status s = engine.Restore(dir);
+      ExpectUntouched(engine);
       ASSERT_FALSE(s.ok()) << segment.path << " cut at " << cut;
       EXPECT_EQ(s.code(), StatusCode::kDataLoss) << s.ToString();
     }
@@ -961,6 +1104,7 @@ TEST(FaultInjectionTest, WalShorterThanCheckpointIsDataLoss) {
                     .ok());
     Engine engine;
     const Status s = engine.Restore(dir);
+    ExpectUntouched(engine);
     ASSERT_FALSE(s.ok()) << "feed.wal cut at " << cut;
     EXPECT_EQ(s.code(), StatusCode::kDataLoss) << s.ToString();
   }
@@ -968,6 +1112,7 @@ TEST(FaultInjectionTest, WalShorterThanCheckpointIsDataLoss) {
   ASSERT_EQ(std::remove((dir + "/feed.wal").c_str()), 0);
   Engine engine;
   const Status s = engine.Restore(dir);
+  ExpectUntouched(engine);
   ASSERT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kDataLoss) << s.ToString();
 }
@@ -1182,6 +1327,7 @@ TEST(FaultInjectionTest, DamagedOrMissingMiddleSegmentIsDataLoss) {
   auto expect_data_loss = [&](const std::string& what) {
     Engine engine;
     const Status s = engine.Restore(dir);
+    ExpectUntouched(engine);
     ASSERT_FALSE(s.ok()) << what;
     EXPECT_EQ(s.code(), StatusCode::kDataLoss) << what << ": " << s.ToString();
   };

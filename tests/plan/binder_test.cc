@@ -324,6 +324,120 @@ TEST_F(BinderTest, OrderByBindsOverOutput) {
   EXPECT_FALSE(plan.order_by[1].second);
 }
 
+/// One expression shape over placeholders: $b BOOLEAN, $i BIGINT, $d DOUBLE,
+/// $s VARCHAR. It must bind to `type`, or fail with `error`, alike in both
+/// contexts.
+struct ExprShape {
+  const char* expr;
+  DataType type;
+  const char* error;  // nullptr: binds
+};
+
+const ExprShape kExprShapes[] = {
+    {"CASE WHEN $b THEN $i ELSE $d END", DataType::kDouble, nullptr},
+    {"CASE WHEN $b THEN $d ELSE $i END", DataType::kDouble, nullptr},
+    {"CASE WHEN $b THEN $i END", DataType::kBigint, nullptr},
+    {"CASE WHEN $b THEN NULL ELSE $s END", DataType::kVarchar, nullptr},
+    {"CASE WHEN $i THEN 1 ELSE 2 END", DataType::kNull,
+     "CASE WHEN condition must be BOOLEAN"},
+    {"CASE WHEN $b THEN $i ELSE $s END", DataType::kNull,
+     "CASE branches have incompatible types"},
+    {"CASE WHEN $b THEN $s WHEN $b THEN $i END", DataType::kNull,
+     "CASE branches have incompatible types"},
+    {"COALESCE($i, $d)", DataType::kDouble, nullptr},
+    {"COALESCE(NULL, $s)", DataType::kVarchar, nullptr},
+    {"COALESCE($i, $s)", DataType::kNull,
+     "COALESCE arguments have incompatible types"},
+    {"CAST($i AS DOUBLE)", DataType::kDouble, nullptr},
+    {"CAST($s AS BIGINT)", DataType::kNull, "cannot CAST VARCHAR to BIGINT"},
+    {"$s IS NULL", DataType::kBoolean, nullptr},
+    {"$i IS NOT NULL", DataType::kBoolean, nullptr},
+    {"NOT $b", DataType::kBoolean, nullptr},
+    {"NOT $i", DataType::kNull, "NOT requires a BOOLEAN operand"},
+    {"-$d", DataType::kDouble, nullptr},
+    {"-$s", DataType::kNull, "unary '-' requires a numeric operand"},
+    {"$i + $d", DataType::kDouble, nullptr},
+    {"$i % $d", DataType::kNull, "cannot apply '%'"},
+    {"$i < $d", DataType::kBoolean, nullptr},
+    {"$s = $i", DataType::kNull, "cannot apply 'comparison'"},
+    {"$b AND $b", DataType::kBoolean, nullptr},
+    {"UPPER($s)", DataType::kVarchar, nullptr},
+    {"ABS($d)", DataType::kDouble, nullptr},
+    {"UPPER($i)", DataType::kNull, "UPPER requires a VARCHAR argument"},
+    {"UPPER(DISTINCT $s)", DataType::kNull,
+     "DISTINCT is only valid in aggregates"},
+    {"CURRENT_TIME", DataType::kNull, "CURRENT_TIME is only supported"},
+};
+
+/// `shape` with its placeholders over columns of T (scalar context) or over
+/// aggregate calls of the same types (aggregate context).
+std::string Instantiate(std::string shape, bool aggregate) {
+  const std::pair<const char*, const char*> subs[] = {
+      {"$b", aggregate ? "(COUNT(*) > 1)" : "(i > 1)"},
+      {"$i", aggregate ? "SUM(i)" : "i"},
+      {"$d", aggregate ? "SUM(d)" : "d"},
+      {"$s", aggregate ? "MIN(s)" : "s"},
+  };
+  for (const auto& [from, to] : subs) {
+    for (size_t at = shape.find(from); at != std::string::npos;
+         at = shape.find(from, at)) {
+      shape.replace(at, 2, to);
+    }
+  }
+  return shape;
+}
+
+TEST_F(BinderTest, ExpressionShapesBindAlikeInScalarAndAggregateContext) {
+  ASSERT_TRUE(catalog_
+                  .Register(TableDef{"T",
+                                     Schema({{"i", DataType::kBigint},
+                                             {"d", DataType::kDouble},
+                                             {"s", DataType::kVarchar}}),
+                                     /*unbounded=*/false})
+                  .ok());
+  for (const ExprShape& shape : kExprShapes) {
+    for (bool aggregate : {false, true}) {
+      // COUNT(*) puts the select list in aggregate context even for shapes
+      // without placeholders.
+      const std::string sql = "SELECT " + Instantiate(shape.expr, aggregate) +
+                              (aggregate ? " AS x, COUNT(*) AS n" : " AS x") +
+                              " FROM T";
+      SCOPED_TRACE(sql);
+      auto plan = Bind(sql);
+      if (shape.error == nullptr) {
+        ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+        EXPECT_EQ(plan->output_schema.field(0).type, shape.type);
+      } else {
+        ASSERT_FALSE(plan.ok());
+        EXPECT_NE(plan.status().message().find(shape.error),
+                  std::string::npos)
+            << plan.status().ToString();
+      }
+    }
+  }
+}
+
+TEST_F(BinderTest, AggregateContextKeepsGroupKeysAndConstants) {
+  // A subtree equal to a grouping key binds to the key's column; a constant
+  // subtree stays a constant; a column outside the keys is rejected.
+  QueryPlan plan = MustBind(
+      "SELECT name, UPPER(name) AS u, CASE WHEN COUNT(*) > 1 THEN id + 1 "
+      "ELSE 0 END AS c, 1 + 2 AS k FROM Category GROUP BY id, name");
+  EXPECT_EQ(plan.output_schema.field(1).type, DataType::kVarchar);
+  EXPECT_EQ(plan.output_schema.field(2).type, DataType::kBigint);
+  EXPECT_EQ(plan.output_schema.field(3).type, DataType::kBigint);
+  ExpectBindError("SELECT name, COUNT(*) + id FROM Category GROUP BY name",
+                  "column 'id' must appear in the GROUP BY clause");
+}
+
+TEST_F(BinderTest, SumOverCaseWidensWithItsElseBranch) {
+  QueryPlan plan = MustBind(
+      "SELECT wend, SUM(CASE WHEN price > 1 THEN price ELSE 2.5 END) AS s "
+      "FROM Tumble(data => TABLE(Bid), timecol => DESCRIPTOR(bidtime), "
+      "dur => INTERVAL '10' MINUTE) t GROUP BY wend");
+  EXPECT_EQ(plan.output_schema.field(1).type, DataType::kDouble);
+}
+
 }  // namespace
 }  // namespace plan
 }  // namespace onesql

@@ -208,6 +208,51 @@ TEST(ServerCoreTest, DedicatedSubmitsDoNotShare) {
   EXPECT_EQ(core->engine()->num_queries(), 2u);
 }
 
+TEST(ServerCoreTest, SharedSubmitFindsADedicatedDuplicate) {
+  // Two dedicated instances; the first is dropped. A shared submit then
+  // attaches to the survivor rather than starting a third.
+  auto core = MakeServer();
+  const uint64_t s = Open(core.get());
+  RegisterBid(core.get(), s);
+  const std::string submit =
+      R"({"cmd":"submit","sql":")" + TumbleMaxSql() + R"("})";
+  Json first = CallOk(core.get(), s, submit);
+  Json second = CallOk(core.get(), s, submit);
+  CallOk(core.get(), s,
+         R"({"cmd":"drop","query":")" + first.Find("query")->AsString() +
+             R"("})");
+  EXPECT_EQ(core->engine()->num_queries(), 1u);
+
+  Json shared = CallOk(
+      core.get(), s,
+      R"({"cmd":"submit","sql":")" + TumbleMaxSql(3) + R"(","share":true})");
+  EXPECT_TRUE(shared.Find("shared")->AsBool());
+  EXPECT_EQ(shared.Find("query")->AsString(),
+            second.Find("query")->AsString());
+  EXPECT_EQ(core->num_plans(), 1u);
+  EXPECT_EQ(core->engine()->num_queries(), 1u);
+}
+
+TEST(ServerCoreTest, CaseOverAnAggregateIsTypeCheckedLikeAnyCase) {
+  // A CASE condition over an aggregate must be BOOLEAN, as anywhere else:
+  // the submit fails, and the feed after it reaches no half-typed query.
+  auto core = MakeServer();
+  const uint64_t s = Open(core.get());
+  RegisterBid(core.get(), s);
+  Json submit = Call(
+      core.get(), s,
+      R"({"cmd":"submit","sql":"SELECT wend, CASE WHEN COUNT(*) THEN 1 )"
+      R"(ELSE 2 END AS c FROM Tumble(data => TABLE(Bid), timecol => )"
+      R"(DESCRIPTOR(bidtime), dur => INTERVAL '10' MINUTES) GROUP BY wend"})");
+  EXPECT_FALSE(submit.Find("ok")->AsBool());
+  EXPECT_NE(submit.Serialize().find("CASE WHEN condition must be BOOLEAN"),
+            std::string::npos)
+      << submit.Serialize();
+  CallOk(core.get(), s, FeedCmd({InsertEvent(1, 1, 5, "a")}));
+  Json stats = CallOk(core.get(), s, R"({"cmd":"stats"})");
+  EXPECT_EQ(stats.Find("engine_queries")->AsInt(), 0);
+}
+
 TEST(ServerCoreTest, SubmitRejectsShardCountsBelowOne) {
   auto core = MakeServer();
   const uint64_t s = Open(core.get());

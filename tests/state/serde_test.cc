@@ -166,6 +166,30 @@ TEST(SerdeTest, UnknownValueTagIsDataLoss) {
   EXPECT_EQ(v.status().code(), StatusCode::kDataLoss);
 }
 
+TEST(SerdeTest, ClockEventIsItsTagAndPtime) {
+  FeedEvent clock;
+  clock.kind = FeedEvent::Kind::kClock;
+  clock.ptime = Timestamp(20'000);
+  Writer w;
+  w.PutFeedEvent(clock);
+  Writer expect;
+  expect.PutU8(3);
+  expect.PutTimestamp(Timestamp(20'000));
+  EXPECT_EQ(w.buffer(), expect.buffer());
+  Reader r(w.buffer());
+  auto event = r.ReadFeedEvent();
+  ASSERT_TRUE(event.ok()) << event.status().ToString();
+  EXPECT_EQ(event->kind, FeedEvent::Kind::kClock);
+  EXPECT_EQ(event->ptime, Timestamp(20'000));
+  EXPECT_TRUE(event->source.empty());
+  EXPECT_TRUE(r.ExpectEnd().ok());
+
+  std::string unknown;
+  unknown.push_back(4);  // no such feed event kind
+  Reader bad(unknown);
+  EXPECT_EQ(bad.ReadFeedEvent().status().code(), StatusCode::kDataLoss);
+}
+
 TEST(SerdeTest, ImpossibleBlobLengthIsDataLoss) {
   std::string buf;
   Writer w;

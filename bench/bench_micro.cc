@@ -9,7 +9,6 @@
 #include "exec/change_batch.h"
 #include "exec/expr_eval.h"
 #include "exec/operators.h"
-#include "exec/vector_kernels.h"
 #include "plan/binder.h"
 #include "plan/optimizer.h"
 #include "sql/lexer.h"
@@ -139,50 +138,8 @@ void BM_SinkInstantFlush(benchmark::State& state) {
 BENCHMARK(BM_SinkInstantFlush);
 
 // ---------------------------------------------------------------------------
-// Scalar vs vectorized kernels (the changelog hot path). Each pair runs the
-// same computation per-row through the Value interpreter and batch-at-a-time
-// through the typed-lane kernels, parameterized by batch size: the feed path
-// produces small batches (runs between consecutive watermarks), so the
-// crossover matters as much as the asymptotic win.
+// The columnar feed history's typed lanes as a data source.
 // ---------------------------------------------------------------------------
-
-plan::BoundExprPtr FilterBenchPredicate() {
-  // price > 500 AND price % 7 <> 0
-  using plan::BoundExpr;
-  using plan::ScalarOp;
-  std::vector<plan::BoundExprPtr> gt_children;
-  gt_children.push_back(BoundExpr::InputRef(1, DataType::kBigint));
-  gt_children.push_back(BoundExpr::Literal(Value::Int64(500)));
-  std::vector<plan::BoundExprPtr> mod_children;
-  mod_children.push_back(BoundExpr::InputRef(1, DataType::kBigint));
-  mod_children.push_back(BoundExpr::Literal(Value::Int64(7)));
-  std::vector<plan::BoundExprPtr> neq_children;
-  neq_children.push_back(BoundExpr::Op(ScalarOp::kMod, DataType::kBigint,
-                                       std::move(mod_children)));
-  neq_children.push_back(BoundExpr::Literal(Value::Int64(0)));
-  std::vector<plan::BoundExprPtr> and_children;
-  and_children.push_back(
-      BoundExpr::Op(ScalarOp::kGt, DataType::kBoolean, std::move(gt_children)));
-  and_children.push_back(BoundExpr::Op(ScalarOp::kNeq, DataType::kBoolean,
-                                       std::move(neq_children)));
-  return plan::BoundExpr::Op(ScalarOp::kAnd, DataType::kBoolean,
-                             std::move(and_children));
-}
-
-plan::BoundExprPtr ProjectBenchExpr() {
-  // (price + 1) * 2
-  using plan::BoundExpr;
-  using plan::ScalarOp;
-  std::vector<plan::BoundExprPtr> add_children;
-  add_children.push_back(BoundExpr::InputRef(1, DataType::kBigint));
-  add_children.push_back(BoundExpr::Literal(Value::Int64(1)));
-  std::vector<plan::BoundExprPtr> mul_children;
-  mul_children.push_back(BoundExpr::Op(ScalarOp::kAdd, DataType::kBigint,
-                                       std::move(add_children)));
-  mul_children.push_back(BoundExpr::Literal(Value::Int64(2)));
-  return plan::BoundExpr::Op(ScalarOp::kMul, DataType::kBigint,
-                             std::move(mul_children));
-}
 
 exec::ChangeBatch MakeBidBatch(size_t rows) {
   exec::ChangeBatch batch;
@@ -197,100 +154,6 @@ exec::ChangeBatch MakeBidBatch(size_t rows) {
   }
   return batch;
 }
-
-void BM_FilterKernelScalar(benchmark::State& state) {
-  const auto expr = FilterBenchPredicate();
-  const auto batch = MakeBidBatch(static_cast<size_t>(state.range(0)));
-  Row scratch;
-  size_t kept = 0;
-  for (auto _ : state) {
-    for (size_t i = 0; i < batch.num_rows; ++i) {
-      batch.MaterializeRow(i, &scratch);
-      auto pass = exec::EvalPredicate(*expr, scratch);
-      if (!pass.ok()) std::abort();
-      kept += *pass;
-    }
-  }
-  benchmark::DoNotOptimize(kept);
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(batch.num_rows));
-}
-BENCHMARK(BM_FilterKernelScalar)->Arg(8)->Arg(64)->Arg(1024);
-
-void BM_FilterKernelVectorized(benchmark::State& state) {
-  const auto expr = FilterBenchPredicate();
-  const auto batch = MakeBidBatch(static_cast<size_t>(state.range(0)));
-  std::vector<uint8_t> keep;
-  size_t kept = 0;
-  for (auto _ : state) {
-    if (!exec::EvalPredicateBatch(*expr, batch, &keep)) std::abort();
-    for (uint8_t k : keep) kept += k;
-  }
-  benchmark::DoNotOptimize(kept);
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(batch.num_rows));
-}
-BENCHMARK(BM_FilterKernelVectorized)->Arg(8)->Arg(64)->Arg(1024);
-
-void BM_ProjectKernelScalar(benchmark::State& state) {
-  const auto expr = ProjectBenchExpr();
-  const auto batch = MakeBidBatch(static_cast<size_t>(state.range(0)));
-  Row scratch;
-  for (auto _ : state) {
-    for (size_t i = 0; i < batch.num_rows; ++i) {
-      batch.MaterializeRow(i, &scratch);
-      auto v = exec::EvalExpr(*expr, scratch);
-      if (!v.ok()) std::abort();
-      benchmark::DoNotOptimize(*v);
-    }
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(batch.num_rows));
-}
-BENCHMARK(BM_ProjectKernelScalar)->Arg(8)->Arg(64)->Arg(1024);
-
-void BM_ProjectKernelVectorized(benchmark::State& state) {
-  const auto expr = ProjectBenchExpr();
-  const auto batch = MakeBidBatch(static_cast<size_t>(state.range(0)));
-  exec::ColumnVector out;
-  for (auto _ : state) {
-    if (!exec::EvalExprBatch(*expr, batch, &out)) std::abort();
-    benchmark::DoNotOptimize(out.size());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(batch.num_rows));
-}
-BENCHMARK(BM_ProjectKernelVectorized)->Arg(8)->Arg(64)->Arg(1024);
-
-void BM_HashKernelScalar(benchmark::State& state) {
-  const auto batch = MakeBidBatch(static_cast<size_t>(state.range(0)));
-  Row scratch;
-  size_t acc = 0;
-  for (auto _ : state) {
-    for (size_t i = 0; i < batch.num_rows; ++i) {
-      batch.MaterializeRow(i, &scratch);
-      acc ^= HashRow(scratch);
-    }
-  }
-  benchmark::DoNotOptimize(acc);
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(batch.num_rows));
-}
-BENCHMARK(BM_HashKernelScalar)->Arg(8)->Arg(64)->Arg(1024);
-
-void BM_HashKernelVectorized(benchmark::State& state) {
-  const auto batch = MakeBidBatch(static_cast<size_t>(state.range(0)));
-  std::vector<size_t> hashes;
-  size_t acc = 0;
-  for (auto _ : state) {
-    exec::HashRowsBatch(batch, batch.columns, &hashes);
-    for (size_t h : hashes) acc ^= h;
-  }
-  benchmark::DoNotOptimize(acc);
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(batch.num_rows));
-}
-BENCHMARK(BM_HashKernelVectorized)->Arg(8)->Arg(64)->Arg(1024);
 
 void BM_AccumulatorAddRetractColumn(benchmark::State& state) {
   // Add/retract driven from a typed i64 lane instead of boxed Values: the

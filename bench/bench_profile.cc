@@ -1,7 +1,7 @@
 // Experiment PROFILE: query-level profiling overhead on the NEXMark feed
 // path. The same query/feed runs with observability off, with metrics only,
-// and with metrics + profiling (sampled per-operator timers, batch-size
-// histograms, kernel-path counters); the summary table reports the relative
+// and with metrics + profiling (sampled per-operator timers and rows/s
+// gauges); the summary table reports the relative
 // overhead and enforces the <5% budget for the profiling configuration —
 // the same contract bench_obs pins for plain metrics. With profiling off
 // the hot path pays one extra null-pointer test per operator dispatch, so

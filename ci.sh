@@ -45,11 +45,12 @@ run_leg "tier1-build" cmake --build build -j"${JOBS}"
 run_leg "tier1-ctest" ctest --test-dir build -j"${JOBS}" --output-on-failure
 
 echo "=== perf: bench regression vs checked-in baselines ==="
-# Runs the NEXMark end-to-end bench and the kernel microbenches from the
+# Runs the NEXMark end-to-end bench and the component microbenches from the
 # tier-1 build and compares throughput per benchmark against the committed
 # BENCH_*.json baselines. Thresholds are loose (fail below 50%, warn below
-# 85%) because CI machines are single-core and noisy: the leg exists to lock
-# in the vectorization-scale wins, not percent-level drift. Refresh a
+# 85%) because CI machines are single-core and noisy: the leg exists to catch
+# a regression of a large factor (an extra fsync, a quadratic path), not
+# percent-level drift. Refresh a
 # baseline by copying the regenerated JSON from the bench's working
 # directory over the checked-in file.
 PERF_DIR="build/perf-run"
@@ -77,7 +78,7 @@ run_leg "perf-profile-run" \
 run_leg "perf-checkpoint-run" \
   env -C "${PERF_DIR}" ../bench/bench_checkpoint --benchmark_min_time=0.1
 # The e2e legs get extra headroom: full-engine NEXMark runs swing harder
-# under co-tenant load than the kernel microbenches do.
+# under co-tenant load than the component microbenches do.
 run_leg "perf-e2e-compare" python3 tools/bench_compare.py \
   BENCH_nexmark.json "${PERF_DIR}/BENCH_nexmark.json" \
   BENCH_profile.json "${PERF_DIR}/BENCH_profile.json" \
@@ -127,8 +128,8 @@ run_leg "tsan-configure" cmake -B build-tsan -S . \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
 run_leg "tsan-build" cmake --build build-tsan -j"${JOBS}" \
   --target obs_test observability_test server_test
-# Observability primitives under contention: the sharded-counter /
-# histogram / registry hammer (8 threads racing registration, updates, and
+# Observability primitives under contention: the counter / histogram /
+# registry hammer (8 threads racing registration, updates, and
 # snapshots) and the lock-free trace rings.
 run_leg "tsan-obs" ./build-tsan/tests/obs_test \
   --gtest_filter='*Concurrent*:RegistryTest.*'

@@ -266,9 +266,8 @@ class Engine {
   std::string DumpTraceJson() const;
 
   /// EXPLAIN ANALYZE: the query's logical plan annotated with its live
-  /// metrics — per-operator rows in/out, batch counts and sizes, sampled
-  /// wall time, kernel path (vectorized vs scalar rows, fallback reasons),
-  /// state bytes and sink emission counters.
+  /// metrics — per-operator rows in/out, late drops, state bytes, sampled
+  /// wall time and rows/s — and the sink's emission counters.
   /// Returns both a human-readable text tree and a JSON document carrying
   /// the same values. Requires observability with metrics enabled; the
   /// profiling extras appear only when `ObsOptions::profiling` is on.

@@ -55,13 +55,8 @@ std::string Headline(const plan::LogicalNode& node, int indent) {
 struct OpStats {
   uint64_t rows_in = 0, rows_out = 0, late_drops = 0;
   int64_t state_bytes = 0;
-  uint64_t batches = 0, elements = 0;
-  const obs::HistogramData* batch_size = nullptr;
   const obs::HistogramData* wall_us = nullptr;
   int64_t rows_per_sec = 0;
-  uint64_t vec_rows = 0, scalar_rows = 0;
-  uint64_t vec_batches = 0, scalar_batches = 0;
-  uint64_t fb_demoted = 0, fb_division = 0, fb_generic = 0, fb_unsupported = 0;
 };
 
 OpStats FetchOpStats(const obs::MetricsSnapshot& snap, const std::string& q,
@@ -72,34 +67,8 @@ OpStats FetchOpStats(const obs::MetricsSnapshot& snap, const std::string& q,
   s.rows_out = snap.CounterValue("onesql_operator_rows_out_total", labels);
   s.late_drops = snap.CounterValue("onesql_operator_late_drops_total", labels);
   s.state_bytes = snap.GaugeValue("onesql_operator_state_bytes", labels);
-  s.batches = snap.CounterValue("onesql_profile_batches_total", labels);
-  s.elements = snap.CounterValue("onesql_profile_elements_total", labels);
-  s.batch_size = snap.HistogramOf("onesql_profile_batch_size", labels);
   s.wall_us = snap.HistogramOf("onesql_profile_batch_wall_us", labels);
   s.rows_per_sec = snap.GaugeValue("onesql_profile_rows_per_sec", labels);
-  s.vec_rows = snap.CounterValue(
-      "onesql_kernel_rows_total",
-      {{"query", q}, {"op", op}, {"path", "vectorized"}});
-  s.scalar_rows = snap.CounterValue(
-      "onesql_kernel_rows_total", {{"query", q}, {"op", op}, {"path", "scalar"}});
-  s.vec_batches = snap.CounterValue(
-      "onesql_kernel_batches_total",
-      {{"query", q}, {"op", op}, {"path", "vectorized"}});
-  s.scalar_batches = snap.CounterValue(
-      "onesql_kernel_batches_total",
-      {{"query", q}, {"op", op}, {"path", "scalar"}});
-  s.fb_demoted = snap.CounterValue(
-      "onesql_kernel_fallback_rows_total",
-      {{"query", q}, {"op", op}, {"reason", "demoted_lane"}});
-  s.fb_division = snap.CounterValue(
-      "onesql_kernel_fallback_rows_total",
-      {{"query", q}, {"op", op}, {"reason", "division"}});
-  s.fb_generic = snap.CounterValue(
-      "onesql_kernel_fallback_rows_total",
-      {{"query", q}, {"op", op}, {"reason", "generic_lane"}});
-  s.fb_unsupported = snap.CounterValue(
-      "onesql_kernel_fallback_rows_total",
-      {{"query", q}, {"op", op}, {"reason", "unsupported"}});
   return s;
 }
 
@@ -166,21 +135,9 @@ void AppendNodeJson(const std::vector<NodeEntry>& entries, size_t i,
   *out += ",\"late_drops\":" + std::to_string(s.late_drops);
   *out += ",\"state_bytes\":" + std::to_string(s.state_bytes);
   if (profiling) {
-    *out += ",\"profile\":{\"batches\":" + std::to_string(s.batches);
-    *out += ",\"elements\":" + std::to_string(s.elements);
-    *out += ",\"batch_size\":";
-    AppendHistJson(out, s.batch_size);
-    *out += ",\"wall_us\":";
+    *out += ",\"profile\":{\"wall_us\":";
     AppendHistJson(out, s.wall_us);
-    *out += ",\"rows_per_sec\":" + std::to_string(s.rows_per_sec);
-    *out += ",\"kernel\":{\"vectorized_rows\":" + std::to_string(s.vec_rows);
-    *out += ",\"scalar_rows\":" + std::to_string(s.scalar_rows);
-    *out += ",\"vectorized_batches\":" + std::to_string(s.vec_batches);
-    *out += ",\"scalar_batches\":" + std::to_string(s.scalar_batches);
-    *out += ",\"fallbacks\":{\"demoted_lane\":" + std::to_string(s.fb_demoted);
-    *out += ",\"division\":" + std::to_string(s.fb_division);
-    *out += ",\"generic_lane\":" + std::to_string(s.fb_generic);
-    *out += ",\"unsupported\":" + std::to_string(s.fb_unsupported) + "}}}";
+    *out += ",\"rows_per_sec\":" + std::to_string(s.rows_per_sec) + "}";
   }
   *out += ",\"inputs\":[";
   for (size_t c = 0; c < e.children.size(); ++c) {
@@ -238,18 +195,8 @@ Result<ExplainAnalysis> Engine::ExplainAnalyze(const ContinuousQuery* query) {
          << " out=" << s.rows_out << " late_drops=" << s.late_drops
          << " state_bytes=" << s.state_bytes << "]\n";
     if (profiling) {
-      text << pad << "[batches=" << s.batches << " elements=" << s.elements
-           << " size " << HistText(s.batch_size) << " | sampled wall_us "
-           << HistText(s.wall_us) << " | " << s.rows_per_sec << " rows/s]\n";
-      if (s.vec_batches + s.scalar_batches > 0) {
-        text << pad << "[kernel vectorized=" << s.vec_rows << " rows/"
-             << s.vec_batches << " batches, scalar=" << s.scalar_rows
-             << " rows/" << s.scalar_batches
-             << " batches; fallbacks: demoted_lane=" << s.fb_demoted
-             << " division=" << s.fb_division
-             << " generic_lane=" << s.fb_generic
-             << " unsupported=" << s.fb_unsupported << "]\n";
-      }
+      text << pad << "[sampled wall_us " << HistText(s.wall_us) << " | "
+           << s.rows_per_sec << " rows/s]\n";
     }
   }
   const obs::Labels ql = {{"query", qlabel}};

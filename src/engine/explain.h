@@ -13,8 +13,8 @@ struct ExplainAnalysis {
   std::string query;
 
   /// EXPLAIN-style indented plan tree: each node's own EXPLAIN line followed
-  /// by bracketed annotation lines (rows, batches, sampled wall time, kernel
-  /// path, state bytes), then query-level sink and engine stall lines.
+  /// by bracketed annotation lines (rows, state bytes, sampled wall time,
+  /// rows/s), then query-level sink and engine stall lines.
   std::string text;
 
   /// JSON document with a stable shape (consumed by tools/profile_report.py):

@@ -24,16 +24,12 @@ ColumnVector::Lane ColumnVector::LaneFor(DataType type) {
   return Lane::kGeneric;
 }
 
-void ColumnVector::Clear() {
+void ColumnVector::Reset(DataType type) {
   i64_.clear();
   f64_.clear();
   b8_.clear();
   generic_.clear();
   valid_.clear();
-}
-
-void ColumnVector::Reset(DataType type) {
-  Clear();
   decl_ = type;
   lane_ = LaneFor(type);
 }
@@ -134,25 +130,6 @@ void ColumnVector::Append(const Value& v) {
   valid_.push_back(v.is_null() ? 0 : 1);
 }
 
-void ColumnVector::Truncate(size_t n) {
-  if (n >= valid_.size()) return;
-  valid_.resize(n);
-  switch (lane_) {
-    case Lane::kI64:
-      i64_.resize(n);
-      break;
-    case Lane::kF64:
-      f64_.resize(n);
-      break;
-    case Lane::kBool:
-      b8_.resize(n);
-      break;
-    case Lane::kGeneric:
-      generic_.resize(n);
-      break;
-  }
-}
-
 Value ColumnVector::ValueAt(size_t i) const {
   if (lane_ == Lane::kGeneric) return generic_[i];
   if (!valid_[i]) return Value::Null();
@@ -189,25 +166,6 @@ void ColumnVector::AssignTo(size_t i, Value* out) const {
   *out = ValueAt(i);
 }
 
-void ChangeBatch::Clear() {
-  for (ColumnVector& c : columns) c.Clear();
-  weights.clear();
-  ptimes.clear();
-  num_rows = 0;
-}
-
-void ChangeBatch::ResetLike(const ChangeBatch& o) {
-  columns.resize(o.columns.size());
-  for (size_t i = 0; i < columns.size(); ++i) {
-    columns[i].Clear();
-    columns[i].set_decl(o.columns[i].decl());
-    columns[i].set_lane(o.columns[i].lane());
-  }
-  weights.clear();
-  ptimes.clear();
-  num_rows = 0;
-}
-
 void ChangeBatch::ResetForTypes(const std::vector<DataType>& types) {
   columns.resize(types.size());
   for (size_t i = 0; i < types.size(); ++i) columns[i].Reset(types[i]);
@@ -240,23 +198,6 @@ void ChangeBatch::AppendRow(const Row& row, int8_t weight, Timestamp ptime) {
   ++num_rows;
 }
 
-void ChangeBatch::AppendRowFrom(const ChangeBatch& src, size_t i) {
-  for (size_t c = 0; c < columns.size(); ++c) {
-    columns[c].Append(src.columns[c].ValueAt(i));
-  }
-  weights.push_back(src.weights[i]);
-  ptimes.push_back(src.ptimes[i]);
-  ++num_rows;
-}
-
-void ChangeBatch::PopRow() {
-  if (num_rows == 0) return;
-  --num_rows;
-  for (ColumnVector& c : columns) c.Truncate(num_rows);
-  weights.pop_back();
-  ptimes.pop_back();
-}
-
 Row ChangeBatch::RowAt(size_t i) const {
   Row out;
   MaterializeRow(i, &out);
@@ -285,20 +226,6 @@ Timestamp InputChunk::MaxPtime() const {
   // Feed ptimes are monotonic, so the last row carries the max.
   return batch.ptimes.empty() ? Timestamp::Min() : batch.ptimes.back();
 }
-
-namespace {
-thread_local BatchFailure g_batch_failure;
-}  // namespace
-
-void ClearBatchFailure() { g_batch_failure.has = false; }
-
-void SetBatchFailure(Timestamp ptime) {
-  if (g_batch_failure.has) return;
-  g_batch_failure.has = true;
-  g_batch_failure.ptime = ptime;
-}
-
-const BatchFailure& GetBatchFailure() { return g_batch_failure; }
 
 void ChunkBuilder::AddElement(const std::string& source, const Row& row,
                               int8_t weight, Timestamp ptime) {

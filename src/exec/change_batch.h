@@ -15,12 +15,11 @@ namespace exec {
 
 /// A typed column of values inside a ChangeBatch. Hot types (BIGINT, DOUBLE,
 /// TIMESTAMP, INTERVAL, BOOLEAN) are stored in flat primitive vectors with a
-/// separate validity mask, so the vectorized kernels run tight typed loops
-/// with no `Value` variant dispatch. Everything else — and any column whose
-/// observed value tags do not match the lane (e.g. a BIGINT value fed into a
-/// DOUBLE-declared column, which `IsImplicitlyCoercible` permits) — lives in
-/// the generic lane as exact `Value`s, which is the documented scalar
-/// fallback representation.
+/// separate validity mask, so the feed history holds them without a 40-byte
+/// `Value` per cell. Everything else — and any column whose observed value
+/// tags do not match the lane (e.g. a BIGINT value fed into a DOUBLE-declared
+/// column, which `IsImplicitlyCoercible` permits) — lives in the generic lane
+/// as exact `Value`s.
 class ColumnVector {
  public:
   enum class Lane : uint8_t {
@@ -39,9 +38,6 @@ class ColumnVector {
   DataType decl() const { return decl_; }
   size_t size() const { return valid_.size(); }
 
-  /// Clears contents, keeps capacity, lane and declared type.
-  void Clear();
-
   /// Clears and switches to the starting lane for `type`.
   void Reset(DataType type);
 
@@ -50,10 +46,6 @@ class ColumnVector {
   /// column to the generic lane, converting every already-appended entry
   /// back to its exact Value first (values are never coerced across lanes).
   void Append(const Value& v);
-
-  /// Shrinks the column to its first `n` entries (engine-side rollback when
-  /// a row fails a later validation step).
-  void Truncate(size_t n);
 
   /// Materializes entry `i` as an exact Value (typed lanes re-wrap through
   /// the declared type; invalid entries yield NULL).
@@ -66,22 +58,12 @@ class ColumnVector {
 
   bool IsValid(size_t i) const { return valid_[i] != 0; }
 
-  // Raw lane access for kernels. Only the vector matching lane() is
-  // meaningful.
+  // Raw lane access. Only the vector matching lane() is meaningful.
   const std::vector<int64_t>& i64() const { return i64_; }
   const std::vector<double>& f64() const { return f64_; }
   const std::vector<uint8_t>& b8() const { return b8_; }
   const std::vector<Value>& generic() const { return generic_; }
   const std::vector<uint8_t>& valid() const { return valid_; }
-
-  // Mutable access for kernels that build output columns directly.
-  std::vector<int64_t>* mutable_i64() { return &i64_; }
-  std::vector<double>* mutable_f64() { return &f64_; }
-  std::vector<uint8_t>* mutable_b8() { return &b8_; }
-  std::vector<Value>* mutable_generic() { return &generic_; }
-  std::vector<uint8_t>* mutable_valid() { return &valid_; }
-  void set_decl(DataType type) { decl_ = type; }
-  void set_lane(Lane lane) { lane_ = lane; }
 
   void Reserve(size_t n);
 
@@ -106,12 +88,6 @@ struct ChangeBatch {
   std::vector<Timestamp> ptimes;
   size_t num_rows = 0;
 
-  void Clear();
-
-  /// Clears and adopts the column count + lane/decl layout of `o` (capacity
-  /// kept, data dropped).
-  void ResetLike(const ChangeBatch& o);
-
   /// Clears and declares `types.size()` columns with the given types.
   void ResetForTypes(const std::vector<DataType>& types);
 
@@ -120,13 +96,6 @@ struct ChangeBatch {
   /// Appends a whole row (column count must match; columns demote as
   /// needed). `weight` is +1 for INSERT, -1 for DELETE.
   void AppendRow(const Row& row, int8_t weight, Timestamp ptime);
-
-  /// Copies row `i` of `src` (including weight/ptime) into this batch.
-  /// Column layouts must have the same arity.
-  void AppendRowFrom(const ChangeBatch& src, size_t i);
-
-  /// Drops the last appended row including its weight/ptime.
-  void PopRow();
 
   Row RowAt(size_t i) const;
   void MaterializeRow(size_t i, Row* out) const;
@@ -155,24 +124,6 @@ struct InputChunk {
   /// Largest processing time carried by this chunk.
   Timestamp MaxPtime() const;
 };
-
-/// Per-push failure context for the batch path. Batched operators process a
-/// whole vector before the runtime regains control, so the failing row's
-/// ptime is reported out of band: the runtime clears the context before a
-/// push and, on error, reads back the ptime of the row that failed (first
-/// setter wins — downstream operators re-reporting the same failure are
-/// ignored).
-struct BatchFailure {
-  bool has = false;
-  Timestamp ptime;
-};
-
-/// Clears the thread-local failure context (runtime, before each push).
-void ClearBatchFailure();
-/// Records a failure if none is recorded yet (operators, on first error).
-void SetBatchFailure(Timestamp ptime);
-/// Reads the current context (runtime, after a failed push).
-const BatchFailure& GetBatchFailure();
 
 /// Groups a scalar event stream into InputChunks, in feed order. An element
 /// extends the rows chunk this builder appended last only if that chunk is

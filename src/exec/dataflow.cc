@@ -356,7 +356,6 @@ Status Dataflow::PushChunks(const std::vector<const InputChunk*>& chunks) {
   size_t nevents = 0;
   for (const InputChunk* chunk : chunks) nevents += chunk->NumEvents();
   span.set_aux(nevents);
-  ClearBatchFailure();
   // The sink advances its clock as changes and watermarks reach it; on an
   // error it still catches up to the failing event, as it would have had
   // that event been pushed alone.
@@ -379,23 +378,14 @@ Status Dataflow::PushChunks(const std::vector<const InputChunk*>& chunks) {
       Status status =
           chain_.PushWatermark(steps, chunk->watermark, chunk->ptime);
       if (!status.ok()) return fail(std::move(status), chunk->ptime);
-    } else if (steps.size() == 1) {
-      // One step is always a scan: the whole run goes through the batch
-      // kernels.
-      Status status = steps[0].scan->OnBatch(0, chunk->batch);
-      if (!status.ok()) {
-        const BatchFailure& failure = GetBatchFailure();
-        return fail(std::move(status),
-                    failure.has ? failure.ptime : Timestamp::Min());
-      }
-    } else {
-      // Several steps (a self-join, a fan-out replay): each event passes
-      // every step before the next event enters.
-      for (size_t row = 0; row < chunk->batch.num_rows; ++row) {
-        chunk->batch.MaterializeChange(row, &scratch);
-        Status status = chain_.PushElement(steps, scratch);
-        if (!status.ok()) return fail(std::move(status), scratch.ptime);
-      }
+      continue;
+    }
+    // Each event passes every step (a self-join's scans, a fan-out replay)
+    // before the next event enters.
+    for (size_t row = 0; row < chunk->batch.num_rows; ++row) {
+      chunk->batch.MaterializeChange(row, &scratch);
+      Status status = chain_.PushElement(steps, scratch);
+      if (!status.ok()) return fail(std::move(status), scratch.ptime);
     }
   }
   // Chunks are in ptime order, so the last one ends the push.
@@ -446,7 +436,6 @@ void Dataflow::AttachObs(obs::ObsContext* ctx, const std::string& query_label,
 void Dataflow::SampleObsGauges() {
   const uint64_t now_us = obs::TraceRecorder::NowMicros();
   for (const auto& op : chain_.operators) {
-    op->PublishElementTally();
     const obs::OperatorMetrics* m = op->metrics();
     if (m == nullptr) continue;
     m->state_bytes->Set(static_cast<int64_t>(op->StateBytes()));
@@ -460,9 +449,6 @@ void Dataflow::SampleObsGauges() {
 }
 
 void Dataflow::ZeroObsGauges() {
-  // Publish the last dispatch tallies first: the profile counters outlive
-  // the query.
-  SampleObsGauges();
   for (const auto& op : chain_.operators) {
     const obs::OperatorMetrics* m = op->metrics();
     if (m != nullptr) m->state_bytes->Set(0);

@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "exec/change_batch.h"
 #include "exec/operators.h"
 #include "exec/sink.h"
 #include "plan/fingerprint.h"
@@ -146,11 +147,11 @@ class Dataflow {
   /// clock move fires the AFTER DELAY timers due at or before its ptime,
   /// any other event only those due before its ptime. This is the one
   /// ingestion path — live feeds, late-query replay and restore alike. A run
-  /// of a source read by one scan goes whole through the vectorized
-  /// operator kernels; a source with several steps (a self-join, a fan-out
-  /// replay) is delivered event by event, each event through every step.
-  /// The sink keeps its own clock, so output bytes do not depend on how the
-  /// feed was cut into chunks.
+  /// is delivered row by row, each row through every step of its source (a
+  /// self-join's scans, a fan-out replay) before the next row enters, so a
+  /// failing row leaves exactly the valid prefix behind. The sink keeps its
+  /// own clock, so output bytes do not depend on how the feed was cut into
+  /// chunks.
   Status PushChunks(const std::vector<const InputChunk*>& chunks);
 
   /// True if this query reads `source`.
@@ -193,16 +194,14 @@ class Dataflow {
   void AttachObs(obs::ObsContext* ctx, const std::string& query_label,
                  int query_index);
 
-  /// Publishes instantaneous gauges — per-operator state bytes, sink
-  /// timer-queue depth, pending panes, snapshot rows — and each operator's
-  /// tallied scalar dispatches. Called at snapshot time; a no-op when
-  /// detached.
+  /// Publishes instantaneous gauges — per-operator state bytes and rows/s,
+  /// sink timer-queue depth, pending panes, snapshot rows. Called at
+  /// snapshot time; a no-op when detached.
   void SampleObsGauges();
 
-  /// Zeroes the same gauges SampleObsGauges publishes, after publishing the
-  /// last dispatch tallies. Called when the runtime is being torn down
-  /// (Engine::DropQuery) so the exposition stops reporting state for a dead
-  /// operator tree.
+  /// Zeroes the same gauges SampleObsGauges publishes. Called when the
+  /// runtime is being torn down (Engine::DropQuery) so the exposition stops
+  /// reporting state for a dead operator tree.
   void ZeroObsGauges();
 
   /// Live operator instances: every distinct operator (a shared subtree

@@ -7,7 +7,6 @@
 #include "common/changelog.h"
 #include "common/result.h"
 #include "common/row.h"
-#include "exec/change_batch.h"
 #include "obs/instruments.h"
 #include "state/serde.h"
 
@@ -41,30 +40,12 @@ class Operator {
   Status OnElement(int port, const Change& change) {
     if (metrics_ != nullptr) metrics_->rows_in->Increment();
     if (profile_ == nullptr) return ProcessElement(port, change);
-    ++profile_elements_;
     return Sampled([&] { return ProcessElement(port, change); });
-  }
-
-  /// Processes a whole columnar batch arriving on `port`. The counting
-  /// dispatcher mirrors OnElement: rows_in advances by the batch cardinality
-  /// (so per-operator row totals are exactly what the scalar path counts),
-  /// then the subclass's ProcessBatch runs. The default ProcessBatch
-  /// decomposes row by row, so operators without a native batch kernel stay
-  /// bit-identical automatically.
-  Status OnBatch(int port, const ChangeBatch& batch) {
-    if (metrics_ != nullptr && batch.num_rows > 0) {
-      metrics_->rows_in->Add(batch.num_rows);
-    }
-    if (profile_ == nullptr) return ProcessBatch(port, batch);
-    profile_->batches->Increment();
-    profile_->batch_size->Record(batch.num_rows);
-    return Sampled([&] { return ProcessBatch(port, batch); });
   }
 
   /// Processes a watermark advance on `port`. Watermarks are monotonic per
   /// port; multi-input operators forward the minimum across ports. Watermark
-  /// work (pane firing, state expiry) shares the sampled wall-time histogram
-  /// but not the batch-size one.
+  /// work (pane firing, state expiry) shares the sampled wall-time histogram.
   Status OnWatermark(int port, Timestamp watermark, Timestamp ptime) {
     if (profile_ == nullptr) return ProcessWatermark(port, watermark, ptime);
     return Sampled([&] { return ProcessWatermark(port, watermark, ptime); });
@@ -79,30 +60,15 @@ class Operator {
   }
   const obs::OperatorMetrics* metrics() const { return metrics_; }
 
-  /// Attaches the profiling bundle (nullptr detaches — the default). Count
-  /// fields (batches, batch sizes, kernel paths) are recorded on every
-  /// dispatch; the wall-clock timer fires every obs::kProfileSampleEvery-th
-  /// dispatch per instance, so the timing cost amortizes to ~two clock
-  /// reads / N. Operator instances are single-threaded, so the tick is a
-  /// plain int.
+  /// Attaches the profiling bundle (nullptr detaches — the default). The
+  /// wall-clock timer fires every obs::kProfileSampleEvery-th dispatch per
+  /// instance, so the timing cost amortizes to ~two clock reads / N.
+  /// Operator instances are single-threaded, so the tick is a plain int.
   void AttachProfile(const obs::OperatorProfileMetrics* profile) {
     profile_ = profile;
     profile_tick_ = 0;
-    profile_elements_ = 0;
   }
   const obs::OperatorProfileMetrics* profile() const { return profile_; }
-
-  /// Adds the scalar dispatches OnElement tallied since the last call to
-  /// `elements` and to `batch_size` as samples of 1. The tally is a plain
-  /// member, so a profiled element dispatch pays no atomics beyond rows_in;
-  /// Dataflow::SampleObsGauges publishes it, with the operator idle, before
-  /// every metrics snapshot.
-  void PublishElementTally() {
-    if (profile_ == nullptr || profile_elements_ == 0) return;
-    profile_->elements->Add(profile_elements_);
-    profile_->batch_size->RecordMany(1, profile_elements_);
-    profile_elements_ = 0;
-  }
 
   /// Approximate bytes of operator state (for the state-size benchmarks).
   virtual size_t StateBytes() const { return 0; }
@@ -127,33 +93,9 @@ class Operator {
   virtual Status ProcessWatermark(int port, Timestamp watermark,
                                   Timestamp ptime) = 0;
 
-  /// Batch hook. The default decomposes into per-row ProcessElement calls
-  /// (not OnElement — rows_in was already counted once by OnBatch) and
-  /// records the failing row's ptime in the thread-local BatchFailure
-  /// context on error, preserving the scalar valid-prefix contract.
-  virtual Status ProcessBatch(int port, const ChangeBatch& batch) {
-    for (size_t i = 0; i < batch.num_rows; ++i) {
-      batch.MaterializeChange(i, &batch_scratch_);
-      Status status = ProcessElement(port, batch_scratch_);
-      if (!status.ok()) {
-        SetBatchFailure(batch.ptimes[i]);
-        return status;
-      }
-    }
-    return Status::OK();
-  }
-
   Status EmitElement(const Change& change) {
     if (metrics_ != nullptr) metrics_->rows_out->Increment();
     return out_ != nullptr ? out_->OnElement(out_port_, change) : Status::OK();
-  }
-
-  /// Emits a whole batch downstream, counting its cardinality as rows_out —
-  /// totals match the scalar path's per-row EmitElement counting exactly.
-  Status EmitBatch(const ChangeBatch& batch) {
-    if (batch.num_rows == 0) return Status::OK();
-    if (metrics_ != nullptr) metrics_->rows_out->Add(batch.num_rows);
-    return out_ != nullptr ? out_->OnBatch(out_port_, batch) : Status::OK();
   }
   Status EmitWatermark(Timestamp watermark, Timestamp ptime) {
     return out_ != nullptr ? out_->OnWatermark(out_port_, watermark, ptime)
@@ -164,23 +106,6 @@ class Operator {
   /// alongside their own late_drops_ state counters).
   void CountLateDrop() {
     if (metrics_ != nullptr) metrics_->late_drops->Increment();
-  }
-
- protected:
-  /// Kernel-path accounting for operators with a native batch kernel
-  /// (Filter/Project/Aggregate). Row-denominated: the vector/scalar decision
-  /// depends only on the expression and the batch's lane kinds.
-  /// `reason_rows` lands on one of the fallback reason counters.
-  void CountVectorizedRows(size_t rows) {
-    if (profile_ == nullptr) return;
-    profile_->vector_batches->Increment();
-    profile_->vector_rows->Add(rows);
-  }
-  void CountScalarRows(size_t rows, obs::Counter* reason) {
-    if (profile_ == nullptr) return;
-    profile_->scalar_batches->Increment();
-    profile_->scalar_rows->Add(rows);
-    if (reason != nullptr) reason->Add(rows);
   }
 
  private:
@@ -201,11 +126,6 @@ class Operator {
   const obs::OperatorMetrics* metrics_ = nullptr;
   const obs::OperatorProfileMetrics* profile_ = nullptr;
   int profile_tick_ = 0;
-  uint64_t profile_elements_ = 0;  // scalar dispatches not yet published
-  /// The default ProcessBatch's row, reused across batches: a run arrives
-  /// as a batch of a few rows, and a fresh row per batch would cost an
-  /// allocation each.
-  Change batch_scratch_;
 };
 
 /// Helper for operators with `n` input ports: tracks per-port watermarks and

@@ -3,33 +3,9 @@
 #include <algorithm>
 
 #include "exec/expr_eval.h"
-#include "exec/vector_kernels.h"
 
 namespace onesql {
 namespace exec {
-
-namespace {
-
-/// Maps a kernel fallback reason onto the matching profile counter (null
-/// bundle handled by the caller).
-obs::Counter* FallbackCounterFor(const obs::OperatorProfileMetrics* p,
-                                 KernelFallback why) {
-  if (p == nullptr) return nullptr;
-  switch (why) {
-    case KernelFallback::kDemotedLane:
-      return p->fallback_demoted_lane;
-    case KernelFallback::kDivision:
-      return p->fallback_division;
-    case KernelFallback::kGenericLane:
-      return p->fallback_generic_lane;
-    case KernelFallback::kNone:
-    case KernelFallback::kUnsupported:
-      return p->fallback_unsupported;
-  }
-  return p->fallback_unsupported;
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // Source
@@ -37,10 +13,6 @@ obs::Counter* FallbackCounterFor(const obs::OperatorProfileMetrics* p,
 
 Status SourceOperator::ProcessElement(int, const Change& change) {
   return EmitElement(change);
-}
-
-Status SourceOperator::ProcessBatch(int, const ChangeBatch& batch) {
-  return EmitBatch(batch);
 }
 
 Status SourceOperator::ProcessWatermark(int, Timestamp watermark,
@@ -56,40 +28,6 @@ Status FilterOperator::ProcessElement(int, const Change& change) {
   ONESQL_ASSIGN_OR_RETURN(bool pass, EvalPredicate(*predicate_, change.row));
   if (pass) return EmitElement(change);
   return Status::OK();
-}
-
-Status FilterOperator::ProcessBatch(int, const ChangeBatch& batch) {
-  if (batch.num_rows == 0) return Status::OK();
-  KernelFallback why = KernelFallback::kNone;
-  if (EvalPredicateBatch(*predicate_, batch, &keep_, &why)) {
-    CountVectorizedRows(batch.num_rows);
-    size_t kept = 0;
-    for (size_t i = 0; i < batch.num_rows; ++i) kept += keep_[i];
-    if (kept == batch.num_rows) return EmitBatch(batch);
-    if (kept == 0) return Status::OK();
-    out_batch_.ResetLike(batch);
-    out_batch_.Reserve(kept);
-    for (size_t i = 0; i < batch.num_rows; ++i) {
-      if (keep_[i]) out_batch_.AppendRowFrom(batch, i);
-    }
-    return EmitBatch(out_batch_);
-  }
-  // The predicate is outside the vectorizable subset for this batch: gather
-  // passing rows with the scalar evaluator. On error, the passing prefix is
-  // still emitted (exactly the rows the scalar path would have emitted).
-  CountScalarRows(batch.num_rows, FallbackCounterFor(profile(), why));
-  out_batch_.ResetLike(batch);
-  for (size_t i = 0; i < batch.num_rows; ++i) {
-    batch.MaterializeRow(i, &scratch_row_);
-    Result<bool> pass = EvalPredicate(*predicate_, scratch_row_);
-    if (!pass.ok()) {
-      ONESQL_RETURN_NOT_OK(EmitBatch(out_batch_));
-      SetBatchFailure(batch.ptimes[i]);
-      return pass.status();
-    }
-    if (*pass) out_batch_.AppendRowFrom(batch, i);
-  }
-  return EmitBatch(out_batch_);
 }
 
 Status FilterOperator::ProcessWatermark(int, Timestamp watermark,
@@ -110,57 +48,6 @@ Status ProjectOperator::ProcessElement(int, const Change& change) {
     out_.row.push_back(std::move(v));
   }
   return EmitElement(out_);
-}
-
-Status ProjectOperator::ProcessBatch(int, const ChangeBatch& batch) {
-  if (batch.num_rows == 0) return Status::OK();
-  const size_t nexprs = exprs_->size();
-  out_batch_.Clear();
-  out_batch_.columns.resize(nexprs);
-  // Vectorize each output column independently; columns outside the subset
-  // fall back to the scalar evaluator row by row below. Kernel-path counters
-  // are per (row, expression): each output column contributes the batch
-  // cardinality to exactly one path, so mixed batches attribute per column.
-  std::vector<size_t> fallback;
-  for (size_t j = 0; j < nexprs; ++j) {
-    KernelFallback why = KernelFallback::kNone;
-    if (!EvalExprBatch(*(*exprs_)[j], batch, &out_batch_.columns[j], &why)) {
-      CountScalarRows(batch.num_rows, FallbackCounterFor(profile(), why));
-      out_batch_.columns[j].Reset((*exprs_)[j]->type);
-      out_batch_.columns[j].Reserve(batch.num_rows);
-      fallback.push_back(j);
-    } else {
-      CountVectorizedRows(batch.num_rows);
-    }
-  }
-  if (!fallback.empty()) {
-    for (size_t i = 0; i < batch.num_rows; ++i) {
-      batch.MaterializeRow(i, &scratch_row_);
-      for (size_t j : fallback) {
-        Result<Value> v = EvalExpr(*(*exprs_)[j], scratch_row_);
-        if (!v.ok()) {
-          // Truncate every column to the `i` complete rows and emit that
-          // prefix — the rows the scalar path would have emitted.
-          for (ColumnVector& col : out_batch_.columns) {
-            if (col.size() > i) col.Truncate(i);
-          }
-          FillMetaPrefix(batch, i);
-          ONESQL_RETURN_NOT_OK(EmitBatch(out_batch_));
-          SetBatchFailure(batch.ptimes[i]);
-          return v.status();
-        }
-        out_batch_.columns[j].Append(*v);
-      }
-    }
-  }
-  FillMetaPrefix(batch, batch.num_rows);
-  return EmitBatch(out_batch_);
-}
-
-void ProjectOperator::FillMetaPrefix(const ChangeBatch& batch, size_t n) {
-  out_batch_.weights.assign(batch.weights.begin(), batch.weights.begin() + n);
-  out_batch_.ptimes.assign(batch.ptimes.begin(), batch.ptimes.begin() + n);
-  out_batch_.num_rows = n;
 }
 
 Status ProjectOperator::ProcessWatermark(int, Timestamp watermark,
@@ -229,78 +116,6 @@ Status WindowOperator::ProcessElement(int, const Change& change) {
     ONESQL_RETURN_NOT_OK(EmitElement(out_));
   }
   return Status::OK();
-}
-
-Status WindowOperator::ProcessBatch(int, const ChangeBatch& batch) {
-  if (batch.num_rows == 0) return Status::OK();
-  const size_t tcol = node_->timecol();
-  const size_t arity = batch.columns.size();
-  const ColumnVector& tc = batch.columns[tcol];
-
-  // Output layout: the input columns plus wstart/wend.
-  out_batch_.ResetLike(batch);
-  out_batch_.columns.resize(arity + 2);
-  out_batch_.columns[arity].Reset(DataType::kTimestamp);
-  out_batch_.columns[arity + 1].Reset(DataType::kTimestamp);
-
-  const Interval dur = node_->dur();
-  const Interval hop = node_->hop();
-  const Interval offset = node_->offset();
-
-  // Tumbling fast path: exactly one window per row, the timestamp column is
-  // in its typed lane, and every timestamp is non-NULL — wstart/wend compute
-  // in a tight loop and the other columns copy through wholesale.
-  if (dur.millis() == hop.millis() && tc.lane() == ColumnVector::Lane::kI64 &&
-      std::find(tc.valid().begin(), tc.valid().end(), 0) == tc.valid().end()) {
-    for (size_t c = 0; c < arity; ++c) out_batch_.columns[c] = batch.columns[c];
-    ColumnVector& ws = out_batch_.columns[arity];
-    ColumnVector& we = out_batch_.columns[arity + 1];
-    std::vector<int64_t>& wsv = *ws.mutable_i64();
-    std::vector<int64_t>& wev = *we.mutable_i64();
-    wsv.resize(batch.num_rows);
-    wev.resize(batch.num_rows);
-    ws.mutable_valid()->assign(batch.num_rows, 1);
-    we.mutable_valid()->assign(batch.num_rows, 1);
-    const int64_t step = hop.millis();
-    const int64_t off = offset.millis();
-    const std::vector<int64_t>& ts = tc.i64();
-    for (size_t i = 0; i < batch.num_rows; ++i) {
-      const int64_t start = FloorAlign(ts[i], step, off);
-      wsv[i] = start;
-      wev[i] = (Timestamp(start) + dur).millis();
-    }
-    out_batch_.weights = batch.weights;
-    out_batch_.ptimes = batch.ptimes;
-    out_batch_.num_rows = batch.num_rows;
-    return EmitBatch(out_batch_);
-  }
-
-  // General path (hopping windows, NULL timestamps, demoted column): expand
-  // row by row. On a NULL timestamp the complete prefix is emitted before
-  // the error, exactly as the scalar path would have.
-  for (size_t i = 0; i < batch.num_rows; ++i) {
-    const Value tv = tc.ValueAt(i);
-    if (tv.is_null()) {
-      ONESQL_RETURN_NOT_OK(EmitBatch(out_batch_));
-      SetBatchFailure(batch.ptimes[i]);
-      return Status::ExecutionError(
-          "NULL event timestamp in windowing column '" +
-          node_->input().schema().field(node_->timecol()).name + "'");
-    }
-    AssignWindowsInto(tv.AsTimestamp(), dur, hop, offset, &starts_scratch_);
-    for (int64_t s : starts_scratch_) {
-      const Timestamp start(s);
-      for (size_t c = 0; c < arity; ++c) {
-        out_batch_.columns[c].Append(batch.columns[c].ValueAt(i));
-      }
-      out_batch_.columns[arity].Append(Value::Time(start));
-      out_batch_.columns[arity + 1].Append(Value::Time(start + dur));
-      out_batch_.weights.push_back(batch.weights[i]);
-      out_batch_.ptimes.push_back(batch.ptimes[i]);
-      ++out_batch_.num_rows;
-    }
-  }
-  return EmitBatch(out_batch_);
 }
 
 Status WindowOperator::ProcessWatermark(int, Timestamp watermark,
@@ -815,81 +630,6 @@ Status AggregateOperator::ProcessElement(int, const Change& change) {
   ONESQL_RETURN_NOT_OK(EmitGroupUpdate(state, key, change.ptime));
 
   if (state->row_count == 0) EraseGroup(key, hash, *state);
-  return Status::OK();
-}
-
-Status AggregateOperator::ApplyRow(ChangeKind kind, const Row& key,
-                                   size_t hash, const Value* args,
-                                   Timestamp ptime) {
-  if (IsComplete(key, watermark_)) {
-    ++late_drops_;
-    CountLateDrop();
-    return Status::OK();
-  }
-  ONESQL_ASSIGN_OR_RETURN(GroupState * state, FindOrCreateGroup(key, hash));
-  const size_t naggs = node_->aggs().size();
-  for (size_t i = 0; i < naggs; ++i) {
-    if (kind == ChangeKind::kInsert) {
-      ONESQL_RETURN_NOT_OK(state->accumulators[i]->Add(args[i]));
-    } else {
-      ONESQL_RETURN_NOT_OK(state->accumulators[i]->Retract(args[i]));
-    }
-  }
-  state->row_count += kind == ChangeKind::kInsert ? 1 : -1;
-  if (state->row_count < 0) {
-    return Status::ExecutionError(
-        "aggregate received a DELETE for a row that was never inserted");
-  }
-  ONESQL_RETURN_NOT_OK(EmitGroupUpdate(state, key, ptime));
-  if (state->row_count == 0) EraseGroup(key, hash, *state);
-  return Status::OK();
-}
-
-Status AggregateOperator::ProcessBatch(int port, const ChangeBatch& batch) {
-  if (batch.num_rows == 0) return Status::OK();
-  const auto& keys = node_->keys();
-  const auto& aggs = node_->aggs();
-
-  // Vectorize every key and argument expression, or decompose the whole
-  // batch row by row (pre-evaluating args would reorder errors otherwise).
-  bool vectorized = true;
-  KernelFallback why = KernelFallback::kNone;
-  key_cols_.resize(keys.size());
-  for (size_t k = 0; k < keys.size() && vectorized; ++k) {
-    vectorized = EvalExprBatch(*keys[k], batch, &key_cols_[k], &why);
-  }
-  arg_cols_.resize(aggs.size());
-  for (size_t a = 0; a < aggs.size() && vectorized; ++a) {
-    if (aggs[a].arg == nullptr) continue;  // COUNT(*): NULL placeholder
-    vectorized = EvalExprBatch(*aggs[a].arg, batch, &arg_cols_[a], &why);
-  }
-  if (!vectorized) {
-    CountScalarRows(batch.num_rows, FallbackCounterFor(profile(), why));
-    return Operator::ProcessBatch(port, batch);
-  }
-  CountVectorizedRows(batch.num_rows);
-
-  HashRowsBatch(batch, key_cols_, &hash_scratch_);
-
-  key_scratch_.resize(keys.size());
-  arg_scratch_.resize(aggs.size());
-  for (size_t i = 0; i < batch.num_rows; ++i) {
-    for (size_t k = 0; k < keys.size(); ++k) {
-      key_scratch_[k] = key_cols_[k].ValueAt(i);
-    }
-    for (size_t a = 0; a < aggs.size(); ++a) {
-      arg_scratch_[a] = aggs[a].arg != nullptr ? arg_cols_[a].ValueAt(i)
-                                               : Value();
-    }
-    const ChangeKind kind =
-        batch.weights[i] < 0 ? ChangeKind::kDelete : ChangeKind::kInsert;
-    Status status = ApplyRow(kind, key_scratch_, hash_scratch_[i],
-                             arg_scratch_.data(), batch.ptimes[i]);
-    if (!status.ok()) {
-      SetBatchFailure(batch.ptimes[i]);
-      return status;
-    }
-  }
   return Status::OK();
 }
 

@@ -21,7 +21,6 @@ namespace exec {
 class SourceOperator : public Operator {
  public:
   Status ProcessElement(int port, const Change& change) override;
-  Status ProcessBatch(int port, const ChangeBatch& batch) override;
   Status ProcessWatermark(int port, Timestamp watermark,
                      Timestamp ptime) override;
   const char* Name() const override { return "source"; }
@@ -33,18 +32,12 @@ class FilterOperator : public Operator {
   explicit FilterOperator(const plan::BoundExpr* predicate)
       : predicate_(predicate) {}
   Status ProcessElement(int port, const Change& change) override;
-  Status ProcessBatch(int port, const ChangeBatch& batch) override;
   Status ProcessWatermark(int port, Timestamp watermark,
                      Timestamp ptime) override;
   const char* Name() const override { return "filter"; }
 
  private:
   const plan::BoundExpr* predicate_;
-  // Batch-path scratch (capacity reused across batches; downstream consumes
-  // an emitted batch synchronously before the next one is built).
-  std::vector<uint8_t> keep_;
-  ChangeBatch out_batch_;
-  Row scratch_row_;
 };
 
 /// Stateless projection.
@@ -53,19 +46,13 @@ class ProjectOperator : public Operator {
   explicit ProjectOperator(const std::vector<plan::BoundExprPtr>* exprs)
       : exprs_(exprs) {}
   Status ProcessElement(int port, const Change& change) override;
-  Status ProcessBatch(int port, const ChangeBatch& batch) override;
   Status ProcessWatermark(int port, Timestamp watermark,
                      Timestamp ptime) override;
   const char* Name() const override { return "project"; }
 
  private:
-  /// Copies the first `n` weights/ptimes of `batch` into out_batch_.
-  void FillMetaPrefix(const ChangeBatch& batch, size_t n);
-
   const std::vector<plan::BoundExprPtr>* exprs_;
-  ChangeBatch out_batch_;
-  Row scratch_row_;
-  Change out_;  // scalar-path output, refilled per change
+  Change out_;  // output, refilled per change
 };
 
 /// Windowing TVF (Extension 3): appends wstart/wend. Stateless — DELETEs map
@@ -74,7 +61,6 @@ class WindowOperator : public Operator {
  public:
   explicit WindowOperator(const plan::WindowNode* node) : node_(node) {}
   Status ProcessElement(int port, const Change& change) override;
-  Status ProcessBatch(int port, const ChangeBatch& batch) override;
   Status ProcessWatermark(int port, Timestamp watermark,
                      Timestamp ptime) override;
   const char* Name() const override { return "window"; }
@@ -91,9 +77,8 @@ class WindowOperator : public Operator {
                                 Interval offset, std::vector<int64_t>* out);
 
   const plan::WindowNode* node_;
-  ChangeBatch out_batch_;
   std::vector<int64_t> starts_scratch_;
-  Change out_;  // scalar-path output, refilled per window
+  Change out_;  // output, refilled per window
 };
 
 /// Time-progressing predicate (Section 8 future work): keeps the sliding
@@ -183,7 +168,6 @@ class AggregateOperator : public Operator {
   AggregateOperator(const plan::AggregateNode* node,
                     Interval allowed_lateness);
   Status ProcessElement(int port, const Change& change) override;
-  Status ProcessBatch(int port, const ChangeBatch& batch) override;
   Status ProcessWatermark(int port, Timestamp watermark,
                      Timestamp ptime) override;
   const char* Name() const override { return "aggregate"; }
@@ -230,11 +214,6 @@ class AggregateOperator : public Operator {
   /// minus the allowed lateness.
   bool IsComplete(const Row& key, Timestamp watermark) const;
   Status EmitGroupUpdate(GroupState* state, const Row& key, Timestamp ptime);
-  /// Batch-path per-row core: the key row, its hash, and the per-call
-  /// argument values are already evaluated (by vectorized kernels, which
-  /// cannot fail — so pre-evaluation cannot reorder errors).
-  Status ApplyRow(ChangeKind kind, const Row& key, size_t hash,
-                  const Value* args, Timestamp ptime);
 
   const plan::AggregateNode* node_;
   Interval allowed_lateness_{0};
@@ -242,12 +221,7 @@ class AggregateOperator : public Operator {
   CompletionIndex completion_;
   Timestamp watermark_ = Timestamp::Min();
   int64_t late_drops_ = 0;
-  // Batch-path scratch: key/argument columns evaluated a vector at a time.
-  std::vector<ColumnVector> key_cols_;
-  std::vector<ColumnVector> arg_cols_;
-  std::vector<size_t> hash_scratch_;
-  std::vector<Value> arg_scratch_;
-  Row key_scratch_;
+  Row key_scratch_;  // the group key of the change being applied
   // Emission scratch: the emitted change, and the next output row (which
   // swaps with the group's last output once emitted).
   Change out_;

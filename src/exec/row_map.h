@@ -10,9 +10,10 @@
 namespace onesql {
 namespace exec {
 
-/// An open-addressing hash map keyed by Row, built for the batch hot path:
-///  - callers pass precomputed hashes (so a kernel can hash a whole vector
-///    of key rows up front and probe with no per-row re-hashing),
+/// An open-addressing hash map keyed by Row, built for the per-change hot
+/// path:
+///  - callers pass precomputed hashes (a key is hashed once per change, and
+///    the same hash serves the lookup, the insert and the erase),
 ///  - entries live in a dense slot vector (no per-node allocation, cache
 ///    friendly iteration),
 ///  - deletion uses Knuth's algorithm R (backward shift), so probes never

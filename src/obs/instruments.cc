@@ -39,40 +39,10 @@ const OperatorProfileMetrics* ObsContext::ForOperatorProfile(
   }
   Labels labels = {{"query", query}, {"op", op}};
   auto bundle = std::make_unique<OperatorProfileMetrics>();
-  bundle->batches =
-      registry_->GetCounter("onesql_profile_batches_total", labels);
-  bundle->elements =
-      registry_->GetCounter("onesql_profile_elements_total", labels);
-  bundle->batch_size =
-      registry_->GetHistogram("onesql_profile_batch_size", labels);
   bundle->wall_us =
       registry_->GetHistogram("onesql_profile_batch_wall_us", labels);
   bundle->rows_per_sec =
       registry_->GetGauge("onesql_profile_rows_per_sec", labels);
-  bundle->vector_rows = registry_->GetCounter(
-      "onesql_kernel_rows_total",
-      {{"query", query}, {"op", op}, {"path", "vectorized"}});
-  bundle->scalar_rows = registry_->GetCounter(
-      "onesql_kernel_rows_total",
-      {{"query", query}, {"op", op}, {"path", "scalar"}});
-  bundle->vector_batches = registry_->GetCounter(
-      "onesql_kernel_batches_total",
-      {{"query", query}, {"op", op}, {"path", "vectorized"}});
-  bundle->scalar_batches = registry_->GetCounter(
-      "onesql_kernel_batches_total",
-      {{"query", query}, {"op", op}, {"path", "scalar"}});
-  bundle->fallback_demoted_lane = registry_->GetCounter(
-      "onesql_kernel_fallback_rows_total",
-      {{"query", query}, {"op", op}, {"reason", "demoted_lane"}});
-  bundle->fallback_division = registry_->GetCounter(
-      "onesql_kernel_fallback_rows_total",
-      {{"query", query}, {"op", op}, {"reason", "division"}});
-  bundle->fallback_generic_lane = registry_->GetCounter(
-      "onesql_kernel_fallback_rows_total",
-      {{"query", query}, {"op", op}, {"reason", "generic_lane"}});
-  bundle->fallback_unsupported = registry_->GetCounter(
-      "onesql_kernel_fallback_rows_total",
-      {{"query", query}, {"op", op}, {"reason", "unsupported"}});
   operator_profile_bundles_.emplace_back(key, std::move(bundle));
   return operator_profile_bundles_.back().second.get();
 }

@@ -14,8 +14,7 @@ namespace onesql {
 namespace obs {
 
 /// Sampling period for the wall-clock operator timers: every Nth dispatch
-/// per operator instance is timed. Count-valued profile metrics (rows,
-/// batches, kernel paths) are never sampled.
+/// per operator instance is timed. Row counters are never sampled.
 inline constexpr int kProfileSampleEvery = 16;
 
 /// Observability knobs. Everything is off by default; a default-constructed
@@ -24,10 +23,9 @@ inline constexpr int kProfileSampleEvery = 16;
 struct ObsOptions {
   bool metrics = false;  ///< Counters, gauges, histograms.
   bool tracing = false;  ///< Span recording into per-thread rings.
-  /// Query-level profiling (DESIGN.md §15): per-operator wall-time sampling,
-  /// batch-size histograms, kernel-path counters, and pipeline-stall
-  /// attribution. Requires `metrics` (the profile is exported through the
-  /// same registry); implied-off otherwise.
+  /// Query-level profiling (DESIGN.md §15): per-operator wall-time sampling
+  /// and rows/s, and pipeline-stall attribution. Requires `metrics` (the
+  /// profile is exported through the same registry); implied-off otherwise.
   bool profiling = false;
 };
 
@@ -46,26 +44,11 @@ struct OperatorMetrics {
 };
 
 /// Per-operator profile instruments (DESIGN.md §15), resolved only when
-/// `ObsOptions::profiling` is on. Row-denominated counters (kernel rows by
-/// path/reason) depend only on the expression and the data;
-/// batch-denominated and time-valued fields depend on how the feed was
-/// batched.
+/// `ObsOptions::profiling` is on. Both are time-valued, so they depend on
+/// the host and the load, not only on the data.
 struct OperatorProfileMetrics {
-  Counter* batches = nullptr;        ///< ProcessBatch dispatches.
-  Counter* elements = nullptr;       ///< Scalar ProcessElement dispatches.
-  Histogram* batch_size = nullptr;   ///< Rows per dispatched batch.
-  Histogram* wall_us = nullptr;      ///< Sampled per-dispatch wall time.
-  Gauge* rows_per_sec = nullptr;     ///< rows_in / seconds since attach.
-  Counter* vector_rows = nullptr;    ///< Rows through vectorized kernels.
-  Counter* scalar_rows = nullptr;    ///< Rows through the scalar fallback.
-  Counter* vector_batches = nullptr;
-  Counter* scalar_batches = nullptr;
-  /// Scalar-fallback rows by reason (the reason depends only on the
-  /// expression and lane kinds).
-  Counter* fallback_demoted_lane = nullptr;
-  Counter* fallback_division = nullptr;
-  Counter* fallback_generic_lane = nullptr;
-  Counter* fallback_unsupported = nullptr;
+  Histogram* wall_us = nullptr;   ///< Sampled per-dispatch wall time.
+  Gauge* rows_per_sec = nullptr;  ///< rows_in / seconds since attach.
 };
 
 /// Engine-level stall attribution: time a Feed spends blocked on the

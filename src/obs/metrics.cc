@@ -10,17 +10,6 @@ namespace obs {
 
 namespace {
 
-/// Stable per-thread slot id: threads are striped round-robin across counter
-/// slots, so any fixed set of worker threads lands on distinct slots until
-/// the slot count is exceeded.
-std::atomic<size_t> g_next_thread_stripe{0};
-
-size_t ThreadStripe() {
-  thread_local size_t stripe =
-      g_next_thread_stripe.fetch_add(1, std::memory_order_relaxed);
-  return stripe;
-}
-
 bool LabelsEqual(const Labels& a, const Labels& b) { return a == b; }
 
 Labels SortedLabels(Labels labels) {
@@ -29,8 +18,6 @@ Labels SortedLabels(Labels labels) {
 }
 
 }  // namespace
-
-size_t Counter::SlotIndex() { return ThreadStripe() % kSlots; }
 
 std::string RenderLabels(const Labels& labels) {
   if (labels.empty()) return "";

@@ -22,33 +22,16 @@ using Labels = std::vector<std::pair<std::string, std::string>>;
 /// Canonical `{k="v",k2="v2"}` rendering (empty string for no labels).
 std::string RenderLabels(const Labels& labels);
 
-/// A monotonically increasing counter. The hot path (Add) is sharded across
-/// cache-line-aligned atomic slots indexed by a thread-local slot id, so
-/// concurrent writers (the feeding thread, the server's reader and writer
-/// threads) bumping the same logical counter never contend on one cache
-/// line. Value() sums the slots (monotone but not atomic as a whole — exact
-/// once writers are quiescent, which is when snapshots are taken).
+/// A monotonically increasing counter: one relaxed atomic, so the feeding
+/// thread and the server's reader and writer threads may bump it together.
 class Counter {
  public:
-  static constexpr size_t kSlots = 16;
-
-  void Add(uint64_t delta) {
-    slots_[SlotIndex()].v.fetch_add(delta, std::memory_order_relaxed);
-  }
+  void Add(uint64_t delta) { v_.fetch_add(delta, std::memory_order_relaxed); }
   void Increment() { Add(1); }
-
-  uint64_t Value() const {
-    uint64_t total = 0;
-    for (const Slot& s : slots_) total += s.v.load(std::memory_order_relaxed);
-    return total;
-  }
+  uint64_t Value() const { return v_.load(std::memory_order_relaxed); }
 
  private:
-  struct alignas(64) Slot {
-    std::atomic<uint64_t> v{0};
-  };
-  static size_t SlotIndex();
-  Slot slots_[kSlots];
+  std::atomic<uint64_t> v_{0};
 };
 
 /// A last-write-wins instantaneous value (state bytes, queue depth,
@@ -102,12 +85,9 @@ class Histogram {
     return width > kBuckets - 1 ? kBuckets - 1 : width;
   }
 
-  void Record(uint64_t v) { RecordMany(v, 1); }
-
-  /// Records `n` samples of value `v` at once.
-  void RecordMany(uint64_t v, uint64_t n) {
-    counts_[BucketOf(v)].fetch_add(n, std::memory_order_relaxed);
-    sum_.fetch_add(v * n, std::memory_order_relaxed);
+  void Record(uint64_t v) {
+    counts_[BucketOf(v)].fetch_add(1, std::memory_order_relaxed);
+    sum_.fetch_add(v, std::memory_order_relaxed);
   }
 
   HistogramData Data() const {

@@ -532,6 +532,8 @@ Result<BoundExprPtr> Binder::BindScalar(const sql::Expr& expr,
       if (!ReferencesInput(**over_input)) return over_input;
     }
     if (expr.kind() == sql::Expr::Kind::kColumnRef) {
+      // A column that does not resolve keeps its resolution error.
+      if (!over_input.ok()) return over_input.status();
       return Status::BindError(
           "column '" + expr.ToString() +
           "' must appear in the GROUP BY clause or be used in an aggregate "

@@ -33,7 +33,7 @@ void Usage(const char* argv0) {
       "  --shards N            no effect: every query runs on one chain\n"
       "                        (accepted between 1 and %d)\n"
       "  --profiling           query-level profiling: the explain\n"
-      "                        command's sampled wall-time / kernel-path\n"
+      "                        command's sampled wall-time and rows/s\n"
       "                        annotations (DESIGN.md §15)\n",
       argv0, onesql::exec::kMaxShards);
 }

@@ -45,7 +45,7 @@ struct ServerOptions {
   /// both expositions; the `metrics` command serves them).
   bool metrics = true;
   /// Enable query-level profiling (DESIGN.md §15): the `explain` command's
-  /// sampled wall-time / batch-size / kernel-path annotations, plus the
+  /// sampled wall-time and rows/s annotations, plus the
   /// fan-out stall histogram. Requires `metrics`; ignored without it.
   bool profiling = false;
 };

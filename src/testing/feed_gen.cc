@@ -213,9 +213,12 @@ bool NeedsK(const FuzzCase& fuzz) {
 /// that event's ptime or to a point since the event before, and half those
 /// moves go to the due time of a pane an earlier row may have opened, with
 /// the event then arriving at that same ptime half the time (a clock move
-/// fires the pane first; an event at its due time alone would join it).
-/// Half the cases end with a move past the last event. Its own random
-/// stream leaves the rest of the case as the seed drew it.
+/// fires the pane first). One in five of the other events that have such a
+/// due time ahead of them lands on it with no clock move before it, so the
+/// pane is still pending there and a table read at that prefix (RunCase
+/// reads at every due time an event reaches) must fold it in. Half the
+/// cases end with a move past the last event. Its own random stream leaves
+/// the rest of the case as the seed drew it.
 void DrawClockMoves(uint64_t salt, FuzzCase* fuzz) {
   std::vector<int64_t> delays;
   for (const QuerySpec& spec : fuzz->queries) {
@@ -234,14 +237,17 @@ void DrawClockMoves(uint64_t salt, FuzzCase* fuzz) {
   int64_t prev_ms = 0;
   for (FeedEvent& event : fuzz->events) {
     int64_t at_ms = event.ptime.millis();
+    const auto pane = due.lower_bound(prev_ms);
+    const bool pane_ahead = pane != due.end() && *pane <= at_ms;
     if (rng.Chance(20)) {
       int64_t move_ms = rng.Chance(50) ? at_ms : rng.Range(prev_ms, at_ms);
-      const auto pane = due.lower_bound(prev_ms);
-      if (pane != due.end() && *pane <= at_ms && rng.Chance(50)) {
+      if (pane_ahead && rng.Chance(50)) {
         move_ms = *pane;
         if (rng.Chance(50)) at_ms = move_ms;
       }
       events.push_back(clock(move_ms));
+    } else if (pane_ahead && rng.Chance(20)) {
+      at_ms = *pane;
     }
     event.ptime = Timestamp(at_ms);
     if (event.kind != FeedEvent::Kind::kWatermark) {

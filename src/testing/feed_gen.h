@@ -115,10 +115,10 @@ std::string RenderSql(const QuerySpec& spec);
 /// the smoke assertions in tests/fuzz).
 FuzzCase GenerateCase(uint64_t seed);
 
-/// Batch-boundary stress templates for the columnar hot path (DESIGN.md
+/// Batch-boundary stress templates for the columnar feed history (DESIGN.md
 /// §14): each family shapes the feed so the ChangeBatch chunking degenerates
-/// in a specific way, and any scalar-vs-vectorized divergence at that seam
-/// shows up as an oracle disagreement.
+/// in a specific way, and any divergence between a run's stored columns and
+/// the rows fed shows up as an oracle disagreement.
 ///  - kOneEventBatches: insert-only, event times strictly ascending per
 ///    stream, so the perfect watermark schedule closes every rows-chunk
 ///    after exactly one row. Exercises batch size 1 everywhere.

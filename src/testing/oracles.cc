@@ -375,6 +375,24 @@ Result<CaseOutcome> RunCase(const FuzzCase& fuzz, const OracleOptions& opts) {
                       static_cast<size_t>(opts.duality_checks));
   }
   duality_at.insert(n);
+  // Every prefix that ends on a due time of an AFTER DELAY pane some earlier
+  // row may have opened is read too: a pane due then is still pending unless
+  // a clock move fired it, and the read must fold it into the table.
+  std::vector<int64_t> delays;
+  for (const QuerySpec& spec : fuzz.queries) {
+    if (spec.delay_ms > 0) delays.push_back(spec.delay_ms);
+  }
+  if (!delays.empty()) {
+    std::set<int64_t> due;
+    for (size_t i = 0; i < n; ++i) {
+      const FeedEvent& event = fuzz.events[i];
+      if (event.kind == FeedEvent::Kind::kClock) continue;
+      const int64_t at_ms = event.ptime.millis();
+      if (due.count(at_ms) > 0) duality_at.insert(i + 1);
+      if (event.kind == FeedEvent::Kind::kWatermark) continue;
+      for (int64_t delay : delays) due.insert(at_ms + delay);
+    }
+  }
 
   // The table read at each checked prefix, taken after the last event at
   // its ptime. A pane due at that ptime is in the table then, but enters
@@ -440,7 +458,7 @@ Result<CaseOutcome> RunCase(const FuzzCase& fuzz, const OracleOptions& opts) {
   // ---- Oracle 2: batched feed and late execution. The same events
   // through Engine::Feed in pseudo-random batches, with the queries executed
   // only after a seed-chosen prefix, which they replay from the history: the
-  // whole-batch path and the replay must emit exactly what event-by-event
+  // batched feed and the replay must emit exactly what event-by-event
   // delivery to queries running from the start emits.
   ONESQL_ASSIGN_OR_RETURN(auto batched_engine,
                           baseline_engine->CloneRegistrations());

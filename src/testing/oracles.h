@@ -54,16 +54,18 @@ struct CaseOutcome {
 /// Runs one case through every applicable oracle:
 ///
 ///  1. Duality: the table of each query read at every checked feed prefix
-///     must equal the accumulated EMIT STREAM changelog up to the read's
-///     ptime — once the clock has passed the end of the feed, so that the
-///     AFTER DELAY panes due at that ptime, already in the table, have
-///     entered the stream too.
+///     (evenly spaced ones, and each one that ends on the due time of an
+///     AFTER DELAY pane, where the read folds the pending pane) must equal
+///     the accumulated EMIT STREAM changelog up to the read's ptime — once
+///     the clock has passed the end of the feed, so that the AFTER DELAY
+///     panes due at that ptime, already in the table, have entered the
+///     stream too.
 ///  2. Batched feed and late execution: re-running the same events through
-///     Engine::Feed in seed-chosen batches of 1-7 events — runs of a source
-///     read by one scan go whole through the batch kernels — with the
-///     queries executed after a seed-chosen prefix, which they replay from
-///     the history, must render a bit-identical stream (undo/ptime/ver
-///     included) and snapshot.
+///     Engine::Feed in seed-chosen batches of 1-7 events — so the feed
+///     history's runs are cut differently — with the queries executed
+///     after a seed-chosen prefix, which they replay from the history,
+///     must render a bit-identical stream (undo/ptime/ver included) and
+///     snapshot.
 ///  3. Crash equivalence: checkpointing at a seed-chosen prefix, restoring
 ///     into a fresh engine, and feeding the suffix must render identically
 ///     to the uninterrupted run.

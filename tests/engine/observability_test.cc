@@ -179,59 +179,51 @@ TEST(ObservabilityTest, MetricsAreExact) {
 }
 
 TEST(ObservabilityTest, ProfileRowCountersAreExact) {
-  // The profiling determinism contract (DESIGN.md §15): row-denominated
-  // kernel counters are a function of the expression and the data, so they
-  // are exact. Batch-denominated and time-valued profile metrics carry no
-  // such guarantee and are deliberately not compared here.
-  Engine engine;
-  ASSERT_TRUE(engine.RegisterStream("Bid", BidSchema()).ok());
-  obs::ObsOptions options = MetricsAndTracing();
-  options.profiling = true;
-  ASSERT_TRUE(engine.EnableObservability(options).ok());
-  // One vectorized expression per path of interest: the filter and
-  // `price * 2` ride the kernels; `price / price` has a non-literal
-  // divisor and falls back per row with the `division` reason.
-  auto q = engine.Execute(
-      "SELECT item, price * 2 AS p2, price / price AS unit FROM Bid "
-      "WHERE price >= 2");
-  ASSERT_TRUE(q.ok()) << q.status().ToString();
-  ASSERT_TRUE(engine.Feed(PaperFeed()).ok());
-
-  const obs::MetricsSnapshot snap = engine.MetricsSnapshot();
-  const auto kernel_rows = [&](const std::string& op,
-                               const std::string& path) {
-    return snap.CounterValue(
-        "onesql_kernel_rows_total",
-        {{"query", "q0"}, {"op", op}, {"path", path}});
+  // The profiling determinism contract (DESIGN.md §15): operator row
+  // counters are a function of the plan and the data, never of how the feed
+  // was cut into Feed calls. Time-valued profile metrics carry no such
+  // guarantee and are deliberately not compared here.
+  const auto run = [](bool one_event_per_feed) {
+    Engine engine;
+    EXPECT_TRUE(engine.RegisterStream("Bid", BidSchema()).ok());
+    obs::ObsOptions options = MetricsAndTracing();
+    options.profiling = true;
+    EXPECT_TRUE(engine.EnableObservability(options).ok());
+    auto q = engine.Execute(
+        "SELECT item, price * 2 AS p2, price / price AS unit FROM Bid "
+        "WHERE price >= 2");
+    EXPECT_TRUE(q.ok()) << q.status().ToString();
+    if (one_event_per_feed) {
+      for (const FeedEvent& e : PaperFeed()) {
+        EXPECT_TRUE(engine.Feed({e}).ok());
+      }
+    } else {
+      EXPECT_TRUE(engine.Feed(PaperFeed()).ok());
+    }
+    return engine.MetricsSnapshot();
   };
-  // All six bids hit the filter vectorized; price 1 fails the predicate.
-  EXPECT_EQ(kernel_rows("filter", "vectorized"), 6u);
-  EXPECT_EQ(kernel_rows("filter", "scalar"), 0u);
-  // Five passing rows, three expressions: item + price*2 vectorize
-  // (10 rows), price/price goes scalar (5 rows), all blamed on division.
-  EXPECT_EQ(kernel_rows("project", "vectorized"), 10u);
-  EXPECT_EQ(kernel_rows("project", "scalar"), 5u);
-  EXPECT_EQ(snap.CounterValue(
-                "onesql_kernel_fallback_rows_total",
-                {{"query", "q0"}, {"op", "project"}, {"reason", "division"}}),
-            5u);
-  EXPECT_EQ(snap.CounterValue("onesql_kernel_fallback_rows_total",
-                              {{"query", "q0"},
-                               {"op", "project"},
-                               {"reason", "generic_lane"}}),
-            0u);
-  // Operator row counters share the guarantee.
-  EXPECT_EQ(snap.CounterValue("onesql_operator_rows_in_total",
-                              {{"query", "q0"}, {"op", "filter"}}),
-            6u);
-  EXPECT_EQ(snap.CounterValue("onesql_operator_rows_out_total",
-                              {{"query", "q0"}, {"op", "filter"}}),
-            5u);
-  // Profiling is live (batches flowed) without asserting how many: batch
-  // counts depend on how the feed was chunked.
-  EXPECT_GT(snap.CounterValue("onesql_profile_batches_total",
-                              {{"query", "q0"}, {"op", "filter"}}),
-            0u);
+  const obs::MetricsSnapshot whole = run(false);
+  const obs::MetricsSnapshot single = run(true);
+  // source, filter and project, rows in and out each.
+  size_t compared = 0;
+  for (const obs::CounterSample& c : whole.counters) {
+    if (c.name != "onesql_operator_rows_in_total" &&
+        c.name != "onesql_operator_rows_out_total") {
+      continue;
+    }
+    EXPECT_EQ(single.CounterValue(c.name, c.labels), c.value)
+        << c.name << obs::RenderLabels(c.labels);
+    ++compared;
+  }
+  EXPECT_EQ(compared, 6u);
+  // All six bids reach the filter; price 1 fails the predicate.
+  const auto rows = [&](const std::string& name, const std::string& op) {
+    return whole.CounterValue(name, {{"query", "q0"}, {"op", op}});
+  };
+  EXPECT_EQ(rows("onesql_operator_rows_in_total", "filter"), 6u);
+  EXPECT_EQ(rows("onesql_operator_rows_out_total", "filter"), 5u);
+  EXPECT_EQ(rows("onesql_operator_rows_in_total", "project"), 5u);
+  EXPECT_EQ(rows("onesql_operator_rows_out_total", "project"), 5u);
 }
 
 TEST(ObservabilityTest, TraceSpansCoverFeedRouteOperatorSink) {

@@ -1,9 +1,7 @@
-// Unit coverage for the columnar execution core (DESIGN.md §14): the
-// ColumnVector lane/demotion rules, ChangeBatch row round-trips, the
-// ChunkBuilder's run rule, and the vectorized kernels'
-// exact agreement with the scalar evaluator — including the per-batch
-// scalar-fallback rules. The end-to-end seam (whole-batch versus per-event
-// dispatch) is covered by the fuzz oracles and parallel_test.
+// Unit coverage for the columnar feed history (DESIGN.md §14): the
+// ColumnVector lane/demotion rules, ChangeBatch row round-trips and the
+// ChunkBuilder's run rule. The end-to-end seam (one Feed call versus one
+// call per event) is covered by the fuzz oracles and parallel_test.
 
 #include "exec/change_batch.h"
 
@@ -11,17 +9,9 @@
 
 #include <vector>
 
-#include "exec/expr_eval.h"
-#include "exec/vector_kernels.h"
-#include "plan/bound_expr.h"
-
 namespace onesql {
 namespace exec {
 namespace {
-
-using plan::BoundExpr;
-using plan::BoundExprPtr;
-using plan::ScalarOp;
 
 TEST(ColumnVectorTest, TypedLanesRoundTripExactValues) {
   ColumnVector col;
@@ -96,16 +86,6 @@ TEST(ChangeBatchTest, AppendRowRoundTripsRowsWeightsPtimes) {
   batch.MaterializeChange(1, &change);
   EXPECT_EQ(change.kind, ChangeKind::kDelete);
   EXPECT_TRUE(RowsEqual(change.row, r1));
-
-  batch.PopRow();
-  EXPECT_EQ(batch.num_rows, 1u);
-  EXPECT_EQ(batch.columns[0].size(), 1u);
-
-  ChangeBatch copy;
-  copy.ResetLike(batch);
-  copy.AppendRowFrom(batch, 0);
-  EXPECT_TRUE(RowsEqual(copy.RowAt(0), r0));
-  EXPECT_EQ(copy.ptimes[0], Timestamp(100));
 }
 
 TEST(ChunkBuilderTest, AnyWatermarkClosesRun) {
@@ -192,141 +172,6 @@ TEST(ChunkBuilderTest, NeverExtendsAnEarlierBuildersChunk) {
   ASSERT_EQ(chunks.size(), 2u);
   EXPECT_EQ(chunks[0].NumEvents(), 1u);
   EXPECT_EQ(chunks[1].NumEvents(), 2u);
-}
-
-// ---------------------------------------------------------------------------
-// Vectorized kernels vs. the scalar evaluator
-// ---------------------------------------------------------------------------
-
-ChangeBatch TestBatch() {
-  ChangeBatch batch;
-  batch.ResetForTypes({DataType::kTimestamp, DataType::kBigint,
-                       DataType::kDouble, DataType::kVarchar});
-  int64_t n = 0;
-  auto add = [&](int64_t ts, const Value& v, const Value& d, const Value& s) {
-    batch.AppendRow({Value::Time(Timestamp(ts)), v, d, s}, n % 3 ? +1 : -1,
-                    Timestamp(n));
-    ++n;
-  };
-  add(0, Value::Int64(5), Value::Double(1.5), Value::String("a"));
-  add(1, Value::Null(), Value::Double(-2.25), Value::Null());
-  add(2, Value::Int64(-7), Value::Null(), Value::String(""));
-  add(3, Value::Int64(0), Value::Double(0.0), Value::String("b"));
-  add(4, Value::Int64(100), Value::Double(64.0), Value::Null());
-  return batch;
-}
-
-BoundExprPtr Ref(int col, DataType type) {
-  return BoundExpr::InputRef(col, type);
-}
-
-BoundExprPtr Op2(ScalarOp op, DataType out, BoundExprPtr a, BoundExprPtr b) {
-  std::vector<BoundExprPtr> children;
-  children.push_back(std::move(a));
-  children.push_back(std::move(b));
-  return BoundExpr::Op(op, out, std::move(children));
-}
-
-void ExpectKernelMatchesScalar(const BoundExpr& expr, const ChangeBatch& batch) {
-  ColumnVector out;
-  ASSERT_TRUE(EvalExprBatch(expr, batch, &out));
-  ASSERT_EQ(out.size(), batch.num_rows);
-  Row scratch;
-  for (size_t i = 0; i < batch.num_rows; ++i) {
-    batch.MaterializeRow(i, &scratch);
-    auto scalar = EvalExpr(expr, scratch);
-    ASSERT_TRUE(scalar.ok());
-    EXPECT_TRUE(out.ValueAt(i) == *scalar)
-        << "row " << i << ": kernel " << out.ValueAt(i).ToString()
-        << " vs scalar " << scalar->ToString();
-  }
-}
-
-TEST(VectorKernelTest, ArithmeticComparisonAndLogicMatchScalarEval) {
-  const ChangeBatch batch = TestBatch();
-  // (v + 1) * 2, with NULL propagation.
-  ExpectKernelMatchesScalar(
-      *Op2(ScalarOp::kMul, DataType::kBigint,
-           Op2(ScalarOp::kAdd, DataType::kBigint, Ref(1, DataType::kBigint),
-               BoundExpr::Literal(Value::Int64(1))),
-           BoundExpr::Literal(Value::Int64(2))),
-      batch);
-  // Mixed-type widening: v + d.
-  ExpectKernelMatchesScalar(
-      *Op2(ScalarOp::kAdd, DataType::kDouble, Ref(1, DataType::kBigint),
-           Ref(2, DataType::kDouble)),
-      batch);
-  // Ternary logic over comparisons with NULL operands.
-  ExpectKernelMatchesScalar(
-      *Op2(ScalarOp::kAnd, DataType::kBoolean,
-           Op2(ScalarOp::kGt, DataType::kBoolean, Ref(1, DataType::kBigint),
-               BoundExpr::Literal(Value::Int64(0))),
-           Op2(ScalarOp::kLt, DataType::kBoolean, Ref(2, DataType::kDouble),
-               BoundExpr::Literal(Value::Double(2.0)))),
-      batch);
-}
-
-TEST(VectorKernelTest, PredicateMatchesScalarTernarySemantics) {
-  const ChangeBatch batch = TestBatch();
-  // v % 3 <> 0: literal divisor, so the kernel covers it.
-  const auto pred =
-      Op2(ScalarOp::kNeq, DataType::kBoolean,
-          Op2(ScalarOp::kMod, DataType::kBigint, Ref(1, DataType::kBigint),
-              BoundExpr::Literal(Value::Int64(3))),
-          BoundExpr::Literal(Value::Int64(0)));
-  std::vector<uint8_t> keep;
-  ASSERT_TRUE(EvalPredicateBatch(*pred, batch, &keep));
-  ASSERT_EQ(keep.size(), batch.num_rows);
-  Row scratch;
-  for (size_t i = 0; i < batch.num_rows; ++i) {
-    batch.MaterializeRow(i, &scratch);
-    auto scalar = EvalPredicate(*pred, scratch);
-    ASSERT_TRUE(scalar.ok());
-    EXPECT_EQ(keep[i] != 0, *scalar) << "row " << i;
-  }
-}
-
-TEST(VectorKernelTest, FallsBackPerBatchOnDemotedColumnAndPerExprOnDivision) {
-  // Same expression, two batches: typed lane -> kernel runs; demoted lane
-  // (an int fed into the DOUBLE column) -> kernel declines this batch.
-  const auto expr = Op2(ScalarOp::kAdd, DataType::kDouble,
-                        Ref(2, DataType::kDouble),
-                        BoundExpr::Literal(Value::Double(1.0)));
-  ChangeBatch typed = TestBatch();
-  ColumnVector out;
-  EXPECT_TRUE(EvalExprBatch(*expr, typed, &out));
-
-  ChangeBatch demoted = TestBatch();
-  demoted.AppendRow({Value::Time(Timestamp(9)), Value::Int64(1),
-                     Value::Int64(2), Value::Null()},
-                    +1, Timestamp(9));
-  ASSERT_EQ(demoted.columns[2].lane(), ColumnVector::Lane::kGeneric);
-  EXPECT_FALSE(EvalExprBatch(*expr, demoted, &out));
-
-  // Division by a column (could be zero at runtime) is outside the subset.
-  const auto div = Op2(ScalarOp::kDiv, DataType::kBigint,
-                       BoundExpr::Literal(Value::Int64(10)),
-                       Ref(1, DataType::kBigint));
-  EXPECT_FALSE(EvalExprBatch(*div, typed, &out));
-  // Division by a non-zero literal is inside it.
-  const auto div_lit = Op2(ScalarOp::kDiv, DataType::kBigint,
-                           Ref(1, DataType::kBigint),
-                           BoundExpr::Literal(Value::Int64(4)));
-  ExpectKernelMatchesScalar(*div_lit, TestBatch());
-}
-
-TEST(VectorKernelTest, HashRowsBatchMatchesHashRowOverKeyRows) {
-  const ChangeBatch batch = TestBatch();
-  // Key = (v, item): one typed lane, one generic lane.
-  std::vector<ColumnVector> key_columns = {batch.columns[1],
-                                           batch.columns[3]};
-  std::vector<size_t> hashes;
-  HashRowsBatch(batch, key_columns, &hashes);
-  ASSERT_EQ(hashes.size(), batch.num_rows);
-  for (size_t i = 0; i < batch.num_rows; ++i) {
-    const Row key = {key_columns[0].ValueAt(i), key_columns[1].ValueAt(i)};
-    EXPECT_EQ(hashes[i], HashRow(key)) << "row " << i;
-  }
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Unit tests for the metrics primitives: exponential histogram bucket
-// boundaries and merge, sharded counter aggregation (single- and
-// multi-threaded), gauges, and registry dedup. The concurrent tests double as
-// the TSan hammer suite (see ci.sh): many threads bumping the same
-// instruments and registering through the registry at once.
+// boundaries and merge, counter aggregation (single- and multi-threaded),
+// gauges, and registry dedup. The concurrent tests double as the TSan hammer
+// suite (see ci.sh): many threads bumping the same instruments and
+// registering through the registry at once.
 
 #include "obs/metrics.h"
 
@@ -106,7 +106,7 @@ TEST(CounterTest, SingleThreadAggregation) {
 }
 
 TEST(CounterTest, ConcurrentAddsSumExactly) {
-  // The sharded-slot design must lose nothing: N threads adding concurrently
+  // The one relaxed atomic must lose nothing: N threads adding concurrently
   // aggregate to exactly the arithmetic total.
   Counter c;
   constexpr int kThreads = 8;

@@ -430,6 +430,16 @@ TEST_F(BinderTest, AggregateContextKeepsGroupKeysAndConstants) {
                   "column 'id' must appear in the GROUP BY clause");
 }
 
+TEST_F(BinderTest, AggregateContextReportsAnUnknownColumnAsNotFound) {
+  // A column that does not resolve is reported as such, not as a column
+  // missing from the GROUP BY clause; a bound but ungrouped column keeps
+  // the GROUP BY error.
+  ExpectBindError("SELECT nosuch, COUNT(*) AS n FROM Category",
+                  "column 'nosuch' not found");
+  ExpectBindError("SELECT name, COUNT(*) AS n FROM Category",
+                  "column 'name' must appear in the GROUP BY clause");
+}
+
 TEST_F(BinderTest, SumOverCaseWidensWithItsElseBranch) {
   QueryPlan plan = MustBind(
       "SELECT wend, SUM(CASE WHEN price > 1 THEN price ELSE 2.5 END) AS s "

@@ -759,7 +759,7 @@ TEST(ServerCoreTest, ExplainCommandReturnsAnnotatedPlanAndAnalysis) {
   EXPECT_NE(text.find("EXPLAIN ANALYZE"), std::string::npos);
   EXPECT_NE(text.find("[op="), std::string::npos);
   EXPECT_NE(text.find("profiling=on"), std::string::npos);
-  EXPECT_NE(text.find("[batches="), std::string::npos);
+  EXPECT_NE(text.find("[sampled wall_us "), std::string::npos);
   const Json* analysis = response.Find("analysis");
   ASSERT_NE(analysis, nullptr);
   const Json* plan = analysis->Find("plan");

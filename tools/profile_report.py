@@ -5,8 +5,8 @@ Merges the per-operator metrics from `explain_<q>.json` (written by
 tools/explain_nexmark or any caller of Engine::ExplainAnalyze) with the
 Chrome-trace spans from `trace.json` into one report per query: an indented
 plan tree where each operator carries a time bar (its share of the query's
-sampled wall time), row counts, and the kernel vectorized/scalar split —
-followed by a span-aggregate table from the trace.
+sampled wall time), row counts and rows/s — followed by a span-aggregate
+table from the trace.
 
 Usage:
   profile_report.py <dir>                 report over every explain_*.json
@@ -81,24 +81,10 @@ def render_explain(doc):
         )
         profile = node.get("profile")
         if profile:
-            kernel = profile.get("kernel", {})
-            detail = "  " * depth + "  wall_us %s | batch_size %s" % (
+            lines.append("  " * depth + "  wall_us %s | %d rows/s" % (
                 hist_str(profile.get("wall_us")),
-                hist_str(profile.get("batch_size")),
-            )
-            vec = kernel.get("vectorized_rows", 0)
-            scalar = kernel.get("scalar_rows", 0)
-            if vec or scalar:
-                detail += " | kernel vec=%d scalar=%d" % (vec, scalar)
-                falls = {
-                    k: v
-                    for k, v in (kernel.get("fallbacks") or {}).items()
-                    if v
-                }
-                if falls:
-                    detail += " (" + ", ".join(
-                        "%s=%d" % kv for kv in sorted(falls.items())) + ")"
-            lines.append(detail)
+                profile.get("rows_per_sec", 0),
+            ))
     sink = doc.get("sink")
     if sink:
         lines.append(
